@@ -224,7 +224,6 @@ class AdjointOperator:
     """Matrix of L_X: Y -> [X, Y]; matrix[c][b] = x^a f_ab^c."""
 
     matrix: tuple
-    source: LieElement
 
     @property
     def dim(self) -> int:
@@ -266,6 +265,7 @@ class StructureConstants:
         self.basis_names = tuple(basis_names)
         self._pairs = {k: tuple(v) for k, v in pair_brackets.items()}
         self._derived: Subspace | None = None
+        self._facts = None  # detect.AlgebraFacts, filled by detect.algebra_facts
 
     def __repr__(self):
         return f"StructureConstants(dim={self.dim}, nonzero_pairs={len(self._pairs)})"
@@ -287,12 +287,15 @@ class StructureConstants:
             raise IndexOutOfRange(f"basis index {a} outside 0..{self.dim - 1}")
         return LieElement(tuple(Fraction(1 if i == a else 0) for i in range(self.dim)))
 
-    def structure_constant(self, a: int, b: int, c: int) -> Fraction:
-        if a == b:
-            return Fraction(0)
+    def _signed_pair(self, a: int, b: int):
+        """(sign, vec) with [T_a, T_b] = sign * vec, or None when the bracket is zero."""
         key, sign = ((a, b), 1) if a < b else ((b, a), -1)
         vec = self._pairs.get(key)
-        return sign * vec[c] if vec is not None else Fraction(0)
+        return None if vec is None else (sign, vec)
+
+    def structure_constant(self, a: int, b: int, c: int) -> Fraction:
+        hit = self._signed_pair(a, b)
+        return hit[0] * hit[1][c] if hit is not None else Fraction(0)
 
     def entries(self):
         """Sparse nonzero entries (a, b, c, value) with a < b."""
@@ -319,12 +322,10 @@ class StructureConstants:
         """[T_a, v] for a coordinate vector v."""
         out = [Fraction(0)] * self.dim
         for b, xb in enumerate(coords):
-            if xb == 0 or b == a:
+            hit = self._signed_pair(a, b) if xb != 0 else None
+            if hit is None:
                 continue
-            key, sign = ((a, b), 1) if a < b else ((b, a), -1)
-            vec = self._pairs.get(key)
-            if vec is None:
-                continue
+            sign, vec = hit
             for c, v in enumerate(vec):
                 if v != 0:
                     out[c] = out[c] + sign * xb * v
@@ -333,24 +334,10 @@ class StructureConstants:
     def adjoint(self, x: LieElement) -> AdjointOperator:
         if x.dim != self.dim:
             raise DimensionMismatch("element does not belong to this algebra")
-        cols = [self._bracket_basis_with_element(x, b) for b in range(self.dim)]
-        matrix = tuple(tuple(cols[b][c] for b in range(self.dim)) for c in range(self.dim))
-        return AdjointOperator(matrix, x)
-
-    def _bracket_basis_with_element(self, x: LieElement, b: int) -> tuple:
-        """[x, T_b] as a coordinate vector."""
-        out = [Fraction(0)] * self.dim
-        for a, xa in enumerate(x.coords):
-            if xa == 0 or a == b:
-                continue
-            key, sign = ((a, b), 1) if a < b else ((b, a), -1)
-            vec = self._pairs.get(key)
-            if vec is None:
-                continue
-            for c, v in enumerate(vec):
-                if v != 0:
-                    out[c] = out[c] + sign * xa * v
-        return tuple(out)
+        # column b is [x, T_b] = -[T_b, x]
+        cols = [self._bracket_basis_with(b, x.coords) for b in range(self.dim)]
+        matrix = tuple(tuple(-cols[b][c] for b in range(self.dim)) for c in range(self.dim))
+        return AdjointOperator(matrix)
 
     # -- subspaces -----------------------------------------------------------
 
@@ -480,9 +467,12 @@ def validate(entries: Mapping[tuple[int, int, int], object] | Iterable,
             for c in range(b + 1, dim):
                 residual = [Fraction(0)] * dim
                 for (p, q, r) in ((a, b, c), (b, c, a), (c, a, b)):
-                    inner = [alg.structure_constant(q, r, m) for m in range(dim)]
-                    term = alg._bracket_basis_with(p, inner)
-                    residual = [s + t for s, t in zip(residual, term)]
+                    inner = alg._signed_pair(q, r)
+                    if inner is None:
+                        continue
+                    sign, vec = inner
+                    term = alg._bracket_basis_with(p, vec)
+                    residual = [s + sign * t for s, t in zip(residual, term)]
                 for e, res in enumerate(residual):
                     if res != 0:
                         raise JacobiViolation(a, b, c, e, res)

@@ -103,9 +103,6 @@ class BivariateSeries:
         kept = {k: c for k, c in self.coefficients.items() if k[0] + k[1] <= degree}
         return BivariateSeries(kept, degree)
 
-    def shell_abs_sum(self, k: int) -> float:
-        return float(sum(abs(c) for (i, j), c in self.coefficients.items() if i + j == k))
-
 
 _series_lock = threading.Lock()
 
@@ -287,12 +284,8 @@ def _recheck_eigenpair(alg, x, y, w, u, v, rel_tol=1e-12):
     return max(res_u, res_v) <= rel_tol * scale
 
 
-def bch_eigenpair(alg: StructureConstants, x: LieElement, y: LieElement,
-                  u, v) -> BchResult:
-    """Scalar form z = x + y + f(u, v) [x, y] for a certified eigen-pair."""
-    w = alg.bracket(x, y)
-    if not w.is_zero() and not _recheck_eigenpair(alg, x, y, w, u, v):
-        raise ClassificationMismatch("(u, v) is not a simultaneous eigen-pair for [x, y]")
+def _scalar_f(x: LieElement, y: LieElement, w: LieElement, u, v) -> BchResult:
+    """z = x + y + f(u, v) w; exact when u = v = 0, where f = 1/2."""
     if u == 0 and v == 0:
         z = x + y + w.scale(Fraction(1, 2))
         return BchResult(z, "ScalarF", exact=_elements_exact(x, y), u=u, v=v,
@@ -303,20 +296,22 @@ def bch_eigenpair(alg: StructureConstants, x: LieElement, y: LieElement,
     return BchResult(z, "ScalarF", exact=False, residual_bound=bound, u=u, v=v)
 
 
+def bch_eigenpair(alg: StructureConstants, x: LieElement, y: LieElement,
+                  u, v) -> BchResult:
+    """Scalar form z = x + y + f(u, v) [x, y] for a certified eigen-pair."""
+    w = alg.bracket(x, y)
+    if not w.is_zero() and not _recheck_eigenpair(alg, x, y, w, u, v):
+        raise ClassificationMismatch("(u, v) is not a simultaneous eigen-pair for [x, y]")
+    return _scalar_f(x, y, w, u, v)
+
+
 def bch_rank_one(fact: RankOneFactorization, x: LieElement, y: LieElement) -> BchResult:
     """z^c = x^c + y^c + f(x.omega.n, -y.omega.n) (omega_ab x^a y^b) n^c."""
     u, v = uv_from_rank_one(fact, x, y)
     c_xy = fact.omega_contract(x, y)
     if c_xy == 0:
         return BchResult(x + y, "Sum", exact=_elements_exact(x, y), u=u, v=v)
-    if u == 0 and v == 0:
-        z = x + y + fact.n.scale(c_xy * Fraction(1, 2))
-        return BchResult(z, "ScalarF", exact=_elements_exact(x, y), u=u, v=v,
-                         residual_bound=0.0)
-    fval = f_scalar(u, v)
-    z = x + y + fact.n.scale(float(c_xy) * fval)
-    bound = 8.0 * 2.0**-53 * abs(fval * float(c_xy)) * fact.n.sup_norm()
-    return BchResult(z, "ScalarF", exact=False, residual_bound=bound, u=u, v=v)
+    return _scalar_f(x, y, fact.n.scale(c_xy), u, v)
 
 
 def bch_rank_one_exact(fact: RankOneFactorization, x: LieElement, y: LieElement,

@@ -64,7 +64,7 @@ class RankOneFactorization:
 
 @dataclass(frozen=True)
 class AlgebraFacts:
-    """Pair-independent facts gathered during classification."""
+    """Pair-independent facts of an algebra; built once by :func:`algebra_facts`."""
 
     derived_dim: int
     derived_abelian: bool
@@ -115,27 +115,26 @@ def uv_from_rank_one(fact: RankOneFactorization, x: LieElement, y: LieElement):
 
 
 def is_derived_abelian(alg: StructureConstants) -> bool:
-    """True iff [[g,g],[g,g]] = 0, checked by full tensor contraction.
-
-    Contracts f_ab^m f_cd^n f_mn^e over all basis pairs (a,b), (c,d); this is
-    exactly the bracket of the two basis brackets.
-    """
-    pairs = [LieElement(v) for v in alg._pairs.values()]
-    for i, w1 in enumerate(pairs):
-        for w2 in pairs[i:]:
-            if not alg.bracket(w1, w2).is_zero():
-                return False
-    return True
-
-
-def derived_abelian_from_basis(alg: StructureConstants) -> bool:
-    """Same predicate from pairwise brackets of the echelonized derived basis."""
+    """True iff [[g,g],[g,g]] = 0, from pairwise brackets of the echelonized derived basis."""
     basis = [LieElement(b) for b in alg.derived_subalgebra().basis]
-    for i, w1 in enumerate(basis):
-        for w2 in basis[i:]:
-            if not alg.bracket(w1, w2).is_zero():
-                return False
-    return True
+    return all(
+        alg.bracket(w1, w2).is_zero()
+        for i, w1 in enumerate(basis)
+        for w2 in basis[i + 1:]
+    )
+
+
+def algebra_facts(alg: StructureConstants) -> AlgebraFacts:
+    """The pair-independent facts of alg, computed on first use and kept on alg."""
+    if alg._facts is None:
+        _, nilpotency = alg.lower_central_series()
+        alg._facts = AlgebraFacts(
+            derived_dim=alg.derived_subalgebra().dim,
+            derived_abelian=is_derived_abelian(alg),
+            nilpotency=nilpotency,
+            rank_one=factorize_rank_one(alg),
+        )
+    return alg._facts
 
 
 def pair_center_condition(alg: StructureConstants, x: LieElement, y: LieElement) -> bool:
@@ -203,16 +202,12 @@ def classify_pair(alg: StructureConstants, x: LieElement, y: LieElement) -> Case
     Detectors run strongest-first and the first hit wins, so the scalar
     formula is preferred over the operator formula whenever both apply.
     Requires exact coordinates (the conditions are algebraic identities).
+    The algebra facts are computed once per algebra and shared by every
+    classification on it; only [X,Y], L_X and L_Y are computed per pair.
     """
     if not (x.is_exact and y.is_exact):
         raise TypeError("classification requires exact rational coordinates")
-    _, nilpotency = alg.lower_central_series()
-    facts = AlgebraFacts(
-        derived_dim=alg.derived_subalgebra().dim,
-        derived_abelian=is_derived_abelian(alg),
-        nilpotency=nilpotency,
-        rank_one=factorize_rank_one(alg),
-    )
+    facts = algebra_facts(alg)
     w = alg.bracket(x, y)
     if w.is_zero():
         return CaseClassification(CaseTag.COMMUTING, None, None, None, facts)

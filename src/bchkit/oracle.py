@@ -260,6 +260,8 @@ class MatrixRep:
 
     def __init__(self, basis_images: Sequence[np.ndarray], faithful_on: str = ""):
         self.basis_images = [np.asarray(im, dtype=float) for im in basis_images]
+        if not self.basis_images or self.basis_images[0].ndim != 2:
+            raise ValueError("basis images must be a nonempty list of square matrices")
         self.dim_rep = self.basis_images[0].shape[0]
         for im in self.basis_images:
             if im.shape != (self.dim_rep, self.dim_rep):

@@ -1,5 +1,6 @@
 """Core algebra: validation, bracket, adjoint, subspaces."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,13 @@ from bchkit.algebra import (
     Subspace,
     validate,
 )
-from bchkit.oracle import abelian_algebra, affine_algebra, heisenberg_algebra
+from bchkit import families
+from bchkit.oracle import (
+    abelian_algebra,
+    affine_algebra,
+    builtin_catalog,
+    heisenberg_algebra,
+)
 
 
 @pytest.fixture
@@ -48,6 +55,15 @@ class TestValidate:
             validate(bad, 3)
         assert err.value.indices == (0, 1, 2, 0)
         assert err.value.residual == 1
+
+    def test_jacobi_violation_late_triple(self):
+        # [T0,T1] = T1 is consistent; the cyclic part on T2,T3,T4 is not, and
+        # the first failing triple in a < b < c order is (2, 3, 4)
+        bad = {(0, 1, 1): 1, (2, 3, 2): "2/3", (3, 4, 3): "-5/7", (4, 2, 4): 3}
+        with pytest.raises(JacobiViolation) as err:
+            validate(bad, 5)
+        assert err.value.indices == (2, 3, 4, 2)
+        assert err.value.residual == Fraction(-10, 21)
 
     def test_antisymmetry_completion(self, heis):
         # supplying the opposite orientation yields the same algebra
@@ -123,6 +139,20 @@ class TestAdjoint:
         for b in range(3):
             e = heis.basis_element(b)
             assert ad.apply(e).coords == heis.bracket(x, e).coords
+        # L_x T_b = [x, T_b] with its sign, on every catalog algebra and on
+        # one algebra from each random family
+        rng = random.Random(11)
+        algs = [entry.algebra for entry in builtin_catalog()]
+        algs += [families.random_rank_one(rng, 5), families.random_case1(rng, 4)[0],
+                 families.random_derived_abelian(rng, 2, 3, kind="diag"),
+                 families.random_derived_abelian(rng, 2, 3, kind="nilp")]
+        for alg in algs:
+            for _ in range(3):
+                x = families.random_element(rng, alg.dim)
+                ad = alg.adjoint(x)
+                for b in range(alg.dim):
+                    e = alg.basis_element(b)
+                    assert ad.apply(e).coords == alg.bracket(x, e).coords
 
 
 class TestSubspaces:

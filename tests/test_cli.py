@@ -31,6 +31,32 @@ def workdir(tmp_path):
     return tmp_path
 
 
+# `check` stdout for each catalog entry's documented pair: (exit code, JSON line)
+CATALOG_CHECK = {
+    "abelian3": (0, '{"S_dim": null, "derived_abelian": true, "derived_dim": 0, '
+                    '"nilpotent": {"class": 1}, "rank_one": null, "tag": "Commuting", '
+                    '"u": null, "v": null}'),
+    "heisenberg": (0, '{"S_dim": null, "derived_abelian": true, "derived_dim": 1, '
+                      '"nilpotent": {"class": 2}, "rank_one": {"n": ["0", "0", "1"], '
+                      '"omega": [["0", "1", "0"], ["-1", "0", "0"], ["0", "0", "0"]]}, '
+                      '"tag": "CentralBracket", "u": null, "v": null}'),
+    "affine": (0, '{"S_dim": null, "derived_abelian": true, "derived_dim": 1, '
+                  '"nilpotent": null, "rank_one": {"n": ["0", "1"], '
+                  '"omega": [["0", "1"], ["-1", "0"]]}, '
+                  '"tag": "SimultaneousEigenvector", "u": "0", "v": "1"}'),
+    "uvc": (0, '{"S_dim": null, "derived_abelian": true, "derived_dim": 1, '
+               '"nilpotent": null, "rank_one": {"n": ["1", "-2/3", "4"], '
+               '"omega": [["0", "1/2", "0"], ["-1/2", "0", "0"], ["0", "0", "0"]]}, '
+               '"tag": "SimultaneousEigenvector", "u": "1/2", "v": "-1/3"}'),
+    "two_scale": (0, '{"S_dim": 2, "derived_abelian": true, "derived_dim": 2, '
+                     '"nilpotent": null, "rank_one": null, "tag": "OperatorCommuting", '
+                     '"u": null, "v": null}'),
+    "sl2": (3, '{"S_dim": 3, "derived_abelian": false, "derived_dim": 3, '
+               '"nilpotent": null, "rank_one": null, "tag": "NoClosedForm", '
+               '"u": null, "v": null}'),
+}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -92,6 +118,21 @@ class TestCheck:
                            "--y", str(workdir / "e1.json"))
         assert code == 0
         assert json.loads(out)["tag"] == "CentralBracket"
+
+    def test_catalog_documented_pairs_pinned(self, tmp_path, capsys):
+        from bchkit.oracle import builtin_catalog
+        entries = builtin_catalog()
+        assert sorted(e.name for e in entries) == sorted(CATALOG_CHECK)
+        for entry in entries:
+            (x, y, _), = entry.pairs
+            for name, elem in (("x", x), ("y", y)):
+                (tmp_path / f"{name}.json").write_text(
+                    json.dumps({"coords": [str(c) for c in elem.coords]}))
+            code, out, _ = run(capsys, "check", "--algebra", entry.name,
+                               "--x", str(tmp_path / "x.json"),
+                               "--y", str(tmp_path / "y.json"))
+            assert (code, out) == (CATALOG_CHECK[entry.name][0],
+                                   CATALOG_CHECK[entry.name][1] + "\n"), entry.name
 
 
 class TestBch:
@@ -156,6 +197,18 @@ class TestOracle:
         assert code == 0
         res = json.loads(out)
         assert res["difference_sup_norm"] < 1e-12
+
+    @pytest.mark.parametrize("images", [[], [1.0, 2.0, 3.0]])
+    def test_malformed_rep_exit_1(self, workdir, capsys, images):
+        rep_path = workdir / "bad_rep.json"
+        rep_path.write_text(json.dumps({"dim_rep": 3, "basis_images": images}))
+        code, _, err = run(capsys, "oracle",
+                           "--algebra", str(workdir / "heis.json"),
+                           "--x", str(workdir / "e0.json"),
+                           "--y", str(workdir / "e1.json"),
+                           "--degree", "4", "--rep", str(rep_path))
+        assert code == 1
+        assert err.startswith("input error:")
 
 
 class TestF:

@@ -8,7 +8,6 @@ import pytest
 from bchkit.detect import (
     CaseTag,
     classify_pair,
-    derived_abelian_from_basis,
     factorize_rank_one,
     is_derived_abelian,
     pair_center_condition,
@@ -95,14 +94,21 @@ class TestDerivedAbelian:
     def test_abelian(self):
         assert is_derived_abelian(abelian_algebra(2)) is True
 
-    def test_two_implementations_agree(self):
+    def test_matches_full_contraction(self):
+        # the definition: every pair of basis brackets [T_a,T_b], [T_c,T_d] commutes
+        def brackets_commute(alg):
+            brackets = [alg.bracket(alg.basis_element(a), alg.basis_element(b))
+                        for a in range(alg.dim) for b in range(a + 1, alg.dim)]
+            return all(alg.bracket(w1, w2).is_zero()
+                       for w1 in brackets for w2 in brackets)
+
         rng = random.Random(2)
         algs = [sl2_algebra(), abelian_algebra(3), heisenberg_algebra(),
                 two_scale_algebra()]
         algs += [families.random_rank_one(rng, 4) for _ in range(3)]
         algs += [families.random_derived_abelian(rng, 2, 3) for _ in range(3)]
         for alg in algs:
-            assert is_derived_abelian(alg) == derived_abelian_from_basis(alg)
+            assert is_derived_abelian(alg) == brackets_commute(alg)
 
 
 class TestPairConditions:
@@ -192,6 +198,14 @@ class TestClassify:
         sl2 = sl2_algebra()
         cls = classify_pair(sl2, sl2.basis_element(0), sl2.basis_element(1))
         assert cls.tag == CaseTag.NO_CLOSED_FORM
+
+    def test_facts_computed_once_per_algebra(self):
+        alg = two_scale_algebra()
+        first = classify_pair(alg, alg.element([1, 2, 0, 0]), alg.element([0, 0, 1, 1]))
+        second = classify_pair(alg, alg.basis_element(0), alg.basis_element(1))
+        assert first.facts is second.facts
+        assert classify_pair(two_scale_algebra(), alg.basis_element(0),
+                             alg.basis_element(1)).facts is not first.facts
 
     def test_requires_exact(self):
         heis = heisenberg_algebra()
