@@ -45,6 +45,7 @@ from .oracle import (
     LogDomainError,
     MatrixRep,
     bch_integral_series,
+    bch_series_terms,
     builtin_catalog,
     matrix_bch,
     matrix_exp,

@@ -2,8 +2,9 @@
 
 Two routes to ln(e^X e^Y):
 
-* an exact rational truncation of the integral composition series, graded
-  by the total number of X/Y letters in each term, and
+* the exact rational truncation of the composition series, graded by the
+  total number of X/Y letters in each term and computed by the graded
+  recursion of Varadarajan (1974, section 2.15), and
 * numeric matrix exp/log on a faithful matrix representation.
 
 Both are kept deliberately ignorant of the detector/closed-form machinery
@@ -46,117 +47,87 @@ class ExpansionResidualTooLarge(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# exact truncation of the integral composition series
+# exact truncation of the composition series
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _inv_factorials(n: int) -> tuple:
-    out, f = [Fraction(1)], 1
-    for k in range(1, n + 1):
-        f *= k
-        out.append(Fraction(1, f))
-    return tuple(out)
+def _bernoulli(n: int) -> tuple[Fraction, ...]:
+    """B_0 .. B_n from sum_{k=0}^{m} C(m+1, k) B_k = 0 for m >= 1 (B_1 = -1/2)."""
+    b = [Fraction(1)]
+    for m in range(1, n + 1):
+        b.append(-sum(math.comb(m + 1, k) * b[k] for k in range(m)) / (m + 1))
+    return tuple(b)
+
+
+def bch_series_terms(alg: StructureConstants, x: LieElement, y: LieElement,
+                     degree: int) -> tuple[LieElement, ...]:
+    """The homogeneous parts (Z_1, ..., Z_degree) of ln(e^X e^Y), exactly.
+
+    Z_n collects the terms with n letters X/Y, so Z_n(eX, eY) = e^n Z_n(X, Y).
+    Graded recursion of Varadarajan (Lie Groups, Lie Algebras and Their
+    Representations, 1974, section 2.15; Casas & Murua, J. Math. Phys. 50,
+    033513, 2009), from Z_1 = X + Y:
+
+        (n+1) Z_{n+1} = 1/2 [X - Y, Z_n] + sum_{p>=1, 2p<=n} B_{2p}/(2p)! S(2p, n)
+        S(1, n) = [Z_n, X + Y],  S(m, n) = sum_{k=1}^{n-m+1} [Z_k, S(m-1, n-k)]
+
+    S(m, n) sums the m-fold nested brackets [Z_k1, [..., [Z_km, X + Y]]] over
+    k1 + ... + km = n.  Brackets and sums with a zero operand are skipped,
+    which keeps nilpotent and commuting pairs cheap.
+    """
+    if degree < 1:
+        raise ValueError("truncation degree must be >= 1")
+    if not (x.is_exact and y.is_exact):
+        raise TypeError("the series oracle requires exact rational coordinates")
+    zero = alg.zero()  # zero results are this object, so checks are identity tests
+    if alg.bracket(x, y).is_zero():
+        return (x + y,) + (zero,) * (degree - 1)
+
+    bern = _bernoulli(degree)
+    x_plus_y, half_diff = x + y, (x - y).scale(Fraction(1, 2))
+    z, s = [None, x_plus_y], {}  # z[n] = Z_n, s[m, n] = S(m, n)
+
+    def bracket(a, b):
+        if a is zero or b is zero:
+            return zero
+        c = alg.bracket(a, b)
+        return zero if c.is_zero() else c
+
+    def total(parts):
+        parts = [p for p in parts if p is not zero]
+        return sum(parts[1:], parts[0]) if parts else zero
+
+    def nested(m, n):  # S(m, n), each computed once
+        if (m, n) not in s:
+            s[m, n] = (bracket(z[n], x_plus_y) if m == 1 else
+                       total(bracket(z[k], nested(m - 1, n - k)) for k in range(1, n - m + 2)))
+        return s[m, n]
+
+    for n in range(1, degree):
+        nxt = total([bracket(half_diff, z[n])]
+                    + [t.scale(bern[2 * p] / math.factorial(2 * p))
+                       for p in range(1, n // 2 + 1) if (t := nested(2 * p, n)) is not zero])
+        z.append(nxt if nxt is zero else nxt.scale(Fraction(1, n + 1)))
+    return tuple(z[1:])
 
 
 def bch_integral_series(alg: StructureConstants, x: LieElement, y: LieElement,
-                        degree: int, _n_cap: int | None = None,
-                        _exp_cap: int | None = None) -> LieElement:
+                        degree: int) -> LieElement:
     """ln(e^X e^Y) correct through the given grading degree, exactly.
 
-    Evaluates
+    The exact truncation of the composition series: the sum of the
+    homogeneous parts Z_1 .. Z_degree from bch_series_terms.  It equals the
+    truncation of the integral formula
 
         X + Y + integral_0^1 dt  sum_n (I - e^{L_X} e^{t L_Y})^{n-1} / (n(n+1))
                                  . (e^{L_X} - I)/L_X . [X, Y]
 
-    with every exponential expanded as a polynomial in its adjoint.  Terms
-    are tracked as (grading degree, power of t) cells and pruned during
-    multiplication: each adjoint factor carries degree 1 and the seed [X,Y]
-    carries degree 2, so the n-sum terminates on its own once the minimum
-    degree of the running term exceeds the truncation.  (e^{L_X} - I)/L_X
-    means the entire series sum_k L_X^k / (k+1)!; nothing is inverted.  The
-    t-integration maps t^k to 1/(k+1) exactly.
-
-    The _n_cap/_exp_cap arguments override the proven internal cutoffs
-    (n <= degree-1, exponential order <= degree-2); raising them must not
-    change the result, which the tests exercise.
+    at the same degree.
     """
     if degree < 2:
         raise ValueError("truncation degree must be >= 2")
-    if not (x.is_exact and y.is_exact):
-        raise TypeError("the series oracle requires exact rational coordinates")
-    dim = alg.dim
-    inv_fact = _inv_factorials(degree + 2)
-    n_cap = _n_cap if _n_cap is not None else degree - 1
-    exp_cap = _exp_cap if _exp_cap is not None else degree - 2
-
-    lx_rows = alg.adjoint(x).sparse_rows()
-    ly_rows = alg.adjoint(y).sparse_rows()
-    zero = Fraction(0)
-
-    def apply_rows(rows, vec):
-        return [sum((m * vec[b] for b, m in row), zero) for row in rows]
-
-    def add_into(state, key, vec, scale):
-        cur = state.get(key)
-        if cur is None:
-            state[key] = [scale * c for c in vec]
-        else:
-            for i, c in enumerate(vec):
-                if c != 0:
-                    cur[i] = cur[i] + scale * c
-
-    def exp_apply(state, rows, with_t):
-        out = {}
-        for (d, k), vec in state.items():
-            add_into(out, (d, k), vec, Fraction(1))
-            cur = vec
-            for m in range(1, min(exp_cap, degree - d) + 1):
-                cur = apply_rows(rows, cur)
-                if not any(cur):
-                    break
-                add_into(out, (d + m, k + m if with_t else k), cur, inv_fact[m])
-        return out
-
-    def prune(state):
-        return {k: v for k, v in state.items() if any(c != 0 for c in v)}
-
-    w = alg.bracket(x, y)
-    if w.is_zero():
-        return x + y
-
-    # seed: (e^{L_X} - I)/L_X [X,Y] = sum_k L_X^k [X,Y] / (k+1)!
-    seed: dict = {}
-    cur = list(w.coords)
-    for k in range(0, degree - 1):
-        if not any(cur):
-            break
-        add_into(seed, (2 + k, 0), cur, inv_fact[k + 1])
-        cur = apply_rows(lx_rows, cur)
-
-    total: dict = {}
-    term = seed
-    for n in range(1, n_cap + 1):
-        if not term:
-            break
-        coeff = Fraction(1, n * (n + 1))
-        for key, vec in term.items():
-            add_into(total, key, vec, coeff)
-        # apply A = I - e^{L_X} e^{t L_Y} for the next n
-        expanded = exp_apply(exp_apply(term, ly_rows, True), lx_rows, False)
-        nxt: dict = {}
-        for key, vec in term.items():
-            add_into(nxt, key, vec, Fraction(1))
-        for key, vec in expanded.items():
-            add_into(nxt, key, vec, Fraction(-1))
-        term = prune(nxt)
-
-    result = [zero] * dim
-    for (d, k), vec in total.items():
-        scale = Fraction(1, k + 1)  # integral of t^k over [0, 1]
-        for i, c in enumerate(vec):
-            if c != 0:
-                result[i] = result[i] + scale * c
-    return x + y + LieElement(tuple(result))
+    terms = bch_series_terms(alg, x, y, degree)
+    return sum(terms[1:], terms[0])
 
 
 # ---------------------------------------------------------------------------

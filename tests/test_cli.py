@@ -63,6 +63,20 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# `fuzz --seed 42 --n 6 --slope-every 3` stdout, captured before the series engine
+# was replaced by the graded recursion
+FUZZ_SEED42_N6_SLOPE3 = (
+    '{"degree": 8, "families": {"case1": {"count": 6, '
+    '"max_error": 1.6653345369377348e-16, "min_slope": 9.000229221622556, '
+    '"slopes_measured": 2}, "catalog": {"count": 6, '
+    '"max_error": 7.027001203141481e-11, "min_slope": 8.997058889821965, '
+    '"slopes_measured": 1}, "rank_one": {"count": 6, "max_error": 0.0, '
+    '"min_slope": null, "slopes_measured": 0}}, "n": 6, "pass": true, '
+    '"seed": 42, "slope_threshold": 8.5, "tolerance": 1e-08, '
+    '"violations": []}'
+)
+
+
 class TestCheck:
     def test_heisenberg(self, workdir, capsys):
         code, out, _ = run(capsys, "check",
@@ -247,6 +261,7 @@ class TestFuzz:
         code2, out2, _ = run(capsys, *args)
         assert code1 == code2 == 0
         assert out1 == out2  # byte-identical
+        assert out1 == FUZZ_SEED42_N6_SLOPE3 + "\n"
         report = json.loads(out1)
         assert report["pass"] is True
         for family in ("rank_one", "case1", "catalog"):
@@ -264,6 +279,17 @@ class TestFuzz:
         assert code == 0
         assert json.loads(out)["warning"].startswith("n = 0")
         assert "vacuous" in err
+
+    def test_slope_every_zero_rejected(self, capsys):
+        code, out, err = run(capsys, "fuzz", "--seed", "1", "--n", "1",
+                             "--families", "catalog", "--slope-every", "0")
+        assert (code, out) == (1, "")
+        assert err.startswith("input error:") and "--slope-every" in err
+
+    def test_negative_n_rejected(self, capsys):
+        code, out, err = run(capsys, "fuzz", "--seed", "1", "--n", "-3")
+        assert (code, out) == (1, "")
+        assert err.startswith("input error:") and "--n" in err
 
     def test_rank_one_full_run(self, capsys):
         code, out, _ = run(capsys, "fuzz", "--seed", "42", "--n", "200",

@@ -17,6 +17,7 @@ from bchkit.oracle import (
     abelian_algebra,
     affine_algebra,
     bch_integral_series,
+    bch_series_terms,
     builtin_catalog,
     catalog_entry,
     heisenberg_algebra,
@@ -32,6 +33,114 @@ def sup_diff(a, b):
     return max(abs(float(p) - float(q)) for p, q in zip(a.coords, b.coords))
 
 
+# fixed exact pairs on catalog algebras, and one seeded algebra per family
+_PINNED_PAIRS = {
+    "heisenberg": (["1/2", "-1/3", "1/4"], ["1/5", "2/3", "-1"]),
+    "affine": (["1/3", "-1/2"], ["1/4", "2/5"]),
+    "uvc": (["1/2", "-1/3", "1/4"], ["1/5", "1/3", "-1/2"]),
+    "two_scale": (["1/2", "-1/3", "1/4", "1/5"], ["1/3", "2/5", "-1/2", "3/4"]),
+    "sl2": (["1/2", "-1/3", "1/4"], ["1/3", "2/5", "-1/2"]),
+}
+_PINNED_FAMILIES = {
+    "rank_one": (101, lambda rng: families.random_rank_one(rng, 4, nilpotent=False)),
+    "rank_one_nilpotent": (102, lambda rng: families.random_rank_one(rng, 4, nilpotent=True)),
+    "case1": (103, lambda rng: families.random_case1(rng, 4)[0]),
+}
+
+
+def _pinned_input(label):
+    if label in _PINNED_PAIRS:
+        alg = catalog_entry(label).algebra
+        xc, yc = _PINNED_PAIRS[label]
+        return alg, alg.element(xc), alg.element(yc)
+    seed, make = _PINNED_FAMILIES[label]
+    rng = random.Random(seed)
+    alg = make(rng)
+    return alg, families.random_element(rng, 4), families.random_element(rng, 4)
+
+
+_PINNED_SERIES = {
+    ("heisenberg", 5): ("7/10", "1/3", "-11/20"),
+    ("heisenberg", 8): ("7/10", "1/3", "-11/20"),
+    ("heisenberg", 12): ("7/10", "1/3", "-11/20"),
+    ("affine", 5): ("7/12", "897169/29859840"),
+    ("affine", 8): ("7/12", "2170985407/72236924928"),
+    ("affine", 12): ("7/12", "8913475334091647219/296585165310787584000"),
+    ("uvc", 5): ("887163599/1166400000", "-70683599/1749600000", "-2216401/291600000"),
+    ("uvc", 8): (
+        "4790683451407/6298560000000", "-381691451407/9447840000000",
+        "-11968548593/1574640000000"
+    ),
+    ("uvc", 12): (
+        "6146638495463926561087/8081304422400000000000",
+        "-489725399783926561087/12121956633600000000000",
+        "-15356126616073438913/2020326105600000000000"
+    ),
+    ("two_scale", 5): ("5/6", "1/15", "-195437/466560", "65080769/81000000"),
+    ("two_scale", 8): (
+        "5/6", "1/15", "-591058819/1410877440", "61500743573/76545000000"
+    ),
+    ("two_scale", 12): (
+        "5/6", "1/15", "-866688086722301/2068813932134400",
+        "448340421045394501/558013050000000000"
+    ),
+    ("sl2", 5): ("7300403/5832000", "2334263/29160000", "-30833/648000"),
+    ("sl2", 8): (
+        "36820622509/29393280000", "11766940309/146966400000", "-2309156629/48988800000"
+    ),
+    ("sl2", 12): (
+        "1049835187725200629/838061199360000000",
+        "111832705292207807/1396768665600000000",
+        "-253945070771721881/5387536281600000000"
+    ),
+    ("rank_one", 5): (
+        "5780652523274380356282091845720829/7856607735779876772249600000000000",
+        "-23297119012407166035691845720829/436478207543326487347200000000000",
+        "500268883274087796644116154279171/1309434622629979462041600000000000",
+        "-11765771419967344435075348154279171/13094346226299794620416000000000000"
+    ),
+    ("rank_one", 8): (
+        "4023765463663385790848304393159108454253527133368521757/5468785183239959700894916960434782208000000000000000000",
+        "-16216533088071406859172123210868582253527133368521757/303821399068886650049717608913043456000000000000000000",
+        "348224468937893103367131999099586877586472866631478243/911464197206659950149152826739130368000000000000000000",
+        "-8189854778905857541150343485145238476946472866631478243/9114641972066599501491528267391303680000000000000000000"
+    ),
+    ("rank_one", 12): (
+        "55197558024856865723664648401128169720603359608440225140540726086012090575313353238317/75020174561202511289473014087360058357262425079436275613696000000000000000000000000000",
+        "-222456560695237080320667178380190448217931706313642217276726086012090575313353238317/4167787475622361738304056338186669908736801393302015311872000000000000000000000000000",
+        "4776903749348919690530722305378010266119212441175775197297353913987909424686646761683/12503362426867085214912169014560009726210404179906045935616000000000000000000000000000",
+        "-112347498495162076156158416393975960610616056402300790396713673913987909424686646761683/125033624268670852149121690145600097262104041799060459356160000000000000000000000000000"
+    ),
+    ("rank_one_nilpotent", 5): (
+        "4181893/1234800", "13585661/1852200", "10127/35280", "11923/8820"
+    ),
+    ("rank_one_nilpotent", 8): (
+        "4181893/1234800", "13585661/1852200", "10127/35280", "11923/8820"
+    ),
+    ("rank_one_nilpotent", 12): (
+        "4181893/1234800", "13585661/1852200", "10127/35280", "11923/8820"
+    ),
+    ("case1", 5): (
+        "-5538250265161096515257941/54307078319112192000000000",
+        "-44515781600770551836875769/190074774116892672000000000",
+        "473382913437033015369871/380149548233785344000000000",
+        "-88041026701580680838731169/380149548233785344000000000"
+    ),
+    ("case1", 8): (
+        "-61191038187855637602583768575282677434873/600028229890581360925810360320000000000000",
+        "-491846117722481387084959000441154270491757/2100098804617034763240336261120000000000000",
+        "5230314728792397300232377849492561087163/4200197609234069526480672522240000000000000",
+        "-972747992427122278117604886542403790427957/4200197609234069526480672522240000000000000"
+    ),
+    ("case1", 12): (
+        "-25587920075376590399972870508313135745067224533612531655190448936633/250910506572464639942637547416733255818792665088000000000000000000000",
+        "-205672587398016752822132485805163521746870797793776387549095202455597/878186773003626239799231415958566395365774327808000000000000000000000",
+        "2187131959398037682380409407105622859184727135224366145065927273723/1756373546007252479598462831917132790731548655616000000000000000000000",
+        "-406768680853141399102224099990795397826816904165418925987604464535797/1756373546007252479598462831917132790731548655616000000000000000000000"
+    ),
+}
+
+
 # ---------------------------------------------------------------------------
 # integral series
 # ---------------------------------------------------------------------------
@@ -45,6 +154,8 @@ class TestIntegralSeries:
             (sl2_algebra(), ["1/2", "-1/3", "1/4"], ["1/7", "2/5", "-1/2"]),
             (two_scale_algebra(), ["1/2", "-1/3", "1/4", "1/5"],
              ["1/7", "2/5", "-1/2", "3/8"]),
+            (families.random_rank_one(random.Random(23), 4, nilpotent=False),
+             ["1/2", "-1/3", "1/4", "1/5"], ["1/7", "2/5", "-1/2", "3/8"]),
         ]
         for alg, xc, yc in cases:
             x, y = alg.element(xc), alg.element(yc)
@@ -56,6 +167,35 @@ class TestIntegralSeries:
                         + (lxw - lyw).scale(Fraction(1, 12))
                         - lylxw.scale(Fraction(1, 24)))
             assert bch_integral_series(alg, x, y, 4).coords == expected.coords
+
+            # degree 5: the standard homogeneous term Z_5
+            def nest(*letters):  # [l_1, [l_2, [..., [l_4, l_5]]]]
+                z = letters[-1]
+                for u in reversed(letters[:-1]):
+                    z = alg.bracket(u, z)
+                return z
+
+            z5 = ((nest(y, y, y, y, x) + nest(x, x, x, x, y)).scale(Fraction(-1, 720))
+                  + (nest(x, y, y, y, x) + nest(y, x, x, x, y)).scale(Fraction(1, 360))
+                  + (nest(y, x, y, x, y) + nest(x, y, x, y, x)).scale(Fraction(1, 120)))
+            assert not z5.is_zero()
+            got = bch_integral_series(alg, x, y, 5) - bch_integral_series(alg, x, y, 4)
+            assert got.coords == z5.coords
+
+    def test_series_terms(self):
+        # the graded parts sum to the truncation and Z_n(eps x, eps y) = eps^n Z_n(x, y)
+        eps = Fraction(1, 8)
+        for label in ("sl2", "two_scale", "rank_one", "rank_one_nilpotent", "case1"):
+            alg, x, y = _pinned_input(label)
+            terms = bch_series_terms(alg, x, y, 8)
+            assert len(terms) == 8
+            assert terms[0] == x + y
+            assert terms[1] == alg.bracket(x, y).scale(Fraction(1, 2))
+            total = sum(terms[1:], terms[0])
+            assert total.coords == bch_integral_series(alg, x, y, 8).coords, label
+            scaled = bch_series_terms(alg, x.scale(eps), y.scale(eps), 8)
+            for n, (term, term_eps) in enumerate(zip(terms, scaled), 1):
+                assert term_eps.coords == term.scale(eps**n).coords, (label, n)
 
     def test_degree_three(self):
         alg = sl2_algebra()
@@ -78,15 +218,12 @@ class TestIntegralSeries:
         x, y = alg.element([1, 2, 3]), alg.element([4, 5, 6])
         assert bch_integral_series(alg, x, y, 5).coords == (5, 7, 9)
 
-    def test_cutoff_overrides_do_not_change_output(self):
-        rng = random.Random(20)
-        alg = families.random_rank_one(rng, 4, nilpotent=False)
-        x = families.random_element(rng, 4)
-        y = families.random_element(rng, 4)
-        base = bch_integral_series(alg, x, y, 6)
-        assert bch_integral_series(alg, x, y, 6, _n_cap=12).coords == base.coords
-        assert bch_integral_series(alg, x, y, 6, _exp_cap=15).coords == base.coords
-        assert bch_integral_series(alg, x, y, 6, _n_cap=9, _exp_cap=9).coords == base.coords
+    def test_pinned_exact_values(self):
+        # exact outputs of the earlier integral-formula engine, kept as literals
+        for (label, degree), expected in _PINNED_SERIES.items():
+            alg, x, y = _pinned_input(label)
+            got = bch_integral_series(alg, x, y, degree)
+            assert got.coords == tuple(Fraction(c) for c in expected), (label, degree)
 
     def test_degree_validated(self):
         heis = heisenberg_algebra()
