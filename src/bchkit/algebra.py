@@ -369,18 +369,24 @@ class StructureConstants:
         raise AssertionError("lower central series failed to stabilize")  # unreachable
 
     def span_closure(self, seeds: Sequence[LieElement],
-                     operators: Sequence[AdjointOperator]) -> Subspace:
-        """Smallest subspace containing the seeds and invariant under the operators."""
-        sub = Subspace.span([s for s in seeds if not s.is_zero()])
-        changed = True
-        while changed:
-            changed = False
-            for vec in sub.basis:
-                for op in operators:
-                    img = op.apply(vec)
-                    if any(c != 0 for c in img) and not sub.contains(img):
-                        sub = sub.extended(img)
-                        changed = True
+                     generators: Sequence[LieElement]) -> Subspace:
+        """Smallest subspace containing the seeds and invariant under L_g for every generator g."""
+        seeds = [s for s in seeds if not s.is_zero()]
+        return self.grow_closure(Subspace.span(seeds), seeds, generators)
+
+    def grow_closure(self, sub: Subspace, owed: Sequence[LieElement],
+                     generators: Sequence[LieElement]) -> Subspace:
+        """Smallest L_g-invariant subspace containing sub, by a worklist: sub must map
+        into itself except on span(owed); each owed vector is bracketed with every
+        generator once, and an image outside the span extends it and is owed in turn."""
+        owed = list(owed)
+        while owed:
+            vec = owed.pop()
+            for g in generators:
+                img = self.bracket(g, vec)
+                if not img.is_zero() and not sub.contains(img):
+                    sub = sub.extended(img)
+                    owed.append(img)
         return sub
 
     # -- JSON ------------------------------------------------------------------
@@ -437,7 +443,6 @@ def validate(entries: Mapping[tuple[int, int, int], object] | Iterable,
         oriented[(a, b, c)] = val
 
     canon: dict[tuple[int, int, int], Fraction] = {}
-    supplied_both: set[tuple[int, int, int]] = set()
     for (a, b, c), val in oriented.items():
         if a == b:
             if val != 0:
@@ -445,12 +450,8 @@ def validate(entries: Mapping[tuple[int, int, int], object] | Iterable,
             continue
         key = (a, b, c) if a < b else (b, a, c)
         signed = val if a < b else -val
-        if key in canon:
-            if canon[key] != signed:
-                raise AntisymmetryViolation(a, b, c)
-            supplied_both.add(key)
-        else:
-            canon[key] = signed
+        if canon.setdefault(key, signed) != signed:
+            raise AntisymmetryViolation(a, b, c)
 
     pair_brackets: dict[tuple[int, int], list] = {}
     for (a, b, c), val in canon.items():
@@ -458,7 +459,6 @@ def validate(entries: Mapping[tuple[int, int, int], object] | Iterable,
             continue
         vec = pair_brackets.setdefault((a, b), [Fraction(0)] * dim)
         vec[c] = val
-    pair_brackets = {k: v for k, v in pair_brackets.items() if any(x != 0 for x in v)}
 
     alg = StructureConstants(dim, pair_brackets, basis_names)
 

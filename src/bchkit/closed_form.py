@@ -29,7 +29,8 @@ from .algebra import (
     as_fraction,
     validate,
 )
-from .detect import CaseTag, RankOneFactorization, uv_from_rank_one
+from .detect import (CaseTag, RankOneFactorization, algebra_facts, centralizes, classify_pair,
+                     is_central, is_eigenvector, uv_from_rank_one)
 
 SERIES_CROSSOVER = 0.25     # switch to the Taylor series inside this box
 SERIES_DEGREE = 20          # series truncation used by the scalar evaluator
@@ -41,7 +42,7 @@ OPERATOR_RADIUS = math.pi   # heuristic convergence radius for restricted adjoin
 
 
 class ClassificationMismatch(ValueError):
-    """A closed-form evaluator was called with a certificate that fails recheck."""
+    """A closed-form evaluator got a certificate that fails recheck or is for another pair."""
 
 
 class NonConvergence(RuntimeError):
@@ -257,31 +258,24 @@ def _elements_exact(*elems: LieElement) -> bool:
     return all(e.is_exact for e in elems)
 
 
+def _terminating(x: LieElement, y: LieElement, w: LieElement, tag: CaseTag) -> BchResult:
+    """Commuting pair: z = x + y; central bracket: z = x + y + w/2."""
+    if tag == CaseTag.COMMUTING:
+        return BchResult(x + y, "Sum", exact=_elements_exact(x, y))
+    return BchResult(x + y + w.scale(Fraction(1, 2)), "Central", exact=_elements_exact(x, y))
+
+
 def bch_special(alg: StructureConstants, x: LieElement, y: LieElement,
                 classification: CaseTag) -> BchResult:
     """Terminating cases: commuting pair, or central bracket (z = x+y+[x,y]/2)."""
+    if classification not in (CaseTag.COMMUTING, CaseTag.CENTRAL_BRACKET):
+        raise ValueError(f"bch_special does not handle {classification}")
     w = alg.bracket(x, y)
-    if classification == CaseTag.COMMUTING:
-        if not w.is_zero():
-            raise ClassificationMismatch("pair does not commute")
-        return BchResult(x + y, "Sum", exact=_elements_exact(x, y))
-    if classification == CaseTag.CENTRAL_BRACKET:
-        if not alg.adjoint(w).is_zero():
-            raise ClassificationMismatch("bracket is not central")
-        z = x + y + w.scale(Fraction(1, 2))
-        return BchResult(z, "Central", exact=_elements_exact(x, y))
-    raise ValueError(f"bch_special does not handle {classification}")
-
-
-def _recheck_eigenpair(alg, x, y, w, u, v, rel_tol=1e-12):
-    lx_w = alg.bracket(x, w)
-    ly_w = alg.bracket(y, w)
-    if _elements_exact(w, lx_w, ly_w) and isinstance(u, Fraction) and isinstance(v, Fraction):
-        return lx_w == w.scale(v) and ly_w == w.scale(-u)
-    scale = max(1.0, w.sup_norm() * max(abs(float(u)), abs(float(v)), 1.0))
-    res_v = max(abs(float(a) - float(v) * float(b)) for a, b in zip(lx_w.coords, w.coords))
-    res_u = max(abs(float(a) + float(u) * float(b)) for a, b in zip(ly_w.coords, w.coords))
-    return max(res_u, res_v) <= rel_tol * scale
+    if classification == CaseTag.COMMUTING and not w.is_zero():
+        raise ClassificationMismatch("pair does not commute")
+    if classification == CaseTag.CENTRAL_BRACKET and not is_central(alg, w):
+        raise ClassificationMismatch("bracket is not central")
+    return _terminating(x, y, w, classification)
 
 
 def _scalar_f(x: LieElement, y: LieElement, w: LieElement, u, v) -> BchResult:
@@ -300,7 +294,8 @@ def bch_eigenpair(alg: StructureConstants, x: LieElement, y: LieElement,
                   u, v) -> BchResult:
     """Scalar form z = x + y + f(u, v) [x, y] for a certified eigen-pair."""
     w = alg.bracket(x, y)
-    if not w.is_zero() and not _recheck_eigenpair(alg, x, y, w, u, v):
+    if not w.is_zero() and not (is_eigenvector(w, alg.bracket(x, w), v)
+                                and is_eigenvector(w, alg.bracket(y, w), -u)):
         raise ClassificationMismatch("(u, v) is not a simultaneous eigen-pair for [x, y]")
     return _scalar_f(x, y, w, u, v)
 
@@ -349,26 +344,14 @@ def _restricted_matrix(alg, op, s_closure: Subspace):
     return tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
 
 
-def _mat_mul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-
-
 def _nilpotency_index(mat) -> int | None:
     """Smallest k with mat^k = 0, or None if not nilpotent (k <= size)."""
-    n = len(mat)
-    if n == 0:
-        return 0
-    power = mat
-    for k in range(1, n + 1):
-        if all(all(x == 0 for x in row) for row in power):
+    power = [[int(i == j) for j in range(len(mat))] for i in range(len(mat))]
+    for k in range(len(mat) + 1):
+        if not any(any(row) for row in power):
             return k
-        if k < n:
-            power = _mat_mul(power, mat)
-    return None if any(any(x != 0 for x in row) for row in power) else n
+        power = [[sum(a * b for a, b in zip(row, col)) for col in zip(*mat)] for row in power]
+    return None
 
 
 def _inf_norm(mat) -> float:
@@ -390,9 +373,14 @@ def bch_operator(alg: StructureConstants, x: LieElement, y: LieElement,
     w = alg.bracket(x, y)
     if w.is_zero():
         return BchResult(x + y, "Sum", exact=_elements_exact(x, y), degree=0)
-    for b in s_closure.basis:
-        if not alg.bracket(w, LieElement(b)).is_zero():
-            raise ClassificationMismatch("[x, y] does not centralize the closure subspace")
+    if not centralizes(alg, w, s_closure.basis):
+        raise ClassificationMismatch("[x, y] does not centralize the closure subspace")
+    return _operator_f(alg, x, y, w, s_closure, target_tolerance)
+
+
+def _operator_f(alg: StructureConstants, x: LieElement, y: LieElement, w: LieElement,
+                s_closure: Subspace, target_tolerance: float) -> BchResult:
+    """z = x + y + f(L_X, -L_Y) w for a nonzero w = [x, y] that centralizes S."""
     lx = alg.adjoint(x)
     ly = alg.adjoint(y)
     rx = _restricted_matrix(alg, lx, s_closure)
@@ -526,14 +514,18 @@ def case1_build(m: Sequence) -> tuple[StructureConstants, Callable]:
 def bch_closed_form(alg: StructureConstants, x: LieElement, y: LieElement,
                     target_tolerance: float = 1e-10,
                     classification=None) -> BchResult:
-    """Compute ln(e^X e^Y) by the strongest applicable closed form."""
-    from .detect import classify_pair
+    """Compute ln(e^X e^Y) by the strongest applicable closed form.
 
+    A classification must come from classify_pair for this pair and algebra (else
+    ClassificationMismatch); its certificate (w, u, v, S) is used without recheck.
+    """
     cls = classification if classification is not None else classify_pair(alg, x, y)
+    if cls.x != x or cls.y != y or cls.facts is not algebra_facts(alg):
+        raise ClassificationMismatch("classification was made for another pair or algebra")
     if cls.tag in (CaseTag.COMMUTING, CaseTag.CENTRAL_BRACKET):
-        return bch_special(alg, x, y, cls.tag)
+        return _terminating(x, y, cls.w, cls.tag)
     if cls.tag == CaseTag.SIMULTANEOUS_EIGENVECTOR:
-        return bch_eigenpair(alg, x, y, cls.u, cls.v)
+        return _scalar_f(x, y, cls.w, cls.u, cls.v)
     if cls.tag == CaseTag.OPERATOR_COMMUTING:
-        return bch_operator(alg, x, y, cls.s_closure, target_tolerance)
+        return _operator_f(alg, x, y, cls.w, cls.s_closure, target_tolerance)
     raise NoClosedFormAvailable("no closed-form condition applies to this pair")

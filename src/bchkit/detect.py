@@ -74,11 +74,18 @@ class AlgebraFacts:
 
 @dataclass(frozen=True)
 class CaseClassification:
+    """The strongest condition the pair (x, y) meets, as built by classify_pair:
+    w = [x, y], (u, v) for SimultaneousEigenvector, and the closure S of w under
+    L_x, L_y for OperatorCommuting and NoClosedForm."""
+
     tag: CaseTag
     u: Fraction | float | None
     v: Fraction | float | None
     s_closure: Subspace | None
     facts: AlgebraFacts
+    x: LieElement
+    y: LieElement
+    w: LieElement
 
 
 def factorize_rank_one(alg: StructureConstants) -> RankOneFactorization | None:
@@ -114,14 +121,15 @@ def uv_from_rank_one(fact: RankOneFactorization, x: LieElement, y: LieElement):
     return u, v
 
 
+def centralizes(alg: StructureConstants, w: LieElement, vectors) -> bool:
+    """True iff [w, b] = 0 for every coordinate vector b; stops at the first nonzero one."""
+    return all(alg.bracket(w, LieElement(b)).is_zero() for b in vectors)
+
+
 def is_derived_abelian(alg: StructureConstants) -> bool:
     """True iff [[g,g],[g,g]] = 0, from pairwise brackets of the echelonized derived basis."""
-    basis = [LieElement(b) for b in alg.derived_subalgebra().basis]
-    return all(
-        alg.bracket(w1, w2).is_zero()
-        for i, w1 in enumerate(basis)
-        for w2 in basis[i + 1:]
-    )
+    basis = alg.derived_subalgebra().basis
+    return all(centralizes(alg, LieElement(b), basis[i + 1:]) for i, b in enumerate(basis))
 
 
 def algebra_facts(alg: StructureConstants) -> AlgebraFacts:
@@ -137,13 +145,43 @@ def algebra_facts(alg: StructureConstants) -> AlgebraFacts:
     return alg._facts
 
 
+def is_central(alg: StructureConstants, w: LieElement) -> bool:
+    """True iff [w, T_b] = 0 for every basis element T_b."""
+    return centralizes(alg, w, (alg.basis_element(b).coords for b in range(alg.dim)))
+
+
 def pair_center_condition(alg: StructureConstants, x: LieElement, y: LieElement) -> bool:
     """True iff [[X,Y], [g,g]] = 0: the bracket lies in the centre of [g,g]."""
-    w = alg.bracket(x, y)
-    return all(
-        alg.bracket(w, LieElement(b)).is_zero()
-        for b in alg.derived_subalgebra().basis
-    )
+    return centralizes(alg, alg.bracket(x, y), alg.derived_subalgebra().basis)
+
+
+def is_eigenvector(w: LieElement, image: LieElement, lam, rel_tol: float = 1e-12) -> bool:
+    """image = lam w: exactly if all three are exact, else within rel_tol max(1, |lam| |w|)."""
+    if w.is_exact and image.is_exact and isinstance(lam, Fraction):
+        return all(ic == lam * wc for ic, wc in zip(image.coords, w.coords))
+    residual = max(abs(float(ic) - float(lam) * float(wc))
+                   for ic, wc in zip(image.coords, w.coords))
+    return residual <= rel_tol * max(1.0, abs(float(lam)) * w.sup_norm())
+
+
+def _eigenpair(w: LieElement, lx_w: LieElement, ly_w: LieElement, rel_tol: float = 1e-12):
+    """(u, v) with L_X w = v w and L_Y w = -u w, read off the images of a nonzero w, or None."""
+    if w.is_exact and lx_w.is_exact and ly_w.is_exact:  # ratios at the pivot of w
+        k = next(j for j, c in enumerate(w.coords) if c != 0)
+        v, neg_u = (img.coords[k] / w.coords[k] for img in (lx_w, ly_w))
+    else:  # least-squares ratios
+        ww = sum(float(c) * float(c) for c in w.coords)
+        v, neg_u = (sum(float(ic) * float(wc) for ic, wc in zip(img.coords, w.coords)) / ww
+                    for img in (lx_w, ly_w))
+    if is_eigenvector(w, lx_w, v, rel_tol) and is_eigenvector(w, ly_w, neg_u, rel_tol):
+        return -neg_u, v
+    return None
+
+
+def _closure(alg, x, y, w, lx_w, ly_w):
+    """(ok, S): the closure S of w under L_X, L_Y, grown from the images of w, and [w, S] = 0."""
+    s_closure = alg.grow_closure(Subspace.span([w, lx_w, ly_w]), (lx_w, ly_w), (x, y))
+    return centralizes(alg, w, s_closure.basis), s_closure
 
 
 def pair_centralizer_condition(alg: StructureConstants, x: LieElement, y: LieElement):
@@ -152,9 +190,7 @@ def pair_centralizer_condition(alg: StructureConstants, x: LieElement, y: LieEle
     Returns (ok, S); S is reused by the operator-form evaluator.
     """
     w = alg.bracket(x, y)
-    s_closure = alg.span_closure([w], [alg.adjoint(x), alg.adjoint(y)])
-    ok = all(alg.bracket(w, LieElement(b)).is_zero() for b in s_closure.basis)
-    return ok, s_closure
+    return _closure(alg, x, y, w, alg.bracket(x, w), alg.bracket(y, w))
 
 
 def simultaneous_eigenpair(alg: StructureConstants, x: LieElement, y: LieElement,
@@ -167,33 +203,7 @@ def simultaneous_eigenpair(alg: StructureConstants, x: LieElement, y: LieElement
     w = alg.bracket(x, y)
     if w.is_zero():
         return Fraction(0), Fraction(0)
-    lx_w = alg.bracket(x, w)
-    ly_w = alg.bracket(y, w)
-    exact = w.is_exact and lx_w.is_exact and ly_w.is_exact
-
-    def eigenvalue(image: LieElement):
-        if exact:
-            k = next(j for j, c in enumerate(w.coords) if c != 0)
-            lam = image.coords[k] / w.coords[k]
-            if all(ic == lam * wc for ic, wc in zip(image.coords, w.coords)):
-                return lam
-            return None
-        ww = sum(float(c) * float(c) for c in w.coords)
-        lam = sum(float(ic) * float(wc) for ic, wc in zip(image.coords, w.coords)) / ww
-        residual = max(
-            abs(float(ic) - lam * float(wc))
-            for ic, wc in zip(image.coords, w.coords)
-        )
-        scale = max(1.0, abs(lam) * w.sup_norm())
-        return lam if residual <= rel_tol * scale else None
-
-    v = eigenvalue(lx_w)
-    if v is None:
-        return None
-    neg_u = eigenvalue(ly_w)
-    if neg_u is None:
-        return None
-    return -neg_u, v
+    return _eigenpair(w, alg.bracket(x, w), alg.bracket(y, w), rel_tol)
 
 
 def classify_pair(alg: StructureConstants, x: LieElement, y: LieElement) -> CaseClassification:
@@ -203,21 +213,24 @@ def classify_pair(alg: StructureConstants, x: LieElement, y: LieElement) -> Case
     formula is preferred over the operator formula whenever both apply.
     Requires exact coordinates (the conditions are algebraic identities).
     The algebra facts are computed once per algebra and shared by every
-    classification on it; only [X,Y], L_X and L_Y are computed per pair.
+    classification on it; per pair, [X,Y] and its images under L_X, L_Y are computed once.
     """
     if not (x.is_exact and y.is_exact):
         raise TypeError("classification requires exact rational coordinates")
     facts = algebra_facts(alg)
     w = alg.bracket(x, y)
+
+    def certified(tag, u=None, v=None, s_closure=None):
+        return CaseClassification(tag, u, v, s_closure, facts, x, y, w)
+
     if w.is_zero():
-        return CaseClassification(CaseTag.COMMUTING, None, None, None, facts)
-    if alg.adjoint(w).is_zero():
-        return CaseClassification(CaseTag.CENTRAL_BRACKET, None, None, None, facts)
-    pair = simultaneous_eigenpair(alg, x, y)
+        return certified(CaseTag.COMMUTING)
+    if is_central(alg, w):
+        return certified(CaseTag.CENTRAL_BRACKET)
+    lx_w, ly_w = alg.bracket(x, w), alg.bracket(y, w)
+    pair = _eigenpair(w, lx_w, ly_w)
     if pair is not None:
-        u, v = pair
-        return CaseClassification(CaseTag.SIMULTANEOUS_EIGENVECTOR, u, v, None, facts)
-    ok, s_closure = pair_centralizer_condition(alg, x, y)
-    if ok:
-        return CaseClassification(CaseTag.OPERATOR_COMMUTING, None, None, s_closure, facts)
-    return CaseClassification(CaseTag.NO_CLOSED_FORM, None, None, s_closure, facts)
+        return certified(CaseTag.SIMULTANEOUS_EIGENVECTOR, *pair)
+    ok, s_closure = _closure(alg, x, y, w, lx_w, ly_w)
+    tag = CaseTag.OPERATOR_COMMUTING if ok else CaseTag.NO_CLOSED_FORM
+    return certified(tag, s_closure=s_closure)

@@ -202,19 +202,16 @@ class TestSubspaces:
 
     def test_span_closure_heisenberg(self, heis):
         w = heis.bracket(heis.basis_element(0), heis.basis_element(1))
-        ops = [heis.adjoint(heis.basis_element(0)), heis.adjoint(heis.basis_element(1))]
-        s = heis.span_closure([w], ops)
+        s = heis.span_closure([w], [heis.basis_element(0), heis.basis_element(1)])
         assert s.dim == 1 and s.basis[0] == (0, 0, 1)
 
     def test_span_closure_eigenvector(self, affine):
-        s = affine.span_closure([affine.basis_element(1)],
-                                [affine.adjoint(affine.basis_element(0))])
+        s = affine.span_closure([affine.basis_element(1)], [affine.basis_element(0)])
         assert s.dim == 1 and s.basis[0] == (0, 1)
 
     def test_span_closure_zero_seed(self, heis):
-        s = heis.span_closure([heis.zero()], [heis.adjoint(heis.basis_element(0))])
+        s = heis.span_closure([heis.zero()], [heis.basis_element(0)])
         assert s.is_zero()
-
 
 class TestElements:
     def test_coercion(self, heis):

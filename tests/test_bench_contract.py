@@ -1,0 +1,50 @@
+"""The benchmark tracer's contract with the package.
+
+bench/tracer.py wraps every entry point listed in its ENTRY_POINTS by
+replacing the (module, attribute) binding, so a refactor that renames or
+drops one of them would silently drop a traced layer, and an internal call
+that binds f_scalar early (as a default argument, say) would
+silently stop being counted.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import bchkit
+from bchkit.oracle import affine_algebra, two_scale_algebra
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_entry_points_resolve_to_callables():
+    tracer = load_tracer()
+    assert tracer.ENTRY_POINTS
+    for layer, module, attr in tracer.ENTRY_POINTS:
+        target = getattr(importlib.import_module(module), attr, None)
+        assert callable(target), f"{layer}: {module}.{attr} is missing"
+
+
+def test_f_is_called_through_module_globals():
+    tracer = load_tracer().Tracer()
+    aff, two = affine_algebra(), two_scale_algebra()
+    pairs = [(aff, aff.basis_element(0), aff.basis_element(1)),          # ScalarF
+             (two, two.element(["1/4", "1/2", "0", "0"]),
+              two.element(["0", "0", "1/4", "1/4"]))]                   # OperatorF
+    tracer.install()
+    try:
+        for alg, x, y in pairs:
+            # looked up on the package at call time, as the benchmark does
+            bchkit.bch_closed_form(alg, x, y, classification=bchkit.classify_pair(alg, x, y))
+    finally:
+        tracer.uninstall()
+    for layer in ("detect.classify_pair", "closed_form.bch_closed_form",
+                  "closed_form.f_scalar", "closed_form.f_series"):
+        assert tracer.calls[layer] >= 1, layer

@@ -26,8 +26,10 @@ from bchkit.closed_form import (
     f_series,
     oplus,
 )
+from bchkit.algebra import StructureConstants
 from bchkit.detect import (
     CaseTag,
+    algebra_facts,
     classify_pair,
     factorize_rank_one,
     pair_centralizer_condition,
@@ -38,6 +40,7 @@ from bchkit.oracle import (
     abelian_algebra,
     affine_algebra,
     bch_integral_series,
+    builtin_catalog,
     heisenberg_algebra,
     sl2_algebra,
     two_scale_algebra,
@@ -518,3 +521,54 @@ class TestDispatch:
             z = bch_closed_form(alg, alg.zero(), x).z
             assert max(abs(float(a) - float(b))
                        for a, b in zip(z.coords, x.coords)) < 1e-15
+
+
+class TestPerPairWork:
+    """classify_pair builds the certificate once and bch_closed_form reads it."""
+
+    def test_catalog_pairs(self, monkeypatch):
+        entries = builtin_catalog()
+        for entry in entries:
+            algebra_facts(entry.algebra)  # per-algebra work, not per-pair
+        brackets, adjoints = [], []
+        bracket, adjoint = StructureConstants.bracket, StructureConstants.adjoint
+
+        def counted_bracket(alg, a, b):
+            brackets.append((a, b))
+            return bracket(alg, a, b)
+
+        def counted_adjoint(alg, a):
+            adjoints.append(a)
+            return adjoint(alg, a)
+
+        monkeypatch.setattr(StructureConstants, "bracket", counted_bracket)
+        monkeypatch.setattr(StructureConstants, "adjoint", counted_adjoint)
+        cheap = (CaseTag.COMMUTING, CaseTag.CENTRAL_BRACKET, CaseTag.SIMULTANEOUS_EIGENVECTOR)
+        for entry in entries:
+            alg = entry.algebra
+            (x, y, expected), = entry.pairs
+            brackets.clear()
+            adjoints.clear()
+            cls = classify_pair(alg, x, y)
+            assert cls.tag == expected
+            assert not adjoints, entry.name  # the detector builds no adjoint matrix
+            if cls.tag != CaseTag.NO_CLOSED_FORM:
+                bch_closed_form(alg, x, y, classification=cls)
+            same_pair = [(a, b) for a, b in brackets
+                         if (a is x and b is y) or (a is y and b is x)]
+            assert len(same_pair) == 1, entry.name
+            if cls.tag in cheap:
+                assert not adjoints, entry.name
+
+    def test_classification_of_another_pair_rejected(self):
+        for entry in builtin_catalog():
+            alg = entry.algebra
+            (x, y, _), = entry.pairs
+            cls = classify_pair(alg, x, y)
+            with pytest.raises(ClassificationMismatch):
+                bch_closed_form(alg, y, x, classification=cls)
+            with pytest.raises(ClassificationMismatch):
+                bch_closed_form(alg, x, y.scale(2), classification=cls)
+            twin = StructureConstants.from_json_dict(alg.to_json_dict())
+            with pytest.raises(ClassificationMismatch):
+                bch_closed_form(twin, x, y, classification=cls)

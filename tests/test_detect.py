@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from bchkit.algebra import LieElement, Subspace, validate
 from bchkit.detect import (
     CaseTag,
     classify_pair,
@@ -19,6 +20,7 @@ from bchkit import families
 from bchkit.oracle import (
     abelian_algebra,
     affine_algebra,
+    builtin_catalog,
     heisenberg_algebra,
     sl2_algebra,
     two_scale_algebra,
@@ -253,3 +255,99 @@ class TestHierarchy:
                 assert ok
             if cls.tag == CaseTag.CENTRAL_BRACKET:
                 assert simultaneous_eigenpair(alg, x, y) == (0, 0)
+
+
+def naive_classify(alg, x, y):
+    """(tag, u, v, S) by the README table, written out with no shared helpers.
+
+    Commuting if w = [x, y] = 0; CentralBracket if ad(w) = 0; SimultaneousEigenvector
+    if [x, w] = v w and [y, w] = -u w; otherwise the closure S of w under ad(x),
+    ad(y), grown by sweeping the whole basis again until nothing is added, and
+    OperatorCommuting iff w commutes with S.
+    """
+    w = alg.bracket(x, y)
+    if w.is_zero():
+        return CaseTag.COMMUTING, None, None, None
+    if alg.adjoint(w).is_zero():
+        return CaseTag.CENTRAL_BRACKET, None, None, None
+    lx_w, ly_w = alg.bracket(x, w), alg.bracket(y, w)
+    k = next(j for j, c in enumerate(w.coords) if c != 0)
+    v, u = lx_w.coords[k] / w.coords[k], -ly_w.coords[k] / w.coords[k]
+    eigen = lx_w == w.scale(v) and ly_w == w.scale(-u)
+    assert simultaneous_eigenpair(alg, x, y) == ((u, v) if eigen else None)
+    if eigen:
+        return CaseTag.SIMULTANEOUS_EIGENVECTOR, u, v, None
+    ops = [alg.adjoint(x), alg.adjoint(y)]
+    sub = Subspace.span([w])
+    while True:
+        grown = Subspace.span(list(sub.basis) + [op.apply(b) for op in ops for b in sub.basis])
+        if grown == sub:
+            break
+        sub = grown
+    ok = all(alg.bracket(w, LieElement(b)).is_zero() for b in sub.basis)
+    assert pair_centralizer_condition(alg, x, y) == (ok, sub)
+    return (CaseTag.OPERATOR_COMMUTING if ok else CaseTag.NO_CLOSED_FORM), None, None, sub
+
+
+def borel_algebra(n):
+    """Upper-triangular n x n matrices on the basis E_ij, i <= j."""
+    basis = [(i, j) for i in range(n) for j in range(i, n)]
+    index = {e: k for k, e in enumerate(basis)}
+    entries = {}
+    for a, (i, j) in enumerate(basis):
+        for b, (k, l) in enumerate(basis):
+            if a < b:  # [E_ij, E_kl] = d_jk E_il - d_li E_kj
+                if j == k:
+                    entries[(a, b, index[(i, l)])] = 1
+                if l == i:
+                    entries[(a, b, index[(k, j)])] = entries.get((a, b, index[(k, j)]), 0) - 1
+    return validate(entries, len(basis))
+
+
+def _reference_pairs():
+    """At least 300 seeded pairs over every generator family, the catalog and sl2."""
+    rng = random.Random(31)
+    algebras = [families.random_rank_one(rng, rng.randint(3, 6)) for _ in range(8)]
+    algebras += [families.random_case1(rng, rng.randint(2, 6))[0] for _ in range(8)]
+    derived_abelian = [families.random_derived_abelian(rng, 2, rng.randint(2, 5), kind=kind)
+                       for kind in ("diag", "nilp") for _ in range(6)]
+    algebras += derived_abelian + [borel_algebra(3), borel_algebra(4)]
+    pairs = []
+    for alg in derived_abelian:
+        # lever x, core y: L_y vanishes on the abelian core, so S is the chain
+        # w, L_x w, L_x^2 w, ... and the closure is as deep as its dimension
+        for _ in range(3):
+            x, y = families.random_element(rng, 2), families.random_element(rng, alg.dim - 2)
+            pairs.append((alg, LieElement(x.coords + (Fraction(0),) * (alg.dim - 2)),
+                          LieElement((Fraction(0),) * 2 + y.coords)))
+    for alg in algebras:
+        for _ in range(8):
+            pairs.append((alg, families.random_element(rng, alg.dim),
+                          families.random_element(rng, alg.dim)))
+        x = families.random_element(rng, alg.dim)
+        pairs.append((alg, x, x.scale(Fraction(-3, 2))))
+    for entry in builtin_catalog():
+        alg = entry.algebra
+        pairs += [(alg, x, y) for x, y, _ in entry.pairs]
+        for _ in range(10):
+            pairs.append((alg, families.random_element(rng, alg.dim),
+                          families.random_element(rng, alg.dim)))
+    sl2 = sl2_algebra()
+    e, h = sl2.basis_element(0), sl2.basis_element(2)
+    for _ in range(30):
+        a, b, c = (families.random_fraction(rng) for _ in range(3))
+        pairs.append((sl2, h.scale(a) + e.scale(b), e.scale(c)))
+    return pairs
+
+
+class TestReferenceClassifier:
+    def test_matches_naive_classifier(self):
+        pairs = _reference_pairs()
+        assert len(pairs) >= 300
+        seen = set()
+        for alg, x, y in pairs:
+            cls = classify_pair(alg, x, y)
+            assert (cls.tag, cls.u, cls.v, cls.s_closure) == naive_classify(alg, x, y)
+            assert (cls.x, cls.y, cls.w) == (x, y, alg.bracket(x, y))
+            seen.add(cls.tag)
+        assert seen == set(CaseTag)
