@@ -3,15 +3,23 @@
 An algebra is defined by structure constants on a chosen basis,
 [T_a, T_b] = f_ab^c T_c, entered sparsely and validated for antisymmetry
 and the Jacobi identity.  All structural computations (brackets, adjoints,
-subspaces, the lower central series) run in exact rational arithmetic so
-that later condition checks are equalities, not tolerance tests.
+subspaces, the lower central series) run in exact arithmetic so that later
+condition checks are equalities, not tolerance tests.  They run on integer
+vectors: the structure constants share one common denominator per algebra,
+and an exact element is kept as integer coordinates over its own common
+denominator, so the bracket kernel and the echelon forms never build a
+Fraction until a result is returned.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import bisect
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
+
+_ZERO = Fraction(0)
 
 
 class IndexOutOfRange(ValueError):
@@ -155,6 +163,23 @@ def nullspace_basis(vectors: Sequence[Sequence[Fraction]], dim: int) -> list[tup
     return basis
 
 
+def clear_denominators(coords: Sequence) -> tuple[list, int]:
+    """(V, s) with V = s * coords, where s > 0.
+
+    When every coordinate is a Fraction, V is integer and s is the least
+    common denominator; otherwise V is the coordinates themselves and s = 1.
+    """
+    if not all(isinstance(c, Fraction) for c in coords):
+        return list(coords), 1
+    s = math.lcm(*(c.denominator for c in coords))
+    return [c.numerator * (s // c.denominator) for c in coords], s
+
+
+def unscaled(vec: Sequence, s: int) -> tuple:
+    """vec / s as coordinates: integer entries become Fractions, floats stay floats."""
+    return tuple((Fraction(v, s) if v else _ZERO) if type(v) is int else v / s for v in vec)
+
+
 @dataclass(frozen=True)
 class Subspace:
     """A subspace stored as a reduced-row-echelon basis over Fraction.
@@ -163,6 +188,11 @@ class Subspace:
     """
 
     basis: tuple
+    pivots: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "pivots", tuple(
+            next(j for j, x in enumerate(row) if x != 0) for row in self.basis))
 
     @classmethod
     def span(cls, vectors: Iterable[Sequence]) -> "Subspace":
@@ -181,13 +211,10 @@ class Subspace:
     def is_zero(self) -> bool:
         return not self.basis
 
-    def _pivots(self) -> list[int]:
-        return [next(j for j, x in enumerate(row) if x != 0) for row in self.basis]
-
     def reduce(self, vector) -> tuple:
         """Residual after eliminating against the basis; zero iff contained."""
         coords = list(vector.coords if isinstance(vector, LieElement) else vector)
-        for row, p in zip(self.basis, self._pivots()):
+        for row, p in zip(self.basis, self.pivots):
             if coords[p] != 0:
                 m = coords[p]
                 coords = [x - m * y for x, y in zip(coords, row)]
@@ -199,11 +226,62 @@ class Subspace:
     def coefficients(self, vector) -> tuple:
         """Coordinates of a member vector in this basis (valid iff contains())."""
         coords = vector.coords if isinstance(vector, LieElement) else tuple(vector)
-        return tuple(coords[p] for p in self._pivots())
+        return tuple(coords[p] for p in self.pivots)
 
-    def extended(self, vector) -> "Subspace":
-        coords = vector.coords if isinstance(vector, LieElement) else tuple(vector)
-        return Subspace(_rref(list(self.basis) + [coords]))
+
+class Echelon:
+    """A subspace as primitive integer rows in pivot order, fully reduced.
+
+    Fraction-free elimination (Bareiss, Math. Comp. 22, 1968), kept in
+    incremental echelon form: an insert reduces the vector against the rows
+    by integer cross-multiplication, stops if the residual is zero, else
+    makes the residual primitive with a positive pivot, clears the new
+    pivot's column from the other rows and inserts it in pivot order.  Each
+    row divided by its pivot is the unique RREF, so ``subspace()`` equals
+    ``Subspace.span`` of the inserted vectors.
+    """
+
+    def __init__(self):
+        self.rows: list[list[int]] = []
+        self.pivots: list[int] = []
+
+    def reduce(self, vec: Sequence[int]) -> list[int]:
+        """A nonzero multiple of vec minus a combination of the rows, zero in every
+        pivot column; zero iff vec lies in the span."""
+        vec = list(vec)
+        for row, p in zip(self.rows, self.pivots):
+            m = vec[p]
+            if m:
+                lead = row[p]
+                g = math.gcd(lead, m)
+                lead, m = lead // g, m // g
+                vec = [lead * v - m * r for v, r in zip(vec, row)]
+        return vec
+
+    def insert(self, vec: Sequence[int]) -> bool:
+        """Extend the span by vec; False if vec already lies in it."""
+        res = self.reduce(vec)
+        g = math.gcd(*res)
+        if g == 0:
+            return False
+        k = next(j for j, v in enumerate(res) if v)
+        if res[k] < 0:
+            g = -g
+        res = [v // g for v in res]
+        lead = res[k]
+        for i, row in enumerate(self.rows):
+            m = row[k]
+            if m:
+                cleared = [lead * r - m * v for r, v in zip(row, res)]
+                g = math.gcd(*cleared)
+                self.rows[i] = [r // g for r in cleared]
+        pos = bisect.bisect(self.pivots, k)
+        self.rows.insert(pos, res)
+        self.pivots.insert(pos, k)
+        return True
+
+    def subspace(self) -> Subspace:
+        return Subspace(tuple(unscaled(row, row[p]) for row, p in zip(self.rows, self.pivots)))
 
 
 @dataclass(frozen=True)
@@ -255,8 +333,9 @@ class StructureConstants:
     """A validated Lie algebra given by structure constants.
 
     Construct through :func:`validate`; instances are immutable and safe to
-    share between threads.  Basis brackets are stored densely per (a, b)
-    pair with a < b.
+    share between threads.  The nonzero basis brackets [T_a, T_b], a < b, are
+    kept as Fraction vectors; the bracket kernel reads them as sparse integer
+    rows over the common denominator ``den`` of all structure constants.
     """
 
     def __init__(self, dim: int, pair_brackets: Mapping[tuple[int, int], tuple],
@@ -264,6 +343,18 @@ class StructureConstants:
         self.dim = dim
         self.basis_names = tuple(basis_names)
         self._pairs = {k: tuple(v) for k, v in pair_brackets.items()}
+        self.den = math.lcm(*(v.denominator for vec in self._pairs.values() for v in vec))
+        # rows[a] = ((b, ((c, den f_ab^c), ...)), ...) over the nonzero brackets, both orientations
+        rows = [[] for _ in range(dim)]
+        for (a, b), vec in sorted(self._pairs.items()):
+            scaled = tuple((c, v.numerator * (self.den // v.denominator))
+                           for c, v in enumerate(vec) if v != 0)
+            if scaled:
+                rows[a].append((b, scaled))
+                rows[b].append((a, tuple((c, -v) for c, v in scaled)))
+        self._rows = tuple(tuple(sorted(r)) for r in rows)
+        # integer coordinates of the basis elements T_a
+        self.units = tuple(tuple(int(i == a) for i in range(dim)) for a in range(dim))
         self._derived: Subspace | None = None
         self._facts = None  # detect.AlgebraFacts, filled by detect.algebra_facts
 
@@ -287,15 +378,10 @@ class StructureConstants:
             raise IndexOutOfRange(f"basis index {a} outside 0..{self.dim - 1}")
         return LieElement(tuple(Fraction(1 if i == a else 0) for i in range(self.dim)))
 
-    def _signed_pair(self, a: int, b: int):
-        """(sign, vec) with [T_a, T_b] = sign * vec, or None when the bracket is zero."""
+    def structure_constant(self, a: int, b: int, c: int) -> Fraction:
         key, sign = ((a, b), 1) if a < b else ((b, a), -1)
         vec = self._pairs.get(key)
-        return None if vec is None else (sign, vec)
-
-    def structure_constant(self, a: int, b: int, c: int) -> Fraction:
-        hit = self._signed_pair(a, b)
-        return hit[0] * hit[1][c] if hit is not None else Fraction(0)
+        return sign * vec[c] if vec is not None else Fraction(0)
 
     def entries(self):
         """Sparse nonzero entries (a, b, c, value) with a < b."""
@@ -306,37 +392,37 @@ class StructureConstants:
 
     # -- bracket and adjoint ------------------------------------------------
 
+    def scaled_bracket(self, x: Sequence, y: Sequence) -> list:
+        """den [x, y] for coordinate lists x, y, summed over the support of x.
+
+        The one bracket kernel: integer coordinates give integers, float
+        coordinates give floats.  Entries no term reaches stay the int 0.
+        """
+        out = [0] * self.dim
+        rows = self._rows
+        for a, xa in enumerate(x):
+            if xa:
+                for b, vec in rows[a]:
+                    yb = y[b]
+                    if yb:
+                        t = xa * yb
+                        for c, f in vec:
+                            out[c] += t * f
+        return out
+
     def bracket(self, x: LieElement, y: LieElement) -> LieElement:
         if x.dim != self.dim or y.dim != self.dim:
             raise DimensionMismatch("element does not belong to this algebra")
-        out = [Fraction(0)] * self.dim
-        for (a, b), vec in self._pairs.items():
-            coef = x.coords[a] * y.coords[b] - x.coords[b] * y.coords[a]
-            if coef != 0:
-                for c, v in enumerate(vec):
-                    if v != 0:
-                        out[c] = out[c] + coef * v
-        return LieElement(tuple(out))
-
-    def _bracket_basis_with(self, a: int, coords: Sequence) -> tuple:
-        """[T_a, v] for a coordinate vector v."""
-        out = [Fraction(0)] * self.dim
-        for b, xb in enumerate(coords):
-            hit = self._signed_pair(a, b) if xb != 0 else None
-            if hit is None:
-                continue
-            sign, vec = hit
-            for c, v in enumerate(vec):
-                if v != 0:
-                    out[c] = out[c] + sign * xb * v
-        return tuple(out)
+        (xs, sx), (ys, sy) = clear_denominators(x.coords), clear_denominators(y.coords)
+        return LieElement(unscaled(self.scaled_bracket(xs, ys), self.den * sx * sy))
 
     def adjoint(self, x: LieElement) -> AdjointOperator:
         if x.dim != self.dim:
             raise DimensionMismatch("element does not belong to this algebra")
+        xs, sx = clear_denominators(x.coords)
         # column b is [x, T_b] = -[T_b, x]
-        cols = [self._bracket_basis_with(b, x.coords) for b in range(self.dim)]
-        matrix = tuple(tuple(-cols[b][c] for b in range(self.dim)) for c in range(self.dim))
+        cols = [unscaled(self.scaled_bracket(e, xs), -self.den * sx) for e in self.units]
+        matrix = tuple(tuple(cols[b][c] for b in range(self.dim)) for c in range(self.dim))
         return AdjointOperator(matrix)
 
     # -- subspaces -----------------------------------------------------------
@@ -354,12 +440,12 @@ class StructureConstants:
         if current.is_zero():
             return chain, NilpotencyVerdict(True, nil_class=1)
         for _ in range(self.dim + 1):
-            images = [
-                self._bracket_basis_with(a, w)
-                for a in range(self.dim)
-                for w in current.basis
-            ]
-            nxt = Subspace.span(images)
+            ech = Echelon()
+            for row in current.basis:
+                vec, _ = clear_denominators(row)
+                for e in self.units:
+                    ech.insert(self.scaled_bracket(e, vec))
+            nxt = ech.subspace()
             chain.append(nxt)
             if nxt.is_zero():
                 return chain, NilpotencyVerdict(True, nil_class=len(chain))
@@ -371,23 +457,36 @@ class StructureConstants:
     def span_closure(self, seeds: Sequence[LieElement],
                      generators: Sequence[LieElement]) -> Subspace:
         """Smallest subspace containing the seeds and invariant under L_g for every generator g."""
-        seeds = [s for s in seeds if not s.is_zero()]
-        return self.grow_closure(Subspace.span(seeds), seeds, generators)
+        return self.grow_closure(Subspace(()), seeds, generators)
 
     def grow_closure(self, sub: Subspace, owed: Sequence[LieElement],
                      generators: Sequence[LieElement]) -> Subspace:
-        """Smallest L_g-invariant subspace containing sub, by a worklist: sub must map
-        into itself except on span(owed); each owed vector is bracketed with every
-        generator once, and an image outside the span extends it and is owed in turn."""
+        """Smallest L_g-invariant subspace containing sub and owed, where sub must map
+        into itself except on span(owed); see :meth:`close`."""
+        if not all(v.is_exact for v in (*owed, *generators)):
+            raise TypeError("subspace arithmetic requires exact rational coordinates")
+        ech = Echelon()
+        owed = [clear_denominators(v.coords)[0] for v in owed]
+        for vec in [clear_denominators(row)[0] for row in sub.basis] + owed:
+            ech.insert(vec)
+        self.close(ech, owed, [clear_denominators(g.coords)[0] for g in generators])
+        return ech.subspace()
+
+    def close(self, ech: Echelon, owed: Sequence[Sequence[int]],
+              generators: Sequence[Sequence[int]]) -> None:
+        """Grow ech in place to its smallest subspace invariant under [g, .] for every
+        integer generator g, by a worklist: ech must map into itself except on
+        span(owed); each owed vector is bracketed with every generator once, and
+        an image outside the span is owed in turn.  Owing the image rather than
+        its residual row keeps the integers short: a residual row is as long as
+        a minor of the rows it was reduced against."""
         owed = list(owed)
         while owed:
             vec = owed.pop()
             for g in generators:
-                img = self.bracket(g, vec)
-                if not img.is_zero() and not sub.contains(img):
-                    sub = sub.extended(img)
+                img = self.scaled_bracket(g, vec)
+                if ech.insert(img):
                     owed.append(img)
-        return sub
 
     # -- JSON ------------------------------------------------------------------
 
@@ -462,18 +561,16 @@ def validate(entries: Mapping[tuple[int, int, int], object] | Iterable,
 
     alg = StructureConstants(dim, pair_brackets, basis_names)
 
+    # den^2 ([T_a,[T_b,T_c]] + [T_b,[T_c,T_a]] + [T_c,[T_a,T_b]]) on the kernel
+    units, kernel = alg.units, alg.scaled_bracket
+    inner = {(q, r): kernel(units[q], units[r]) for q in range(dim) for r in range(q + 1, dim)}
     for a in range(dim):
         for b in range(a + 1, dim):
             for c in range(b + 1, dim):
-                residual = [Fraction(0)] * dim
-                for (p, q, r) in ((a, b, c), (b, c, a), (c, a, b)):
-                    inner = alg._signed_pair(q, r)
-                    if inner is None:
-                        continue
-                    sign, vec = inner
-                    term = alg._bracket_basis_with(p, vec)
-                    residual = [s + sign * t for s, t in zip(residual, term)]
-                for e, res in enumerate(residual):
-                    if res != 0:
-                        raise JacobiViolation(a, b, c, e, res)
+                residual = [s - t + u for s, t, u in zip(kernel(units[a], inner[b, c]),
+                                                          kernel(units[b], inner[a, c]),
+                                                          kernel(units[c], inner[a, b]))]
+                if any(residual):
+                    e = next(e for e, res in enumerate(residual) if res)
+                    raise JacobiViolation(a, b, c, e, Fraction(residual[e], alg.den ** 2))
     return alg

@@ -27,6 +27,8 @@ from .algebra import (
     StructureConstants,
     Subspace,
     as_fraction,
+    clear_denominators,
+    unscaled,
     validate,
 )
 from .detect import (CaseTag, RankOneFactorization, algebra_facts, centralizes, classify_pair,
@@ -332,25 +334,30 @@ def oplus(fact: RankOneFactorization, x: LieElement, y: LieElement) -> LieElemen
 # operator form
 # ---------------------------------------------------------------------------
 
-def _restricted_matrix(alg, op, s_closure: Subspace):
-    """Matrix of an adjoint restricted to the (invariant) closure subspace."""
+def _restricted_matrix(alg, gs, scale, s_closure: Subspace):
+    """Matrix of L_g, g = gs / scale, restricted to the L_g-invariant closure S.
+
+    Column j holds L_g b_j at the pivots of S, which are its coordinates in
+    the RREF basis b of S; L_g b_j comes from the kernel on integer rows.
+    """
     cols = []
     for b in s_closure.basis:
-        img = op.apply(b)
-        if not s_closure.contains(img):
-            raise AssertionError("closure subspace is not operator-invariant")
-        cols.append(s_closure.coefficients(img))
+        row, sb = clear_denominators(b)  # row = sb b
+        img = alg.scaled_bracket(gs, row)
+        cols.append(unscaled([img[q] for q in s_closure.pivots], alg.den * scale * sb))
     k = s_closure.dim
     return tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
 
 
-def _nilpotency_index(mat) -> int | None:
-    """Smallest k with mat^k = 0, or None if not nilpotent (k <= size)."""
-    power = [[int(i == j) for j in range(len(mat))] for i in range(len(mat))]
-    for k in range(len(mat) + 1):
-        if not any(any(row) for row in power):
-            return k
-        power = [[sum(a * b for a, b in zip(row, col)) for col in zip(*mat)] for row in power]
+def _orbit(alg: StructureConstants, gs, ws, limit: int) -> list | None:
+    """[ws, L_g ws, L_g^2 ws, ...] on the scaled kernel, up to the last nonzero
+    power, or None if L_g^k ws != 0 for every k <= limit."""
+    orbit = [ws]
+    while len(orbit) <= limit:
+        nxt = alg.scaled_bracket(gs, orbit[-1])
+        if not any(nxt):
+            return orbit
+        orbit.append(nxt)
     return None
 
 
@@ -365,7 +372,13 @@ def bch_operator(alg: StructureConstants, x: LieElement, y: LieElement,
     The quotient expression for f is singular as a full-space matrix (the
     exponentials share a kernel), so f is applied through its Taylor series:
     the bracket certificate guarantees L_X and L_Y commute on every term.
-    If both adjoints are nilpotent on the closure subspace the series
+
+    s_closure must be the closure S of [x, y] under L_X and L_Y, as built by
+    classify_pair or pair_centralizer_condition (an L_X, L_Y-invariant
+    subspace holding [x, y] also serves).  [x, y] centralizes S, so L_X and
+    L_Y commute on it, and each is nilpotent on the closure iff it kills
+    [x, y] within dim S steps; with exact inputs any other subspace raises
+    ClassificationMismatch.  If both adjoints are nilpotent the series
     terminates and the result is exact; otherwise the degree grows until a
     geometric tail bound (row-sum norm against the heuristic radius pi)
     drops below target_tolerance.
@@ -375,41 +388,56 @@ def bch_operator(alg: StructureConstants, x: LieElement, y: LieElement,
         return BchResult(x + y, "Sum", exact=_elements_exact(x, y), degree=0)
     if not centralizes(alg, w, s_closure.basis):
         raise ClassificationMismatch("[x, y] does not centralize the closure subspace")
+    if _elements_exact(x, y) and alg.grow_closure(
+            s_closure, [w] + [LieElement(b) for b in s_closure.basis], (x, y)) != s_closure:
+        raise ClassificationMismatch("the closure subspace does not hold [x, y] "
+                                     "or is not invariant under L_X, L_Y")
     return _operator_f(alg, x, y, w, s_closure, target_tolerance)
 
 
 def _operator_f(alg: StructureConstants, x: LieElement, y: LieElement, w: LieElement,
                 s_closure: Subspace, target_tolerance: float) -> BchResult:
-    """z = x + y + f(L_X, -L_Y) w for a nonzero w = [x, y] that centralizes S."""
-    lx = alg.adjoint(x)
-    ly = alg.adjoint(y)
-    rx = _restricted_matrix(alg, lx, s_closure)
-    ry = _restricted_matrix(alg, ly, s_closure)
+    """z = x + y + f(L_X, -L_Y) w for a nonzero w = [x, y] that centralizes its closure S.
 
-    nx = _nilpotency_index(rx)
-    ny = _nilpotency_index(ry)
-    if nx is not None and ny is not None:
+    [L_X, L_Y] = L_w vanishes on S = span{L_X^i L_Y^j w}, so L_X^k = 0 on S
+    iff L_X^k w = 0: the orbits of w decide termination, and their vectors
+    start the terminating sum.
+    """
+    (xs, sx), (ys, sy), (ws, sw) = (clear_denominators(e.coords) for e in (x, y, w))
+    orbit_x = _orbit(alg, xs, ws, s_closure.dim)
+    orbit_y = _orbit(alg, ys, ws, s_closure.dim)
+    if orbit_x is not None and orbit_y is not None:
+        nx, ny = len(orbit_x), len(orbit_y)
         degree = (nx - 1) + (ny - 1)
         series = f_series(degree)
-        # table[j] = L_Y^j w; the i-direction is walked in place below
-        table = [w]
-        for _ in range(ny - 1):
-            table.append(ly.apply(table[-1]))
-        acc = alg.zero()
+        # vec = L_X^i L_Y^j ws = sw px^i py^j L_X^i L_Y^j w: sum the terms as
+        # integers over the common denominator sw px^(nx-1) py^(ny-1) q
+        px, py = alg.den * sx, alg.den * sy
+        terms = {(i, j): series.coeff(i, j) for i in range(nx) for j in range(ny)}
+        q = math.lcm(*(c.denominator for c in terms.values()))
+        acc = [0] * alg.dim
         for j in range(ny):
-            vec = table[j]
-            sign = Fraction((-1) ** j)
+            vec = orbit_y[j]
             for i in range(nx):
-                c = series.coeff(i, j)
+                if i:
+                    vec = orbit_x[i] if j == 0 else alg.scaled_bracket(xs, vec)
+                c = terms[i, j]
                 if c != 0:
-                    acc = acc + vec.scale(sign * c)
-                if i + 1 < nx:
-                    vec = lx.apply(vec)
-        z = x + y + acc
+                    k = ((-1) ** j * c.numerator * (q // c.denominator)
+                         * px ** (nx - 1 - i) * py ** (ny - 1 - j))
+                    for idx, v in enumerate(vec):
+                        if v:
+                            acc[idx] += k * v
+        acc = unscaled(acc, sw * px ** (nx - 1) * py ** (ny - 1) * q)
+        z = x + y + LieElement(acc)
         return BchResult(z, "OperatorF", exact=_elements_exact(x, y),
                          residual_bound=0.0, degree=degree)
 
     # non-terminating: float evaluation with an adaptive degree
+    lx = alg.adjoint(x)
+    ly = alg.adjoint(y)
+    rx = _restricted_matrix(alg, xs, sx, s_closure)
+    ry = _restricted_matrix(alg, ys, sy, s_closure)
     r = max(_inf_norm(rx), _inf_norm(ry))
     if r >= OPERATOR_RADIUS:
         raise NonConvergence(r, achieved_bound=None)

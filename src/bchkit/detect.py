@@ -19,10 +19,13 @@ from fractions import Fraction
 
 from .algebra import (
     DimensionMismatch,
+    Echelon,
     LieElement,
     NilpotencyVerdict,
     StructureConstants,
     Subspace,
+    clear_denominators,
+    unscaled,
 )
 
 
@@ -121,9 +124,15 @@ def uv_from_rank_one(fact: RankOneFactorization, x: LieElement, y: LieElement):
     return u, v
 
 
+def _annihilates(alg: StructureConstants, w_scaled, vectors) -> bool:
+    """True iff [b, w] = 0 for every vector b, on scaled coordinates; stops at the first nonzero one."""
+    return not any(any(alg.scaled_bracket(b, w_scaled)) for b in vectors)
+
+
 def centralizes(alg: StructureConstants, w: LieElement, vectors) -> bool:
     """True iff [w, b] = 0 for every coordinate vector b; stops at the first nonzero one."""
-    return all(alg.bracket(w, LieElement(b)).is_zero() for b in vectors)
+    return _annihilates(alg, clear_denominators(w.coords)[0],
+                        (clear_denominators(b)[0] for b in vectors))
 
 
 def is_derived_abelian(alg: StructureConstants) -> bool:
@@ -147,7 +156,7 @@ def algebra_facts(alg: StructureConstants) -> AlgebraFacts:
 
 def is_central(alg: StructureConstants, w: LieElement) -> bool:
     """True iff [w, T_b] = 0 for every basis element T_b."""
-    return centralizes(alg, w, (alg.basis_element(b).coords for b in range(alg.dim)))
+    return _annihilates(alg, clear_denominators(w.coords)[0], alg.units)
 
 
 def pair_center_condition(alg: StructureConstants, x: LieElement, y: LieElement) -> bool:
@@ -164,24 +173,28 @@ def is_eigenvector(w: LieElement, image: LieElement, lam, rel_tol: float = 1e-12
     return residual <= rel_tol * max(1.0, abs(float(lam)) * w.sup_norm())
 
 
-def _eigenpair(w: LieElement, lx_w: LieElement, ly_w: LieElement, rel_tol: float = 1e-12):
-    """(u, v) with L_X w = v w and L_Y w = -u w, read off the images of a nonzero w, or None."""
-    if w.is_exact and lx_w.is_exact and ly_w.is_exact:  # ratios at the pivot of w
-        k = next(j for j, c in enumerate(w.coords) if c != 0)
-        v, neg_u = (img.coords[k] / w.coords[k] for img in (lx_w, ly_w))
-    else:  # least-squares ratios
-        ww = sum(float(c) * float(c) for c in w.coords)
-        v, neg_u = (sum(float(ic) * float(wc) for ic, wc in zip(img.coords, w.coords)) / ww
-                    for img in (lx_w, ly_w))
-    if is_eigenvector(w, lx_w, v, rel_tol) and is_eigenvector(w, ly_w, neg_u, rel_tol):
-        return -neg_u, v
+def _eigenpair(alg: StructureConstants, sx: int, sy: int, ws, lx_ws, ly_ws):
+    """(u, v) with L_X w = v w and L_Y w = -u w for a nonzero w, or None.
+
+    On integer coordinates ws = s w, lx_ws = den sx [x, ws] = den sx v ws and
+    ly_ws = den sy [y, ws] = -den sy u ws: cross-multiply at the pivot k of ws.
+    """
+    k = next(j for j, c in enumerate(ws) if c)
+    wk, ak, bk = ws[k], lx_ws[k], ly_ws[k]
+    if (all(a * wk == ak * c for a, c in zip(lx_ws, ws))
+            and all(b * wk == bk * c for b, c in zip(ly_ws, ws))):
+        return -Fraction(bk, alg.den * sy * wk), Fraction(ak, alg.den * sx * wk)
     return None
 
 
-def _closure(alg, x, y, w, lx_w, ly_w):
-    """(ok, S): the closure S of w under L_X, L_Y, grown from the images of w, and [w, S] = 0."""
-    s_closure = alg.grow_closure(Subspace.span([w, lx_w, ly_w]), (lx_w, ly_w), (x, y))
-    return centralizes(alg, w, s_closure.basis), s_closure
+def _closure(alg, xs, ys, ws, lx_ws, ly_ws):
+    """(ok, S) on scaled integer coordinates: the closure S of w under L_X, L_Y, grown
+    from the images of w, and whether [w, S] = 0."""
+    ech = Echelon()
+    ech.insert(ws)
+    owed = [img for img in (lx_ws, ly_ws) if ech.insert(img)]
+    alg.close(ech, owed, (xs, ys))
+    return _annihilates(alg, ws, ech.rows), ech.subspace()
 
 
 def pair_centralizer_condition(alg: StructureConstants, x: LieElement, y: LieElement):
@@ -189,8 +202,11 @@ def pair_centralizer_condition(alg: StructureConstants, x: LieElement, y: LieEle
 
     Returns (ok, S); S is reused by the operator-form evaluator.
     """
-    w = alg.bracket(x, y)
-    return _closure(alg, x, y, w, alg.bracket(x, w), alg.bracket(y, w))
+    if not (x.is_exact and y.is_exact):
+        raise TypeError("subspace arithmetic requires exact rational coordinates")
+    (xs, _), (ys, _) = clear_denominators(x.coords), clear_denominators(y.coords)
+    ws = alg.scaled_bracket(xs, ys)
+    return _closure(alg, xs, ys, ws, alg.scaled_bracket(xs, ws), alg.scaled_bracket(ys, ws))
 
 
 def simultaneous_eigenpair(alg: StructureConstants, x: LieElement, y: LieElement,
@@ -200,10 +216,22 @@ def simultaneous_eigenpair(alg: StructureConstants, x: LieElement, y: LieElement
     Exact componentwise equality in rational mode; in float mode the residual
     norm must stay below rel_tol relative to the candidate eigenvalue action.
     """
+    if x.is_exact and y.is_exact:
+        (xs, sx), (ys, sy) = clear_denominators(x.coords), clear_denominators(y.coords)
+        ws = alg.scaled_bracket(xs, ys)
+        if not any(ws):
+            return Fraction(0), Fraction(0)
+        return _eigenpair(alg, sx, sy, ws, alg.scaled_bracket(xs, ws), alg.scaled_bracket(ys, ws))
     w = alg.bracket(x, y)
     if w.is_zero():
         return Fraction(0), Fraction(0)
-    return _eigenpair(w, alg.bracket(x, w), alg.bracket(y, w), rel_tol)
+    lx_w, ly_w = alg.bracket(x, w), alg.bracket(y, w)
+    ww = sum(float(c) * float(c) for c in w.coords)  # least-squares ratios
+    v, neg_u = (sum(float(ic) * float(wc) for ic, wc in zip(img.coords, w.coords)) / ww
+                for img in (lx_w, ly_w))
+    if is_eigenvector(w, lx_w, v, rel_tol) and is_eigenvector(w, ly_w, neg_u, rel_tol):
+        return -neg_u, v
+    return None
 
 
 def classify_pair(alg: StructureConstants, x: LieElement, y: LieElement) -> CaseClassification:
@@ -218,19 +246,22 @@ def classify_pair(alg: StructureConstants, x: LieElement, y: LieElement) -> Case
     if not (x.is_exact and y.is_exact):
         raise TypeError("classification requires exact rational coordinates")
     facts = algebra_facts(alg)
-    w = alg.bracket(x, y)
+    # integer coordinates: xs = sx x, ys = sy y, ws = den sx sy w
+    (xs, sx), (ys, sy) = clear_denominators(x.coords), clear_denominators(y.coords)
+    ws = alg.scaled_bracket(xs, ys)
+    w = LieElement(unscaled(ws, alg.den * sx * sy))
 
     def certified(tag, u=None, v=None, s_closure=None):
         return CaseClassification(tag, u, v, s_closure, facts, x, y, w)
 
-    if w.is_zero():
+    if not any(ws):
         return certified(CaseTag.COMMUTING)
-    if is_central(alg, w):
+    if _annihilates(alg, ws, alg.units):
         return certified(CaseTag.CENTRAL_BRACKET)
-    lx_w, ly_w = alg.bracket(x, w), alg.bracket(y, w)
-    pair = _eigenpair(w, lx_w, ly_w)
+    lx_ws, ly_ws = alg.scaled_bracket(xs, ws), alg.scaled_bracket(ys, ws)
+    pair = _eigenpair(alg, sx, sy, ws, lx_ws, ly_ws)
     if pair is not None:
         return certified(CaseTag.SIMULTANEOUS_EIGENVECTOR, *pair)
-    ok, s_closure = _closure(alg, x, y, w, lx_w, ly_w)
+    ok, s_closure = _closure(alg, xs, ys, ws, lx_ws, ly_ws)
     tag = CaseTag.OPERATOR_COMMUTING if ok else CaseTag.NO_CLOSED_FORM
     return certified(tag, s_closure=s_closure)

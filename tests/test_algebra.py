@@ -64,6 +64,9 @@ class TestValidate:
             validate(bad, 5)
         assert err.value.indices == (2, 3, 4, 2)
         assert err.value.residual == Fraction(-10, 21)
+        assert type(err.value.residual) is Fraction
+        assert str(err.value) == ("Jacobi identity violated for (T_2,T_3,T_4): "
+                                  "component 2 has residual -10/21")
 
     def test_antisymmetry_completion(self, heis):
         # supplying the opposite orientation yields the same algebra
@@ -173,9 +176,13 @@ class TestSubspaces:
         assert d.contains((Fraction(0), Fraction(0), Fraction(5))) is True
         assert d.contains((Fraction(1), Fraction(0), Fraction(0))) is False
 
-    def test_subspace_requires_exact(self):
+    def test_subspace_requires_exact(self, heis):
         with pytest.raises(TypeError):
             Subspace.span([(0.5, 1.0)])
+        with pytest.raises(TypeError, match="exact rational"):
+            heis.span_closure([heis.element([0, 0.5, 0])], [heis.basis_element(0)])
+        with pytest.raises(TypeError, match="exact rational"):
+            heis.span_closure([heis.basis_element(1)], [heis.element([0.5, 0, 0])])
 
     def test_lcs_heisenberg(self, heis):
         chain, verdict = heis.lower_central_series()

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from bchkit import cli
 from bchkit.cli import main
+from bchkit.oracle import sl2_algebra
 
 
 @pytest.fixture
@@ -64,14 +66,15 @@ def run(capsys, *argv):
 
 
 # `fuzz --seed 42 --n 6 --slope-every 3` stdout, captured before the series engine
-# was replaced by the graded recursion
+# was replaced by the graded recursion; the per-family "skipped" field (and
+# "count" as the number evaluated) came later and changed no other byte
 FUZZ_SEED42_N6_SLOPE3 = (
     '{"degree": 8, "families": {"case1": {"count": 6, '
     '"max_error": 1.6653345369377348e-16, "min_slope": 9.000229221622556, '
-    '"slopes_measured": 2}, "catalog": {"count": 6, '
+    '"skipped": 0, "slopes_measured": 2}, "catalog": {"count": 6, '
     '"max_error": 7.027001203141481e-11, "min_slope": 8.997058889821965, '
-    '"slopes_measured": 1}, "rank_one": {"count": 6, "max_error": 0.0, '
-    '"min_slope": null, "slopes_measured": 0}}, "n": 6, "pass": true, '
+    '"skipped": 0, "slopes_measured": 1}, "rank_one": {"count": 6, "max_error": 0.0, '
+    '"min_slope": null, "skipped": 0, "slopes_measured": 0}}, "n": 6, "pass": true, '
     '"seed": 42, "slope_threshold": 8.5, "tolerance": 1e-08, '
     '"violations": []}'
 )
@@ -266,6 +269,28 @@ class TestFuzz:
         assert report["pass"] is True
         for family in ("rank_one", "case1", "catalog"):
             assert report["families"][family]["max_error"] < 1e-8
+
+    def test_no_closed_form_instances_counted_as_skipped(self, capsys, monkeypatch):
+        # the generators emit closed-form families only; force every other
+        # instance to a NoClosedForm pair on sl2
+        draw = cli._fuzz_instance
+        sl2 = sl2_algebra()
+        calls = []
+
+        def every_other(rng, family):
+            calls.append(family)
+            inst = draw(rng, family)
+            if len(calls) % 2:
+                return sl2, sl2.basis_element(0), sl2.basis_element(1)
+            return inst
+
+        monkeypatch.setattr(cli, "_fuzz_instance", every_other)
+        code, out, _ = run(capsys, "fuzz", "--seed", "42", "--n", "5",
+                           "--families", "rank_one,case1")
+        assert code == 0
+        families = json.loads(out)["families"]
+        assert families["rank_one"]["count"] == 2 and families["rank_one"]["skipped"] == 3
+        assert families["case1"]["count"] == 3 and families["case1"]["skipped"] == 2
 
     def test_injected_bug_caught(self, capsys):
         code, out, _ = run(capsys, "fuzz", "--seed", "42", "--n", "4",

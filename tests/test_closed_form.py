@@ -26,7 +26,7 @@ from bchkit.closed_form import (
     f_series,
     oplus,
 )
-from bchkit.algebra import StructureConstants
+from bchkit.algebra import StructureConstants, Subspace
 from bchkit.detect import (
     CaseTag,
     algebra_facts,
@@ -35,7 +35,7 @@ from bchkit.detect import (
     pair_centralizer_condition,
     uv_from_rank_one,
 )
-from bchkit import families
+from bchkit import algebra, closed_form, detect, families
 from bchkit.oracle import (
     abelian_algebra,
     affine_algebra,
@@ -435,6 +435,18 @@ class TestOperator:
         with pytest.raises(ClassificationMismatch):
             bch_operator(sl2, x, y, s)
 
+    def test_subspace_other_than_the_closure_rejected(self):
+        heis = heisenberg_algebra()
+        x, y = heis.basis_element(0), heis.basis_element(1)
+        with pytest.raises(ClassificationMismatch):  # centralized, but misses [x, y]
+            bch_operator(heis, x, y, Subspace.span([x]))
+        alg = two_scale_algebra()
+        x, y = alg.element([1, 2, 0, 0]), alg.element([0, 0, 1, 1])
+        w = alg.bracket(x, y)
+        assert pair_centralizer_condition(alg, x, y)[1].dim == 2
+        with pytest.raises(ClassificationMismatch):  # holds [x, y], but not invariant
+            bch_operator(alg, x, y, Subspace.span([w]))
+
     def test_nonconvergence_reported(self):
         alg = two_scale_algebra()
         x = alg.element([4, 8, 0, 0])  # restricted adjoint norm 8 > pi
@@ -527,26 +539,37 @@ class TestPerPairWork:
     """classify_pair builds the certificate once and bch_closed_form reads it."""
 
     def test_catalog_pairs(self, monkeypatch):
+        # [x, y] is one call of the bracket kernel on integer coordinates of x and
+        # of y; those lists are told apart by the coordinate tuple they were made from
         entries = builtin_catalog()
         for entry in entries:
             algebra_facts(entry.algebra)  # per-algebra work, not per-pair
-        brackets, adjoints = [], []
-        bracket, adjoint = StructureConstants.bracket, StructureConstants.adjoint
+        cleared, brackets, adjoints = [], [], []
+        clear = algebra.clear_denominators
+        kernel, adjoint = StructureConstants.scaled_bracket, StructureConstants.adjoint
 
-        def counted_bracket(alg, a, b):
+        def counted_clear(coords):
+            vec, scale = clear(coords)
+            cleared.append((coords, vec))
+            return vec, scale
+
+        def counted_kernel(alg, a, b):
             brackets.append((a, b))
-            return bracket(alg, a, b)
+            return kernel(alg, a, b)
 
         def counted_adjoint(alg, a):
             adjoints.append(a)
             return adjoint(alg, a)
 
-        monkeypatch.setattr(StructureConstants, "bracket", counted_bracket)
+        for module in (algebra, detect, closed_form):
+            monkeypatch.setattr(module, "clear_denominators", counted_clear)
+        monkeypatch.setattr(StructureConstants, "scaled_bracket", counted_kernel)
         monkeypatch.setattr(StructureConstants, "adjoint", counted_adjoint)
         cheap = (CaseTag.COMMUTING, CaseTag.CENTRAL_BRACKET, CaseTag.SIMULTANEOUS_EIGENVECTOR)
         for entry in entries:
             alg = entry.algebra
             (x, y, expected), = entry.pairs
+            cleared.clear()
             brackets.clear()
             adjoints.clear()
             cls = classify_pair(alg, x, y)
@@ -554,8 +577,16 @@ class TestPerPairWork:
             assert not adjoints, entry.name  # the detector builds no adjoint matrix
             if cls.tag != CaseTag.NO_CLOSED_FORM:
                 bch_closed_form(alg, x, y, classification=cls)
+            of_x = [vec for coords, vec in cleared if coords is x.coords]
+            of_y = [vec for coords, vec in cleared if coords is y.coords]
+
+            def made_from(vec, made):
+                return any(vec is m for m in made)
+
             same_pair = [(a, b) for a, b in brackets
-                         if (a is x and b is y) or (a is y and b is x)]
+                         if (made_from(a, of_x) and made_from(b, of_y))
+                         or (made_from(a, of_y) and made_from(b, of_x))]
+            assert of_x and of_y, entry.name
             assert len(same_pair) == 1, entry.name
             if cls.tag in cheap:
                 assert not adjoints, entry.name

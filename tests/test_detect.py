@@ -257,6 +257,12 @@ class TestHierarchy:
                 assert simultaneous_eigenpair(alg, x, y) == (0, 0)
 
 
+def test_centralizer_condition_requires_exact():
+    heis = heisenberg_algebra()
+    with pytest.raises(TypeError, match="exact rational"):
+        pair_centralizer_condition(heis, heis.element([0.5, 0, 0]), heis.basis_element(1))
+
+
 def naive_classify(alg, x, y):
     """(tag, u, v, S) by the README table, written out with no shared helpers.
 
@@ -337,6 +343,35 @@ def _reference_pairs():
     for _ in range(30):
         a, b, c = (families.random_fraction(rng) for _ in range(3))
         pairs.append((sl2, h.scale(a) + e.scale(b), e.scale(c)))
+    return pairs + _borel_pairs(5, random.Random(32))
+
+
+def _borel_pairs(n, rng, per_kind=3):
+    """Pairs on b(n) of the kinds the library benchmark streams: generic; diagonal x
+    with one off-diagonal y (common eigenvector); two diagonals (commuting); and
+    E_{i,i+1}, E_{i+1,i+2} (nilpotent)."""
+    alg = borel_algebra(n)
+    index = {e: k for k, e in enumerate((i, j) for i in range(n) for j in range(i, n))}
+    diag = [index[i, i] for i in range(n)]
+
+    def coef():
+        return Fraction(rng.choice((-4, -3, -2, -1, 1, 2, 3, 4)), 8)
+
+    def element(values):
+        return LieElement(tuple(values.get(k, Fraction(0)) for k in range(alg.dim)))
+
+    pairs = []
+    for _ in range(per_kind):
+        pairs.append((alg, families.random_element(rng, alg.dim),
+                      families.random_element(rng, alg.dim)))
+        i = rng.randrange(n - 1)
+        pairs.append((alg, element({d: coef() for d in diag}),
+                      element({index[i, rng.randrange(i + 1, n)]: coef()})))
+        pairs.append((alg, element({d: coef() for d in diag}),
+                      element({d: coef() for d in diag})))
+        i = rng.randrange(n - 2)
+        pairs.append((alg, element({index[i, i + 1]: coef()}),
+                      element({index[i + 1, i + 2]: coef()})))
     return pairs
 
 

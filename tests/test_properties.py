@@ -1,11 +1,13 @@
 """Property tests over randomly generated algebras and elements."""
 
+import math
 import random
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from bchkit.closed_form import f_form_product, f_scalar
+from bchkit.algebra import Echelon, LieElement, Subspace, clear_denominators
+from bchkit.closed_form import _orbit, f_form_product, f_scalar
 from bchkit.detect import (
     CaseTag,
     classify_pair,
@@ -14,6 +16,7 @@ from bchkit.detect import (
     simultaneous_eigenpair,
 )
 from bchkit import families
+from bchkit.oracle import two_scale_algebra
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -95,6 +98,86 @@ def test_lower_central_series_monotone(seed):
         assert verdict.nil_class == len(chain)
     else:
         assert chain[-1] == chain[-2] == verdict.stable
+
+
+@st.composite
+def vector_lists(draw):
+    """Fraction vectors of one length: fresh ones (sparse, either sign), then
+    zero vectors, duplicates, negations and combinations of earlier ones."""
+    dim = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(Fraction(0)),
+                      st.fractions(min_value=-3, max_value=3, max_denominator=6))
+    vecs = draw(st.lists(st.tuples(*[entry] * dim), max_size=5))
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["zero", "duplicate", "negation", "combination"]))
+        if kind == "zero" or not vecs:
+            vecs.append((Fraction(0),) * dim)
+            continue
+        a, b = draw(st.sampled_from(vecs)), draw(st.sampled_from(vecs))
+        if kind == "duplicate":
+            vecs.append(a)
+        elif kind == "negation":
+            vecs.append(tuple(-c for c in a))
+        else:
+            p, q = draw(entry), draw(entry)
+            vecs.append(tuple(p * c + q * d for c, d in zip(a, b)))
+        vecs.insert(draw(st.integers(0, len(vecs) - 1)), vecs.pop())
+    return vecs
+
+
+@settings(max_examples=300, deadline=None)
+@given(vector_lists())
+def test_incremental_echelon_matches_rref(vecs):
+    ech = Echelon()
+    for k, vec in enumerate(vecs):
+        grew = Subspace.span(vecs[:k + 1]).dim > Subspace.span(vecs[:k]).dim
+        assert ech.insert(clear_denominators(vec)[0]) == grew
+        for row, p in zip(ech.rows, ech.pivots):  # primitive, positive pivot
+            assert math.gcd(*row) == 1 and row[p] > 0
+    assert ech.subspace().basis == Subspace.span(vecs).basis
+
+
+def _restricted_power_index(alg, g, sub):
+    """Smallest k <= dim sub with (L_g on sub)^k = 0, or None, by matrix powers."""
+    ad = alg.adjoint(g)
+    images = [ad.apply(b) for b in sub.basis]
+    assert all(sub.contains(img) for img in images)
+    cols = [sub.coefficients(img) for img in images]
+    k = sub.dim
+    mat = [[cols[j][i] for j in range(k)] for i in range(k)]
+    power = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
+    for n in range(k + 1):
+        if all(v == 0 for row in power for v in row):
+            return n
+        power = [[sum(power[i][l] * mat[l][j] for l in range(k)) for j in range(k)]
+                 for i in range(k)]
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEEDS)
+def test_orbit_nilpotency_index_matches_restricted_matrix(seed):
+    # [g,g] is abelian in these algebras, so w centralizes its closure S, and
+    # L_g is nilpotent on S exactly when its orbit of w dies within dim S steps
+    rng = random.Random(seed)
+    kind = rng.choice(["nilp", "diag", "two_scale"])
+    alg = (two_scale_algebra() if kind == "two_scale" else
+           families.random_derived_abelian(rng, 2, rng.randint(2, 4), kind=kind))
+    x = families.random_element(rng, alg.dim)
+    y = families.random_element(rng, alg.dim)
+    if rng.random() < 0.5:  # lever x, core y: both algebras have two levers
+        zero = (Fraction(0),)
+        x = LieElement(x.coords[:2] + zero * (alg.dim - 2))
+        y = LieElement(zero * 2 + y.coords[2:])
+    ok, sub = pair_centralizer_condition(alg, x, y)
+    w = alg.bracket(x, y)
+    assert ok
+    if w.is_zero():
+        return
+    ws = clear_denominators(w.coords)[0]
+    for g in (x, y):
+        orbit = _orbit(alg, clear_denominators(g.coords)[0], ws, sub.dim)
+        assert (None if orbit is None else len(orbit)) == _restricted_power_index(alg, g, sub)
 
 
 @settings(max_examples=40, deadline=None)
