@@ -18,7 +18,7 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 from .algebra import (
@@ -96,55 +96,107 @@ class BivariateSeries:
             total += float(c) * u**i * v**j
         return total
 
+    @cached_property
+    def _integer_form(self) -> tuple:
+        """(q, di, dj, rows) with c_ij = A_ij / q over the least common
+        denominator q, rows[i] = [(j, A_ij), ...] for c_ij != 0, and i <= di,
+        j <= dj for every key."""
+        q = math.lcm(*(c.denominator for c in self.coefficients.values()))
+        di = max((i for i, _ in self.coefficients), default=0)
+        dj = max((j for _, j in self.coefficients), default=0)
+        rows = [[] for _ in range(di + 1)]
+        for (i, j), c in self.coefficients.items():
+            if c:
+                rows[i].append((j, c.numerator * (q // c.denominator)))
+        return q, di, dj, rows
+
     def evaluate_exact(self, u: Fraction, v: Fraction) -> Fraction:
-        total = Fraction(0)
-        for (i, j), c in sorted(self.coefficients.items()):
-            total += c * u**i * v**j
-        return total
+        """Exact value at rational u = a/b, v = c/e: the integer polynomial
+        sum_ij A_ij a^i b^(di-i) c^j e^(dj-j), over q b^di e^dj."""
+        q, di, dj, rows = self._integer_form
+        pu = _homogeneous_powers(u.numerator, u.denominator, di)
+        pv = _homogeneous_powers(v.numerator, v.denominator, dj)
+        total = sum(pu[i] * sum(a * pv[j] for j, a in row) for i, row in enumerate(rows) if row)
+        return Fraction(total, q * u.denominator**di * v.denominator**dj)
 
     def truncated(self, degree: int) -> "BivariateSeries":
         kept = {k: c for k, c in self.coefficients.items() if k[0] + k[1] <= degree}
         return BivariateSeries(kept, degree)
 
 
-_series_lock = threading.Lock()
+def _homogeneous_powers(a: int, b: int, n: int) -> list:
+    """[a^k b^(n-k) for k = 0..n]."""
+    pa, pb = [1] * (n + 1), [1] * (n + 1)
+    for k in range(1, n + 1):
+        pa[k] = pa[k - 1] * a
+        pb[k] = pb[k - 1] * b
+    return [pa[k] * pb[n - k] for k in range(n + 1)]
 
 
-@lru_cache(maxsize=None)
-def _f_series_cached(max_total_degree: int) -> BivariateSeries:
-    # Write g(t) = (1 - e^-t)/t.  Both g(u) - g(v) and e^-u - e^-v vanish on
-    # the diagonal, so divide each by (u - v):
-    #   [(h(u)-h(v))/(u-v)]_ij = h_{i+j+1}  for a univariate series h.
-    # With h = g and h = e^-t this leaves two regular bivariate series whose
-    # quotient is f; the divisor has constant term -1, so long division works.
-    d = max_total_degree
-    fact = [1] * (d + 3)
-    for k in range(1, d + 3):
-        fact[k] = fact[k - 1] * k
+class _TaylorTable:
+    """Exact Taylor coefficients of f, grown one total degree at a time.
 
-    def num(i, j):  # (g(u)-g(v))/(u-v), g_k = (-1)^k/(k+1)!
-        s = i + j
-        return Fraction((-1) ** (s + 1), fact[s + 2])
+    Write g(t) = (1 - e^-t)/t.  Both g(u) - g(v) and e^-u - e^-v vanish on
+    the diagonal, so divide each by (u - v):
+      [(h(u)-h(v))/(u-v)]_ij = h_{i+j+1}  for a univariate series h.
+    With h = g and h = e^-t this leaves two regular bivariate series whose
+    quotient is f, with coefficients that depend only on the total degree s:
+    n_s = (-1)^(s+1)/(s+2)! above and e_s = (-1)^(s+1)/(s+1)! below, e_0 = -1.
+    Long division then gives, for i + j = s,
+      c_ij = sum_{t<s} e_{s-t} sum_{k+l=t, k<=i, l<=j} c_kl  -  n_s,
+    where the inner sum is a difference of two prefix sums along the
+    anti-diagonal t, so degree s costs O(s^2) terms.  Every denominator of
+    degree s divides K_s = prod_{m<=s} (m+2)!, so the recurrence runs on the
+    integers c_ij K_s, and f is symmetric, so only i >= j is computed.
+    Degree s does not depend on how far the table is grown.
+    """
 
-    def den(i, j):  # (e^-u - e^-v)/(u-v), coefficients of e^-t shifted once
-        s = i + j
-        return Fraction((-1) ** (s + 1), fact[s + 1])
+    def __init__(self):
+        self.coefficients: dict = {}  # (i, j) -> c_ij for i + j <= len(self.scale) - 1
+        self.scale: list = []         # K_s
+        self.prefix: list = []        # prefix[t][k] = K_t sum_{k' < k} c_{k', t-k'}
+        self.truncations: dict = {}   # degree -> BivariateSeries
 
-    den00 = den(0, 0)
-    coeffs: dict = {}
-    for s in range(d + 1):
-        for i in range(s, -1, -1):
+    def _grow(self) -> None:
+        s = len(self.scale)
+        k_prev = self.scale[-1] if s else 1
+        # weight[t] = e_{s-t} K_s / K_t, with K_s / K_t = prod_{t<m<=s} (m+2)!
+        weight = [0] * s
+        ratio = 1
+        for t in range(s - 1, -1, -1):
+            ratio *= math.factorial(t + 3)
+            weight[t] = (-1) ** (s - t + 1) * (ratio // math.factorial(s - t + 1))
+        row = [0] * (s + 1)
+        for i in range(s, (s - 1) // 2, -1):
             j = s - i
-            acc = num(i, j)
-            for k in range(i + 1):
-                for l in range(j + 1):
-                    if (k, l) == (i, j):
-                        continue
-                    c = coeffs.get((k, l))
-                    if c:
-                        acc -= c * den(i - k, j - l)
-            coeffs[(i, j)] = acc / den00
-    return BivariateSeries(coeffs, d)
+            acc = (-1) ** s * k_prev  # -n_s K_s
+            for t in range(s):
+                pt = self.prefix[t]
+                acc += weight[t] * (pt[min(i, t) + 1] - pt[max(0, t - j)])
+            row[i] = row[j] = acc
+        k_s = k_prev * math.factorial(s + 2)
+        prefix = [0] * (s + 2)
+        for k, c in enumerate(row):
+            prefix[k + 1] = prefix[k] + c
+        exact = [Fraction(c, k_s) for c in row[:s // 2 + 1]]
+        for i in range(s, -1, -1):
+            self.coefficients[(i, s - i)] = exact[min(i, s - i)]
+        self.scale.append(k_s)
+        self.prefix.append(prefix)
+
+    def truncated(self, degree: int) -> BivariateSeries:
+        series = self.truncations.get(degree)
+        if series is None:
+            while len(self.scale) <= degree:
+                self._grow()
+            series = BivariateSeries(
+                {k: c for k, c in self.coefficients.items() if k[0] + k[1] <= degree}, degree)
+            self.truncations[degree] = series
+        return series
+
+
+_series_lock = threading.Lock()
+_f_table = _TaylorTable()
 
 
 def f_series(max_total_degree: int) -> BivariateSeries:
@@ -152,7 +204,7 @@ def f_series(max_total_degree: int) -> BivariateSeries:
     if max_total_degree < 0:
         raise ValueError("degree must be >= 0")
     with _series_lock:
-        return _f_series_cached(max_total_degree)
+        return _f_table.truncated(max_total_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +298,11 @@ def f_form_quotient(u: float, v: float) -> float:
 def f_rational(u: Fraction, v: Fraction, degree: int = 40) -> Fraction:
     """Exact rational series value of f; accurate only for small |u|, |v|.
 
-    The truncation error is roughly (max(|u|,|v|) * 2/pi)^degree, so keep the
-    arguments well inside the unit box.  Used as a high-precision reference.
+    f is singular only where u - v is a nonzero multiple of 2 pi i.  The
+    total-degree truncation is the Taylor truncation of r -> f(r u, r v) at
+    r = 1, whose radius is 2 pi / |u - v|, so the error shrinks roughly like
+    (|u - v| / 2 pi)^degree, which is at most (max(|u|,|v|) / pi)^degree.
+    Keep max(|u|, |v|) well below pi.  Used as a high-precision reference.
     """
     return f_series(degree).evaluate_exact(as_fraction(u), as_fraction(v))
 
@@ -315,8 +370,9 @@ def bch_rank_one_exact(fact: RankOneFactorization, x: LieElement, y: LieElement,
                        f_degree: int = 40) -> LieElement:
     """Rank-one composition with f evaluated as an exact rational series.
 
-    Valid as a high-precision reference when |u|, |v| are small (see
-    f_rational); everything else stays in exact arithmetic.
+    Valid as a high-precision reference when max(|u|, |v|) is well below pi:
+    the error of f is roughly (|u - v| / 2 pi)^f_degree (see f_rational).
+    Everything else stays in exact arithmetic.
     """
     u, v = uv_from_rank_one(fact, x, y)
     c_xy = fact.omega_contract(x, y)

@@ -1,5 +1,6 @@
 """CLI integration: exit codes, formats, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -257,7 +258,18 @@ class TestF:
         assert code == 0 and "f: 0.5" in out
 
 
+# sha256 of `fuzz --seed 1 --n 10 --slope-every 5` stdout (the configuration
+# bench/fuzz_verify.py runs), captured while the f table and its exact
+# evaluation still used Fraction long division and term-by-term sums
+FUZZ_SEED1_N10_SLOPE5_SHA256 = "bd9770f7e316dea293859a84dcb43bc6dd42771fd079a7db07dcc1db9738079a"
+
+
 class TestFuzz:
+    def test_benchmark_configuration_pinned(self, capsys):
+        code, out, _ = run(capsys, "fuzz", "--seed", "1", "--n", "10", "--slope-every", "5")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == FUZZ_SEED1_N10_SLOPE5_SHA256
+
     def test_deterministic_and_passing(self, capsys):
         args = ["fuzz", "--seed", "42", "--n", "6", "--slope-every", "3"]
         code1, out1, _ = run(capsys, *args)

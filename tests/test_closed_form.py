@@ -1,7 +1,10 @@
 """The f function (scalar, series, operator) and the closed-form variants."""
 
+import hashlib
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -36,6 +39,7 @@ from bchkit.detect import (
     uv_from_rank_one,
 )
 from bchkit import algebra, closed_form, detect, families
+from bchkit.cli import main
 from bchkit.oracle import (
     abelian_algebra,
     affine_algebra,
@@ -208,6 +212,85 @@ class TestSeries:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             f_series(-1)
+
+    def test_matches_long_division(self):
+        # every table equals plain O(d^4) long division of the two series,
+        # coefficient for coefficient and zeros included
+        reference = _long_division_table(16)
+        for (i, j), c in reference.items():
+            assert reference[j, i] == c
+        for d in range(17):
+            series = f_series(d)
+            assert series.max_degree == d
+            assert series.coefficients == {k: c for k, c in reference.items()
+                                           if k[0] + k[1] <= d}, d
+
+    def test_grown_table_truncates_to_smaller_tables(self):
+        big = f_series(40)
+        for (i, j), c in big.coefficients.items():
+            assert big.coeff(j, i) == c
+        for d in range(34):
+            assert f_series(d) == f_series(d + 7).truncated(d), d
+
+    def test_concurrent_growth_matches_serial(self, monkeypatch):
+        # threads that grow one fresh table in parallel see the serial tables
+        serial = closed_form._TaylorTable()
+        monkeypatch.setattr(closed_form, "_f_table", closed_form._TaylorTable())
+        degrees = [30, 5, 22, 12, 1, 18, 26, 9]
+        seen = [[] for _ in range(6)]
+
+        def worker(k):
+            for d in degrees[k:] + degrees[:k]:
+                seen[k].append((d, f_series(d)))
+
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(seen))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for got in seen:
+            assert len(got) == len(degrees)
+            for d, series in got:
+                assert series == serial.truncated(d), d
+
+    def test_series_40_stdout_pinned(self, capsys):
+        # sha256 of `bchkit f --series 40` stdout, captured while the table
+        # was still built by Fraction long division
+        assert main(["f", "--series", "40"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "ef3f73cf9a0791c0610b5ab031bad309e5e3999f69e419d5489a1590e5d3f516"
+
+
+def _long_division_table(d: int) -> dict:
+    """c_ij of f through total degree d by plain bivariate long division.
+
+    Numerator n_ij = (-1)^(s+1)/(s+2)! and divisor e_ij = (-1)^(s+1)/(s+1)!
+    with s = i + j (see closed_form._TaylorTable); no prefix sums, no
+    symmetry, no integer scaling.
+    """
+    def num(s):
+        return Fraction((-1) ** (s + 1), math.factorial(s + 2))
+
+    def den(s):
+        return Fraction((-1) ** (s + 1), math.factorial(s + 1))
+
+    coeffs = {}
+    for s in range(d + 1):
+        for i in range(s, -1, -1):
+            j = s - i
+            acc = num(s)
+            for k in range(i + 1):
+                for l in range(j + 1):
+                    if (k, l) != (i, j):
+                        acc -= coeffs[k, l] * den(i - k + j - l)
+            coeffs[i, j] = acc / den(0)
+    return coeffs
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,10 @@ import math
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bchkit.algebra import Echelon, LieElement, Subspace, clear_denominators
-from bchkit.closed_form import _orbit, f_form_product, f_scalar
+from bchkit.closed_form import BivariateSeries, _orbit, f_form_product, f_scalar, f_series
 from bchkit.detect import (
     CaseTag,
     classify_pair,
@@ -250,3 +250,29 @@ def test_uv_gauge_invariance(u_param, v_param):
     fact = factorize_rank_one(alg)
     got = uv_from_rank_one(fact, alg.basis_element(0), alg.basis_element(1))
     assert got == (u_param, v_param)
+
+
+rationals = st.one_of(st.integers(min_value=-7, max_value=7),
+                      st.fractions(min_value=-5, max_value=5, max_denominator=60))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rationals, rationals, st.booleans(), st.integers(min_value=0, max_value=24))
+@example(Fraction(0), Fraction(3, 7), False, 24)
+@example(Fraction(-5, 9), Fraction(0), False, 24)
+@example(Fraction(0), Fraction(0), False, 3)
+@example(Fraction(-2, 3), Fraction(-2, 3), False, 24)
+@example(-3, 2, False, 24)
+def test_evaluate_exact_matches_termwise_sum(u, v, diagonal, degree):
+    # the integer polynomial equals sum c_ij u^i v^j over Fractions, for the
+    # table of f and for a lopsided series with fewer powers of v than of u
+    if diagonal:
+        v = u
+    table = f_series(degree)
+    lopsided = BivariateSeries({(i, j): c for (i, j), c in table.coefficients.items()
+                                if 2 * j <= i}, degree)
+    for series in (table, lopsided):
+        naive = Fraction(0)
+        for (i, j), c in sorted(series.coefficients.items()):
+            naive += c * Fraction(u) ** i * Fraction(v) ** j
+        assert series.evaluate_exact(u, v) == naive
