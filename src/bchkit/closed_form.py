@@ -14,6 +14,7 @@ effectively commute.
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -112,7 +113,11 @@ class BivariateSeries:
 
     def evaluate_exact(self, u: Fraction, v: Fraction) -> Fraction:
         """Exact value at rational u = a/b, v = c/e: the integer polynomial
-        sum_ij A_ij a^i b^(di-i) c^j e^(dj-j), over q b^di e^dj."""
+        sum_ij A_ij a^i b^(di-i) c^j e^(dj-j), over q b^di e^dj.
+
+        u and v are anything as_fraction takes; a float raises TypeError
+        (evaluate() sums in floating point)."""
+        u, v = as_fraction(u), as_fraction(v)
         q, di, dj, rows = self._integer_form
         pu = _homogeneous_powers(u.numerator, u.denominator, di)
         pv = _homogeneous_powers(v.numerator, v.denominator, dj)
@@ -133,33 +138,27 @@ def _homogeneous_powers(a: int, b: int, n: int) -> list:
     return [pa[k] * pb[n - k] for k in range(n + 1)]
 
 
-class _TaylorTable:
-    """Exact Taylor coefficients of f, grown one total degree at a time.
+_series_lock = threading.Lock()
 
-    Write g(t) = (1 - e^-t)/t.  Both g(u) - g(v) and e^-u - e^-v vanish on
-    the diagonal, so divide each by (u - v):
-      [(h(u)-h(v))/(u-v)]_ij = h_{i+j+1}  for a univariate series h.
-    With h = g and h = e^-t this leaves two regular bivariate series whose
-    quotient is f, with coefficients that depend only on the total degree s:
-    n_s = (-1)^(s+1)/(s+2)! above and e_s = (-1)^(s+1)/(s+1)! below, e_0 = -1.
-    Long division then gives, for i + j = s,
-      c_ij = sum_{t<s} e_{s-t} sum_{k+l=t, k<=i, l<=j} c_kl  -  n_s,
-    where the inner sum is a difference of two prefix sums along the
-    anti-diagonal t, so degree s costs O(s^2) terms.  Every denominator of
-    degree s divides K_s = prod_{m<=s} (m+2)!, so the recurrence runs on the
-    integers c_ij K_s, and f is symmetric, so only i >= j is computed.
-    Degree s does not depend on how far the table is grown.
-    """
 
-    def __init__(self):
-        self.coefficients: dict = {}  # (i, j) -> c_ij for i + j <= len(self.scale) - 1
-        self.scale: list = []         # K_s
-        self.prefix: list = []        # prefix[t][k] = K_t sum_{k' < k} c_{k', t-k'}
-        self.truncations: dict = {}   # degree -> BivariateSeries
-
-    def _grow(self) -> None:
-        s = len(self.scale)
-        k_prev = self.scale[-1] if s else 1
+@lru_cache(maxsize=None)
+def _f_series_cached(max_total_degree: int) -> BivariateSeries:
+    # Write g(t) = (1 - e^-t)/t.  Both g(u) - g(v) and e^-u - e^-v vanish on
+    # the diagonal, so divide each by (u - v):
+    #   [(h(u)-h(v))/(u-v)]_ij = h_{i+j+1}  for a univariate series h.
+    # With h = g and h = e^-t this leaves two regular bivariate series whose
+    # quotient is f, with coefficients that depend only on the total degree s:
+    # n_s = (-1)^(s+1)/(s+2)! above and e_s = (-1)^(s+1)/(s+1)! below, e_0 = -1.
+    # Long division then gives, for i + j = s,
+    #   c_ij = sum_{t<s} e_{s-t} sum_{k+l=t, k<=i, l<=j} c_kl  -  n_s,
+    # where the inner sum is a difference of two prefix sums along the
+    # anti-diagonal t, so degree s costs O(s^2) terms.  Every denominator of
+    # degree s divides K_s = prod_{m<=s} (m+2)!, so the recurrence runs on the
+    # integers c_ij K_s, and f is symmetric, so only i >= j is computed.
+    coeffs: dict = {}
+    scale = 1     # K_(s-1)
+    prefix = []   # prefix[t][k] = K_t sum_{k' < k} c_{k', t-k'}
+    for s in range(max_total_degree + 1):
         # weight[t] = e_{s-t} K_s / K_t, with K_s / K_t = prod_{t<m<=s} (m+2)!
         weight = [0] * s
         ratio = 1
@@ -169,34 +168,17 @@ class _TaylorTable:
         row = [0] * (s + 1)
         for i in range(s, (s - 1) // 2, -1):
             j = s - i
-            acc = (-1) ** s * k_prev  # -n_s K_s
+            acc = (-1) ** s * scale  # -n_s K_s
             for t in range(s):
-                pt = self.prefix[t]
+                pt = prefix[t]
                 acc += weight[t] * (pt[min(i, t) + 1] - pt[max(0, t - j)])
             row[i] = row[j] = acc
-        k_s = k_prev * math.factorial(s + 2)
-        prefix = [0] * (s + 2)
-        for k, c in enumerate(row):
-            prefix[k + 1] = prefix[k] + c
-        exact = [Fraction(c, k_s) for c in row[:s // 2 + 1]]
+        scale *= math.factorial(s + 2)
+        prefix.append(list(itertools.accumulate(row, initial=0)))
+        exact = [Fraction(c, scale) for c in row[:s // 2 + 1]]
         for i in range(s, -1, -1):
-            self.coefficients[(i, s - i)] = exact[min(i, s - i)]
-        self.scale.append(k_s)
-        self.prefix.append(prefix)
-
-    def truncated(self, degree: int) -> BivariateSeries:
-        series = self.truncations.get(degree)
-        if series is None:
-            while len(self.scale) <= degree:
-                self._grow()
-            series = BivariateSeries(
-                {k: c for k, c in self.coefficients.items() if k[0] + k[1] <= degree}, degree)
-            self.truncations[degree] = series
-        return series
-
-
-_series_lock = threading.Lock()
-_f_table = _TaylorTable()
+            coeffs[(i, s - i)] = exact[min(i, s - i)]
+    return BivariateSeries(coeffs, max_total_degree)
 
 
 def f_series(max_total_degree: int) -> BivariateSeries:
@@ -204,7 +186,7 @@ def f_series(max_total_degree: int) -> BivariateSeries:
     if max_total_degree < 0:
         raise ValueError("degree must be >= 0")
     with _series_lock:
-        return _f_table.truncated(max_total_degree)
+        return _f_series_cached(max_total_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +286,7 @@ def f_rational(u: Fraction, v: Fraction, degree: int = 40) -> Fraction:
     (|u - v| / 2 pi)^degree, which is at most (max(|u|,|v|) / pi)^degree.
     Keep max(|u|, |v|) well below pi.  Used as a high-precision reference.
     """
-    return f_series(degree).evaluate_exact(as_fraction(u), as_fraction(v))
+    return f_series(degree).evaluate_exact(u, v)
 
 
 # ---------------------------------------------------------------------------

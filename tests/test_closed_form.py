@@ -3,8 +3,6 @@
 import hashlib
 import math
 import random
-import sys
-import threading
 from fractions import Fraction
 
 import pytest
@@ -213,6 +211,14 @@ class TestSeries:
         with pytest.raises(ValueError):
             f_series(-1)
 
+    def test_evaluate_exact_takes_exact_rationals_only(self):
+        # ints, Fractions and "p/q" strings are exact; floats go to evaluate()
+        series = f_series(12)
+        assert series.evaluate_exact("1/3", -2) == series.evaluate_exact(Fraction(1, 3),
+                                                                         Fraction(-2))
+        with pytest.raises(TypeError, match="exact rational"):
+            series.evaluate_exact(0.5, Fraction(1, 4))
+
     def test_matches_long_division(self):
         # every table equals plain O(d^4) long division of the two series,
         # coefficient for coefficient and zeros included
@@ -225,39 +231,13 @@ class TestSeries:
             assert series.coefficients == {k: c for k, c in reference.items()
                                            if k[0] + k[1] <= d}, d
 
-    def test_grown_table_truncates_to_smaller_tables(self):
+    def test_larger_tables_truncate_to_smaller_ones(self):
+        # degree s of the table does not depend on how far the table goes
         big = f_series(40)
         for (i, j), c in big.coefficients.items():
             assert big.coeff(j, i) == c
         for d in range(34):
             assert f_series(d) == f_series(d + 7).truncated(d), d
-
-    def test_concurrent_growth_matches_serial(self, monkeypatch):
-        # threads that grow one fresh table in parallel see the serial tables
-        serial = closed_form._TaylorTable()
-        monkeypatch.setattr(closed_form, "_f_table", closed_form._TaylorTable())
-        degrees = [30, 5, 22, 12, 1, 18, 26, 9]
-        seen = [[] for _ in range(6)]
-
-        def worker(k):
-            for d in degrees[k:] + degrees[:k]:
-                seen[k].append((d, f_series(d)))
-
-        threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(seen))]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        for got in seen:
-            assert len(got) == len(degrees)
-            for d, series in got:
-                assert series == serial.truncated(d), d
 
     def test_series_40_stdout_pinned(self, capsys):
         # sha256 of `bchkit f --series 40` stdout, captured while the table
@@ -271,7 +251,7 @@ def _long_division_table(d: int) -> dict:
     """c_ij of f through total degree d by plain bivariate long division.
 
     Numerator n_ij = (-1)^(s+1)/(s+2)! and divisor e_ij = (-1)^(s+1)/(s+1)!
-    with s = i + j (see closed_form._TaylorTable); no prefix sums, no
+    with s = i + j (see closed_form._f_series_cached); no prefix sums, no
     symmetry, no integer scaling.
     """
     def num(s):
