@@ -25,6 +25,7 @@ from .closed_form import (
     bch_rank_one,
     bch_special,
     case1_build,
+    closed_form_terms,
     f_scalar,
     f_series,
     oplus,

@@ -16,13 +16,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import random
 import sys
 from fractions import Fraction
-
-import numpy as np
 
 from . import closed_form, detect, families, oracle
 from .algebra import (
@@ -36,7 +33,7 @@ from .closed_form import (
     BchResult,
     NoClosedFormAvailable,
     bch_closed_form,
-    f_rational,
+    closed_form_terms,
     f_scalar,
     f_series,
 )
@@ -47,8 +44,6 @@ EXIT_MALFORMED = 1
 EXIT_INVALID_ALGEBRA = 2
 EXIT_NO_CLOSED_FORM = 3
 EXIT_VERIFY_FAILED = 4
-
-SLOPE_EPS_POWERS = range(3, 8)  # scales 2^-3 .. 2^-7 for order measurements
 
 
 class InputError(Exception):
@@ -167,6 +162,10 @@ def result_json(res: BchResult) -> dict:
     }
 
 
+def _sup_diff(a: LieElement, b: LieElement) -> float:
+    return max(abs(float(p) - float(q)) for p, q in zip(a.coords, b.coords))
+
+
 def _emit(data, output: str):
     if output == "human":
         for key, value in data.items():
@@ -200,20 +199,33 @@ def cmd_bch(args) -> int:
     res = bch_closed_form(alg, x, y, target_tolerance=args.tolerance,
                           classification=cls)
     payload = result_json(res)
+    failure = None
     if args.verify:
-        reference = oracle.bch_integral_series(alg, x, y, args.degree)
-        diff = max(abs(float(a) - float(b))
-                   for a, b in zip(res.z.coords, reference.coords))
-        payload["verify"] = {"degree": args.degree, "difference_sup_norm": diff,
-                             "tolerance": args.tolerance}
-        _emit(payload, args.output)
-        if diff > args.tolerance:
-            print(f"verification failed: |closed - oracle| = {diff:.3e} "
-                  f"> {args.tolerance:.1e}", file=sys.stderr)
-            return EXIT_VERIFY_FAILED
-        return EXIT_OK
+        payload["verify"], failure = _verify(alg, cls, res, args.degree, args.tolerance)
     _emit(payload, args.output)
+    if failure is not None:
+        print(f"verification failed: {failure}", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
     return EXIT_OK
+
+
+def _verify(alg, cls, res: BchResult, degree: int, tolerance: float):
+    """The `verify` payload and why it fails, or None: C_n == Z_n exactly for
+    n <= degree, and where C_n = 0 beyond the degree (an exact z whose parts
+    end at res.degree + 2), |z - sum C_n| <= tolerance."""
+    if degree < 2:
+        raise ValueError("truncation degree must be >= 2")
+    series = oracle.bch_series_terms(alg, cls.x, cls.y, degree)
+    mismatch = _first_mismatch(closed_form_terms(alg, cls.x, cls.y, cls.w, degree), series)
+    tail_bounded = res.exact and (res.degree or 0) + 2 <= degree
+    diff = _sup_diff(res.z, sum(series[1:], series[0]))
+    verify = {"degree": degree, "difference_sup_norm": diff, "graded_mismatch_degree": mismatch,
+              "tail_bounded": tail_bounded, "tolerance": tolerance}
+    if mismatch is not None:
+        return verify, f"closed form and series differ at degree {mismatch}"
+    if tail_bounded and diff > tolerance:
+        return verify, f"|closed - exact| = {diff:.3e} > {tolerance:.1e}"
+    return verify, None
 
 
 def cmd_oracle(args) -> int:
@@ -232,10 +244,7 @@ def cmd_oracle(args) -> int:
         rep.validate_against(alg)
         z_mat = oracle.matrix_bch(rep, x, y)
         payload["matrix"] = coords_json(z_mat)
-        payload["difference_sup_norm"] = max(
-            abs(float(a) - float(b))
-            for a, b in zip(series.coords, z_mat.coords)
-        )
+        payload["difference_sup_norm"] = _sup_diff(series, z_mat)
     _emit(payload, args.output)
     return EXIT_OK
 
@@ -261,58 +270,9 @@ _CLOSED_FORM_CATALOG = ("abelian3", "heisenberg", "affine", "uvc", "two_scale")
 _BUG_DELTA = Fraction(1, 11) - Fraction(1, 12)
 
 
-def _sup_diff(a: LieElement, b: LieElement) -> float:
-    return max(abs(float(p) - float(q)) for p, q in zip(a.coords, b.coords))
-
-
-def _sup_diff_exact(a: LieElement, b: LieElement) -> float:
-    # subtract before converting: order-law gaps sit far below float(p)'s ulp
-    return max(abs(float(p - q)) for p, q in zip(a.coords, b.coords))
-
-
-def _exact_scalar_reference(x, y, w, u, v, f_degree=40) -> LieElement | None:
-    """x + y + f(u, v) w for w = [x, y], with rational series f; small-argument regime only."""
-    if abs(float(u)) > 1.0 or abs(float(v)) > 1.0:
-        return None
-    return x + y + w.scale(f_rational(u, v, f_degree))
-
-
-def _instance_slope(alg, cls, degree) -> float | None:
-    """Order of the truncated oracle against an exact closed-form reference.
-
-    Scales the pair by 2^-3 .. 2^-7; the sup-norm gap must shrink like
-    eps^(degree+1).  Returns None when the gap is exactly zero (terminating
-    instances) or the pair has no exact scalar reference.
-    """
-    # the tag is invariant under (x, y) -> (eps x, eps y), u and v scale by eps,
-    # [x, y] by eps^2, S is the same RREF subspace, and Z_n scales by eps^n: the
-    # pair's classification serves every scale, and the series is expanded once
-    x, y = cls.x, cls.y
-    if cls.tag in (CaseTag.COMMUTING, CaseTag.CENTRAL_BRACKET):
-        return None
-    terms = None
-    points = []
-    for p in SLOPE_EPS_POWERS:
-        eps = Fraction(1, 2**p)
-        xs, ys = x.scale(eps), y.scale(eps)
-        if cls.tag == CaseTag.SIMULTANEOUS_EIGENVECTOR:
-            ref = _exact_scalar_reference(xs, ys, cls.w.scale(eps**2), eps * cls.u, eps * cls.v)
-        else:
-            res = closed_form.bch_operator(alg, xs, ys, cls.s_closure, 1e-16)
-            ref = res.z if res.exact else None
-        if ref is None:
-            return None
-        terms = terms or oracle.bch_series_terms(alg, x, y, degree)  # once, after a reference
-        series = sum((t.scale(eps**n) for n, t in enumerate(terms, 1)), alg.zero())
-        gap = _sup_diff_exact(ref, series)
-        if gap == 0.0:
-            return None
-        points.append((-float(p), math.log2(gap)))
-    if len(points) < 2:
-        return None
-    xs_, ys_ = zip(*points)
-    slope, _ = np.polyfit(xs_, ys_, 1)
-    return float(slope)
+def _first_mismatch(closed, series) -> int | None:
+    """The least n with C_n != Z_n, or None."""
+    return next((n for n, (c, z) in enumerate(zip(closed, series), 1) if c != z), None)
 
 
 def _fuzz_instance(rng: random.Random, family: str):
@@ -338,17 +298,16 @@ def _fuzz_instance(rng: random.Random, family: str):
 
 def run_fuzz(seed: int, n: int, family_names, degree: int, tolerance: float,
              slope_every: int, inject_bug: bool = False) -> dict:
-    """Randomized closed-form-vs-oracle conformance; deterministic per seed."""
+    """Randomized closed-form-vs-oracle conformance; deterministic per seed.  Every
+    slope_every-th instance also has its graded parts checked: C_n == Z_n, n <= D."""
     if n < 0:
         raise InputError(f"--n must be >= 0, got {n}")
     if slope_every < 1:
         raise InputError(f"--slope-every must be >= 1, got {slope_every}")
     rng = random.Random(seed)
-    slope_threshold = degree + 0.5
     report = {
         "seed": seed, "n": n, "degree": degree, "tolerance": tolerance,
-        "slope_threshold": slope_threshold, "families": {}, "violations": [],
-        "pass": True,
+        "families": {}, "violations": [], "pass": True,
     }
     if n == 0:
         report["warning"] = "n = 0: vacuous run"
@@ -361,38 +320,39 @@ def run_fuzz(seed: int, n: int, family_names, degree: int, tolerance: float,
 
     for family in family_names:
         max_error = 0.0
-        slopes = []
-        skipped = 0
+        skipped = graded_checked = 0
+        tags = dict.fromkeys((tag.value for tag in CaseTag), 0)
         for idx in range(n):
             alg, x, y = _fuzz_instance(rng, family)
             cls = classify_pair(alg, x, y)
+            tags[cls.tag.value] += 1
             if cls.tag == CaseTag.NO_CLOSED_FORM:  # nothing to compare with the oracle
                 skipped += 1
                 continue
             res = bch_closed_form(alg, x, y, target_tolerance=tolerance / 10,
                                   classification=cls)
             z = res.z
-            if inject_bug and res.u is not None and res.v is not None:
-                drift = res.u + res.v
-                if drift != 0:
-                    z = z + cls.w.scale(float(_BUG_DELTA * drift))
+            if inject_bug and res.u is not None:  # f + delta (u + v)
+                z = z + cls.w.scale(float(_BUG_DELTA * (res.u + res.v)))
             reference = oracle.bch_integral_series(alg, x, y, degree)
             err = _sup_diff(z, reference)
             max_error = max(max_error, err)
             if err > tolerance:
                 violation(family, alg, x, y, error=err)
-            if idx % slope_every == 0 and not inject_bug:
-                slope = _instance_slope(alg, cls, degree)
-                if slope is not None:
-                    slopes.append(slope)
-                    if slope < slope_threshold:
-                        violation(family, alg, x, y, slope=slope)
+            if idx % slope_every == 0:
+                graded_checked += 1
+                closed = list(closed_form_terms(alg, x, y, cls.w, degree))
+                if inject_bug and degree >= 3:  # the same shift in degree 3
+                    closed[2] += (alg.bracket(x, cls.w) - alg.bracket(y, cls.w)).scale(_BUG_DELTA)
+                mismatch = _first_mismatch(closed, oracle.bch_series_terms(alg, x, y, degree))
+                if mismatch is not None:
+                    violation(family, alg, x, y, graded_mismatch_degree=mismatch)
         report["families"][family] = {
             "count": n - skipped,
             "skipped": skipped,
             "max_error": max_error,
-            "slopes_measured": len(slopes),
-            "min_slope": min(slopes) if slopes else None,
+            "graded_checked": graded_checked,
+            "tags": tags,
         }
     return report
 
@@ -458,7 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--families", default="rank_one,case1,catalog")
     p_fuzz.add_argument("--degree", type=int, default=8)
     p_fuzz.add_argument("--tolerance", type=float, default=1e-8)
-    p_fuzz.add_argument("--slope-every", type=int, default=25)
+    p_fuzz.add_argument("--slope-every", type=int, default=25, metavar="K",
+                        help="check C_n = Z_n exactly for n <= D on every K-th instance")
     p_fuzz.add_argument("--inject-bug", action="store_true",
                         help=argparse.SUPPRESS)  # CI mutation check
     p_fuzz.set_defaults(func=cmd_fuzz)

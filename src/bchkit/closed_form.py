@@ -66,7 +66,9 @@ class NoClosedFormAvailable(ValueError):
 
 @dataclass(frozen=True)
 class BchResult:
-    """Output of a closed-form evaluation."""
+    """Output of a closed-form evaluation.  residual_bound covers 8 ulp of the final
+    combine x + y + f w for ScalarF and the geometric tail estimate (radius pi) for a
+    non-terminating OperatorF, never the error of f; exact results give 0.0 or None."""
 
     z: LieElement
     method: str                       # Sum | Central | ScalarF | OperatorF
@@ -123,6 +125,13 @@ class BivariateSeries:
         pv = _homogeneous_powers(v.numerator, v.denominator, dj)
         total = sum(pu[i] * sum(a * pv[j] for j, a in row) for i, row in enumerate(rows) if row)
         return Fraction(total, q * u.denominator**di * v.denominator**dj)
+
+    @cached_property
+    def _graded_integer_form(self) -> tuple:
+        """([A_m0, ..., A_0m], q_m) for each total degree m <= max_degree, with
+        c_ij = A_ij / q_m over the least common denominator q_m of degree m."""
+        return tuple(clear_denominators([self.coeff(m - j, j) for j in range(m + 1)])
+                     for m in range(self.max_degree + 1))
 
     def truncated(self, degree: int) -> "BivariateSeries":
         kept = {k: c for k, c in self.coefficients.items() if k[0] + k[1] <= degree}
@@ -387,20 +396,61 @@ def _restricted_matrix(alg, gs, scale, s_closure: Subspace):
     return tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
 
 
-def _orbit(alg: StructureConstants, gs, ws, limit: int) -> list | None:
-    """[ws, L_g ws, L_g^2 ws, ...] on the scaled kernel, up to the last nonzero
-    power, or None if L_g^k ws != 0 for every k <= limit."""
-    orbit = [ws]
-    while len(orbit) <= limit:
-        nxt = alg.scaled_bracket(gs, orbit[-1])
-        if not any(nxt):
-            return orbit
-        orbit.append(nxt)
+def _nilpotency_index(alg: StructureConstants, gs, ws, limit: int) -> int | None:
+    """The least k with L_g^k ws = 0 on the scaled kernel, or None if k > limit."""
+    vec = ws
+    for k in range(1, limit + 1):
+        vec = alg.scaled_bracket(gs, vec)
+        if not any(vec):
+            return k
     return None
 
 
 def _inf_norm(mat) -> float:
     return max((sum(abs(float(x)) for x in row) for row in mat), default=0.0)
+
+
+def closed_form_terms(alg: StructureConstants, x: LieElement, y: LieElement, w: LieElement,
+                      degree: int) -> tuple[LieElement, ...]:
+    """The homogeneous parts (C_1, ..., C_degree) of x + y + f(L_X, -L_Y) w: C_1 = x + y
+    and C_n = sum_{i+j=n-2} c_ij L_X^i (-L_Y)^j w, with c_ij the coefficients of f_series.
+
+    For w = [x, y], wherever a closed form applies, C_n is the part Z_n of
+    ln(e^X e^Y) (oracle.bch_series_terms), so C_n == Z_n checks the closed form
+    degree by degree, exactly: each C_n is summed on the integer kernel.
+    """
+    if degree < 1:
+        raise ValueError("degree must be >= 1")
+    scaled = [clear_denominators(e.coords) for e in (x, y, w)]
+    return (x + y,) + tuple(LieElement(unscaled(acc, den))
+                            for acc, den in _graded_parts(alg, scaled, degree))
+
+
+def _graded_parts(alg: StructureConstants, scaled, degree: int):
+    """(acc, den) with C_n = acc / den for n = 2 .. degree, from the scaled
+    coordinates ((xs, sx), (ys, sy), (ws, sw)) of x, y, w."""
+    (xs, sx), (ys, sy), (ws, sw) = scaled
+    px, py = alg.den * sx, alg.den * sy
+
+    def image(gs, vec):  # den [g, vec] on scaled vectors, None for zero
+        img = None if vec is None else alg.scaled_bracket(gs, vec)
+        return img if img is not None and any(img) else None
+
+    # diag[j] = L_X^i L_Y^j ws = sw px^i py^j L_X^i L_Y^j w on the anti-diagonal i + j = m
+    diag = [ws if any(ws) else None]
+    rows = f_series(max(degree - 2, 0))._graded_integer_form
+    for m, (row, q) in zip(range(degree - 1), rows):  # C_(m+2)
+        if m:
+            diag = [image(xs, vec) for vec in diag] + [image(ys, diag[-1])]
+        # over sw (px py)^m q, c_ij L_X^i (-L_Y)^j w is (-1)^j A_ij px^j py^i diag[j]
+        acc = [0] * alg.dim
+        for j, (a, vec) in enumerate(zip(row, diag)):
+            if a and vec is not None:
+                k = (-1) ** j * a * px ** j * py ** (m - j)
+                for idx, t in enumerate(vec):
+                    if t:
+                        acc[idx] += k * t
+        yield acc, sw * (px * py) ** m * q
 
 
 def bch_operator(alg: StructureConstants, x: LieElement, y: LieElement,
@@ -438,38 +488,24 @@ def _operator_f(alg: StructureConstants, x: LieElement, y: LieElement, w: LieEle
     """z = x + y + f(L_X, -L_Y) w for a nonzero w = [x, y] that centralizes its closure S.
 
     [L_X, L_Y] = L_w vanishes on S = span{L_X^i L_Y^j w}, so L_X^k = 0 on S
-    iff L_X^k w = 0: the orbits of w decide termination, and their vectors
-    start the terminating sum.
+    iff L_X^k w = 0: the orbits of w decide termination, and a terminating
+    series is the sum of the parts of closed_form_terms.
     """
-    (xs, sx), (ys, sy), (ws, sw) = (clear_denominators(e.coords) for e in (x, y, w))
-    orbit_x = _orbit(alg, xs, ws, s_closure.dim)
-    orbit_y = _orbit(alg, ys, ws, s_closure.dim)
-    if orbit_x is not None and orbit_y is not None:
-        nx, ny = len(orbit_x), len(orbit_y)
-        degree = (nx - 1) + (ny - 1)
-        series = f_series(degree)
-        # vec = L_X^i L_Y^j ws = sw px^i py^j L_X^i L_Y^j w: sum the terms as
-        # integers over the common denominator sw px^(nx-1) py^(ny-1) q
-        px, py = alg.den * sx, alg.den * sy
-        terms = {(i, j): series.coeff(i, j) for i in range(nx) for j in range(ny)}
-        q = math.lcm(*(c.denominator for c in terms.values()))
+    scaled = [clear_denominators(e.coords) for e in (x, y, w)]
+    (xs, sx), (ys, sy), (ws, _) = scaled
+    nx, ny = (_nilpotency_index(alg, gs, ws, s_closure.dim) for gs in (xs, ys))
+    if nx is not None and ny is not None:
+        # C_n = 0 beyond n = nx + ny: sum the parts over one denominator
+        parts = list(_graded_parts(alg, scaled, nx + ny))
+        den = math.lcm(*(d for _, d in parts))
         acc = [0] * alg.dim
-        for j in range(ny):
-            vec = orbit_y[j]
-            for i in range(nx):
-                if i:
-                    vec = orbit_x[i] if j == 0 else alg.scaled_bracket(xs, vec)
-                c = terms[i, j]
-                if c != 0:
-                    k = ((-1) ** j * c.numerator * (q // c.denominator)
-                         * px ** (nx - 1 - i) * py ** (ny - 1 - j))
-                    for idx, v in enumerate(vec):
-                        if v:
-                            acc[idx] += k * v
-        acc = unscaled(acc, sw * px ** (nx - 1) * py ** (ny - 1) * q)
-        z = x + y + LieElement(acc)
-        return BchResult(z, "OperatorF", exact=_elements_exact(x, y),
-                         residual_bound=0.0, degree=degree)
+        for part, d in parts:
+            k = den // d
+            for idx, t in enumerate(part):
+                if t:
+                    acc[idx] += k * t
+        return BchResult(x + y + LieElement(unscaled(acc, den)), "OperatorF",
+                         exact=_elements_exact(x, y), residual_bound=0.0, degree=nx + ny - 2)
 
     # non-terminating: float evaluation with an adaptive degree
     lx = alg.adjoint(x)

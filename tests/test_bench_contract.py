@@ -12,16 +12,22 @@ import importlib.util
 from pathlib import Path
 
 import bchkit
+from bchkit import cli
 from bchkit.oracle import affine_algebra, two_scale_algebra
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
+TRACER_PATH = BENCH_DIR / "tracer.py"
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER_PATH)
+def load_bench_module(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracer():
+    return load_bench_module("bench_tracer", TRACER_PATH)
 
 
 def test_entry_points_resolve_to_callables():
@@ -47,4 +53,21 @@ def test_f_is_called_through_module_globals():
         tracer.uninstall()
     for layer in ("detect.classify_pair", "closed_form.bch_closed_form",
                   "closed_form.f_scalar", "closed_form.f_series"):
+        assert tracer.calls[layer] >= 1, layer
+
+
+def test_fuzz_reaches_every_expected_layer(monkeypatch):
+    # the fuzz_verify workload fails its coverage check when a layer it expects
+    # (the series oracle, say) drops out of the fuzz path
+    monkeypatch.syspath_prepend(str(BENCH_DIR))  # fuzz_verify imports its siblings
+    expected = load_bench_module("bench_fuzz_verify",
+                                 BENCH_DIR / "fuzz_verify.py").FuzzVerify.expected_layers
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        report = cli.run_fuzz(1, 2, ["rank_one", "case1", "catalog"], 8, 1e-8, 1)
+    finally:
+        tracer.uninstall()
+    assert report["pass"]
+    for layer in expected:
         assert tracer.calls[layer] >= 1, layer

@@ -2,10 +2,11 @@
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
-from bchkit import cli
+from bchkit import BivariateSeries, cli, closed_form
 from bchkit.cli import main
 from bchkit.oracle import sl2_algebra
 
@@ -66,18 +67,21 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-# `fuzz --seed 42 --n 6 --slope-every 3` stdout, captured before the series engine
-# was replaced by the graded recursion; the per-family "skipped" field (and
-# "count" as the number evaluated) came later and changed no other byte
+# `fuzz --seed 42 --n 6 --slope-every 3` stdout, captured when the exact graded
+# check (per family "graded_checked" and "tags") replaced the slope fit
+# ("slope_threshold", "slopes_measured", "min_slope"); every other byte is as it
+# was before the series engine was replaced by the graded recursion
 FUZZ_SEED42_N6_SLOPE3 = (
-    '{"degree": 8, "families": {"case1": {"count": 6, '
-    '"max_error": 1.6653345369377348e-16, "min_slope": 9.000229221622556, '
-    '"skipped": 0, "slopes_measured": 2}, "catalog": {"count": 6, '
-    '"max_error": 7.027001203141481e-11, "min_slope": 8.997058889821965, '
-    '"skipped": 0, "slopes_measured": 1}, "rank_one": {"count": 6, "max_error": 0.0, '
-    '"min_slope": null, "skipped": 0, "slopes_measured": 0}}, "n": 6, "pass": true, '
-    '"seed": 42, "slope_threshold": 8.5, "tolerance": 1e-08, '
-    '"violations": []}'
+    '{"degree": 8, "families": {"case1": {"count": 6, "graded_checked": 2, '
+    '"max_error": 1.6653345369377348e-16, "skipped": 0, "tags": {"CentralBracket": 0, '
+    '"Commuting": 0, "NoClosedForm": 0, "OperatorCommuting": 0, '
+    '"SimultaneousEigenvector": 6}}, "catalog": {"count": 6, "graded_checked": 2, '
+    '"max_error": 7.027001203141481e-11, "skipped": 0, "tags": {"CentralBracket": 0, '
+    '"Commuting": 2, "NoClosedForm": 0, "OperatorCommuting": 1, '
+    '"SimultaneousEigenvector": 3}}, "rank_one": {"count": 6, "graded_checked": 2, '
+    '"max_error": 0.0, "skipped": 0, "tags": {"CentralBracket": 6, "Commuting": 0, '
+    '"NoClosedForm": 0, "OperatorCommuting": 0, "SimultaneousEigenvector": 0}}}, '
+    '"n": 6, "pass": true, "seed": 42, "tolerance": 1e-08, "violations": []}'
 )
 
 
@@ -173,15 +177,47 @@ class TestBch:
         assert code == 0
         assert json.loads(out)["verify"]["difference_sup_norm"] < 1e-8
 
-    def test_verify_fail_exit_4(self, workdir, capsys):
-        # unit coordinates put the degree-8 truncation far above 1e-12
+    def test_verify_fail_exit_4(self, workdir, capsys, monkeypatch):
+        # a wrong c_10 changes the closed form's degree-3 part C_3 = c_10 [x, w] + ...
+        true_series = closed_form.f_series
+
+        def shifted(degree):
+            series = true_series(degree)
+            coefficients = dict(series.coefficients)
+            coefficients[1, 0] = coefficients.get((1, 0), Fraction(0)) + Fraction(1, 7)
+            return BivariateSeries(coefficients, series.max_degree)
+
+        monkeypatch.setattr(closed_form, "f_series", shifted)
         code, out, err = run(capsys, "bch",
                              "--algebra", str(workdir / "affine.json"),
                              "--x", str(workdir / "a0.json"),
-                             "--y", str(workdir / "a1.json"),
-                             "--verify", "--degree", "8", "--tolerance", "1e-12")
+                             "--y", str(workdir / "a1.json"), "--verify")
         assert code == 4
         assert "verification failed" in err
+        assert json.loads(out)["verify"]["graded_mismatch_degree"] == 3
+
+    def test_verify_passes_documented_catalog_pairs(self, tmp_path, capsys):
+        # the degree-8 truncation differs from the closed form by 8.1e-7 on
+        # affine, 1.0e-7 on uvc and 1.9e-4 on two_scale, far above the default
+        # tolerance: only the graded parts decide there
+        from bchkit.oracle import builtin_catalog
+        bounded = {}
+        for entry in builtin_catalog():
+            (x, y, tag), = entry.pairs
+            if tag.value == "NoClosedForm":
+                continue
+            for name, elem in (("x", x), ("y", y)):
+                (tmp_path / f"{name}.json").write_text(
+                    json.dumps({"coords": [str(c) for c in elem.coords]}))
+            code, out, err = run(capsys, "bch", "--algebra", entry.name,
+                                 "--x", str(tmp_path / "x.json"),
+                                 "--y", str(tmp_path / "y.json"), "--verify")
+            assert (code, err) == (0, ""), entry.name
+            verify = json.loads(out)["verify"]
+            assert verify["graded_mismatch_degree"] is None, entry.name
+            bounded[entry.name] = verify["tail_bounded"]
+        assert bounded == {"abelian3": True, "heisenberg": True, "affine": False,
+                           "uvc": False, "two_scale": False}
 
     def test_no_closed_form_exit_3(self, workdir, capsys):
         code, out, _ = run(capsys, "bch", "--algebra", "sl2",
@@ -259,9 +295,10 @@ class TestF:
 
 
 # sha256 of `fuzz --seed 1 --n 10 --slope-every 5` stdout (the configuration
-# bench/fuzz_verify.py runs), captured while the f table and its exact
-# evaluation still used Fraction long division and term-by-term sums
-FUZZ_SEED1_N10_SLOPE5_SHA256 = "bd9770f7e316dea293859a84dcb43bc6dd42771fd079a7db07dcc1db9738079a"
+# bench/fuzz_verify.py runs), captured when the exact graded check replaced the
+# slope fit; with the keys of both checks dropped, the report is byte for byte
+# the one of the slope-fit code
+FUZZ_SEED1_N10_SLOPE5_SHA256 = "f2bc371199ba85558c013196d2590db9d24290ef2ab0cb9ee2b9943ae7599b8c"
 
 
 class TestFuzz:
@@ -310,6 +347,8 @@ class TestFuzz:
         assert code == 4
         report = json.loads(out)
         assert report["pass"] is False and report["violations"]
+        # the graded check alone sees the shift of f by delta (u + v) in degree 3
+        assert {v.get("graded_mismatch_degree") for v in report["violations"]} >= {3}
 
     def test_n_zero_vacuous(self, capsys):
         code, out, err = run(capsys, "fuzz", "--seed", "1", "--n", "0")
@@ -335,5 +374,4 @@ class TestFuzz:
         report = json.loads(out)
         stats = report["families"]["rank_one"]
         assert stats["max_error"] < 1e-8
-        assert stats["slopes_measured"] > 0
-        assert stats["min_slope"] > 8.5
+        assert stats["graded_checked"] > 0

@@ -19,6 +19,7 @@ from bchkit.closed_form import (
     bch_rank_one_exact,
     bch_special,
     case1_build,
+    closed_form_terms,
     f_form_negexp,
     f_form_product,
     f_form_quotient,
@@ -42,6 +43,7 @@ from bchkit.oracle import (
     abelian_algebra,
     affine_algebra,
     bch_integral_series,
+    bch_series_terms,
     builtin_catalog,
     heisenberg_algebra,
     sl2_algebra,
@@ -518,6 +520,96 @@ class TestOperator:
         assert cls.tag == CaseTag.OPERATOR_COMMUTING
         with pytest.raises(NonConvergence):
             bch_operator(alg, x, y, cls.s_closure, 1e-10)
+
+
+def _borel(n: int):
+    """b(n), the upper-triangular n x n matrices on the basis E_ij (i <= j), and
+    the index of each E_ij."""
+    basis = [(i, j) for i in range(n) for j in range(i, n)]
+    index = {e: k for k, e in enumerate(basis)}
+    entries = {}
+    for a, (i, j) in enumerate(basis):
+        for b in range(a + 1, len(basis)):
+            k, l = basis[b]
+            # [E_ij, E_kl] = d_jk E_il - d_li E_kj
+            if j == k:
+                entries[a, b, index[i, l]] = entries.get((a, b, index[i, l]), 0) + 1
+            if l == i:
+                entries[a, b, index[k, j]] = entries.get((a, b, index[k, j]), 0) - 1
+    return algebra.validate(entries, len(basis)), index
+
+
+def _borel_pairs(rng, n: int = 4):
+    """Constructed b(n) pairs with a closed form: diagonal x with one
+    off-diagonal y, two diagonals, and a nilpotent pair E_i,i+1, E_i+1,i+2."""
+    alg, index = _borel(n)
+
+    def element(values):
+        return alg.element([values.get(k, 0) for k in range(alg.dim)])
+
+    def coef():
+        return Fraction(rng.choice((-4, -3, -2, -1, 1, 2, 3, 4)), 8)
+
+    diag = [index[i, i] for i in range(n)]
+    pairs = []
+    for _ in range(2):
+        i = rng.randrange(n - 1)
+        j = rng.randrange(i + 1, n)
+        pairs.append((element({d: coef() for d in diag}), element({index[i, j]: coef()})))
+        pairs.append((element({d: coef() for d in diag}), element({d: coef() for d in diag})))
+        i = rng.randrange(n - 2)
+        pairs.append((element({index[i, i + 1]: coef()}),
+                      element({index[i + 1, i + 2]: coef()})))
+    return [(alg, x, y) for x, y in pairs]
+
+
+class TestGradedTerms:
+    DEGREE = 10
+
+    def _instances(self):
+        rng = random.Random(2024)
+        half = Fraction(1, 2)
+        out = []
+        for _ in range(4):
+            algs = [families.random_rank_one(rng, rng.randint(3, 5)),
+                    families.random_case1(rng, rng.randint(2, 5))[0],
+                    families.random_derived_abelian(rng, 2, rng.randint(2, 3), kind="diag"),
+                    families.random_derived_abelian(rng, 2, rng.randint(2, 3), kind="nilp")]
+            for alg in algs:
+                out.append((alg, families.random_element(rng, alg.dim, half),
+                            families.random_element(rng, alg.dim, half)))
+        for entry in builtin_catalog():
+            out.extend((entry.algebra, x, y) for x, y, _ in entry.pairs)
+        return out + _borel_pairs(rng)
+
+    def test_closed_form_parts_equal_series_parts(self):
+        tags = set()
+        terminating = 0
+        for alg, x, y in self._instances():
+            cls = classify_pair(alg, x, y)
+            if cls.tag == CaseTag.NO_CLOSED_FORM:
+                continue
+            tags.add(cls.tag)
+            closed = closed_form_terms(alg, x, y, cls.w, self.DEGREE)
+            assert closed == bch_series_terms(alg, x, y, self.DEGREE), (cls.tag, x, y)
+            res = bch_closed_form(alg, x, y, classification=cls)
+            if res.exact and (res.degree or 0) + 2 <= self.DEGREE:
+                # terminating: C_n = 0 beyond n = degree + 2, and the sum is z
+                assert res.z == sum(closed[1:], closed[0])
+                terminating += res.method == "OperatorF"
+        assert tags == set(CaseTag) - {CaseTag.NO_CLOSED_FORM}
+        assert terminating > 0
+
+    def test_terms_are_graded(self):
+        # C_n(e x, e y) = e^n C_n(x, y)
+        alg = two_scale_algebra()
+        x, y = alg.element(["1/4", "1/2", "0", "0"]), alg.element(["0", "0", "1/4", "1/4"])
+        e = Fraction(1, 3)
+        xe, ye = x.scale(e), y.scale(e)
+        scaled = closed_form_terms(alg, xe, ye, alg.bracket(xe, ye), 6)
+        for n, (c, ce) in enumerate(zip(closed_form_terms(alg, x, y, alg.bracket(x, y), 6),
+                                        scaled), 1):
+            assert ce == c.scale(e**n)
 
 
 # ---------------------------------------------------------------------------
