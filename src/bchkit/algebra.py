@@ -121,45 +121,20 @@ class LieElement:
 # exact linear algebra
 # ---------------------------------------------------------------------------
 
-def _rref(vectors: Iterable[Sequence[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
-    """Reduced row echelon form over Fraction; leftmost-pivot, deterministic."""
-    rows = [list(v) for v in vectors if any(c != 0 for c in v)]
-    if not rows:
-        return ()
-    ncols = len(rows[0])
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        lead = rows[r][col]
-        rows[r] = [x / lead for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                m = rows[i][col]
-                rows[i] = [x - m * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    out = [tuple(row) for row in rows[:r] if any(c != 0 for c in row)]
-    return tuple(out)
-
-
 def nullspace_basis(vectors: Sequence[Sequence[Fraction]], dim: int) -> list[tuple[Fraction, ...]]:
-    """Exact basis of {n : v . n = 0 for all given v}, via RREF free variables."""
-    rows = _rref([list(v) for v in vectors])
-    pivots = []
-    for row in rows:
-        pivots.append(next(j for j, x in enumerate(row) if x != 0))
-    free = [j for j in range(dim) if j not in pivots]
+    """Exact basis of {n : v . n = 0 for all given v}, one vector per free
+    column of the echelon form of the v (int or Fraction coordinates)."""
+    ech = Echelon()
+    for v in vectors:
+        ech.insert(clear_denominators([Fraction(c) for c in v])[0])
     basis = []
-    for j in free:
-        vec = [Fraction(0)] * dim
-        vec[j] = Fraction(1)
-        for row, p in zip(rows, pivots):
-            vec[p] = -row[j]
-        basis.append(tuple(vec))
+    for j in range(dim):
+        if j not in ech.pivots:
+            vec = [_ZERO] * dim
+            vec[j] = Fraction(1)
+            for row, p in zip(ech.rows, ech.pivots):
+                vec[p] = Fraction(-row[j], row[p])
+            basis.append(tuple(vec))
     return basis
 
 
@@ -196,13 +171,13 @@ class Subspace:
 
     @classmethod
     def span(cls, vectors: Iterable[Sequence]) -> "Subspace":
-        vecs = []
+        ech = Echelon()
         for v in vectors:
             coords = v.coords if isinstance(v, LieElement) else tuple(v)
             if not all(isinstance(c, Fraction) for c in coords):
                 raise TypeError("subspace arithmetic requires exact rational coordinates")
-            vecs.append(coords)
-        return cls(_rref(vecs))
+            ech.insert(clear_denominators(coords)[0])
+        return ech.subspace()
 
     @property
     def dim(self) -> int:
@@ -237,8 +212,8 @@ class Echelon:
     by integer cross-multiplication, stops if the residual is zero, else
     makes the residual primitive with a positive pivot, clears the new
     pivot's column from the other rows and inserts it in pivot order.  Each
-    row divided by its pivot is the unique RREF, so ``subspace()`` equals
-    ``Subspace.span`` of the inserted vectors.
+    row divided by its pivot is the unique RREF, which ``subspace()`` returns;
+    it is the one elimination behind every ``Subspace``.
     """
 
     def __init__(self):

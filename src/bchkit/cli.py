@@ -267,6 +267,7 @@ def cmd_f(args) -> int:
 # ---------------------------------------------------------------------------
 
 _CLOSED_FORM_CATALOG = ("abelian3", "heisenberg", "affine", "uvc", "two_scale")
+_FUZZ_FAMILIES = ("rank_one", "case1", "catalog")
 _BUG_DELTA = Fraction(1, 11) - Fraction(1, 12)
 
 
@@ -283,14 +284,12 @@ def _fuzz_instance(rng: random.Random, family: str):
     elif family == "case1":
         dim = rng.randint(2, 6)
         alg, _, _ = families.random_case1(rng, dim)
-    elif family == "catalog":
+    else:  # catalog
         # catalog tensors are fixed, so keep the coordinates smaller to stay
         # inside the degree-8 truncation window of the series oracle
         name = rng.choice(_CLOSED_FORM_CATALOG)
         alg = oracle.catalog_entry(name).algebra
         sup = Fraction(1, 4)
-    else:
-        raise InputError(f"unknown fuzz family {family!r}")
     x = families.random_element(rng, alg.dim, sup)
     y = families.random_element(rng, alg.dim, sup)
     return alg, x, y
@@ -304,6 +303,11 @@ def run_fuzz(seed: int, n: int, family_names, degree: int, tolerance: float,
         raise InputError(f"--n must be >= 0, got {n}")
     if slope_every < 1:
         raise InputError(f"--slope-every must be >= 1, got {slope_every}")
+    if not family_names:
+        raise InputError("--families names no family")
+    for family in family_names:
+        if family not in _FUZZ_FAMILIES:
+            raise InputError(f"unknown fuzz family {family!r}")
     rng = random.Random(seed)
     report = {
         "seed": seed, "n": n, "degree": degree, "tolerance": tolerance,
@@ -415,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz = sub.add_parser("fuzz", help="randomized conformance against the oracle")
     p_fuzz.add_argument("--seed", type=int, required=True)
     p_fuzz.add_argument("--n", type=int, required=True)
-    p_fuzz.add_argument("--families", default="rank_one,case1,catalog")
+    p_fuzz.add_argument("--families", default=",".join(_FUZZ_FAMILIES))
     p_fuzz.add_argument("--degree", type=int, default=8)
     p_fuzz.add_argument("--tolerance", type=float, default=1e-8)
     p_fuzz.add_argument("--slope-every", type=int, default=25, metavar="K",

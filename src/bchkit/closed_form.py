@@ -95,36 +95,14 @@ class BivariateSeries:
 
     def evaluate(self, u: float, v: float) -> float:
         total = 0.0
-        for (i, j), c in sorted(self.coefficients.items()):
-            total += float(c) * u**i * v**j
+        for i, j, c in self._float_terms:
+            total += c * u**i * v**j
         return total
 
     @cached_property
-    def _integer_form(self) -> tuple:
-        """(q, di, dj, rows) with c_ij = A_ij / q over the least common
-        denominator q, rows[i] = [(j, A_ij), ...] for c_ij != 0, and i <= di,
-        j <= dj for every key."""
-        q = math.lcm(*(c.denominator for c in self.coefficients.values()))
-        di = max((i for i, _ in self.coefficients), default=0)
-        dj = max((j for _, j in self.coefficients), default=0)
-        rows = [[] for _ in range(di + 1)]
-        for (i, j), c in self.coefficients.items():
-            if c:
-                rows[i].append((j, c.numerator * (q // c.denominator)))
-        return q, di, dj, rows
-
-    def evaluate_exact(self, u: Fraction, v: Fraction) -> Fraction:
-        """Exact value at rational u = a/b, v = c/e: the integer polynomial
-        sum_ij A_ij a^i b^(di-i) c^j e^(dj-j), over q b^di e^dj.
-
-        u and v are anything as_fraction takes; a float raises TypeError
-        (evaluate() sums in floating point)."""
-        u, v = as_fraction(u), as_fraction(v)
-        q, di, dj, rows = self._integer_form
-        pu = _homogeneous_powers(u.numerator, u.denominator, di)
-        pv = _homogeneous_powers(v.numerator, v.denominator, dj)
-        total = sum(pu[i] * sum(a * pv[j] for j, a in row) for i, row in enumerate(rows) if row)
-        return Fraction(total, q * u.denominator**di * v.denominator**dj)
+    def _float_terms(self) -> tuple:
+        """(i, j, float(c_ij)) for every c_ij != 0, in (i, j) order."""
+        return tuple((i, j, float(c)) for (i, j), c in sorted(self.coefficients.items()) if c)
 
     @cached_property
     def _graded_integer_form(self) -> tuple:
@@ -133,18 +111,28 @@ class BivariateSeries:
         return tuple(clear_denominators([self.coeff(m - j, j) for j in range(m + 1)])
                      for m in range(self.max_degree + 1))
 
+    def evaluate_exact(self, u: Fraction, v: Fraction) -> Fraction:
+        """Exact value at rational u = a/b, v = c/e.  With U = a e and V = c b, the
+        degree-m part is N_m / (q_m (b e)^m), N_m = sum_j A_mj U^(m-j) V^j, and
+        the parts are summed over one denominator by Horner's rule in b e.
+
+        u and v are anything as_fraction takes; a float raises TypeError
+        (evaluate() sums in floating point)."""
+        u, v = as_fraction(u), as_fraction(v)
+        be = u.denominator * v.denominator
+        pu, pv = ([t**k for k in range(self.max_degree + 1)]
+                  for t in (u.numerator * v.denominator, v.numerator * u.denominator))
+        form = self._graded_integer_form
+        q = math.lcm(*(qm for _, qm in form))
+        total = 0
+        for m, (row, qm) in enumerate(form):
+            part = sum(a * pu[m - j] * pv[j] for j, a in enumerate(row) if a)
+            total = total * be + part * (q // qm)
+        return Fraction(total, q * be**self.max_degree)
+
     def truncated(self, degree: int) -> "BivariateSeries":
         kept = {k: c for k, c in self.coefficients.items() if k[0] + k[1] <= degree}
         return BivariateSeries(kept, degree)
-
-
-def _homogeneous_powers(a: int, b: int, n: int) -> list:
-    """[a^k b^(n-k) for k = 0..n]."""
-    pa, pb = [1] * (n + 1), [1] * (n + 1)
-    for k in range(1, n + 1):
-        pa[k] = pa[k - 1] * a
-        pb[k] = pb[k - 1] * b
-    return [pa[k] * pb[n - k] for k in range(n + 1)]
 
 
 _series_lock = threading.Lock()
@@ -202,14 +190,6 @@ def f_series(max_total_degree: int) -> BivariateSeries:
 # scalar evaluation
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=1)
-def _series_float_terms() -> tuple:
-    series = f_series(SERIES_DEGREE)
-    return tuple(
-        (i, j, float(c)) for (i, j), c in sorted(series.coefficients.items()) if c != 0
-    )
-
-
 def _f_axis(t: float) -> float:
     # f(0, t) = (t e^t - e^t + 1)/(t (e^t - 1)), rewritten for |t| >= 0.25
     a = t / -math.expm1(-t)
@@ -250,10 +230,7 @@ def f_scalar(u, v) -> float:
     if u < v:
         u, v = v, u
     if max(abs(u), abs(v), abs(u - v)) < SERIES_CROSSOVER:
-        total = 0.0
-        for i, j, c in _series_float_terms():
-            total += c * u**i * v**j
-        return total
+        return f_series(SERIES_DEGREE).evaluate(u, v)
     if u == v:
         return _f_diagonal(u)
     if v == 0.0:
@@ -396,14 +373,19 @@ def _restricted_matrix(alg, gs, scale, s_closure: Subspace):
     return tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
 
 
-def _nilpotency_index(alg: StructureConstants, gs, ws, limit: int) -> int | None:
-    """The least k with L_g^k ws = 0 on the scaled kernel, or None if k > limit."""
-    vec = ws
-    for k in range(1, limit + 1):
-        vec = alg.scaled_bracket(gs, vec)
-        if not any(vec):
-            return k
-    return None
+def _anti_diagonals(step, gx, gy, w):
+    """Yield the anti-diagonals [L_X^i L_Y^j w for j = 0 .. m], i + j = m, of the
+    orbit of w for m = 0, 1, ..., with None for a zero vector.  step(gx, vec)
+    applies L_X and step(gy, vec) applies L_Y, each up to a fixed scale: one L_X
+    step per entry and one L_Y step at the end of each diagonal."""
+    def image(g, vec):
+        img = None if vec is None else step(g, vec)
+        return img if img is not None and any(img) else None
+
+    diag = [w if any(w) else None]
+    while True:
+        yield diag
+        diag = [image(gx, vec) for vec in diag] + [image(gy, diag[-1])]
 
 
 def _inf_norm(mat) -> float:
@@ -422,26 +404,20 @@ def closed_form_terms(alg: StructureConstants, x: LieElement, y: LieElement, w: 
     if degree < 1:
         raise ValueError("degree must be >= 1")
     scaled = [clear_denominators(e.coords) for e in (x, y, w)]
+    walk = _anti_diagonals(alg.scaled_bracket, *(vec for vec, _ in scaled))
     return (x + y,) + tuple(LieElement(unscaled(acc, den))
-                            for acc, den in _graded_parts(alg, scaled, degree))
+                            for acc, den in _graded_parts(alg, scaled, degree, walk))
 
 
-def _graded_parts(alg: StructureConstants, scaled, degree: int):
+def _graded_parts(alg: StructureConstants, scaled, degree: int, diagonals):
     """(acc, den) with C_n = acc / den for n = 2 .. degree, from the scaled
-    coordinates ((xs, sx), (ys, sy), (ws, sw)) of x, y, w."""
-    (xs, sx), (ys, sy), (ws, sw) = scaled
+    coordinates ((xs, sx), (ys, sy), (ws, sw)) of x, y, w and their kernel walk
+    _anti_diagonals(alg.scaled_bracket, xs, ys, ws), whose entry j on the
+    anti-diagonal i + j = m is sw px^i py^j L_X^i L_Y^j w."""
+    (_, sx), (_, sy), (_, sw) = scaled
     px, py = alg.den * sx, alg.den * sy
-
-    def image(gs, vec):  # den [g, vec] on scaled vectors, None for zero
-        img = None if vec is None else alg.scaled_bracket(gs, vec)
-        return img if img is not None and any(img) else None
-
-    # diag[j] = L_X^i L_Y^j ws = sw px^i py^j L_X^i L_Y^j w on the anti-diagonal i + j = m
-    diag = [ws if any(ws) else None]
     rows = f_series(max(degree - 2, 0))._graded_integer_form
-    for m, (row, q) in zip(range(degree - 1), rows):  # C_(m+2)
-        if m:
-            diag = [image(xs, vec) for vec in diag] + [image(ys, diag[-1])]
+    for m, (row, q), diag in zip(range(degree - 1), rows, diagonals):  # C_(m+2)
         # over sw (px py)^m q, c_ij L_X^i (-L_Y)^j w is (-1)^j A_ij px^j py^i diag[j]
         acc = [0] * alg.dim
         for j, (a, vec) in enumerate(zip(row, diag)):
@@ -488,26 +464,32 @@ def _operator_f(alg: StructureConstants, x: LieElement, y: LieElement, w: LieEle
     """z = x + y + f(L_X, -L_Y) w for a nonzero w = [x, y] that centralizes its closure S.
 
     [L_X, L_Y] = L_w vanishes on S = span{L_X^i L_Y^j w}, so L_X^k = 0 on S
-    iff L_X^k w = 0: the orbits of w decide termination, and a terminating
-    series is the sum of the parts of closed_form_terms.
+    iff L_X^k w = 0: the first zero on each edge of the anti-diagonal walk of w
+    decides termination, and a terminating series is the sum of the parts of
+    closed_form_terms, summed over the same walk.
     """
     scaled = [clear_denominators(e.coords) for e in (x, y, w)]
-    (xs, sx), (ys, sy), (ws, _) = scaled
-    nx, ny = (_nilpotency_index(alg, gs, ws, s_closure.dim) for gs in (xs, ys))
-    if nx is not None and ny is not None:
-        # C_n = 0 beyond n = nx + ny: sum the parts over one denominator
-        parts = list(_graded_parts(alg, scaled, nx + ny))
-        den = math.lcm(*(d for _, d in parts))
-        acc = [0] * alg.dim
-        for part, d in parts:
-            k = den // d
-            for idx, t in enumerate(part):
-                if t:
-                    acc[idx] += k * t
-        return BchResult(x + y + LieElement(unscaled(acc, den)), "OperatorF",
-                         exact=_elements_exact(x, y), residual_bound=0.0, degree=nx + ny - 2)
+    walk = _anti_diagonals(alg.scaled_bracket, *(vec for vec, _ in scaled))
+    seen = []  # an edge that has died stays dead: stop when both have
+    for diag in itertools.islice(walk, s_closure.dim + 1):
+        seen.append(diag)
+        if diag[0] is None and diag[-1] is None:
+            nx, ny = (next(m for m, d in enumerate(seen) if d[e] is None) for e in (0, -1))
+            # C_n = 0 beyond n = nx + ny: sum the parts over one denominator
+            parts = list(_graded_parts(alg, scaled, nx + ny, itertools.chain(seen, walk)))
+            den = math.lcm(*(d for _, d in parts))
+            acc = [0] * alg.dim
+            for part, d in parts:
+                k = den // d
+                for idx, t in enumerate(part):
+                    if t:
+                        acc[idx] += k * t
+            return BchResult(x + y + LieElement(unscaled(acc, den)), "OperatorF",
+                             exact=_elements_exact(x, y), residual_bound=0.0,
+                             degree=nx + ny - 2)
 
     # non-terminating: float evaluation with an adaptive degree
+    (xs, sx), (ys, sy), _ = scaled
     lx = alg.adjoint(x)
     ly = alg.adjoint(y)
     rx = _restricted_matrix(alg, xs, sx, s_closure)
@@ -533,27 +515,21 @@ def _operator_f(alg: StructureConstants, x: LieElement, y: LieElement, w: LieEle
     series = f_series(min(max(8, est), OPERATOR_MAX_DEGREE))
 
     acc = [0.0] * alg.dim
-    cols = {0: [wf.coords]}  # cols[j][i] = L_X^i L_Y^j w, built lazily
     prev_norm = math.inf
     bound = math.inf
     degree_used = 0
-    for shell in range(OPERATOR_MAX_DEGREE + 1):
+    walk = _anti_diagonals(apply_float, lx_rows, ly_rows, wf.coords)
+    for shell, diag in zip(range(OPERATOR_MAX_DEGREE + 1), walk):
         if shell > series.max_degree:
             series = f_series(min(series.max_degree + 12, OPERATOR_MAX_DEGREE))
         shell_norm = 0.0
-        for j in range(shell + 1):
-            i = shell - j
-            if j not in cols:
-                cols[j] = [apply_float(ly_rows, cols[j - 1][0])]
-            col = cols[j]
-            while len(col) <= i:
-                col.append(apply_float(lx_rows, col[-1]))
-            c = float(series.coeff(i, j)) * (-1.0) ** j
-            vec = col[i]
-            shell_norm += abs(c) * max(abs(t) for t in vec)
-            if c != 0.0:
-                for idx in range(alg.dim):
-                    acc[idx] += c * vec[idx]
+        for j, vec in enumerate(diag):
+            if vec is not None:
+                c = float(series.coeff(shell - j, j)) * (-1.0) ** j
+                shell_norm += abs(c) * max(abs(t) for t in vec)
+                if c != 0.0:
+                    for idx in range(alg.dim):
+                        acc[idx] += c * vec[idx]
         # single shells can vanish by coefficient cancellation (pure even
         # powers of f are zero), so bound the tail off two consecutive shells
         bound = max(shell_norm, prev_norm * rho) * geom

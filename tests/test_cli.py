@@ -350,6 +350,16 @@ class TestFuzz:
         # the graded check alone sees the shift of f by delta (u + v) in degree 3
         assert {v.get("graded_mismatch_degree") for v in report["violations"]} >= {3}
 
+    @pytest.mark.parametrize("names", [",", "rank_one,bogus"])
+    def test_bad_family_list_rejected_before_any_instance(self, capsys, monkeypatch, names):
+        drawn = []
+        draw = cli._fuzz_instance
+        monkeypatch.setattr(cli, "_fuzz_instance",
+                            lambda rng, family: drawn.append(family) or draw(rng, family))
+        code, out, err = run(capsys, "fuzz", "--seed", "1", "--n", "3", "--families", names)
+        assert (code, out, drawn) == (1, "", [])
+        assert err.startswith("input error:") and "famil" in err
+
     def test_n_zero_vacuous(self, capsys):
         code, out, err = run(capsys, "fuzz", "--seed", "1", "--n", "0")
         assert code == 0

@@ -1,6 +1,7 @@
 """The f function (scalar, series, operator) and the closed-form variants."""
 
 import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -45,7 +46,9 @@ from bchkit.oracle import (
     bch_integral_series,
     bch_series_terms,
     builtin_catalog,
+    catalog_entry,
     heisenberg_algebra,
+    matrix_bch,
     sl2_algebra,
     two_scale_algebra,
     uvc_model_algebra,
@@ -520,6 +523,41 @@ class TestOperator:
         assert cls.tag == CaseTag.OPERATOR_COMMUTING
         with pytest.raises(NonConvergence):
             bch_operator(alg, x, y, cls.s_closure, 1e-10)
+
+    def test_table_regrows_past_the_estimate(self, monkeypatch):
+        # the geometric model asks for degree 16, the tail bound first drops
+        # below the tolerance at 17, so the table grows once, to 28
+        entry = catalog_entry("two_scale")
+        alg = entry.algebra
+        x = alg.element(["1/4", "1/3", 0, 0])
+        y = alg.element([0, 0, 10**12, 2 * 10**12])
+        degrees = []
+        series = closed_form.f_series
+        monkeypatch.setattr(closed_form, "f_series", lambda d: degrees.append(d) or series(d))
+        res = bch_closed_form(alg, x, y)
+        assert degrees == [16, 28] and res.degree == 17
+        ref = matrix_bch(entry.rep, x, y)
+        scale = max(abs(c) for c in ref.coords)
+        assert max(abs(a - b) for a, b in zip(res.z.coords, ref.coords)) < 1e-14 * scale
+
+    def test_nonconvergence_after_the_degree_cap(self, tmp_path, capsys):
+        # norm 3.1 < pi passes the radius check, but at degree 48 the best
+        # tail bound is still 1.1e-9, above the default tolerance 1e-10
+        alg = two_scale_algebra()
+        x = alg.element([3, "31/10", 0, 0])
+        y = alg.element([0, 0, 10**3, 2 * 10**3])
+        with pytest.raises(NonConvergence) as info:
+            bch_closed_form(alg, x, y)
+        assert info.value.spectral_bound == pytest.approx(3.1)
+        assert info.value.achieved_bound == pytest.approx(1.1e-9, rel=0.01)
+        for name, elem in (("x", x), ("y", y)):
+            (tmp_path / f"{name}.json").write_text(
+                json.dumps({"coords": [str(c) for c in elem.coords]}))
+        code = main(["bch", "--algebra", "two_scale", "--tolerance", "1e-10",
+                     "--x", str(tmp_path / "x.json"), "--y", str(tmp_path / "y.json")])
+        out, err = capsys.readouterr()
+        assert (code, out) == (4, "")
+        assert err.startswith("computation failed") and "best tail bound 1.1e-09" in err
 
 
 def _borel(n: int):

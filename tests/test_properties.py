@@ -7,8 +7,8 @@ from fractions import Fraction
 from hypothesis import example, given, settings, strategies as st
 
 from bchkit.algebra import Echelon, LieElement, Subspace, clear_denominators
-from bchkit.closed_form import (BivariateSeries, _nilpotency_index, f_form_product, f_scalar,
-                                f_series)
+from bchkit.closed_form import (BivariateSeries, NonConvergence, bch_operator, f_form_product,
+                                f_scalar, f_series)
 from bchkit.detect import (
     CaseTag,
     classify_pair,
@@ -126,16 +126,30 @@ def vector_lists(draw):
     return vecs
 
 
+def _fraction_rref(vecs):
+    """The nonzero rows of the reduced row echelon form, by Gauss-Jordan over Fraction."""
+    rows, basis = [list(v) for v in vecs], []
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((row for row in rows if row[col] != 0), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        pivot = [c / pivot[col] for c in pivot]
+        rows = [[a - row[col] * b for a, b in zip(row, pivot)] for row in rows]
+        basis = [[a - row[col] * b for a, b in zip(row, pivot)] for row in basis] + [pivot]
+    return tuple(tuple(row) for row in basis)
+
+
 @settings(max_examples=300, deadline=None)
 @given(vector_lists())
 def test_incremental_echelon_matches_rref(vecs):
     ech = Echelon()
     for k, vec in enumerate(vecs):
-        grew = Subspace.span(vecs[:k + 1]).dim > Subspace.span(vecs[:k]).dim
+        grew = len(_fraction_rref(vecs[:k + 1])) > len(_fraction_rref(vecs[:k]))
         assert ech.insert(clear_denominators(vec)[0]) == grew
         for row, p in zip(ech.rows, ech.pivots):  # primitive, positive pivot
             assert math.gcd(*row) == 1 and row[p] > 0
-    assert ech.subspace().basis == Subspace.span(vecs).basis
+    assert ech.subspace().basis == Subspace.span(vecs).basis == _fraction_rref(vecs)
 
 
 def _restricted_power_index(alg, g, sub):
@@ -159,7 +173,8 @@ def _restricted_power_index(alg, g, sub):
 @given(SEEDS)
 def test_orbit_nilpotency_index_matches_restricted_matrix(seed):
     # [g,g] is abelian in these algebras, so w centralizes its closure S, and
-    # L_g is nilpotent on S exactly when its orbit of w dies within dim S steps
+    # L_g is nilpotent on S exactly when its orbit of w dies within dim S steps:
+    # the operator form is exact iff both are, with degree ix + iy - 2
     rng = random.Random(seed)
     kind = rng.choice(["nilp", "diag", "two_scale"])
     alg = (two_scale_algebra() if kind == "two_scale" else
@@ -175,10 +190,15 @@ def test_orbit_nilpotency_index_matches_restricted_matrix(seed):
     assert ok
     if w.is_zero():
         return
-    ws = clear_denominators(w.coords)[0]
-    for g in (x, y):
-        index = _nilpotency_index(alg, clear_denominators(g.coords)[0], ws, sub.dim)
-        assert index == _restricted_power_index(alg, g, sub)
+    ix, iy = (_restricted_power_index(alg, g, sub) for g in (x, y))
+    try:
+        res = bch_operator(alg, x, y, sub)
+    except NonConvergence:
+        assert ix is None or iy is None
+        return
+    assert res.exact == (ix is not None and iy is not None)
+    if res.exact:
+        assert res.degree == ix + iy - 2
 
 
 @settings(max_examples=40, deadline=None)
