@@ -218,7 +218,7 @@ def _verify(alg, cls, res: BchResult, degree: int, tolerance: float):
     series = oracle.bch_series_terms(alg, cls.x, cls.y, degree)
     mismatch = _first_mismatch(closed_form_terms(alg, cls.x, cls.y, cls.w, degree), series)
     tail_bounded = res.exact and (res.degree or 0) + 2 <= degree
-    diff = _sup_diff(res.z, sum(series[1:], series[0]))
+    diff = _sup_diff(res.z, oracle.series_sum(series))
     verify = {"degree": degree, "difference_sup_norm": diff, "graded_mismatch_degree": mismatch,
               "tail_bounded": tail_bounded, "tolerance": tolerance}
     if mismatch is not None:

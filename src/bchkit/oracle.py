@@ -22,9 +22,12 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import (
+    DimensionMismatch,
     LieElement,
     StructureConstants,
     as_fraction,
+    clear_denominators,
+    unscaled,
     validate,
 )
 from .detect import CaseTag
@@ -59,6 +62,77 @@ def _bernoulli(n: int) -> tuple[Fraction, ...]:
     return tuple(b)
 
 
+def _reduced(vec: list, den: int):
+    """(vec, den) divided by the gcd of its entries and den, or None for zero."""
+    g = math.gcd(*vec)
+    if not g:
+        return None
+    g = math.gcd(g, den)
+    return ([v // g for v in vec], den // g) if g > 1 else (vec, den)
+
+
+def _integer_sum(parts):
+    """The sum of (integer vector, denominator) pairs over the lcm of their
+    denominators, reduced; None entries are zero and skipped."""
+    parts = [p for p in parts if p is not None]
+    if len(parts) < 2:
+        return parts[0] if parts else None
+    den = math.lcm(*(d for _, d in parts))
+    out = [0] * len(parts[0][0])
+    for vec, d in parts:
+        k = den // d
+        for i, v in enumerate(vec):
+            if v:
+                out[i] += k * v
+    return _reduced(out, den)
+
+
+def _integer_parts(alg: StructureConstants, x: LieElement, y: LieElement, degree: int) -> list:
+    """Z_1 .. Z_degree as (integer vector, positive denominator) pairs, None for zero."""
+    if degree < 1:
+        raise ValueError("truncation degree must be >= 1")
+    if not (x.is_exact and y.is_exact):
+        raise TypeError("the series oracle requires exact rational coordinates")
+    if x.dim != alg.dim or y.dim != alg.dim:
+        raise DimensionMismatch("element does not belong to this algebra")
+    xy, s = clear_denominators(x.coords + y.coords)
+    xs, ys = xy[:alg.dim], xy[alg.dim:]
+    x_plus_y = _reduced([a + b for a, b in zip(xs, ys)], s)
+    if not any(alg.scaled_bracket(xs, ys)):
+        return [x_plus_y] + [None] * (degree - 1)
+
+    bern = _bernoulli(degree)
+    half_diff = _reduced([a - b for a, b in zip(xs, ys)], 2 * s)
+    z, nest = [None, x_plus_y], {}  # z[n] = Z_n, nest[m, n] = S(m, n)
+
+    def bracket(a, b):
+        if a is None or b is None:
+            return None
+        return _reduced(alg.scaled_bracket(a[0], b[0]), a[1] * b[1] * alg.den)
+
+    def nested(m, n):  # S(m, n), each computed once
+        if (m, n) not in nest:
+            nest[m, n] = (bracket(z[n], x_plus_y) if m == 1 else
+                          _integer_sum(bracket(z[k], nested(m - 1, n - k))
+                                       for k in range(1, n - m + 2)))
+        return nest[m, n]
+
+    for n in range(1, degree):
+        parts = [bracket(half_diff, z[n])]
+        for p in range(1, n // 2 + 1):
+            if (t := nested(2 * p, n)) is not None:
+                c = bern[2 * p] / math.factorial(2 * p)
+                parts.append(_reduced([c.numerator * v for v in t[0]], t[1] * c.denominator))
+        nxt = _integer_sum(parts)
+        z.append(nxt if nxt is None else _reduced(nxt[0], nxt[1] * (n + 1)))
+    return z[1:]
+
+
+def _element(part, dim: int) -> LieElement:
+    """The element of an (integer vector, denominator) pair, or the zero of dim."""
+    return LieElement(unscaled(*part) if part else (Fraction(0),) * dim)
+
+
 def bch_series_terms(alg: StructureConstants, x: LieElement, y: LieElement,
                      degree: int) -> tuple[LieElement, ...]:
     """The homogeneous parts (Z_1, ..., Z_degree) of ln(e^X e^Y), exactly.
@@ -72,43 +146,24 @@ def bch_series_terms(alg: StructureConstants, x: LieElement, y: LieElement,
         S(1, n) = [Z_n, X + Y],  S(m, n) = sum_{k=1}^{n-m+1} [Z_k, S(m-1, n-k)]
 
     S(m, n) sums the m-fold nested brackets [Z_k1, [..., [Z_km, X + Y]]] over
-    k1 + ... + km = n.  Brackets and sums with a zero operand are skipped,
-    which keeps nilpotent and commuting pairs cheap.
+    k1 + ... + km = n.  The recursion runs fraction-free: X and Y are cleared
+    once to integer vectors over their common denominator, and every Z_n and
+    S(m, n) is one integer vector over one positive denominator, kept
+    reduced by their gcd.  A bracket is the algebra's integer kernel
+    scaled_bracket over the product of the denominators and the algebra's
+    den; a sum scales each vector to the lcm of the denominators; the
+    factors B_{2p}/(2p)! and 1/(n+1) multiply numerator and denominator
+    separately.  Fractions are built once per returned part.  Brackets and
+    sums with a zero operand are skipped, which keeps nilpotent and
+    commuting pairs cheap.
     """
-    if degree < 1:
-        raise ValueError("truncation degree must be >= 1")
-    if not (x.is_exact and y.is_exact):
-        raise TypeError("the series oracle requires exact rational coordinates")
-    zero = alg.zero()  # zero results are this object, so checks are identity tests
-    if alg.bracket(x, y).is_zero():
-        return (x + y,) + (zero,) * (degree - 1)
+    return tuple(_element(p, alg.dim) for p in _integer_parts(alg, x, y, degree))
 
-    bern = _bernoulli(degree)
-    x_plus_y, half_diff = x + y, (x - y).scale(Fraction(1, 2))
-    z, s = [None, x_plus_y], {}  # z[n] = Z_n, s[m, n] = S(m, n)
 
-    def bracket(a, b):
-        if a is zero or b is zero:
-            return zero
-        c = alg.bracket(a, b)
-        return zero if c.is_zero() else c
-
-    def total(parts):
-        parts = [p for p in parts if p is not zero]
-        return sum(parts[1:], parts[0]) if parts else zero
-
-    def nested(m, n):  # S(m, n), each computed once
-        if (m, n) not in s:
-            s[m, n] = (bracket(z[n], x_plus_y) if m == 1 else
-                       total(bracket(z[k], nested(m - 1, n - k)) for k in range(1, n - m + 2)))
-        return s[m, n]
-
-    for n in range(1, degree):
-        nxt = total([bracket(half_diff, z[n])]
-                    + [t.scale(bern[2 * p] / math.factorial(2 * p))
-                       for p in range(1, n // 2 + 1) if (t := nested(2 * p, n)) is not zero])
-        z.append(nxt if nxt is zero else nxt.scale(Fraction(1, n + 1)))
-    return tuple(z[1:])
+def series_sum(terms: Sequence[LieElement]) -> LieElement:
+    """Z_1 + ... + Z_D for exact graded parts, summed on integers over one denominator."""
+    return _element(_integer_sum(_reduced(*clear_denominators(t.coords)) for t in terms),
+                    terms[0].dim)
 
 
 def bch_integral_series(alg: StructureConstants, x: LieElement, y: LieElement,
@@ -116,8 +171,9 @@ def bch_integral_series(alg: StructureConstants, x: LieElement, y: LieElement,
     """ln(e^X e^Y) correct through the given grading degree, exactly.
 
     The exact truncation of the composition series: the sum of the
-    homogeneous parts Z_1 .. Z_degree from bch_series_terms.  It equals the
-    truncation of the integral formula
+    homogeneous parts Z_1 .. Z_degree of bch_series_terms, taken on their
+    integer vectors and made Fractions once.  It equals the truncation of
+    the integral formula
 
         X + Y + integral_0^1 dt  sum_n (I - e^{L_X} e^{t L_Y})^{n-1} / (n(n+1))
                                  . (e^{L_X} - I)/L_X . [X, Y]
@@ -126,8 +182,7 @@ def bch_integral_series(alg: StructureConstants, x: LieElement, y: LieElement,
     """
     if degree < 2:
         raise ValueError("truncation degree must be >= 2")
-    terms = bch_series_terms(alg, x, y, degree)
-    return sum(terms[1:], terms[0])
+    return _element(_integer_sum(_integer_parts(alg, x, y, degree)), alg.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +343,12 @@ def matrix_bch(rep: MatrixRep, x: LieElement, y: LieElement,
     The expansion solves a least-squares system with the representation's
     precomputed pseudo-inverse (images need not be orthogonal).  A residual
     above the threshold means the logarithm left the representation span.
+
+    The matrices are floats, so the error scales with the sup norm of z,
+    not with each coordinate: a small coordinate next to a large one is not
+    resolved.  On two_scale with x = (1/4, 1/3, 0, 0) and
+    y = (0, 0, 1e12, 2e12) the exact z_A2 is 1/3; this returns a z within
+    1e-14 |z|_inf, whose z_A2 was seen 1.2e-3 off.
     """
     z_mat = matrix_log(matrix_exp(rep.image(x)) @ matrix_exp(rep.image(y)))
     coords = rep._pinv @ z_mat.reshape(-1)

@@ -1,16 +1,21 @@
 """Ground-truth engines: series truncation, matrix functions, catalog."""
 
+import ast
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bchkit.algebra import LieElement
+from bchkit.algebra import LieElement, StructureConstants
+from bchkit.closed_form import bch_closed_form
 from bchkit.detect import classify_pair
-from bchkit import families
+from bchkit import families, oracle
 from bchkit.oracle import (
+    _bernoulli,
     ExpansionResidualTooLarge,
     LogDomainError,
     MatrixRep,
@@ -256,6 +261,77 @@ class TestIntegralSeries:
         assert slope > degree + 0.5
 
 
+# the graded recursion on LieElements of Fractions, as bchkit computed it
+# before the integer recursion; an independent reference for the parts
+def _reference_series_terms(alg: StructureConstants, x: LieElement, y: LieElement,
+                            degree: int) -> tuple[LieElement, ...]:
+    if degree < 1:
+        raise ValueError("truncation degree must be >= 1")
+    if not (x.is_exact and y.is_exact):
+        raise TypeError("the series oracle requires exact rational coordinates")
+    zero = alg.zero()  # zero results are this object, so checks are identity tests
+    if alg.bracket(x, y).is_zero():
+        return (x + y,) + (zero,) * (degree - 1)
+
+    bern = _bernoulli(degree)
+    x_plus_y, half_diff = x + y, (x - y).scale(Fraction(1, 2))
+    z, s = [None, x_plus_y], {}  # z[n] = Z_n, s[m, n] = S(m, n)
+
+    def bracket(a, b):
+        if a is zero or b is zero:
+            return zero
+        c = alg.bracket(a, b)
+        return zero if c.is_zero() else c
+
+    def total(parts):
+        parts = [p for p in parts if p is not zero]
+        return sum(parts[1:], parts[0]) if parts else zero
+
+    def nested(m, n):  # S(m, n), each computed once
+        if (m, n) not in s:
+            s[m, n] = (bracket(z[n], x_plus_y) if m == 1 else
+                       total(bracket(z[k], nested(m - 1, n - k)) for k in range(1, n - m + 2)))
+        return s[m, n]
+
+    for n in range(1, degree):
+        nxt = total([bracket(half_diff, z[n])]
+                    + [t.scale(bern[2 * p] / math.factorial(2 * p))
+                       for p in range(1, n // 2 + 1) if (t := nested(2 * p, n)) is not zero])
+        z.append(nxt if nxt is zero else nxt.scale(Fraction(1, n + 1)))
+    return tuple(z[1:])
+
+
+_SERIES_ALGEBRAS = {
+    "rank_one": lambda rng: families.random_rank_one(rng, rng.randint(3, 6)),
+    "case1": lambda rng: families.random_case1(rng, rng.randint(2, 6))[0],
+    "catalog": lambda rng: catalog_entry(
+        rng.choice(["abelian3", "heisenberg", "affine", "uvc", "two_scale"])).algebra,
+    "sl2": lambda rng: sl2_algebra(),
+    "uvc": lambda rng: catalog_entry("uvc").algebra,  # den = 6
+}
+
+
+@st.composite
+def _series_inputs(draw):
+    """An algebra from a fuzz family, sl2 or uvc, and x, y whose coordinates
+    have mixed denominators (zero coordinates and zero elements included)."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    alg = _SERIES_ALGEBRAS[draw(st.sampled_from(sorted(_SERIES_ALGEBRAS)))](rng)
+    coord = st.fractions(min_value=-1, max_value=1, max_denominator=12)
+    x, y = (alg.element(draw(st.lists(coord, min_size=alg.dim, max_size=alg.dim)))
+            for _ in range(2))
+    return alg, x, y, draw(st.integers(min_value=1, max_value=10))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_series_inputs())
+def test_series_terms_match_the_fraction_recursion(case):
+    alg, x, y, degree = case
+    got = bch_series_terms(alg, x, y, degree)
+    assert got == _reference_series_terms(alg, x, y, degree)
+    assert all(type(c) is Fraction for term in got for c in term.coords)
+
+
 # ---------------------------------------------------------------------------
 # matrix functions
 # ---------------------------------------------------------------------------
@@ -355,6 +431,21 @@ class TestMatrixBch:
                                  with_residual=True)
         assert residual < 1e-12
 
+    def test_error_scales_with_the_sup_norm(self):
+        # z_A2 = x_A2 exactly, since no bracket reaches the A coordinates;
+        # the exact routes give it, the matrix route only relative to |z|
+        entry = catalog_entry("two_scale")
+        alg = entry.algebra
+        x = alg.element(["1/4", "1/3", 0, 0])
+        y = alg.element([0, 0, 10**12, 2 * 10**12])
+        assert bch_integral_series(alg, x, y, 8).coords[:2] == (Fraction(1, 4), Fraction(1, 3))
+        z = bch_closed_form(alg, x, y).z
+        assert z.coords[:2] == (0.25, 1 / 3)
+        scale = z.sup_norm()
+        assert scale > 1e12
+        z_mat = matrix_bch(entry.rep, x, y)
+        assert sup_diff(z_mat, z) < 1e-14 * scale
+
     def test_deficient_rep_rejected(self):
         # dropping the central image leaves ln(e^P e^Q) outside the span
         rep = MatrixRep([
@@ -405,3 +496,35 @@ class TestCatalog:
                 z_mat = matrix_bch(entry.rep, x, y)
                 z_ser = bch_integral_series(alg, x, y, 10)
                 assert sup_diff(z_mat, z_ser) < 1e-8, entry.name
+
+
+# ---------------------------------------------------------------------------
+# independence
+# ---------------------------------------------------------------------------
+
+def _package_imports(module: str) -> set[str]:
+    """The bchkit modules that a bchkit module's source imports, at any depth in the file."""
+    tree = ast.parse(Path(oracle.__file__).with_name(f"{module}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names if a.name.startswith("bchkit."))
+        elif isinstance(node, ast.ImportFrom):
+            path = (node.module or "").split(".")
+            if node.level == 0 and path[0] != "bchkit":
+                continue
+            inner = path[1:] if node.level == 0 else [p for p in path if p]
+            found.update(inner[:1] or [a.name for a in node.names])
+    return found
+
+
+def test_oracle_imports_nothing_from_the_closed_forms():
+    # agreement between the oracle and the closed forms is evidence only
+    # while the oracle cannot reach closed_form, directly or through a module
+    assert "closed_form" in _package_imports("cli")  # the parser sees both import forms
+    reached, todo = set(), ["oracle"]
+    while todo:
+        for name in _package_imports(todo.pop()) - reached:
+            reached.add(name)
+            todo.append(name)
+    assert "algebra" in reached and "closed_form" not in reached
