@@ -3,7 +3,8 @@
 Exit codes are a contract scripts rely on:
 
   0  success
-  1  malformed input (bad JSON, missing file, schema errors)
+  1  malformed input (bad JSON, missing file, schema errors, bad values,
+     command-line usage errors)
   2  antisymmetry or Jacobi violation in the algebra definition
   3  no closed-form condition applies to the pair
   4  verification or fuzz failure
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -48,6 +50,11 @@ EXIT_VERIFY_FAILED = 4
 
 class InputError(Exception):
     """Anything wrong with user-supplied files or values (exit code 1)."""
+
+
+def _check_tolerance(tolerance: float) -> None:
+    if not (tolerance > 0 and math.isfinite(tolerance)):
+        raise InputError(f"--tolerance must be positive and finite, got {tolerance}")
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +195,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_bch(args) -> int:
+    _check_tolerance(args.tolerance)
     alg = load_algebra(args.algebra)
     x = load_element(args.x, alg)
     y = load_element(args.y, alg)
@@ -303,6 +311,7 @@ def run_fuzz(seed: int, n: int, family_names, degree: int, tolerance: float,
         raise InputError(f"--n must be >= 0, got {n}")
     if slope_every < 1:
         raise InputError(f"--slope-every must be >= 1, got {slope_every}")
+    _check_tolerance(tolerance)
     if not family_names:
         raise InputError("--families names no family")
     for family in family_names:
@@ -375,8 +384,16 @@ def cmd_fuzz(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 (malformed input): exit 2 means an invalid algebra."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_MALFORMED, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bchkit",
         description="closed-form ln(exp(X) exp(Y)) on structure-constant Lie algebras",
     )

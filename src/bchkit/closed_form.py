@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -135,9 +134,6 @@ class BivariateSeries:
         return BivariateSeries(kept, degree)
 
 
-_series_lock = threading.Lock()
-
-
 @lru_cache(maxsize=None)
 def _f_series_cached(max_total_degree: int) -> BivariateSeries:
     # Write g(t) = (1 - e^-t)/t.  Both g(u) - g(v) and e^-u - e^-v vanish on
@@ -182,8 +178,7 @@ def f_series(max_total_degree: int) -> BivariateSeries:
     """Exact Taylor coefficients of f about (0,0) through the given total degree."""
     if max_total_degree < 0:
         raise ValueError("degree must be >= 0")
-    with _series_lock:
-        return _f_series_cached(max_total_degree)
+    return _f_series_cached(max_total_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +276,11 @@ def f_rational(u: Fraction, v: Fraction, degree: int = 40) -> Fraction:
 
 def _elements_exact(*elems: LieElement) -> bool:
     return all(e.is_exact for e in elems)
+
+
+def _check_tolerance(target_tolerance: float) -> None:
+    if not (target_tolerance > 0 and math.isfinite(target_tolerance)):
+        raise ValueError(f"target_tolerance must be positive and finite, got {target_tolerance}")
 
 
 def _terminating(x: LieElement, y: LieElement, w: LieElement, tag: CaseTag) -> BchResult:
@@ -445,8 +445,9 @@ def bch_operator(alg: StructureConstants, x: LieElement, y: LieElement,
     ClassificationMismatch.  If both adjoints are nilpotent the series
     terminates and the result is exact; otherwise the degree grows until a
     geometric tail bound (row-sum norm against the heuristic radius pi)
-    drops below target_tolerance.
+    drops below target_tolerance, which must be positive and finite.
     """
+    _check_tolerance(target_tolerance)
     w = alg.bracket(x, y)
     if w.is_zero():
         return BchResult(x + y, "Sum", exact=_elements_exact(x, y), degree=0)
@@ -596,7 +597,10 @@ def bch_closed_form(alg: StructureConstants, x: LieElement, y: LieElement,
 
     A classification must come from classify_pair for this pair and algebra (else
     ClassificationMismatch); its certificate (w, u, v, S) is used without recheck.
+    target_tolerance must be positive and finite, else ValueError, whichever
+    form applies.
     """
+    _check_tolerance(target_tolerance)
     cls = classification if classification is not None else classify_pair(alg, x, y)
     if cls.x != x or cls.y != y or cls.facts is not algebra_facts(alg):
         raise ClassificationMismatch("classification was made for another pair or algebra")

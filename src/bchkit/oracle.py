@@ -16,10 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Sequence
-
-import numpy as np
+from functools import cached_property, lru_cache
+from typing import TYPE_CHECKING, Sequence
 
 from .algebra import (
     DimensionMismatch,
@@ -31,6 +29,9 @@ from .algebra import (
     validate,
 )
 from .detect import CaseTag
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class LogDomainError(ValueError):
@@ -202,6 +203,8 @@ _MAX_SQRT_STEPS = 60
 
 def matrix_exp(a: np.ndarray) -> np.ndarray:
     """Scaling-and-squaring with the order-13 diagonal Pade approximant."""
+    import numpy as np
+
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix_exp requires a square matrix")
@@ -227,6 +230,8 @@ def matrix_exp(a: np.ndarray) -> np.ndarray:
 
 def _sqrtm_denman_beavers(m: np.ndarray) -> np.ndarray:
     """Principal square root by the Denman-Beavers iteration."""
+    import numpy as np
+
     yk = m.astype(float)
     zk = np.eye(m.shape[0])
     for _ in range(100):
@@ -252,6 +257,8 @@ def matrix_log(m: np.ndarray) -> np.ndarray:
     For unipotent input the series terminates with the same strictly
     triangular structure as the exact answer.
     """
+    import numpy as np
+
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix_log requires a square matrix")
@@ -285,6 +292,8 @@ class MatrixRep:
     """Images rho(T_a) of the basis under a faithful matrix representation."""
 
     def __init__(self, basis_images: Sequence[np.ndarray], faithful_on: str = ""):
+        import numpy as np
+
         self.basis_images = [np.asarray(im, dtype=float) for im in basis_images]
         if not self.basis_images or self.basis_images[0].ndim != 2:
             raise ValueError("basis images must be a nonempty list of square matrices")
@@ -304,6 +313,8 @@ class MatrixRep:
     def image(self, x: LieElement) -> np.ndarray:
         if x.dim != self.dim:
             raise ValueError("element does not match representation dimension")
+        import numpy as np
+
         out = np.zeros((self.dim_rep, self.dim_rep))
         for c, im in zip(x.coords, self.basis_images):
             fc = float(c)
@@ -315,6 +326,8 @@ class MatrixRep:
         """Check rho([T_a, T_b]) = [rho(T_a), rho(T_b)] on all basis pairs."""
         if alg.dim != self.dim:
             raise ValueError("representation size does not match the algebra")
+        import numpy as np
+
         for a in range(alg.dim):
             for b in range(a + 1, alg.dim):
                 lhs = self.image(alg.bracket(alg.basis_element(a), alg.basis_element(b)))
@@ -332,8 +345,7 @@ class MatrixRep:
 
     @classmethod
     def from_json_dict(cls, data) -> "MatrixRep":
-        return cls([np.asarray(im, dtype=float) for im in data["basis_images"]],
-                   faithful_on=data.get("faithful_on", ""))
+        return cls(data["basis_images"], faithful_on=data.get("faithful_on", ""))
 
 
 def matrix_bch(rep: MatrixRep, x: LieElement, y: LieElement,
@@ -350,6 +362,8 @@ def matrix_bch(rep: MatrixRep, x: LieElement, y: LieElement,
     y = (0, 0, 1e12, 2e12) the exact z_A2 is 1/3; this returns a z within
     1e-14 |z|_inf, whose z_A2 was seen 1.2e-3 off.
     """
+    import numpy as np
+
     z_mat = matrix_log(matrix_exp(rep.image(x)) @ matrix_exp(rep.image(y)))
     coords = rep._pinv @ z_mat.reshape(-1)
     residual = float(np.linalg.norm(rep._stacked @ coords - z_mat.reshape(-1)))
@@ -365,17 +379,32 @@ def matrix_bch(rep: MatrixRep, x: LieElement, y: LieElement,
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    """A shipped example algebra, its documented probe pairs and, where a
+    faithful one is easy, a matrix representation.
+
+    The representation is kept as plain data: rep_images, the basis images
+    rho(T_a) as nested tuples of floats (None where there is no rep), and its
+    faithful_on text.  rep builds the MatrixRep on first read and keeps it, so
+    looking up an entry for its algebra does not import numpy.
+    """
+
     name: str
     description: str
     algebra: StructureConstants
-    rep: MatrixRep | None
     pairs: tuple  # ((x, y, expected CaseTag), ...) documented probe pairs
+    rep_images: tuple | None = None
+    faithful_on: str = ""
+
+    @cached_property
+    def rep(self) -> MatrixRep | None:
+        if self.rep_images is None:
+            return None
+        return MatrixRep(self.rep_images, faithful_on=self.faithful_on)
 
 
 def _unit_matrix(n, i, j):
-    m = np.zeros((n, n))
-    m[i, j] = 1.0
-    return m
+    """The n x n matrix unit E_ij as nested tuples of floats."""
+    return tuple(tuple(float(r == i and c == j) for c in range(n)) for r in range(n))
 
 
 def abelian_algebra(dim: int = 3) -> StructureConstants:
@@ -414,55 +443,40 @@ def _catalog_entries() -> list[CatalogEntry]:
     e = lambda alg, i: alg.basis_element(i)
 
     abelian = abelian_algebra(3)
-    abelian_rep = MatrixRep([_unit_matrix(3, i, i) for i in range(3)],
-                            faithful_on="diagonal matrices")
-
     heis = heisenberg_algebra()
-    heis_rep = MatrixRep(
-        [_unit_matrix(3, 0, 1), _unit_matrix(3, 1, 2), _unit_matrix(3, 0, 2)],
-        faithful_on="strictly upper triangular 3x3")
-
     aff = affine_algebra()
-    aff_rep = MatrixRep([_unit_matrix(2, 0, 0), _unit_matrix(2, 0, 1)],
-                        faithful_on="upper triangular 2x2 with zero second row")
-
     uvc = uvc_model_algebra(Fraction(1, 2), Fraction(-1, 3), 2)
-
     two = two_scale_algebra()
-    two_rep = MatrixRep(
-        [_unit_matrix(4, 0, 0), _unit_matrix(4, 2, 2),
-         _unit_matrix(4, 0, 1), _unit_matrix(4, 2, 3)],
-        faithful_on="block diagonal pair of affine 2x2 blocks")
-
     sl2 = sl2_algebra()
-    sl2_rep = MatrixRep(
-        [_unit_matrix(2, 0, 1), _unit_matrix(2, 1, 0),
-         np.diag([1.0, -1.0])],
-        faithful_on="defining 2x2 representation")
 
     two_x = two.element([1, 2, 0, 0])
     two_y = two.element([0, 0, 1, 1])
 
     return [
-        CatalogEntry("abelian3", "three-dimensional abelian algebra",
-                     abelian, abelian_rep,
-                     ((e(abelian, 0), e(abelian, 1), CaseTag.COMMUTING),)),
-        CatalogEntry("heisenberg", "Heisenberg algebra [P, Q] = I",
-                     heis, heis_rep,
-                     ((e(heis, 0), e(heis, 1), CaseTag.CENTRAL_BRACKET),)),
-        CatalogEntry("affine", "shift algebra [A, B] = B",
-                     aff, aff_rep,
-                     ((e(aff, 0), e(aff, 1), CaseTag.SIMULTANEOUS_EIGENVECTOR),)),
+        CatalogEntry("abelian3", "three-dimensional abelian algebra", abelian,
+                     ((e(abelian, 0), e(abelian, 1), CaseTag.COMMUTING),),
+                     tuple(_unit_matrix(3, i, i) for i in range(3)),
+                     "diagonal matrices"),
+        CatalogEntry("heisenberg", "Heisenberg algebra [P, Q] = I", heis,
+                     ((e(heis, 0), e(heis, 1), CaseTag.CENTRAL_BRACKET),),
+                     (_unit_matrix(3, 0, 1), _unit_matrix(3, 1, 2), _unit_matrix(3, 0, 2)),
+                     "strictly upper triangular 3x3"),
+        CatalogEntry("affine", "shift algebra [A, B] = B", aff,
+                     ((e(aff, 0), e(aff, 1), CaseTag.SIMULTANEOUS_EIGENVECTOR),),
+                     (_unit_matrix(2, 0, 0), _unit_matrix(2, 0, 1)),
+                     "upper triangular 2x2 with zero second row"),
         CatalogEntry("uvc", "three-dimensional model [X, Y] = uX + vY + cI "
-                            "with (u, v, c) = (1/2, -1/3, 2)",
-                     uvc, None,
+                            "with (u, v, c) = (1/2, -1/3, 2)", uvc,
                      ((e(uvc, 0), e(uvc, 1), CaseTag.SIMULTANEOUS_EIGENVECTOR),)),
-        CatalogEntry("two_scale", "two independent shift pairs with distinct rates",
-                     two, two_rep,
-                     ((two_x, two_y, CaseTag.OPERATOR_COMMUTING),)),
-        CatalogEntry("sl2", "simple algebra where generic pairs admit no closed form",
-                     sl2, sl2_rep,
-                     ((e(sl2, 0), e(sl2, 1), CaseTag.NO_CLOSED_FORM),)),
+        CatalogEntry("two_scale", "two independent shift pairs with distinct rates", two,
+                     ((two_x, two_y, CaseTag.OPERATOR_COMMUTING),),
+                     (_unit_matrix(4, 0, 0), _unit_matrix(4, 2, 2),
+                      _unit_matrix(4, 0, 1), _unit_matrix(4, 2, 3)),
+                     "block diagonal pair of affine 2x2 blocks"),
+        CatalogEntry("sl2", "simple algebra where generic pairs admit no closed form", sl2,
+                     ((e(sl2, 0), e(sl2, 1), CaseTag.NO_CLOSED_FORM),),
+                     (_unit_matrix(2, 0, 1), _unit_matrix(2, 1, 0), ((1.0, 0.0), (0.0, -1.0))),
+                     "defining 2x2 representation"),
     ]
 
 

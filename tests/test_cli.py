@@ -2,7 +2,11 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -65,6 +69,18 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _write_pair(directory, name):
+    """The --x/--y arguments of the catalog entry's documented pair, written to directory."""
+    from bchkit.oracle import catalog_entry
+    (x, y, _), = catalog_entry(name).pairs
+    args = []
+    for flag, elem in (("--x", x), ("--y", y)):
+        path = directory / f"{name}{flag[2:]}.json"
+        path.write_text(json.dumps({"coords": [str(c) for c in elem.coords]}))
+        args += [flag, str(path)]
+    return args
 
 
 # `fuzz --seed 42 --n 6 --slope-every 3` stdout, captured when the exact graded
@@ -226,6 +242,17 @@ class TestBch:
         assert code == 3
         assert json.loads(out)["error"] == "NoClosedForm"
 
+    @pytest.mark.parametrize("tolerance", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("name", ["heisenberg", "two_scale"])
+    def test_bad_tolerance_exit_1(self, tmp_path, capsys, name, tolerance):
+        # heisenberg's pair is Central, which never reads the tolerance;
+        # two_scale's is OperatorF, which takes its log
+        paths = _write_pair(tmp_path, name)
+        code, out, err = run(capsys, "bch", "--algebra", name, *paths,
+                             "--verify", "--tolerance", tolerance)
+        assert (code, out) == (1, "")
+        assert err.startswith("input error:") and "--tolerance" in err
+
 
 class TestOracle:
     def test_series_only(self, workdir, capsys):
@@ -372,6 +399,17 @@ class TestFuzz:
         assert (code, out) == (1, "")
         assert err.startswith("input error:") and "--slope-every" in err
 
+    @pytest.mark.parametrize("tolerance", ["0", "-1", "nan", "inf"])
+    def test_bad_tolerance_rejected_before_any_instance(self, capsys, monkeypatch, tolerance):
+        drawn = []
+        draw = cli._fuzz_instance
+        monkeypatch.setattr(cli, "_fuzz_instance",
+                            lambda rng, family: drawn.append(family) or draw(rng, family))
+        code, out, err = run(capsys, "fuzz", "--seed", "1", "--n", "3",
+                             "--tolerance", tolerance)
+        assert (code, out, drawn) == (1, "", [])
+        assert err.startswith("input error:") and "--tolerance" in err
+
     def test_negative_n_rejected(self, capsys):
         code, out, err = run(capsys, "fuzz", "--seed", "1", "--n", "-3")
         assert (code, out) == (1, "")
@@ -385,3 +423,74 @@ class TestFuzz:
         stats = report["families"]["rank_one"]
         assert stats["max_error"] < 1e-8
         assert stats["graded_checked"] > 0
+
+
+class TestUsageErrors:
+    """argparse usage errors exit 1, malformed input: 2 means an invalid algebra."""
+
+    @pytest.mark.parametrize("argv", [
+        ["bch", "--algebra", "heisenberg"],  # --x, --y missing
+        ["f", "--u", "abc"],
+        ["nosuch"],
+        ["f", "--v", "-1e-3"],  # read as an option; --v=-1e-3 is the value
+    ])
+    def test_exit_1(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: bchkit") and "error:" in err
+
+    def test_help_exit_0(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["bch", "--help"])
+        assert info.value.code == 0
+        assert "--tolerance" in capsys.readouterr().out
+
+    def test_negative_exponent_form_with_equals(self, capsys):
+        code, out, _ = run(capsys, "f", "--u", "1", "--v=-1e-3")
+        assert code == 0 and json.loads(out)["v"] == -1e-3
+
+
+# ---------------------------------------------------------------------------
+# imports: numpy and mpmath load only on the matrix oracle and f's mpmath branch
+# ---------------------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _heavy_modules_after(code: str) -> list:
+    """Which of numpy and mpmath are in sys.modules after code runs in a fresh interpreter."""
+    script = (code + "\nimport json, sys\n"
+              "print(json.dumps([m for m in ('numpy', 'mpmath') if m in sys.modules]))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestImports:
+    @pytest.mark.parametrize("module", ["bchkit", "bchkit.cli"])
+    def test_import(self, module):
+        assert _heavy_modules_after(f"import {module}") == []
+
+    @pytest.mark.parametrize("name", ["heisenberg", "two_scale", "uvc"])
+    def test_check_bch_and_verify(self, tmp_path, name):
+        base = ["--algebra", name, *_write_pair(tmp_path, name)]
+        calls = [["check", *base], ["bch", *base], ["bch", *base, "--verify"]]
+        code = f"from bchkit.cli import main\nassert [main(a) for a in {calls!r}] == [0, 0, 0]"
+        assert _heavy_modules_after(code) == []
+
+    def test_f(self):
+        code = "from bchkit.cli import main\nassert main(['f', '--u', '1.5', '--v', '-0.7']) == 0"
+        assert _heavy_modules_after(code) == []
+
+    def test_fuzz(self):
+        code = ("from bchkit.cli import run_fuzz\n"
+                "assert run_fuzz(1, 2, ['rank_one', 'case1', 'catalog'], 8, 1e-8, 1)['pass']")
+        assert _heavy_modules_after(code) == []
+
+    def test_matrix_oracle_still_loads_numpy(self):
+        code = ("from bchkit.oracle import catalog_entry\n"
+                "assert catalog_entry('heisenberg').rep.dim_rep == 3")
+        assert _heavy_modules_after(code) == ["numpy"]

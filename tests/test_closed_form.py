@@ -716,6 +716,19 @@ class TestDispatch:
         with pytest.raises(NoClosedFormAvailable):
             bch_closed_form(sl2, sl2.basis_element(0), sl2.basis_element(1))
 
+    @pytest.mark.parametrize("tolerance", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_tolerance_rejected_for_every_form(self, tolerance):
+        # a Central pair never reads the tolerance, an OperatorF pair takes its log
+        heis = heisenberg_algebra()
+        two = two_scale_algebra()
+        x, y = two.element([1, 2, 0, 0]), two.element([0, 0, 1, 1])
+        for alg, a, b in ((heis, heis.basis_element(0), heis.basis_element(1)), (two, x, y)):
+            with pytest.raises(ValueError, match="target_tolerance"):
+                bch_closed_form(alg, a, b, target_tolerance=tolerance)
+        s = classify_pair(two, x, y).s_closure
+        with pytest.raises(ValueError, match="target_tolerance"):
+            bch_operator(two, x, y, s, tolerance)
+
     def test_identity_laws(self):
         rng = random.Random(16)
         for alg in (heisenberg_algebra(), affine_algebra(), two_scale_algebra()):

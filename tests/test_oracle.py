@@ -478,6 +478,37 @@ class TestCatalog:
                 cls = classify_pair(entry.algebra, x, y)
                 assert cls.tag == expected, entry.name
 
+    def test_reps_built_on_first_read_keep_their_images(self):
+        def unit(n, i, j):
+            m = np.zeros((n, n))
+            m[i, j] = 1.0
+            return m
+
+        # the images and faithful_on text of the catalog reps when they were
+        # built as numpy arrays with the catalog
+        expected = {
+            "abelian3": ([unit(3, i, i) for i in range(3)], "diagonal matrices"),
+            "heisenberg": ([unit(3, 0, 1), unit(3, 1, 2), unit(3, 0, 2)],
+                           "strictly upper triangular 3x3"),
+            "affine": ([unit(2, 0, 0), unit(2, 0, 1)],
+                       "upper triangular 2x2 with zero second row"),
+            "uvc": None,
+            "two_scale": ([unit(4, 0, 0), unit(4, 2, 2), unit(4, 0, 1), unit(4, 2, 3)],
+                          "block diagonal pair of affine 2x2 blocks"),
+            "sl2": ([unit(2, 0, 1), unit(2, 1, 0), np.diag([1.0, -1.0])],
+                    "defining 2x2 representation"),
+        }
+        for entry in builtin_catalog():
+            if expected[entry.name] is None:
+                assert entry.rep is None, entry.name
+                continue
+            images, faithful_on = expected[entry.name]
+            rep = entry.rep
+            assert rep is entry.rep and rep.faithful_on == faithful_on, entry.name
+            assert len(rep.basis_images) == len(images), entry.name
+            for got, want in zip(rep.basis_images, images):
+                assert got.dtype == np.float64 and np.array_equal(got, want), entry.name
+
     def test_rep_json_roundtrip(self):
         rep = catalog_entry("heisenberg").rep
         again = MatrixRep.from_json_dict(rep.to_json_dict())
