@@ -312,6 +312,8 @@ def run_fuzz(seed: int, n: int, family_names, degree: int, tolerance: float,
     if slope_every < 1:
         raise InputError(f"--slope-every must be >= 1, got {slope_every}")
     _check_tolerance(tolerance)
+    if not tolerance / 10 > 0:  # the closed forms are asked for tolerance / 10
+        raise InputError(f"--tolerance {tolerance} is too small: tolerance / 10 underflows to 0")
     if not family_names:
         raise InputError("--families names no family")
     for family in family_names:

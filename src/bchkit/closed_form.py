@@ -5,11 +5,11 @@ The symmetric function
     f(u, v) = ((u-v) e^(u+v) - (u e^u - v e^v)) / (u v (e^u - e^v))
 
 has removable singularities at u = 0, v = 0 and u = v.  The scalar
-evaluator switches to an exact bivariate Taylor series near the origin and
-to one-variable limit formulas on the axes and diagonal, so it is accurate
-everywhere.  The same Taylor coefficients drive the operator form
-f(L_X, -L_Y) [X,Y] used when the scalar hypothesis fails but the adjoints
-effectively commute.
+evaluator sums an exact bivariate Taylor series near the origin and, outside
+it, one rearrangement of the quotient that keeps its digits on the axes, on
+the diagonal and up to the double range, with no case of their own.  The
+same Taylor coefficients drive the operator form f(L_X, -L_Y) [X,Y] used
+when the scalar hypothesis fails but the adjoints effectively commute.
 """
 
 from __future__ import annotations
@@ -36,8 +36,6 @@ from .detect import (CaseTag, RankOneFactorization, algebra_facts, centralizes, 
 
 SERIES_CROSSOVER = 0.25     # switch to the Taylor series inside this box
 SERIES_DEGREE = 20          # series truncation used by the scalar evaluator
-DIAGONAL_BAND = 1e-3        # |u-v| below this (outside the box): high-precision path
-EXP_ARGUMENT_LIMIT = 700.0  # beyond this, exp overflows double precision
 
 OPERATOR_MAX_DEGREE = 48    # hard cap for the adaptive operator series
 OPERATOR_RADIUS = math.pi   # heuristic convergence radius for restricted adjoints
@@ -185,56 +183,42 @@ def f_series(max_total_degree: int) -> BivariateSeries:
 # scalar evaluation
 # ---------------------------------------------------------------------------
 
-def _f_axis(t: float) -> float:
-    # f(0, t) = (t e^t - e^t + 1)/(t (e^t - 1)), rewritten for |t| >= 0.25
-    a = t / -math.expm1(-t)
-    return (a - 1.0) / t
+def _f_closed(u: float, v: float) -> float:
+    """f(u, v) for u >= v outside the series box, or inf where f overflows.
 
-
-def _f_diagonal(t: float) -> float:
-    # f(t, t) = (e^t - 1 - t)/t^2
-    return (math.expm1(t) - t) / (t * t)
-
-
-def _f_stable(u: float, v: float) -> float:
-    # quotient form with 1 - e^-t computed by expm1 to survive small arguments
-    em_u = -math.expm1(-u)
-    em_v = -math.expm1(-v)
-    return (em_u / u - em_v / v) / (em_v - em_u)
-
-
-def _f_highprec(u: float, v: float) -> float:
-    # near-diagonal band: the double-precision quotient cancels, so evaluate
-    # the same expression with 50-digit arithmetic
-    import mpmath
-
-    with mpmath.workdps(50):
-        mu, mv = mpmath.mpf(u), mpmath.mpf(v)
-        em_u = -mpmath.expm1(-mu)
-        em_v = -mpmath.expm1(-mv)
-        return float((em_u / mu - em_v / mv) / (em_v - em_u))
+    With phi(t) = (1 - e^-t)/t, phi(0) = 1, f = (phi(-q)/phi(p - q) - 1)/p for
+    either order (p, q) of (u, v).  Take |p| >= |q|: then "ratio - 1" = p f
+    cancels only as p goes to 0, which the box rules out.  As phi(-t) = e^t phi(t),
+    ratio/p = e^E phi(|q|) (d/p)/(1 - e^-d) with d = u - v >= 0 and
+    E = v - min(q, 0), which is max(v, 0) or max(v, -d).  phi(|q|) is in (0, 1]
+    and |d/p| <= 2, so only e^E can overflow.
+    """
+    p, q = (u, v) if abs(u) >= abs(v) else (v, u)
+    t, d = abs(q), u - v
+    phi_q = -math.expm1(-t) / t if t else 1.0
+    # d/p from halves, which stays finite where u - v overflows
+    scale = (0.5 * u - 0.5 * v) / (0.5 * p) / -math.expm1(-d) if d else 1.0 / p
+    try:
+        half = math.exp((v - min(q, 0.0)) / 2)  # e^E in two factors: e^E alone
+    except OverflowError:                       # can overflow where f does not
+        return math.inf  # E > 2 ln(DBL_MAX), where f > e^E / (2 E^2) overflows too
+    return half * (half * (phi_q * scale)) - 1.0 / p
 
 
 def f_scalar(u, v) -> float:
-    """Robust evaluation of f(u, v); exact-symmetric in its arguments."""
+    """Robust evaluation of f(u, v); exact-symmetric in its arguments.
+
+    OverflowError only where |f| exceeds the double range."""
     u, v = float(u), float(v)
     if not (math.isfinite(u) and math.isfinite(v)):
         raise ValueError("f requires finite arguments")
-    if abs(u) + abs(v) > EXP_ARGUMENT_LIMIT:
+    a, b = (v, u) if u < v else (u, v)
+    if max(abs(a), abs(b), abs(a - b)) < SERIES_CROSSOVER:
+        return f_series(SERIES_DEGREE).evaluate(a, b)
+    value = _f_closed(a, b)
+    if math.isinf(value):
         raise OverflowError(f"f({u!r}, {v!r}) exceeds double-precision exp range")
-    if u < v:
-        u, v = v, u
-    if max(abs(u), abs(v), abs(u - v)) < SERIES_CROSSOVER:
-        return f_series(SERIES_DEGREE).evaluate(u, v)
-    if u == v:
-        return _f_diagonal(u)
-    if v == 0.0:
-        return _f_axis(u)
-    if u == 0.0:
-        return _f_axis(v)
-    if abs(u - v) < DIAGONAL_BAND:
-        return _f_highprec(u, v)
-    return _f_stable(u, v)
+    return value
 
 
 def f_form_product(u: float, v: float) -> float:

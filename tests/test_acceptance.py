@@ -27,7 +27,7 @@ from bchkit.closed_form import (
     f_scalar,
     f_series,
 )
-from bchkit.closed_form import _f_stable  # branch-level comparison in criterion 8
+from bchkit.closed_form import _f_closed  # branch-level comparison in criterion 8
 from bchkit.detect import (
     CaseTag,
     classify_pair,
@@ -285,7 +285,7 @@ def test_criterion_8_f_evaluation_robustness():
             v = rng.uniform(-0.25, 0.25)
             if min(abs(u), abs(v), abs(u - v)) < 0.02:
                 continue
-            assert abs(series.evaluate(u, v) - _f_stable(u, v)) < 1e-13
+            assert abs(series.evaluate(u, v) - _f_closed(max(u, v), min(u, v))) < 1e-13
             assert abs(f_scalar(u, v) - series.evaluate(u, v)) < 1e-13
             checked += 1
 

@@ -315,6 +315,21 @@ class TestF:
         code, _, err = run(capsys, "f")
         assert code == 1 and "requires" in err
 
+    @pytest.mark.parametrize("u, v", [("300", "299.9999"), ("40", "45")])
+    def test_value_near_the_diagonal(self, capsys, u, v):
+        code, out, _ = run(capsys, "f", "--u", u, "--v", v)
+        assert code == 0
+        assert json.loads(out)["f"] == closed_form.f_scalar(float(u), float(v))
+
+    def test_value_at_800_0(self, capsys):
+        code, out, _ = run(capsys, "f", "--u", "800", "--v", "0", "--output", "human")
+        assert code == 0 and "f: 0.99875" in out
+
+    def test_overflow_exit_1(self, capsys):
+        code, out, err = run(capsys, "f", "--u", "800", "--v", "799")
+        assert (code, out) == (1, "")
+        assert err == "input error: f(800.0, 799.0) exceeds double-precision exp range\n"
+
     def test_human_output(self, capsys):
         code, out, _ = run(capsys, "f", "--u", "0", "--v", "0",
                            "--output", "human")
@@ -410,6 +425,17 @@ class TestFuzz:
         assert (code, out, drawn) == (1, "", [])
         assert err.startswith("input error:") and "--tolerance" in err
 
+    def test_tolerance_whose_tenth_underflows_rejected_before_any_instance(self, capsys,
+                                                                          monkeypatch):
+        drawn = []
+        draw = cli._fuzz_instance
+        monkeypatch.setattr(cli, "_fuzz_instance",
+                            lambda rng, family: drawn.append(family) or draw(rng, family))
+        code, out, err = run(capsys, "fuzz", "--seed", "1", "--n", "2",
+                             "--families", "catalog", "--tolerance", "1e-323")
+        assert (code, out, drawn) == (1, "", [])
+        assert err.startswith("input error:") and "--tolerance" in err
+
     def test_negative_n_rejected(self, capsys):
         code, out, err = run(capsys, "fuzz", "--seed", "1", "--n", "-3")
         assert (code, out) == (1, "")
@@ -453,7 +479,7 @@ class TestUsageErrors:
 
 
 # ---------------------------------------------------------------------------
-# imports: numpy and mpmath load only on the matrix oracle and f's mpmath branch
+# imports: numpy loads only on the matrix oracle, and no command loads mpmath
 # ---------------------------------------------------------------------------
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -483,6 +509,11 @@ class TestImports:
 
     def test_f(self):
         code = "from bchkit.cli import main\nassert main(['f', '--u', '1.5', '--v', '-0.7']) == 0"
+        assert _heavy_modules_after(code) == []
+
+    def test_f_outside_the_series_box(self):
+        code = ("from bchkit.cli import main\n"
+                "assert main(['f', '--u', '300', '--v', '299.9999']) == 0")
         assert _heavy_modules_after(code) == []
 
     def test_fuzz(self):

@@ -4,9 +4,11 @@ import hashlib
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bchkit.closed_form import (
     BchResult,
@@ -132,11 +134,46 @@ class TestScalarF:
 
     def test_overflow_reported(self):
         with pytest.raises(OverflowError):
-            f_scalar(600.0, 200.0)
+            f_scalar(800.0, 799.0)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             f_scalar(float("nan"), 1.0)
+
+    @pytest.mark.parametrize("u, v, expected", [
+        (1e308, -1e308, 1e-308),            # u - v overflows
+        (-1e308, -1e308, 1e-308),
+        (1e308, 5.0, math.expm1(5.0) / 5.0),  # phi(-v)/phi(u - v) overflows
+        (800.0, 0.0, 0.99875),
+        (800.0, -900.0, 1 / 900),
+    ])
+    def test_extremes(self, u, v, expected):
+        # each expected value is f to far below 1e-16 relative; 1e-323 absorbs subnormals
+        for got in (f_scalar(u, v), f_scalar(v, u)):
+            assert abs(got - expected) <= 1e-15 * expected + 1e-323
+
+    @pytest.mark.parametrize("u, v", [(709.9, 710.0), (300.0, 299.9999), (40.0, 45.0),
+                                      (-745.0, -746.0), (722.0, 722.0)])
+    def test_fits_where_exp_overflows_or_the_quotient_cancels(self, u, v):
+        ref = _f_reference(u, v)
+        assert abs(f_scalar(u, v) - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("u, v", [(730.0, 731.0), (724.0, 724.0), (1e308, 1e308),
+                                      (1500.0, 1e308)])
+    def test_overflow_only_where_f_overflows(self, u, v):
+        if v < 1e300:
+            assert _f_reference(u, v) > sys.float_info.max
+        for a, b in ((u, v), (v, u)):
+            with pytest.raises(OverflowError, match="exceeds double-precision"):
+                f_scalar(a, b)
+
+    def test_box_is_the_series_bit_for_bit(self):
+        series = f_series(20)
+        rng = random.Random(4)
+        for _ in range(300):
+            u, v = rng.uniform(-0.25, 0.25), rng.uniform(-0.25, 0.25)
+            if abs(u - v) < 0.25:
+                assert f_scalar(u, v) == series.evaluate(max(u, v), min(u, v))
 
     def test_three_forms_agree(self):
         rng = random.Random(3)
@@ -150,6 +187,63 @@ class TestScalarF:
             spread = max(vals) - min(vals)
             assert spread < 1e-12 * abs(vals[0])
             checked += 1
+
+
+def _f_reference(u: float, v: float, extra_digits: int = 0):
+    """f(u, v) from its defining quotient, in mpmath.  The quotient's terms grow like
+    e^max(|u|, |v|), and it loses digits near the axes and (twice) near the diagonal;
+    the working precision covers both, and a run at 20 more digits confirms the value."""
+    import mpmath
+
+    digits = 30 + extra_digits + int(max(abs(u), abs(v)) / 2.3)
+    for t in (u, v, u - v, u - v, u - v):
+        if 0.0 < abs(t) < 1.0:
+            digits += int(-math.log10(abs(t))) + 1
+    with mpmath.workdps(digits):
+        mu, mv = mpmath.mpf(u), mpmath.mpf(v)
+        if u == v:
+            value = (mpmath.expm1(mu) - mu) / (mu * mu) if u else mpmath.mpf(1) / 2
+        elif u == 0.0 or v == 0.0:
+            t = mu if v == 0.0 else mv
+            value = (t * mpmath.exp(t) - mpmath.exp(t) + 1) / (t * mpmath.expm1(t))
+        else:
+            num = (mu - mv) * mpmath.exp(mu + mv) - (mu * mpmath.exp(mu) - mv * mpmath.exp(mv))
+            value = num / (mu * mv * (mpmath.exp(mu) - mpmath.exp(mv)))
+    if not extra_digits:
+        confirm = _f_reference(u, v, extra_digits=20)
+        assert abs(value - confirm) <= mpmath.mpf(10) ** -25 * abs(confirm), (u, v)
+    return value
+
+
+F_SIDE = 2000.0  # |u|, |v| cap: the reference works at about |u| / 2.3 digits
+_coord = st.floats(-F_SIDE, F_SIDE)
+_signs = st.sampled_from((-1.0, 1.0))
+f_pairs = st.one_of(
+    st.tuples(_coord, _coord),
+    # near the diagonal
+    st.builds(lambda u, s, e: (u, u + s * 10.0 ** e), _coord, _signs, st.floats(-15, 0)),
+    # near an axis
+    st.builds(lambda u, s, e: (u, s * 10.0 ** e), _coord, _signs, st.floats(-300, 0)),
+    # both above ln(DBL_MAX) = 709.78, where e^min(u, v) overflows and f may not
+    st.tuples(st.floats(700.0, 760.0), st.floats(700.0, 760.0)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(f_pairs)
+@example((1e-300, 1.5))
+@example((709.9, 710.0))
+@example((-2000.0, 2000.0))
+def test_f_scalar_matches_reference_over_the_double_range(pair):
+    u, v = pair
+    ref = _f_reference(u, v)
+    if abs(ref) > sys.float_info.max:
+        with pytest.raises(OverflowError):
+            f_scalar(u, v)
+        return
+    got = f_scalar(u, v)
+    assert got == f_scalar(v, u)
+    assert abs(got - ref) <= 1e-12 * abs(ref), (u, v, got, float(ref))
 
 
 # ---------------------------------------------------------------------------
