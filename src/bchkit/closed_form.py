@@ -4,12 +4,14 @@ The symmetric function
 
     f(u, v) = ((u-v) e^(u+v) - (u e^u - v e^v)) / (u v (e^u - e^v))
 
-has removable singularities at u = 0, v = 0 and u = v.  The scalar
-evaluator sums an exact bivariate Taylor series near the origin and, outside
-it, one rearrangement of the quotient that keeps its digits on the axes, on
-the diagonal and up to the double range, with no case of their own.  The
-same Taylor coefficients drive the operator form f(L_X, -L_Y) [X,Y] used
-when the scalar hypothesis fails but the adjoints effectively commute.
+has removable singularities at u = 0, v = 0 and u = v.  Near the origin the
+scalar evaluator takes the exact bivariate Taylor polynomial of f, rewritten
+in the symmetric s = u + v and p = u v and evaluated by nested Horner's rule.
+Outside that box it uses one rearrangement of the quotient that keeps its
+digits on the axes, on the diagonal and up to the double range, with no case
+of their own.  The same Taylor coefficients drive the operator form
+f(L_X, -L_Y) [X,Y] used when the scalar hypothesis fails but the adjoints
+effectively commute.
 """
 
 from __future__ import annotations
@@ -82,7 +84,8 @@ class BchResult:
 
 @dataclass(frozen=True)
 class BivariateSeries:
-    """Truncated power series sum c_ij u^i v^j with exact coefficients."""
+    """Truncated power series sum c_ij u^i v^j with exact coefficients.  evaluate()
+    needs a symmetric table, c_ij = c_ji, as f_series gives; evaluate_exact() does not."""
 
     coefficients: dict
     max_degree: int
@@ -91,15 +94,49 @@ class BivariateSeries:
         return self.coefficients.get((i, j), Fraction(0))
 
     def evaluate(self, u: float, v: float) -> float:
+        """Float value at u, v by nested Horner in s = u + v and p = u v: an
+        outer Horner in p over rows that are each a Horner polynomial in s
+        (see _horner_rows).  Exact-symmetric in u, v."""
+        s, p = u + v, u * v
         total = 0.0
-        for i, j, c in self._float_terms:
-            total += c * u**i * v**j
+        for row in self._horner_rows:
+            acc = 0.0
+            for d in row:
+                acc = acc * s + d
+            total = total * p + acc
         return total
 
     @cached_property
-    def _float_terms(self) -> tuple:
-        """(i, j, float(c_ij)) for every c_ij != 0, in (i, j) order."""
-        return tuple((i, j, float(c)) for (i, j), c in sorted(self.coefficients.items()) if c)
+    def _horner_rows(self) -> tuple:
+        """The table as sum d_ab s^a p^b, a + 2b <= max_degree, with s = u + v and
+        p = u v: row b holds float(d_ab) for a from max_degree - 2b down to 0,
+        and the rows run from the highest b down to 0.
+
+        For a symmetric table the degree-m part is sum_{i>j} c_ij p^j P_(i-j) plus
+        c_kk p^k for m = 2k, with the power sums P_n = u^n + v^n = s P_(n-1) - p P_(n-2),
+        P_0 = 2, P_1 = s, as integer polynomials in s and p.  Each degree runs on
+        the integers A_ij = c_ij q_m of _graded_integer_form; the quotient by q_m
+        is the only rounding.  ValueError if the table is not symmetric.
+        """
+        n = self.max_degree
+        power_sums = [[2], [1]]  # P_k[b] = coefficient of s^(k-2b) p^b
+        for k in range(2, n + 1):
+            s_term, p_term = power_sums[k - 1], [0] + power_sums[k - 2]
+            power_sums.append([x - y for x, y in itertools.zip_longest(s_term, p_term,
+                                                                       fillvalue=0)])
+        rows = [[] for _ in range(n // 2 + 1)]  # rows[b] gets d_ab for a = m - 2b, m ascending
+        for m, (row, q) in enumerate(self._graded_integer_form):
+            if row != row[::-1]:
+                raise ValueError(f"evaluate needs a symmetric table; degree {m} is not")
+            part = [0] * (m // 2 + 1)  # part[b] = q_m d_(m-2b),b
+            for j in range((m + 1) // 2):
+                for b, e in enumerate(power_sums[m - 2 * j]):
+                    part[j + b] += row[j] * e
+            if m % 2 == 0:
+                part[m // 2] += row[m // 2]
+            for b, num in enumerate(part):
+                rows[b].append(num / q)  # int / int rounds once, correctly
+        return tuple(tuple(reversed(r)) for r in reversed(rows))
 
     @cached_property
     def _graded_integer_form(self) -> tuple:

@@ -339,8 +339,11 @@ class TestF:
 # sha256 of `fuzz --seed 1 --n 10 --slope-every 5` stdout (the configuration
 # bench/fuzz_verify.py runs), captured when the exact graded check replaced the
 # slope fit; with the keys of both checks dropped, the report is byte for byte
-# the one of the slope-fit code
-FUZZ_SEED1_N10_SLOPE5_SHA256 = "f2bc371199ba85558c013196d2590db9d24290ef2ab0cb9ee2b9943ae7599b8c"
+# the one of the slope-fit code.  Recaptured when the series box of f_scalar
+# moved to nested Horner in u + v and u v: only families.rank_one.max_error
+# changed, 1.6445178552260131e-15 -> 1.6514567491299204e-15, rounding noise
+# against matrix_bch
+FUZZ_SEED1_N10_SLOPE5_SHA256 = "671af7f1a02d813b9a717133b1e92dca6b5e0b4ef16e1972bdc0c50f6e3b5ab7"
 
 
 class TestFuzz:

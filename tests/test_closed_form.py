@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from bchkit.closed_form import (
     BchResult,
+    BivariateSeries,
     ClassificationMismatch,
     NoClosedFormAvailable,
     NonConvergence,
@@ -60,6 +61,9 @@ from bchkit.oracle import (
 # ---------------------------------------------------------------------------
 # scalar f
 # ---------------------------------------------------------------------------
+
+BOX_ERROR = Fraction(4, 2**53)  # relative error of f_scalar inside the series box; f > 0 there
+
 
 class TestScalarF:
     def test_origin(self):
@@ -110,12 +114,41 @@ class TestScalarF:
             checked += 1
 
     def test_matches_series_inside_crossover(self):
+        # against the exact value of the degree-20 polynomial at the same doubles
         series = f_series(20)
         rng = random.Random(2)
         for _ in range(200):
             u = rng.uniform(-0.24, 0.24)
             v = rng.uniform(-0.24, 0.24)
-            assert abs(f_scalar(u, v) - series.evaluate(u, v)) < 1e-13
+            exact = series.evaluate_exact(Fraction(u), Fraction(v))
+            got = f_scalar(u, v)
+            if abs(u - v) < 0.25:
+                assert abs(Fraction(got) - exact) <= BOX_ERROR * exact, (u, v)
+            else:  # the closed formula, where the polynomial is still good to 1e-20
+                assert abs(got - float(exact)) < 1e-13, (u, v)
+
+    def test_box_matches_exact_value(self):
+        # rounding of the box evaluation against f itself: the degree-40 series at
+        # the exact binary values of u and v, whose truncation is below 1e-40 here
+        rng = random.Random(5)
+        points = [(rng.uniform(-0.25, 0.25), rng.uniform(-0.25, 0.25)) for _ in range(200)]
+        for e in range(-12, -1):  # near the diagonal
+            u = rng.uniform(-0.24, 0.24)
+            points += [(u, u + 10.0**e), (u, u - 3 * 10.0**e)]
+        for e in (-300, -100, -20, -8, -3):  # near an axis
+            points += [(rng.uniform(-0.24, 0.24), s * 10.0**e) for s in (1.0, -1.0)]
+        points += [(1e-300, 1e-300), (-1e-300, 2e-300), (5e-324, 0.0), (0.0, 0.0)]
+        below = math.nextafter(0.25, 0.0)  # just inside the box, on each of its edges
+        points += [(below, 0.0), (0.0, -below), (below, below), (-below, -below),
+                   (below / 2, -below / 2), (below, 1e-12), (-1e-12, -below)]
+        checked = 0
+        for u, v in points:
+            if max(abs(u), abs(v), abs(u - v)) < 0.25:
+                exact = f_rational(Fraction(u), Fraction(v), 40)
+                got = f_scalar(u, v)
+                assert abs(Fraction(got) - exact) <= BOX_ERROR * exact, (u, v, got)
+                checked += 1
+        assert checked > 150
 
     def test_diagonal(self):
         for t in (0.5, -1.5, 3.0):
@@ -329,6 +362,28 @@ class TestSeries:
             assert series.max_degree == d
             assert series.coefficients == {k: c for k, c in reference.items()
                                            if k[0] + k[1] <= d}, d
+
+    def test_horner_rows_on_every_table_shape(self):
+        # odd and even degrees, 0 and 1 included; a truncated table builds its own rows
+        rng = random.Random(6)
+        points = [(rng.uniform(-0.25, 0.25), rng.uniform(-0.25, 0.25)) for _ in range(40)]
+        points += [(0.0, 0.0), (0.2, 0.2), (0.1, -1e-300)]
+        big = f_series(40)
+        for d in range(10):
+            series, cut = f_series(d), big.truncated(d)
+            assert [len(row) for row in series._horner_rows] == [d - 2 * b + 1 for b in
+                                                                 range(d // 2, -1, -1)]
+            for u, v in points:
+                got = series.evaluate(u, v)
+                assert got == series.evaluate(v, u) == cut.evaluate(u, v), (d, u, v)
+                exact = series.evaluate_exact(Fraction(u), Fraction(v))
+                assert abs(Fraction(got) - exact) <= BOX_ERROR * abs(exact), (d, u, v)
+
+    def test_float_evaluation_rejects_an_asymmetric_table(self):
+        lopsided = BivariateSeries({(0, 0): Fraction(1), (1, 0): Fraction(1)}, 1)
+        assert lopsided.evaluate_exact(Fraction(1, 2), 0) == Fraction(3, 2)
+        with pytest.raises(ValueError, match="symmetric"):
+            lopsided.evaluate(0.5, 0.0)
 
     def test_larger_tables_truncate_to_smaller_ones(self):
         # degree s of the table does not depend on how far the table goes
