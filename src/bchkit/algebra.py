@@ -295,10 +295,6 @@ class AdjointOperator:
     def is_zero(self) -> bool:
         return all(all(m == 0 for m in row) for row in self.matrix)
 
-    def sparse_rows(self) -> list[list[tuple[int, object]]]:
-        """Per-row (column, value) pairs; convenient for repeated application."""
-        return [[(b, m) for b, m in enumerate(row) if m != 0] for row in self.matrix]
-
 
 # ---------------------------------------------------------------------------
 # the algebra itself

@@ -311,6 +311,8 @@ def run_fuzz(seed: int, n: int, family_names, degree: int, tolerance: float,
         raise InputError(f"--n must be >= 0, got {n}")
     if slope_every < 1:
         raise InputError(f"--slope-every must be >= 1, got {slope_every}")
+    if degree < 2:
+        raise InputError(f"--degree must be >= 2, got {degree}")
     _check_tolerance(tolerance)
     if not tolerance / 10 > 0:  # the closed forms are asked for tolerance / 10
         raise InputError(f"--tolerance {tolerance} is too small: tolerance / 10 underflows to 0")

@@ -11,7 +11,9 @@ Outside that box it uses one rearrangement of the quotient that keeps its
 digits on the axes, on the diagonal and up to the double range, with no case
 of their own.  The same Taylor coefficients drive the operator form
 f(L_X, -L_Y) [X,Y] used when the scalar hypothesis fails but the adjoints
-effectively commute.
+effectively commute: one walk of L_X^i L_Y^j [X,Y] on integers gives its exact
+graded parts, summed exactly when the series terminates and in floating point
+otherwise.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .detect import (CaseTag, RankOneFactorization, algebra_facts, centralizes, 
                      is_central, is_eigenvector, uv_from_rank_one)
 
 SERIES_CROSSOVER = 0.25     # switch to the Taylor series inside this box
-SERIES_DEGREE = 20          # series truncation used by the scalar evaluator
+SERIES_DEGREE = 20          # series truncation of the scalar evaluator; first operator table
 
 OPERATOR_MAX_DEGREE = 48    # hard cap for the adaptive operator series
 OPERATOR_RADIUS = math.pi   # heuristic convergence radius for restricted adjoints
@@ -426,28 +428,41 @@ def closed_form_terms(alg: StructureConstants, x: LieElement, y: LieElement, w: 
         raise ValueError("degree must be >= 1")
     scaled = [clear_denominators(e.coords) for e in (x, y, w)]
     walk = _anti_diagonals(alg.scaled_bracket, *(vec for vec, _ in scaled))
+    rows = f_series(max(degree - 2, 0))._graded_integer_form[:degree - 1]
     return (x + y,) + tuple(LieElement(unscaled(acc, den))
-                            for acc, den in _graded_parts(alg, scaled, degree, walk))
+                            for acc, _, den in _graded_parts(alg, scaled, rows, walk))
 
 
-def _graded_parts(alg: StructureConstants, scaled, degree: int, diagonals):
-    """(acc, den) with C_n = acc / den for n = 2 .. degree, from the scaled
-    coordinates ((xs, sx), (ys, sy), (ws, sw)) of x, y, w and their kernel walk
-    _anti_diagonals(alg.scaled_bracket, xs, ys, ws), whose entry j on the
-    anti-diagonal i + j = m is sw px^i py^j L_X^i L_Y^j w."""
+def _graded_parts(alg: StructureConstants, scaled, rows, diagonals):
+    """(acc, norm, den) for n = 2, 3, ..., one per coefficient row (A_m, q_m) of
+    f_series(d)._graded_integer_form, m = n - 2: C_n = acc / den, and norm / den is
+    the shell norm sum_{i+j=m} |c_ij| |L_X^i L_Y^j w|_inf.  scaled holds the scaled
+    coordinates ((xs, sx), (ys, sy), (ws, sw)) of x, y, w, and diagonals is their
+    kernel walk _anti_diagonals(alg.scaled_bracket, xs, ys, ws), whose entry j on
+    the anti-diagonal i + j = m is sw px^i py^j L_X^i L_Y^j w."""
     (_, sx), (_, sy), (_, sw) = scaled
     px, py = alg.den * sx, alg.den * sy
-    rows = f_series(max(degree - 2, 0))._graded_integer_form
-    for m, (row, q), diag in zip(range(degree - 1), rows, diagonals):  # C_(m+2)
+    for m, ((row, q), diag) in enumerate(zip(rows, diagonals)):  # C_(m+2)
         # over sw (px py)^m q, c_ij L_X^i (-L_Y)^j w is (-1)^j A_ij px^j py^i diag[j]
         acc = [0] * alg.dim
+        norm = 0
         for j, (a, vec) in enumerate(zip(row, diag)):
             if a and vec is not None:
                 k = (-1) ** j * a * px ** j * py ** (m - j)
+                norm += abs(k) * max(map(abs, vec))
                 for idx, t in enumerate(vec):
                     if t:
                         acc[idx] += k * t
-        yield acc, sw * (px * py) ** m * q
+        yield acc, norm, sw * (px * py) ** m * q
+
+
+def _growing_rows():
+    """The coefficient rows of f from f_series(SERIES_DEGREE), the table the scalar
+    path builds, grown by 12 degrees at a time up to OPERATOR_MAX_DEGREE as they are read."""
+    lo, d = 0, SERIES_DEGREE
+    while lo <= OPERATOR_MAX_DEGREE:
+        yield from f_series(d)._graded_integer_form[lo:]
+        lo, d = d + 1, min(d + 12, OPERATOR_MAX_DEGREE)
 
 
 def bch_operator(alg: StructureConstants, x: LieElement, y: LieElement,
@@ -464,9 +479,10 @@ def bch_operator(alg: StructureConstants, x: LieElement, y: LieElement,
     L_Y commute on it, and each is nilpotent on the closure iff it kills
     [x, y] within dim S steps; with exact inputs any other subspace raises
     ClassificationMismatch.  If both adjoints are nilpotent the series
-    terminates and the result is exact; otherwise the degree grows until a
-    geometric tail bound (row-sum norm against the heuristic radius pi)
-    drops below target_tolerance, which must be positive and finite.
+    terminates and the result is exact; otherwise the exact graded parts C_n
+    are summed in floating point until a geometric tail bound (row-sum norm
+    against the heuristic radius pi) drops below target_tolerance, which must
+    be positive and finite.  Float x and y run through the same walk in floats.
     """
     _check_tolerance(target_tolerance)
     w = alg.bracket(x, y)
@@ -485,10 +501,13 @@ def _operator_f(alg: StructureConstants, x: LieElement, y: LieElement, w: LieEle
                 s_closure: Subspace, target_tolerance: float) -> BchResult:
     """z = x + y + f(L_X, -L_Y) w for a nonzero w = [x, y] that centralizes its closure S.
 
+    One walk of L_X^i L_Y^j w on the integer kernel serves both outcomes.
     [L_X, L_Y] = L_w vanishes on S = span{L_X^i L_Y^j w}, so L_X^k = 0 on S
-    iff L_X^k w = 0: the first zero on each edge of the anti-diagonal walk of w
-    decides termination, and a terminating series is the sum of the parts of
-    closed_form_terms, summed over the same walk.
+    iff L_X^k w = 0: the first zero on each edge of the first dim S + 1
+    anti-diagonals decides termination, and a terminating series is the exact
+    sum of the parts of closed_form_terms.  Otherwise the same walk goes on, and
+    each exact part C_n is rounded once per coordinate and summed in floating
+    point until the geometric tail bound drops below target_tolerance.
     """
     scaled = [clear_denominators(e.coords) for e in (x, y, w)]
     walk = _anti_diagonals(alg.scaled_bracket, *(vec for vec, _ in scaled))
@@ -498,10 +517,11 @@ def _operator_f(alg: StructureConstants, x: LieElement, y: LieElement, w: LieEle
         if diag[0] is None and diag[-1] is None:
             nx, ny = (next(m for m, d in enumerate(seen) if d[e] is None) for e in (0, -1))
             # C_n = 0 beyond n = nx + ny: sum the parts over one denominator
-            parts = list(_graded_parts(alg, scaled, nx + ny, itertools.chain(seen, walk)))
-            den = math.lcm(*(d for _, d in parts))
+            rows = f_series(nx + ny - 2)._graded_integer_form
+            parts = list(_graded_parts(alg, scaled, rows, itertools.chain(seen, walk)))
+            den = math.lcm(*(d for _, _, d in parts))
             acc = [0] * alg.dim
-            for part, d in parts:
+            for part, _, d in parts:
                 k = den // d
                 for idx, t in enumerate(part):
                     if t:
@@ -510,10 +530,8 @@ def _operator_f(alg: StructureConstants, x: LieElement, y: LieElement, w: LieEle
                              exact=_elements_exact(x, y), residual_bound=0.0,
                              degree=nx + ny - 2)
 
-    # non-terminating: float evaluation with an adaptive degree
+    # non-terminating: sum the exact parts in floating point up to the tail bound
     (xs, sx), (ys, sy), _ = scaled
-    lx = alg.adjoint(x)
-    ly = alg.adjoint(y)
     rx = _restricted_matrix(alg, xs, sx, s_closure)
     ry = _restricted_matrix(alg, ys, sy, s_closure)
     r = max(_inf_norm(rx), _inf_norm(ry))
@@ -522,48 +540,25 @@ def _operator_f(alg: StructureConstants, x: LieElement, y: LieElement, w: LieEle
     rho = r / OPERATOR_RADIUS
     geom = 2.0 * rho / (1.0 - rho)  # safety factor 2 on the geometric tail
 
-    wf = w.to_float()
-    lx_rows = [[(b, float(m)) for b, m in row] for row in lx.sparse_rows()]
-    ly_rows = [[(b, float(m)) for b, m in row] for row in ly.sparse_rows()]
-
-    def apply_float(rows, vec):
-        return tuple(sum(m * vec[b] for b, m in row) for row in rows)
-
-    # estimate the degree the geometric model predicts, then grow if needed
-    if rho > 0.0:
-        est = int(math.log(target_tolerance / (1.0 + geom)) / math.log(rho)) + 6
-    else:
-        est = 4
-    series = f_series(min(max(8, est), OPERATOR_MAX_DEGREE))
-
     acc = [0.0] * alg.dim
     prev_norm = math.inf
     bound = math.inf
-    degree_used = 0
-    walk = _anti_diagonals(apply_float, lx_rows, ly_rows, wf.coords)
-    for shell, diag in zip(range(OPERATOR_MAX_DEGREE + 1), walk):
-        if shell > series.max_degree:
-            series = f_series(min(series.max_degree + 12, OPERATOR_MAX_DEGREE))
-        shell_norm = 0.0
-        for j, vec in enumerate(diag):
-            if vec is not None:
-                c = float(series.coeff(shell - j, j)) * (-1.0) ** j
-                shell_norm += abs(c) * max(abs(t) for t in vec)
-                if c != 0.0:
-                    for idx in range(alg.dim):
-                        acc[idx] += c * vec[idx]
+    parts = _graded_parts(alg, scaled, _growing_rows(), itertools.chain(seen, walk))
+    for shell, (part, norm, den) in enumerate(parts):
+        for idx, t in enumerate(part):
+            if t:
+                acc[idx] += t / den  # int / int rounds once, correctly
+        shell_norm = norm / den
         # single shells can vanish by coefficient cancellation (pure even
         # powers of f are zero), so bound the tail off two consecutive shells
         bound = max(shell_norm, prev_norm * rho) * geom
         prev_norm = shell_norm
-        degree_used = shell
         if bound < target_tolerance and shell >= 2:
             break
     if bound >= target_tolerance:
         raise NonConvergence(r, achieved_bound=bound)
     z = x.to_float() + y.to_float() + LieElement(tuple(acc))
-    return BchResult(z, "OperatorF", exact=False, residual_bound=bound,
-                     degree=degree_used)
+    return BchResult(z, "OperatorF", exact=False, residual_bound=bound, degree=shell)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from bchkit.closed_form import (
     f_form_negexp,
     f_form_product,
     f_form_quotient,
+    f_rational,
     f_scalar,
     f_series,
 )
@@ -286,7 +287,13 @@ def test_criterion_8_f_evaluation_robustness():
             if min(abs(u), abs(v), abs(u - v)) < 0.02:
                 continue
             assert abs(series.evaluate(u, v) - _f_closed(max(u, v), min(u, v))) < 1e-13
-            assert abs(f_scalar(u, v) - series.evaluate(u, v)) < 1e-13
+            # f_scalar against the exact series value of f at the same doubles
+            exact = f_rational(Fraction(u), Fraction(v), 40)
+            got = f_scalar(u, v)
+            if abs(u - v) < 0.25:  # inside the series box
+                assert abs(Fraction(got) - exact) <= Fraction(4, 2**53) * abs(exact), (u, v)
+            else:
+                assert abs(got - float(exact)) < 1e-13, (u, v)
             checked += 1
 
 

@@ -428,6 +428,16 @@ class TestFuzz:
         assert (code, out, drawn) == (1, "", [])
         assert err.startswith("input error:") and "--tolerance" in err
 
+    @pytest.mark.parametrize("n", ["0", "2"])
+    def test_bad_degree_rejected_before_any_instance(self, capsys, monkeypatch, n):
+        drawn = []
+        draw = cli._fuzz_instance
+        monkeypatch.setattr(cli, "_fuzz_instance",
+                            lambda rng, family: drawn.append(family) or draw(rng, family))
+        code, out, err = run(capsys, "fuzz", "--seed", "1", "--n", n, "--degree", "1")
+        assert (code, out, drawn) == (1, "", [])
+        assert err.startswith("input error:") and "--degree" in err
+
     def test_tolerance_whose_tenth_underflows_rejected_before_any_instance(self, capsys,
                                                                           monkeypatch):
         drawn = []
