@@ -17,7 +17,7 @@ import bisect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 _ZERO = Fraction(0)
 
@@ -440,17 +440,20 @@ class StructureConstants:
         owed = [clear_denominators(v.coords)[0] for v in owed]
         for vec in [clear_denominators(row)[0] for row in sub.basis] + owed:
             ech.insert(vec)
-        self.close(ech, owed, [clear_denominators(g.coords)[0] for g in generators])
+        for _ in self.close(ech, owed, [clear_denominators(g.coords)[0] for g in generators]):
+            pass
         return ech.subspace()
 
     def close(self, ech: Echelon, owed: Sequence[Sequence[int]],
-              generators: Sequence[Sequence[int]]) -> None:
+              generators: Sequence[Sequence[int]]) -> Iterator[list]:
         """Grow ech in place to its smallest subspace invariant under [g, .] for every
-        integer generator g, by a worklist: ech must map into itself except on
-        span(owed); each owed vector is bracketed with every generator once, and
-        an image outside the span is owed in turn.  Owing the image rather than
-        its residual row keeps the integers short: a residual row is as long as
-        a minor of the rows it was reduced against."""
+        integer generator g, by a worklist, yielding each image it inserts: ech must
+        map into itself except on span(owed); each owed vector is bracketed with
+        every generator once, and an image outside the span is owed in turn.  The
+        closure is complete once the generator is exhausted; a caller that stops
+        early leaves ech partly grown.  Owing the image rather than its residual
+        row keeps the integers short: a residual row is as long as a minor of the
+        rows it was reduced against."""
         owed = list(owed)
         while owed:
             vec = owed.pop()
@@ -458,6 +461,7 @@ class StructureConstants:
                 img = self.scaled_bracket(g, vec)
                 if ech.insert(img):
                     owed.append(img)
+                    yield img
 
     # -- JSON ------------------------------------------------------------------
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable, Sequence
@@ -482,7 +482,8 @@ def bch_operator(alg: StructureConstants, x: LieElement, y: LieElement,
     terminates and the result is exact; otherwise the exact graded parts C_n
     are summed in floating point until a geometric tail bound (row-sum norm
     against the heuristic radius pi) drops below target_tolerance, which must
-    be positive and finite.  Float x and y run through the same walk in floats.
+    be positive and finite.  Float x and y are read as the binary rationals they
+    hold, so they run through the same integer walk; the result is not exact.
     """
     _check_tolerance(target_tolerance)
     w = alg.bracket(x, y)
@@ -490,7 +491,11 @@ def bch_operator(alg: StructureConstants, x: LieElement, y: LieElement,
         return BchResult(x + y, "Sum", exact=_elements_exact(x, y), degree=0)
     if not centralizes(alg, w, s_closure.basis):
         raise ClassificationMismatch("[x, y] does not centralize the closure subspace")
-    if _elements_exact(x, y) and alg.grow_closure(
+    if not _elements_exact(x, y):
+        xq, yq = (LieElement(tuple(map(Fraction, e.coords))) for e in (x, y))
+        res = _operator_f(alg, xq, yq, alg.bracket(xq, yq), s_closure, target_tolerance)
+        return replace(res, z=res.z.to_float(), exact=False)
+    if alg.grow_closure(
             s_closure, [w] + [LieElement(b) for b in s_closure.basis], (x, y)) != s_closure:
         raise ClassificationMismatch("the closure subspace does not hold [x, y] "
                                      "or is not invariant under L_X, L_Y")

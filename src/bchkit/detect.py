@@ -13,9 +13,12 @@ evaluators.  Subspace-based detectors require exact rational coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property, partial
+from typing import Callable
 
 from .algebra import (
     DimensionMismatch,
@@ -79,16 +82,29 @@ class AlgebraFacts:
 class CaseClassification:
     """The strongest condition the pair (x, y) meets, as built by classify_pair:
     w = [x, y], (u, v) for SimultaneousEigenvector, and the closure S of w under
-    L_x, L_y for OperatorCommuting and NoClosedForm."""
+    L_x, L_y for OperatorCommuting and NoClosedForm.
+
+    For NoClosedForm, witness is a vector b of S with [w, b] != 0: the first image
+    of w that the closure worklist inserts and w fails to centralize, scaled to
+    primitive integer coordinates; it is None for every other tag.  classify_pair
+    stops growing S at the witness, so s_closure is built on first read.
+    """
 
     tag: CaseTag
     u: Fraction | float | None
     v: Fraction | float | None
-    s_closure: Subspace | None
     facts: AlgebraFacts
     x: LieElement
     y: LieElement
     w: LieElement
+    witness: LieElement | None = None
+    _s_closure: Callable[[], Subspace | None] = field(default=lambda: None,
+                                                     repr=False, compare=False)
+
+    @cached_property
+    def s_closure(self) -> Subspace | None:
+        """S for OperatorCommuting and NoClosedForm, else None."""
+        return self._s_closure()
 
 
 def factorize_rank_one(alg: StructureConstants) -> RankOneFactorization | None:
@@ -124,15 +140,15 @@ def uv_from_rank_one(fact: RankOneFactorization, x: LieElement, y: LieElement):
     return u, v
 
 
-def _annihilates(alg: StructureConstants, w_scaled, vectors) -> bool:
-    """True iff [b, w] = 0 for every vector b, on scaled coordinates; stops at the first nonzero one."""
-    return not any(any(alg.scaled_bracket(b, w_scaled)) for b in vectors)
+def _witness(alg: StructureConstants, w_scaled, vectors):
+    """The first vector b with [b, w] != 0, on scaled coordinates, or None if there is none."""
+    return next((b for b in vectors if any(alg.scaled_bracket(b, w_scaled))), None)
 
 
 def centralizes(alg: StructureConstants, w: LieElement, vectors) -> bool:
     """True iff [w, b] = 0 for every coordinate vector b; stops at the first nonzero one."""
-    return _annihilates(alg, clear_denominators(w.coords)[0],
-                        (clear_denominators(b)[0] for b in vectors))
+    return _witness(alg, clear_denominators(w.coords)[0],
+                    (clear_denominators(b)[0] for b in vectors)) is None
 
 
 def is_derived_abelian(alg: StructureConstants) -> bool:
@@ -156,7 +172,7 @@ def algebra_facts(alg: StructureConstants) -> AlgebraFacts:
 
 def is_central(alg: StructureConstants, w: LieElement) -> bool:
     """True iff [w, T_b] = 0 for every basis element T_b."""
-    return _annihilates(alg, clear_denominators(w.coords)[0], alg.units)
+    return _witness(alg, clear_denominators(w.coords)[0], alg.units) is None
 
 
 def pair_center_condition(alg: StructureConstants, x: LieElement, y: LieElement) -> bool:
@@ -187,26 +203,38 @@ def _eigenpair(alg: StructureConstants, sx: int, sy: int, ws, lx_ws, ly_ws):
     return None
 
 
-def _closure(alg, xs, ys, ws, lx_ws, ly_ws):
-    """(ok, S) on scaled integer coordinates: the closure S of w under L_X, L_Y, grown
-    from the images of w, and whether [w, S] = 0."""
-    ech = Echelon()
+def _closure(alg, ech, xs, ys, ws, lx_ws, ly_ws):
+    """Grow the closure S of w under L_X, L_Y in the empty Echelon ech, on scaled
+    integer coordinates, and yield each image of w it inserts: L_X w and L_Y w if
+    they are new, then those of alg.close.  w and these images span S, and
+    [w, w] = 0, so [w, S] = 0 iff w centralizes every yielded image; S is
+    complete once the generator is exhausted."""
     ech.insert(ws)
-    owed = [img for img in (lx_ws, ly_ws) if ech.insert(img)]
-    alg.close(ech, owed, (xs, ys))
-    return _annihilates(alg, ws, ech.rows), ech.subspace()
+    owed = []
+    for img in (lx_ws, ly_ws):
+        if ech.insert(img):
+            owed.append(img)
+            yield img
+    yield from alg.close(ech, owed, (xs, ys))
 
 
 def pair_centralizer_condition(alg: StructureConstants, x: LieElement, y: LieElement):
     """Closure S of [X,Y] under L_X, L_Y, and whether [X,Y] centralizes it.
 
-    Returns (ok, S); S is reused by the operator-form evaluator.
+    Returns (ok, S); S is reused by the operator-form evaluator.  S is the whole
+    closure even when ok is False: the check stops at the first image of [X,Y]
+    it fails on, and the rest of S is grown without it.
     """
     if not (x.is_exact and y.is_exact):
         raise TypeError("subspace arithmetic requires exact rational coordinates")
     (xs, _), (ys, _) = clear_denominators(x.coords), clear_denominators(y.coords)
     ws = alg.scaled_bracket(xs, ys)
-    return _closure(alg, xs, ys, ws, alg.scaled_bracket(xs, ws), alg.scaled_bracket(ys, ws))
+    ech = Echelon()
+    images = _closure(alg, ech, xs, ys, ws, alg.scaled_bracket(xs, ws), alg.scaled_bracket(ys, ws))
+    ok = _witness(alg, ws, images) is None
+    for _ in images:
+        pass
+    return ok, ech.subspace()
 
 
 def simultaneous_eigenpair(alg: StructureConstants, x: LieElement, y: LieElement,
@@ -242,6 +270,8 @@ def classify_pair(alg: StructureConstants, x: LieElement, y: LieElement) -> Case
     Requires exact coordinates (the conditions are algebraic identities).
     The algebra facts are computed once per algebra and shared by every
     classification on it; per pair, [X,Y] and its images under L_X, L_Y are computed once.
+    The closure S is grown only until its first image b with [[X,Y], b] != 0, the
+    NoClosedForm witness; that S is then built in full on first read of s_closure.
     """
     if not (x.is_exact and y.is_exact):
         raise TypeError("classification requires exact rational coordinates")
@@ -251,17 +281,21 @@ def classify_pair(alg: StructureConstants, x: LieElement, y: LieElement) -> Case
     ws = alg.scaled_bracket(xs, ys)
     w = LieElement(unscaled(ws, alg.den * sx * sy))
 
-    def certified(tag, u=None, v=None, s_closure=None):
-        return CaseClassification(tag, u, v, s_closure, facts, x, y, w)
+    def certified(tag, u=None, v=None, **certificate):
+        return CaseClassification(tag, u, v, facts, x, y, w, **certificate)
 
     if not any(ws):
         return certified(CaseTag.COMMUTING)
-    if _annihilates(alg, ws, alg.units):
+    if _witness(alg, ws, alg.units) is None:
         return certified(CaseTag.CENTRAL_BRACKET)
     lx_ws, ly_ws = alg.scaled_bracket(xs, ws), alg.scaled_bracket(ys, ws)
     pair = _eigenpair(alg, sx, sy, ws, lx_ws, ly_ws)
     if pair is not None:
         return certified(CaseTag.SIMULTANEOUS_EIGENVECTOR, *pair)
-    ok, s_closure = _closure(alg, xs, ys, ws, lx_ws, ly_ws)
-    tag = CaseTag.OPERATOR_COMMUTING if ok else CaseTag.NO_CLOSED_FORM
-    return certified(tag, s_closure=s_closure)
+    ech = Echelon()
+    witness = _witness(alg, ws, _closure(alg, ech, xs, ys, ws, lx_ws, ly_ws))
+    if witness is None:
+        return certified(CaseTag.OPERATOR_COMMUTING, _s_closure=ech.subspace)
+    return certified(CaseTag.NO_CLOSED_FORM,
+                     witness=LieElement(unscaled(witness, math.gcd(*witness))),
+                     _s_closure=partial(alg.span_closure, [w], (x, y)))

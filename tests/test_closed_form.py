@@ -654,6 +654,20 @@ class TestOperator:
         assert max(abs(Fraction(a) - Fraction(b))
                    for a, b in zip(res_float.z.coords, res.z.coords)) <= 4 * ulp
 
+    def test_float_input_past_the_double_range_of_the_walk(self):
+        # two_scale with structure constants 1/10^4: the part denominators
+        # den^(2m) q_m pass 1e308 before degree 37, where float x, y raised
+        # OverflowError; read as binary rationals they take the exact input's walk
+        alg = algebra.validate({(0, 2, 2): Fraction(1, 10**4), (1, 3, 3): Fraction(1, 10**4)}, 4)
+        x, y = alg.element([3 * 10**4, 25 * 10**3, 0, 0]), alg.element([0, 0, 1, 2])
+        cls = classify_pair(alg, x, y)
+        res = bch_operator(alg, x, y, cls.s_closure, 1e-10)
+        assert res.degree == 37
+        res_float = bch_operator(alg, x.to_float(), y.to_float(), cls.s_closure, 1e-10)
+        assert not res_float.exact
+        assert (res_float.z, res_float.degree, res_float.residual_bound) == \
+            (res.z, res.degree, res.residual_bound)
+
     def test_nilpotent_family_exact(self):
         rng = random.Random(13)
         alg = families.random_derived_abelian(rng, 2, 3, kind="nilp")

@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from bchkit.algebra import LieElement, Subspace, validate
+from bchkit.algebra import Echelon, LieElement, Subspace, validate
 from bchkit.detect import (
     CaseTag,
+    algebra_facts,
     classify_pair,
     factorize_rank_one,
     is_derived_abelian,
@@ -386,3 +387,38 @@ class TestReferenceClassifier:
             assert (cls.x, cls.y, cls.w) == (x, y, alg.bracket(x, y))
             seen.add(cls.tag)
         assert seen == set(CaseTag)
+
+
+class TestWitness:
+    def test_witness_certifies_no_closed_form(self):
+        for alg, x, y in _reference_pairs():
+            cls = classify_pair(alg, x, y)
+            if cls.tag != CaseTag.NO_CLOSED_FORM:
+                assert cls.witness is None
+                continue
+            assert cls.s_closure.contains(cls.witness)
+            assert not alg.bracket(cls.w, cls.witness).is_zero()
+
+    def test_sl2_witness_is_the_first_image(self):
+        # w = [E, F] = H and L_E H = -2E, so the witness is -E on primitive coordinates
+        sl2 = sl2_algebra()
+        cls = classify_pair(sl2, sl2.basis_element(0), sl2.basis_element(1))
+        assert cls.witness == LieElement((-1, 0, 0))
+
+    def test_closure_stops_at_the_witness(self, monkeypatch):
+        alg = borel_algebra(6)
+        algebra_facts(alg)  # the pair-independent facts use Echelon too
+        rng = random.Random(7)
+        while True:
+            x, y = (families.random_element(rng, alg.dim) for _ in range(2))
+            inserts = []
+            insert = Echelon.insert
+            monkeypatch.setattr(Echelon, "insert",
+                                lambda ech, vec: inserts.append(vec) or insert(ech, vec))
+            cls = classify_pair(alg, x, y)
+            monkeypatch.undo()
+            if cls.tag == CaseTag.NO_CLOSED_FORM:
+                break
+        assert len(inserts) <= 3  # w, L_X w, L_Y w
+        s = cls.s_closure
+        assert s == alg.span_closure([cls.w], (x, y)) and s.dim > 3
