@@ -6,9 +6,10 @@ and the Jacobi identity.  All structural computations (brackets, adjoints,
 subspaces, the lower central series) run in exact arithmetic so that later
 condition checks are equalities, not tolerance tests.  They run on integer
 vectors: the structure constants share one common denominator per algebra,
-and an exact element is kept as integer coordinates over its own common
+and an element is cleared to integer coordinates over its own common
 denominator, so the bracket kernel and the echelon forms never build a
-Fraction until a result is returned.
+Fraction until a result is returned.  A float coordinate is read as the
+binary rational it holds, so float elements take the same exact path.
 """
 
 from __future__ import annotations
@@ -123,10 +124,10 @@ class LieElement:
 
 def nullspace_basis(vectors: Sequence[Sequence[Fraction]], dim: int) -> list[tuple[Fraction, ...]]:
     """Exact basis of {n : v . n = 0 for all given v}, one vector per free
-    column of the echelon form of the v (int or Fraction coordinates)."""
+    column of the echelon form of the v (int, Fraction or float coordinates)."""
     ech = Echelon()
     for v in vectors:
-        ech.insert(clear_denominators([Fraction(c) for c in v])[0])
+        ech.insert(clear_denominators(v)[0])
     basis = []
     for j in range(dim):
         if j not in ech.pivots:
@@ -138,21 +139,18 @@ def nullspace_basis(vectors: Sequence[Sequence[Fraction]], dim: int) -> list[tup
     return basis
 
 
-def clear_denominators(coords: Sequence) -> tuple[list, int]:
-    """(V, s) with V = s * coords, where s > 0.
-
-    When every coordinate is a Fraction, V is integer and s is the least
-    common denominator; otherwise V is the coordinates themselves and s = 1.
-    """
-    if not all(isinstance(c, Fraction) for c in coords):
-        return list(coords), 1
-    s = math.lcm(*(c.denominator for c in coords))
-    return [c.numerator * (s // c.denominator) for c in coords], s
+def clear_denominators(coords: Sequence) -> tuple[list[int], int]:
+    """(V, s) with V = s * coords an integer vector and s > 0 the least common
+    denominator.  A float coordinate counts as the binary rational it holds,
+    so every coordinate vector has an exact integer form."""
+    ratios = [c.as_integer_ratio() for c in coords]
+    s = math.lcm(*(d for _, d in ratios))
+    return [n * (s // d) for n, d in ratios], s
 
 
-def unscaled(vec: Sequence, s: int) -> tuple:
-    """vec / s as coordinates: integer entries become Fractions, floats stay floats."""
-    return tuple((Fraction(v, s) if v else _ZERO) if type(v) is int else v / s for v in vec)
+def unscaled(vec: Sequence[int], s: int) -> tuple[Fraction, ...]:
+    """The integer vector vec / s as Fraction coordinates."""
+    return tuple(Fraction(v, s) if v else _ZERO for v in vec)
 
 
 @dataclass(frozen=True)
@@ -173,10 +171,7 @@ class Subspace:
     def span(cls, vectors: Iterable[Sequence]) -> "Subspace":
         ech = Echelon()
         for v in vectors:
-            coords = v.coords if isinstance(v, LieElement) else tuple(v)
-            if not all(isinstance(c, Fraction) for c in coords):
-                raise TypeError("subspace arithmetic requires exact rational coordinates")
-            ech.insert(clear_denominators(coords)[0])
+            ech.insert(clear_denominators(v.coords if isinstance(v, LieElement) else v)[0])
         return ech.subspace()
 
     @property
@@ -335,11 +330,22 @@ class StructureConstants:
     # -- elements ----------------------------------------------------------
 
     def element(self, values: Sequence) -> LieElement:
-        """Build an element; ints/strings/Fractions become exact, floats stay float."""
+        """Build an element from ints, "p/q" strings, Fractions and floats.
+
+        Without a float every coordinate is an exact Fraction.  With one, every
+        coordinate is a float: the element is numeric, and each float is exact
+        to the structural computations as the binary rational it holds.  A NaN
+        or infinite coordinate raises ValueError.
+        """
         if len(values) != self.dim:
             raise DimensionMismatch(f"expected {self.dim} coordinates, got {len(values)}")
-        coords = tuple(v if isinstance(v, float) else as_fraction(v) for v in values)
-        return LieElement(coords)
+        if not any(isinstance(v, float) for v in values):
+            return LieElement(tuple(as_fraction(v) for v in values))
+        for i, v in enumerate(values):
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValueError(f"coordinate {i} is {v}, not a finite number")
+        return LieElement(tuple(v if isinstance(v, float) else float(as_fraction(v))
+                                for v in values))
 
     def zero(self) -> LieElement:
         return LieElement((Fraction(0),) * self.dim)
@@ -364,10 +370,10 @@ class StructureConstants:
     # -- bracket and adjoint ------------------------------------------------
 
     def scaled_bracket(self, x: Sequence, y: Sequence) -> list:
-        """den [x, y] for coordinate lists x, y, summed over the support of x.
+        """den [x, y] for integer coordinate lists x, y, summed over the support of x.
 
-        The one bracket kernel: integer coordinates give integers, float
-        coordinates give floats.  Entries no term reaches stay the int 0.
+        The one bracket kernel; every element reaches it through
+        clear_denominators.  Entries no term reaches stay the int 0.
         """
         out = [0] * self.dim
         rows = self._rows
@@ -434,8 +440,6 @@ class StructureConstants:
                      generators: Sequence[LieElement]) -> Subspace:
         """Smallest L_g-invariant subspace containing sub and owed, where sub must map
         into itself except on span(owed); see :meth:`close`."""
-        if not all(v.is_exact for v in (*owed, *generators)):
-            raise TypeError("subspace arithmetic requires exact rational coordinates")
         ech = Echelon()
         owed = [clear_denominators(v.coords)[0] for v in owed]
         for vec in [clear_denominators(row)[0] for row in sub.basis] + owed:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable, Sequence
@@ -36,7 +36,7 @@ from .algebra import (
     validate,
 )
 from .detect import (CaseTag, RankOneFactorization, algebra_facts, centralizes, classify_pair,
-                     is_central, is_eigenvector, uv_from_rank_one)
+                     is_central, simultaneous_eigenpair, uv_from_rank_one)
 
 SERIES_CROSSOVER = 0.25     # switch to the Taylor series inside this box
 SERIES_DEGREE = 20          # series truncation of the scalar evaluator; first operator table
@@ -342,8 +342,7 @@ def bch_eigenpair(alg: StructureConstants, x: LieElement, y: LieElement,
                   u, v) -> BchResult:
     """Scalar form z = x + y + f(u, v) [x, y] for a certified eigen-pair."""
     w = alg.bracket(x, y)
-    if not w.is_zero() and not (is_eigenvector(w, alg.bracket(x, w), v)
-                                and is_eigenvector(w, alg.bracket(y, w), -u)):
+    if not w.is_zero() and simultaneous_eigenpair(alg, x, y) != (u, v):
         raise ClassificationMismatch("(u, v) is not a simultaneous eigen-pair for [x, y]")
     return _scalar_f(x, y, w, u, v)
 
@@ -422,15 +421,18 @@ def closed_form_terms(alg: StructureConstants, x: LieElement, y: LieElement, w: 
 
     For w = [x, y], wherever a closed form applies, C_n is the part Z_n of
     ln(e^X e^Y) (oracle.bch_series_terms), so C_n == Z_n checks the closed form
-    degree by degree, exactly: each C_n is summed on the integer kernel.
+    degree by degree, exactly: each C_n is summed on the integer kernel, C_1 too,
+    so float coordinates give the parts of the binary rationals they hold.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
     scaled = [clear_denominators(e.coords) for e in (x, y, w)]
+    (xs, sx), (ys, sy), _ = scaled
+    c_1 = LieElement(unscaled([a * sy + b * sx for a, b in zip(xs, ys)], sx * sy))
     walk = _anti_diagonals(alg.scaled_bracket, *(vec for vec, _ in scaled))
     rows = f_series(max(degree - 2, 0))._graded_integer_form[:degree - 1]
-    return (x + y,) + tuple(LieElement(unscaled(acc, den))
-                            for acc, _, den in _graded_parts(alg, scaled, rows, walk))
+    return (c_1,) + tuple(LieElement(unscaled(acc, den))
+                          for acc, _, den in _graded_parts(alg, scaled, rows, walk))
 
 
 def _graded_parts(alg: StructureConstants, scaled, rows, diagonals):
@@ -482,8 +484,8 @@ def bch_operator(alg: StructureConstants, x: LieElement, y: LieElement,
     terminates and the result is exact; otherwise the exact graded parts C_n
     are summed in floating point until a geometric tail bound (row-sum norm
     against the heuristic radius pi) drops below target_tolerance, which must
-    be positive and finite.  Float x and y are read as the binary rationals they
-    hold, so they run through the same integer walk; the result is not exact.
+    be positive and finite.  Float x and y, like every input, run through the
+    integer walk as the binary rationals they hold; their result is not exact.
     """
     _check_tolerance(target_tolerance)
     w = alg.bracket(x, y)
@@ -491,20 +493,20 @@ def bch_operator(alg: StructureConstants, x: LieElement, y: LieElement,
         return BchResult(x + y, "Sum", exact=_elements_exact(x, y), degree=0)
     if not centralizes(alg, w, s_closure.basis):
         raise ClassificationMismatch("[x, y] does not centralize the closure subspace")
-    if not _elements_exact(x, y):
-        xq, yq = (LieElement(tuple(map(Fraction, e.coords))) for e in (x, y))
-        res = _operator_f(alg, xq, yq, alg.bracket(xq, yq), s_closure, target_tolerance)
-        return replace(res, z=res.z.to_float(), exact=False)
     if alg.grow_closure(
             s_closure, [w] + [LieElement(b) for b in s_closure.basis], (x, y)) != s_closure:
         raise ClassificationMismatch("the closure subspace does not hold [x, y] "
                                      "or is not invariant under L_X, L_Y")
-    return _operator_f(alg, x, y, w, s_closure, target_tolerance)
+    return _operator_f(alg, x, y, w, s_closure.dim, lambda: s_closure, target_tolerance)
 
 
 def _operator_f(alg: StructureConstants, x: LieElement, y: LieElement, w: LieElement,
-                s_closure: Subspace, target_tolerance: float) -> BchResult:
+                s_dim: int, s_closure: Callable[[], Subspace],
+                target_tolerance: float) -> BchResult:
     """z = x + y + f(L_X, -L_Y) w for a nonzero w = [x, y] that centralizes its closure S.
+
+    s_dim is dim S, and s_closure() gives S itself, which only a non-terminating
+    series reads.
 
     One walk of L_X^i L_Y^j w on the integer kernel serves both outcomes.
     [L_X, L_Y] = L_w vanishes on S = span{L_X^i L_Y^j w}, so L_X^k = 0 on S
@@ -517,7 +519,7 @@ def _operator_f(alg: StructureConstants, x: LieElement, y: LieElement, w: LieEle
     scaled = [clear_denominators(e.coords) for e in (x, y, w)]
     walk = _anti_diagonals(alg.scaled_bracket, *(vec for vec, _ in scaled))
     seen = []  # an edge that has died stays dead: stop when both have
-    for diag in itertools.islice(walk, s_closure.dim + 1):
+    for diag in itertools.islice(walk, s_dim + 1):
         seen.append(diag)
         if diag[0] is None and diag[-1] is None:
             nx, ny = (next(m for m, d in enumerate(seen) if d[e] is None) for e in (0, -1))
@@ -537,8 +539,9 @@ def _operator_f(alg: StructureConstants, x: LieElement, y: LieElement, w: LieEle
 
     # non-terminating: sum the exact parts in floating point up to the tail bound
     (xs, sx), (ys, sy), _ = scaled
-    rx = _restricted_matrix(alg, xs, sx, s_closure)
-    ry = _restricted_matrix(alg, ys, sy, s_closure)
+    sub = s_closure()
+    rx = _restricted_matrix(alg, xs, sx, sub)
+    ry = _restricted_matrix(alg, ys, sy, sub)
     r = max(_inf_norm(rx), _inf_norm(ry))
     if r >= OPERATOR_RADIUS:
         raise NonConvergence(r, achieved_bound=None)
@@ -630,5 +633,6 @@ def bch_closed_form(alg: StructureConstants, x: LieElement, y: LieElement,
     if cls.tag == CaseTag.SIMULTANEOUS_EIGENVECTOR:
         return _scalar_f(x, y, cls.w, cls.u, cls.v)
     if cls.tag == CaseTag.OPERATOR_COMMUTING:
-        return _operator_f(alg, x, y, cls.w, cls.s_closure, target_tolerance)
+        return _operator_f(alg, x, y, cls.w, cls._s_dim, lambda: cls.s_closure,
+                           target_tolerance)
     raise NoClosedFormAvailable("no closed-form condition applies to this pair")

@@ -8,7 +8,9 @@ The conditions are ordered from strongest to weakest:
   OperatorCommuting       [X,Y] commutes with its own iterated-adjoint closure
 
 Each detector returns certificate data consumed by the closed-form
-evaluators.  Subspace-based detectors require exact rational coordinates.
+evaluators.  The conditions are algebraic identities, decided exactly on
+integer coordinates for every input: a float coordinate is the binary
+rational it holds.
 """
 
 from __future__ import annotations
@@ -87,12 +89,14 @@ class CaseClassification:
     For NoClosedForm, witness is a vector b of S with [w, b] != 0: the first image
     of w that the closure worklist inserts and w fails to centralize, scaled to
     primitive integer coordinates; it is None for every other tag.  classify_pair
-    stops growing S at the witness, so s_closure is built on first read.
+    stops growing S at the witness, so s_closure is built on first read.  For
+    OperatorCommuting, the private _s_dim holds dim S from the grown echelon, so
+    an evaluator that needs only the dimension builds no RREF.
     """
 
     tag: CaseTag
-    u: Fraction | float | None
-    v: Fraction | float | None
+    u: Fraction | None
+    v: Fraction | None
     facts: AlgebraFacts
     x: LieElement
     y: LieElement
@@ -100,6 +104,7 @@ class CaseClassification:
     witness: LieElement | None = None
     _s_closure: Callable[[], Subspace | None] = field(default=lambda: None,
                                                      repr=False, compare=False)
+    _s_dim: int | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def s_closure(self) -> Subspace | None:
@@ -180,15 +185,6 @@ def pair_center_condition(alg: StructureConstants, x: LieElement, y: LieElement)
     return centralizes(alg, alg.bracket(x, y), alg.derived_subalgebra().basis)
 
 
-def is_eigenvector(w: LieElement, image: LieElement, lam, rel_tol: float = 1e-12) -> bool:
-    """image = lam w: exactly if all three are exact, else within rel_tol max(1, |lam| |w|)."""
-    if w.is_exact and image.is_exact and isinstance(lam, Fraction):
-        return all(ic == lam * wc for ic, wc in zip(image.coords, w.coords))
-    residual = max(abs(float(ic) - float(lam) * float(wc))
-                   for ic, wc in zip(image.coords, w.coords))
-    return residual <= rel_tol * max(1.0, abs(float(lam)) * w.sup_norm())
-
-
 def _eigenpair(alg: StructureConstants, sx: int, sy: int, ws, lx_ws, ly_ws):
     """(u, v) with L_X w = v w and L_Y w = -u w for a nonzero w, or None.
 
@@ -225,8 +221,6 @@ def pair_centralizer_condition(alg: StructureConstants, x: LieElement, y: LieEle
     closure even when ok is False: the check stops at the first image of [X,Y]
     it fails on, and the rest of S is grown without it.
     """
-    if not (x.is_exact and y.is_exact):
-        raise TypeError("subspace arithmetic requires exact rational coordinates")
     (xs, _), (ys, _) = clear_denominators(x.coords), clear_denominators(y.coords)
     ws = alg.scaled_bracket(xs, ys)
     ech = Echelon()
@@ -237,29 +231,14 @@ def pair_centralizer_condition(alg: StructureConstants, x: LieElement, y: LieEle
     return ok, ech.subspace()
 
 
-def simultaneous_eigenpair(alg: StructureConstants, x: LieElement, y: LieElement,
-                           rel_tol: float = 1e-12):
-    """(u, v) with L_X w = v w, L_Y w = -u w for w = [X,Y], or None.
-
-    Exact componentwise equality in rational mode; in float mode the residual
-    norm must stay below rel_tol relative to the candidate eigenvalue action.
-    """
-    if x.is_exact and y.is_exact:
-        (xs, sx), (ys, sy) = clear_denominators(x.coords), clear_denominators(y.coords)
-        ws = alg.scaled_bracket(xs, ys)
-        if not any(ws):
-            return Fraction(0), Fraction(0)
-        return _eigenpair(alg, sx, sy, ws, alg.scaled_bracket(xs, ws), alg.scaled_bracket(ys, ws))
-    w = alg.bracket(x, y)
-    if w.is_zero():
+def simultaneous_eigenpair(alg: StructureConstants, x: LieElement, y: LieElement):
+    """(u, v) with L_X w = v w, L_Y w = -u w for w = [X,Y], or None; exact Fractions,
+    decided by componentwise equality on integer coordinates."""
+    (xs, sx), (ys, sy) = clear_denominators(x.coords), clear_denominators(y.coords)
+    ws = alg.scaled_bracket(xs, ys)
+    if not any(ws):
         return Fraction(0), Fraction(0)
-    lx_w, ly_w = alg.bracket(x, w), alg.bracket(y, w)
-    ww = sum(float(c) * float(c) for c in w.coords)  # least-squares ratios
-    v, neg_u = (sum(float(ic) * float(wc) for ic, wc in zip(img.coords, w.coords)) / ww
-                for img in (lx_w, ly_w))
-    if is_eigenvector(w, lx_w, v, rel_tol) and is_eigenvector(w, ly_w, neg_u, rel_tol):
-        return -neg_u, v
-    return None
+    return _eigenpair(alg, sx, sy, ws, alg.scaled_bracket(xs, ws), alg.scaled_bracket(ys, ws))
 
 
 def classify_pair(alg: StructureConstants, x: LieElement, y: LieElement) -> CaseClassification:
@@ -267,14 +246,14 @@ def classify_pair(alg: StructureConstants, x: LieElement, y: LieElement) -> Case
 
     Detectors run strongest-first and the first hit wins, so the scalar
     formula is preferred over the operator formula whenever both apply.
-    Requires exact coordinates (the conditions are algebraic identities).
+    The conditions are algebraic identities, decided exactly: float coordinates
+    count as the binary rationals they hold, so the certificate (w, u, v, S) is
+    exact for every input.
     The algebra facts are computed once per algebra and shared by every
     classification on it; per pair, [X,Y] and its images under L_X, L_Y are computed once.
     The closure S is grown only until its first image b with [[X,Y], b] != 0, the
     NoClosedForm witness; that S is then built in full on first read of s_closure.
     """
-    if not (x.is_exact and y.is_exact):
-        raise TypeError("classification requires exact rational coordinates")
     facts = algebra_facts(alg)
     # integer coordinates: xs = sx x, ys = sy y, ws = den sx sy w
     (xs, sx), (ys, sy) = clear_denominators(x.coords), clear_denominators(y.coords)
@@ -295,7 +274,8 @@ def classify_pair(alg: StructureConstants, x: LieElement, y: LieElement) -> Case
     ech = Echelon()
     witness = _witness(alg, ws, _closure(alg, ech, xs, ys, ws, lx_ws, ly_ws))
     if witness is None:
-        return certified(CaseTag.OPERATOR_COMMUTING, _s_closure=ech.subspace)
+        return certified(CaseTag.OPERATOR_COMMUTING, _s_closure=ech.subspace,
+                         _s_dim=len(ech.rows))
     return certified(CaseTag.NO_CLOSED_FORM,
                      witness=LieElement(unscaled(witness, math.gcd(*witness))),
                      _s_closure=partial(alg.span_closure, [w], (x, y)))

@@ -92,8 +92,6 @@ def _integer_parts(alg: StructureConstants, x: LieElement, y: LieElement, degree
     """Z_1 .. Z_degree as (integer vector, positive denominator) pairs, None for zero."""
     if degree < 1:
         raise ValueError("truncation degree must be >= 1")
-    if not (x.is_exact and y.is_exact):
-        raise TypeError("the series oracle requires exact rational coordinates")
     if x.dim != alg.dim or y.dim != alg.dim:
         raise DimensionMismatch("element does not belong to this algebra")
     xy, s = clear_denominators(x.coords + y.coords)

@@ -117,6 +117,12 @@ class TestBracket:
         y = heis.element(["1/2", 0, "-1"])
         assert heis.bracket(x, y).coords == (-heis.bracket(y, x)).coords
 
+    def test_element_with_a_float_is_all_float(self, heis):
+        # so a result never mixes floats and fractions
+        assert heis.element([0.5, "1/4", 0]).coords == (0.5, 0.25, 0.0)
+        assert all(type(c) is float for c in heis.element([0.5, "1/3", 2]).coords)
+        assert heis.element(["1/2", 0, 1]).is_exact
+
     def test_dimension_mismatch(self, heis, affine):
         with pytest.raises(DimensionMismatch):
             heis.bracket(affine.basis_element(0), heis.basis_element(0))
@@ -177,12 +183,15 @@ class TestSubspaces:
         assert d.contains((Fraction(1), Fraction(0), Fraction(0))) is False
 
     def test_subspace_requires_exact(self, heis):
-        with pytest.raises(TypeError):
-            Subspace.span([(0.5, 1.0)])
-        with pytest.raises(TypeError, match="exact rational"):
-            heis.span_closure([heis.element([0, 0.5, 0])], [heis.basis_element(0)])
-        with pytest.raises(TypeError, match="exact rational"):
-            heis.span_closure([heis.basis_element(1)], [heis.element([0.5, 0, 0])])
+        # subspace arithmetic stays exact: a float coordinate is the binary
+        # rational it holds, so it gives what the equal "p/q" input gives
+        tenth = str(Fraction(0.1))
+        assert Subspace.span([(0.1, 1.0)]) == Subspace.span([(Fraction(tenth), Fraction(1))])
+        assert Subspace.span([(0.1, 1.0)]).basis == ((1, Fraction(1) / Fraction(tenth)),)
+        assert heis.span_closure([heis.element([0, 0.1, 0])], [heis.basis_element(0)]) == \
+            heis.span_closure([heis.element([0, tenth, 0])], [heis.basis_element(0)])
+        assert heis.span_closure([heis.basis_element(1)], [heis.element([0.1, 0, 0])]) == \
+            heis.span_closure([heis.basis_element(1)], [heis.element([tenth, 0, 0])])
 
     def test_lcs_heisenberg(self, heis):
         chain, verdict = heis.lower_central_series()

@@ -254,6 +254,49 @@ class TestBch:
         assert err.startswith("input error:") and "--tolerance" in err
 
 
+class TestFloatJson:
+    """JSON floats are the binary rationals they hold: the certificate is exact,
+    and `z` is float with `exact: false`."""
+
+    @staticmethod
+    def _coords(tmp_path, name, text):
+        path = tmp_path / f"{name}.json"
+        path.write_text('{"coords": ' + text + '}')
+        return str(path)
+
+    def test_check_sl2_exits_3_and_bch_heisenberg_exits_0(self, tmp_path, capsys):
+        x = self._coords(tmp_path, "x", "[1.0, 0.0, 0.0]")
+        y = self._coords(tmp_path, "y", "[0.0, 1.0, 0.0]")
+        code, out, err = run(capsys, "check", "--algebra", "sl2", "--x", x, "--y", y)
+        assert (code, err) == (3, "")
+        assert out == CATALOG_CHECK["sl2"][1] + "\n"
+        code, out, err = run(capsys, "bch", "--algebra", "heisenberg", "--x", x, "--y", y)
+        assert (code, err) == (0, "")
+        res = json.loads(out)
+        assert (res["method"], res["exact"], res["z"]) == ("Central", False, [1.0, 1.0, 0.5])
+
+    def test_verify_compares_the_exact_parts(self, tmp_path, capsys):
+        # C_1 = x + y is summed exactly, so it equals the series' Z_1
+        x = self._coords(tmp_path, "x", "[0.5, 0.25, 0]")
+        y = self._coords(tmp_path, "y", "[0.1, 1, 0]")
+        code, out, err = run(capsys, "bch", "--algebra", "heisenberg", "--x", x, "--y", y,
+                             "--verify")
+        assert (code, err) == (0, "")
+        res = json.loads(out)
+        assert res["verify"]["graded_mismatch_degree"] is None
+        assert res["exact"] is False and all(type(c) is float for c in res["z"])
+        w = Fraction(0.5) - Fraction(0.25) * Fraction(0.1)  # [x, y] on the binary rationals
+        assert res["z"] == [0.5 + 0.1, 1.25, float(w / 2)]
+
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_coordinate_exit_1(self, tmp_path, capsys, text):
+        x = self._coords(tmp_path, "x", f"[0.5, 0, {text}]")
+        y = self._coords(tmp_path, "y", "[0, 1, 0]")
+        code, out, err = run(capsys, "bch", "--algebra", "heisenberg", "--x", x, "--y", y)
+        assert (code, out) == (1, "")
+        assert err.startswith("input error:") and "coordinate 2" in err
+
+
 class TestOracle:
     def test_series_only(self, workdir, capsys):
         code, out, _ = run(capsys, "oracle",
@@ -518,6 +561,17 @@ class TestImports:
         base = ["--algebra", name, *_write_pair(tmp_path, name)]
         calls = [["check", *base], ["bch", *base], ["bch", *base, "--verify"]]
         code = f"from bchkit.cli import main\nassert [main(a) for a in {calls!r}] == [0, 0, 0]"
+        assert _heavy_modules_after(code) == []
+
+    def test_float_json_bch_on_two_scale(self, tmp_path):
+        # the documented pair as JSON floats takes the non-terminating operator form
+        paths = []
+        for name, coords in (("x", [1.0, 2.0, 0.0, 0.0]), ("y", [0.0, 0.0, 1.0, 1.0])):
+            (tmp_path / f"{name}.json").write_text(json.dumps({"coords": coords}))
+            paths += [f"--{name}", str(tmp_path / f"{name}.json")]
+        calls = [["bch", "--algebra", "two_scale", *paths],
+                 ["bch", "--algebra", "two_scale", *paths, "--verify"]]
+        code = f"from bchkit.cli import main\nassert [main(a) for a in {calls!r}] == [0, 0]"
         assert _heavy_modules_after(code) == []
 
     def test_f(self):

@@ -480,6 +480,16 @@ class TestEigenpair:
             bch_eigenpair(aff, aff.basis_element(0), aff.basis_element(1),
                           Fraction(1), Fraction(5))
 
+    def test_float_eigenpair_is_checked_exactly(self):
+        # 0.7 is the binary rational it holds, so v = 0.7 is the eigenvalue;
+        # a v one ulp away is not, however small the gap
+        aff = affine_algebra()
+        x, y = aff.element([0.7, 0.0]), aff.element([0.0, 0.3])
+        res = bch_eigenpair(aff, x, y, 0, 0.7)
+        assert not res.exact and all(type(c) is float for c in res.z.coords)
+        with pytest.raises(ClassificationMismatch):
+            bch_eigenpair(aff, x, y, 0, math.nextafter(0.7, 1.0))
+
     def test_uvc_model_against_oracle(self):
         rng = random.Random(7)
         for _ in range(5):
@@ -680,6 +690,21 @@ class TestOperator:
         # nilpotent algebra: high-degree truncation is the exact answer
         ref = bch_integral_series(alg, x, y, alg.dim + 4)
         assert res.z.coords == ref.coords
+
+    def test_terminating_form_reads_dim_s_from_the_echelon(self, monkeypatch):
+        # a terminating series needs only dim S, which classify_pair's echelon
+        # holds: no Fraction RREF of S is built
+        rng = random.Random(13)
+        alg = families.random_derived_abelian(rng, 2, 3, kind="nilp")
+        x, y = (families.random_element(rng, alg.dim) for _ in range(2))
+        expected = bch_closed_form(alg, x, y)
+        assert (expected.method, expected.exact) == ("OperatorF", True)
+
+        def no_rref(self):
+            raise AssertionError("Echelon.subspace called")
+
+        monkeypatch.setattr(algebra.Echelon, "subspace", no_rref)
+        assert bch_closed_form(alg, x, y) == expected
 
     def test_mismatch_rejected(self):
         sl2 = sl2_algebra()
@@ -993,3 +1018,43 @@ class TestPerPairWork:
             twin = StructureConstants.from_json_dict(alg.to_json_dict())
             with pytest.raises(ClassificationMismatch):
                 bch_closed_form(twin, x, y, classification=cls)
+
+
+def _eighths(rng, dim):
+    """Coordinates k/8, |k| <= 2, not all zero, as "p/q" strings."""
+    while True:
+        coords = [Fraction(rng.randint(-2, 2), 8) for _ in range(dim)]
+        if any(coords):
+            return [str(c) for c in coords]
+
+
+class TestFloatInput:
+    """A float coordinate is the binary rational it holds: the certificate is the
+    exact input's, and the result is the exact input's z, rounded."""
+
+    def test_catalog_pairs_and_eighths(self):
+        rng = random.Random(16)
+        seen = set()
+        for entry in builtin_catalog():
+            alg = entry.algebra
+            (x, y, _), = entry.pairs
+            inputs = [[str(c) for c in e.coords] for e in (x, y)]
+            pairs = [inputs] + [[_eighths(rng, alg.dim) for _ in "xy"] for _ in range(20)]
+            for xs, ys in pairs:
+                x, y = alg.element(xs), alg.element(ys)
+                xf = alg.element([float(Fraction(c)) for c in xs])
+                yf = alg.element([float(Fraction(c)) for c in ys])
+                ref, cls = classify_pair(alg, x, y), classify_pair(alg, xf, yf)
+                assert (cls.tag, cls.u, cls.v, cls.w, cls.s_closure) == \
+                    (ref.tag, ref.u, ref.v, ref.w, ref.s_closure), (entry.name, xs, ys)
+                seen.add(ref.tag)
+                if ref.tag == CaseTag.NO_CLOSED_FORM:
+                    continue
+                exact = bch_closed_form(alg, x, y, classification=ref)
+                res = bch_closed_form(alg, xf, yf, classification=cls)
+                assert res.exact is False and all(type(c) is float for c in res.z.coords)
+                assert (res.method, res.degree) == (exact.method, exact.degree)
+                ulp = Fraction(math.ulp(exact.z.sup_norm()))
+                assert max(abs(Fraction(a) - Fraction(b))
+                           for a, b in zip(res.z.coords, exact.z.coords)) <= 4 * ulp
+        assert seen == set(CaseTag)

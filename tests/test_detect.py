@@ -211,9 +211,17 @@ class TestClassify:
                              alg.basis_element(1)).facts is not first.facts
 
     def test_requires_exact(self):
-        heis = heisenberg_algebra()
-        with pytest.raises(TypeError):
-            classify_pair(heis, heis.element([0.5, 0.0, 0.0]), heis.basis_element(1))
+        # the conditions are decided exactly for float input too: a float is the
+        # binary rational it holds, so it gives what the equal "p/q" input gives
+        heis, aff = heisenberg_algebra(), affine_algebra()
+        for alg, xf, yf in ((heis, [0.1, 0.0, 0.0], [0.0, 1.0, 0.0]),
+                            (aff, [0.7, 0.0], [0.0, 0.3])):
+            cls = classify_pair(alg, alg.element(xf), alg.element(yf))
+            ref = classify_pair(alg, alg.element([str(Fraction(c)) for c in xf]),
+                                alg.element([str(Fraction(c)) for c in yf]))
+            assert (cls.tag, cls.u, cls.v, cls.w) == (ref.tag, ref.u, ref.v, ref.w)
+            assert cls.w.is_exact
+        assert cls.tag == CaseTag.SIMULTANEOUS_EIGENVECTOR and cls.v == Fraction(0.7)
 
 
 class TestEigenHelper:
@@ -231,6 +239,15 @@ class TestEigenHelper:
         x = alg.element([1.0, 2.0, 0.0, 0.0])
         y = alg.element([0.0, 0.0, 1.0, 1.0])
         assert simultaneous_eigenpair(alg, x, y) is None
+
+    def test_near_eigenpair_is_not_one(self):
+        # rates 1 and 1 + 2^-50: within any float tolerance of the equal-rate
+        # eigenpair, but [X, Y] is not an eigenvector of L_X
+        alg = two_scale_algebra()
+        x = alg.element([1.0, 1.0 + 2.0**-50, 0.0, 0.0])
+        y = alg.element([0.0, 0.0, 1.0, 1.0])
+        assert simultaneous_eigenpair(alg, x, y) is None
+        assert classify_pair(alg, x, y).tag == CaseTag.OPERATOR_COMMUTING
 
     def test_zero_bracket(self):
         alg = abelian_algebra(2)
@@ -259,9 +276,14 @@ class TestHierarchy:
 
 
 def test_centralizer_condition_requires_exact():
-    heis = heisenberg_algebra()
-    with pytest.raises(TypeError, match="exact rational"):
-        pair_centralizer_condition(heis, heis.element([0.5, 0, 0]), heis.basis_element(1))
+    # exact for float input: 0.1 is the binary rational it holds
+    alg = two_scale_algebra()
+    xf, yf = [0.1, 0.2, 0.0, 0.0], [0.0, 0.0, 1.0, 0.3]
+    got = pair_centralizer_condition(alg, alg.element(xf), alg.element(yf))
+    assert got == pair_centralizer_condition(
+        alg, alg.element([str(Fraction(c)) for c in xf]),
+        alg.element([str(Fraction(c)) for c in yf]))
+    assert got[0] and got[1].dim == 2
 
 
 def naive_classify(alg, x, y):

@@ -236,10 +236,12 @@ class TestIntegralSeries:
             bch_integral_series(heis, heis.basis_element(0), heis.basis_element(1), 1)
 
     def test_exact_coords_required(self):
+        # the series stays exact: a float input is the binary rational it holds
         heis = heisenberg_algebra()
-        with pytest.raises(TypeError):
-            bch_integral_series(heis, heis.element([0.5, 0.0, 0.0]),
-                                heis.basis_element(1), 4)
+        got = bch_integral_series(heis, heis.element([0.1, 0.0, 0.0]), heis.basis_element(1), 4)
+        assert got.is_exact
+        assert got == bch_integral_series(heis, heis.element([str(Fraction(0.1)), 0, 0]),
+                                          heis.basis_element(1), 4)
 
     def test_scaling_order_law(self):
         # against a higher truncation, the gap must scale like eps^(D+1)
