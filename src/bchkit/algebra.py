@@ -335,17 +335,22 @@ class StructureConstants:
         Without a float every coordinate is an exact Fraction.  With one, every
         coordinate is a float: the element is numeric, and each float is exact
         to the structural computations as the binary rational it holds.  A NaN
-        or infinite coordinate raises ValueError.
+        or infinite coordinate, or an exact one beyond the double range, raises
+        ValueError.
         """
         if len(values) != self.dim:
             raise DimensionMismatch(f"expected {self.dim} coordinates, got {len(values)}")
         if not any(isinstance(v, float) for v in values):
             return LieElement(tuple(as_fraction(v) for v in values))
+        coords = []
         for i, v in enumerate(values):
             if isinstance(v, float) and not math.isfinite(v):
                 raise ValueError(f"coordinate {i} is {v}, not a finite number")
-        return LieElement(tuple(v if isinstance(v, float) else float(as_fraction(v))
-                                for v in values))
+            try:
+                coords.append(v if isinstance(v, float) else float(as_fraction(v)))
+            except OverflowError:
+                raise ValueError(f"coordinate {i} lies beyond the double range") from None
+        return LieElement(tuple(coords))
 
     def zero(self) -> LieElement:
         return LieElement((Fraction(0),) * self.dim)
@@ -434,15 +439,9 @@ class StructureConstants:
     def span_closure(self, seeds: Sequence[LieElement],
                      generators: Sequence[LieElement]) -> Subspace:
         """Smallest subspace containing the seeds and invariant under L_g for every generator g."""
-        return self.grow_closure(Subspace(()), seeds, generators)
-
-    def grow_closure(self, sub: Subspace, owed: Sequence[LieElement],
-                     generators: Sequence[LieElement]) -> Subspace:
-        """Smallest L_g-invariant subspace containing sub and owed, where sub must map
-        into itself except on span(owed); see :meth:`close`."""
         ech = Echelon()
-        owed = [clear_denominators(v.coords)[0] for v in owed]
-        for vec in [clear_denominators(row)[0] for row in sub.basis] + owed:
+        owed = [clear_denominators(v.coords)[0] for v in seeds]
+        for vec in owed:
             ech.insert(vec)
         for _ in self.close(ech, owed, [clear_denominators(g.coords)[0] for g in generators]):
             pass
@@ -455,9 +454,10 @@ class StructureConstants:
         map into itself except on span(owed); each owed vector is bracketed with
         every generator once, and an image outside the span is owed in turn.  The
         closure is complete once the generator is exhausted; a caller that stops
-        early leaves ech partly grown.  Owing the image rather than its residual
-        row keeps the integers short: a residual row is as long as a minor of the
-        rows it was reduced against."""
+        early leaves ech partly grown; with every row of ech owed, the first yield
+        (or None) decides whether span(ech) is invariant.  Owing the image rather
+        than its residual row keeps the integers short: a residual row is as long
+        as a minor of the rows it was reduced against."""
         owed = list(owed)
         while owed:
             vec = owed.pop()

@@ -27,6 +27,7 @@ from typing import Callable, Sequence
 
 from .algebra import (
     DimensionMismatch,
+    Echelon,
     LieElement,
     StructureConstants,
     Subspace,
@@ -380,21 +381,6 @@ def oplus(fact: RankOneFactorization, x: LieElement, y: LieElement) -> LieElemen
 # operator form
 # ---------------------------------------------------------------------------
 
-def _restricted_matrix(alg, gs, scale, s_closure: Subspace):
-    """Matrix of L_g, g = gs / scale, restricted to the L_g-invariant closure S.
-
-    Column j holds L_g b_j at the pivots of S, which are its coordinates in
-    the RREF basis b of S; L_g b_j comes from the kernel on integer rows.
-    """
-    cols = []
-    for b in s_closure.basis:
-        row, sb = clear_denominators(b)  # row = sb b
-        img = alg.scaled_bracket(gs, row)
-        cols.append(unscaled([img[q] for q in s_closure.pivots], alg.den * scale * sb))
-    k = s_closure.dim
-    return tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
-
-
 def _anti_diagonals(step, gx, gy, w):
     """Yield the anti-diagonals [L_X^i L_Y^j w for j = 0 .. m], i + j = m, of the
     orbit of w for m = 0, 1, ..., with None for a zero vector.  step(gx, vec)
@@ -410,8 +396,13 @@ def _anti_diagonals(step, gx, gy, w):
         diag = [image(gx, vec) for vec in diag] + [image(gy, diag[-1])]
 
 
-def _inf_norm(mat) -> float:
-    return max((sum(abs(float(x)) for x in row) for row in mat), default=0.0)
+def _restricted_norm(alg: StructureConstants, gs, scale: int, ech: Echelon) -> float:
+    """Row-sum norm of L_g, g = gs / scale, on the L_g-invariant span S of the echelon
+    rows, in the RREF basis b_j = row_j / row_j[p_j]: entry (i, j) is L_g b_j at the
+    pivot p_i, scaled_bracket(gs, row_j)[p_i] / (den scale row_j[p_j]), one int / int."""
+    cols = [(alg.scaled_bracket(gs, row), alg.den * scale * row[p])
+            for row, p in zip(ech.rows, ech.pivots)]
+    return max(sum(abs(img[p]) / d for img, d in cols) for p in ech.pivots)
 
 
 def closed_form_terms(alg: StructureConstants, x: LieElement, y: LieElement, w: LieElement,
@@ -475,13 +466,13 @@ def bch_operator(alg: StructureConstants, x: LieElement, y: LieElement,
     exponentials share a kernel), so f is applied through its Taylor series:
     the bracket certificate guarantees L_X and L_Y commute on every term.
 
-    s_closure must be the closure S of [x, y] under L_X and L_Y, as built by
-    classify_pair or pair_centralizer_condition (an L_X, L_Y-invariant
-    subspace holding [x, y] also serves).  [x, y] centralizes S, so L_X and
-    L_Y commute on it, and each is nilpotent on the closure iff it kills
-    [x, y] within dim S steps; with exact inputs any other subspace raises
-    ClassificationMismatch.  If both adjoints are nilpotent the series
-    terminates and the result is exact; otherwise the exact graded parts C_n
+    s_closure must be an L_X, L_Y-invariant subspace that holds [x, y] and that
+    [x, y] centralizes, as the closure S built by classify_pair or
+    pair_centralizer_condition is; any other raises ClassificationMismatch.  Any
+    basis of it serves, RREF or not (rows scaled by 2, say): it is echelonized on
+    integers, and the closure worklist checks it.  L_X and L_Y commute on S, and
+    each is nilpotent on S iff it kills [x, y] within dim S steps.  If both
+    are, the series terminates and the result is exact; otherwise the exact graded parts C_n
     are summed in floating point until a geometric tail bound (row-sum norm
     against the heuristic radius pi) drops below target_tolerance, which must
     be positive and finite.  Float x and y, like every input, run through the
@@ -493,20 +484,24 @@ def bch_operator(alg: StructureConstants, x: LieElement, y: LieElement,
         return BchResult(x + y, "Sum", exact=_elements_exact(x, y), degree=0)
     if not centralizes(alg, w, s_closure.basis):
         raise ClassificationMismatch("[x, y] does not centralize the closure subspace")
-    if alg.grow_closure(
-            s_closure, [w] + [LieElement(b) for b in s_closure.basis], (x, y)) != s_closure:
+    scaled = [clear_denominators(e.coords) for e in (x, y, w)]
+    (xs, _), (ys, _), (ws, _) = scaled
+    ech = Echelon()
+    for b in s_closure.basis:
+        ech.insert(clear_denominators(b)[0])
+    if ech.insert(ws) or next(alg.close(ech, list(ech.rows), (xs, ys)), None) is not None:
         raise ClassificationMismatch("the closure subspace does not hold [x, y] "
                                      "or is not invariant under L_X, L_Y")
-    return _operator_f(alg, x, y, w, s_closure.dim, lambda: s_closure, target_tolerance)
+    return _operator_f(alg, x, y, scaled, ech, target_tolerance)
 
 
-def _operator_f(alg: StructureConstants, x: LieElement, y: LieElement, w: LieElement,
-                s_dim: int, s_closure: Callable[[], Subspace],
-                target_tolerance: float) -> BchResult:
+def _operator_f(alg: StructureConstants, x: LieElement, y: LieElement, scaled,
+                ech: Echelon, target_tolerance: float) -> BchResult:
     """z = x + y + f(L_X, -L_Y) w for a nonzero w = [x, y] that centralizes its closure S.
 
-    s_dim is dim S, and s_closure() gives S itself, which only a non-terminating
-    series reads.
+    scaled holds the integer forms ((xs, sx), (ys, sy), (ws, sw)) of x, y and w, and
+    ech holds S on integer rows: dim S is len(ech.rows), and the tail bound's norms
+    come from those rows (_restricted_norm).
 
     One walk of L_X^i L_Y^j w on the integer kernel serves both outcomes.
     [L_X, L_Y] = L_w vanishes on S = span{L_X^i L_Y^j w}, so L_X^k = 0 on S
@@ -516,10 +511,9 @@ def _operator_f(alg: StructureConstants, x: LieElement, y: LieElement, w: LieEle
     each exact part C_n is rounded once per coordinate and summed in floating
     point until the geometric tail bound drops below target_tolerance.
     """
-    scaled = [clear_denominators(e.coords) for e in (x, y, w)]
     walk = _anti_diagonals(alg.scaled_bracket, *(vec for vec, _ in scaled))
     seen = []  # an edge that has died stays dead: stop when both have
-    for diag in itertools.islice(walk, s_dim + 1):
+    for diag in itertools.islice(walk, len(ech.rows) + 1):
         seen.append(diag)
         if diag[0] is None and diag[-1] is None:
             nx, ny = (next(m for m, d in enumerate(seen) if d[e] is None) for e in (0, -1))
@@ -538,11 +532,7 @@ def _operator_f(alg: StructureConstants, x: LieElement, y: LieElement, w: LieEle
                              degree=nx + ny - 2)
 
     # non-terminating: sum the exact parts in floating point up to the tail bound
-    (xs, sx), (ys, sy), _ = scaled
-    sub = s_closure()
-    rx = _restricted_matrix(alg, xs, sx, sub)
-    ry = _restricted_matrix(alg, ys, sy, sub)
-    r = max(_inf_norm(rx), _inf_norm(ry))
+    r = max(_restricted_norm(alg, gs, sg, ech) for gs, sg in scaled[:2])
     if r >= OPERATOR_RADIUS:
         raise NonConvergence(r, achieved_bound=None)
     rho = r / OPERATOR_RADIUS
@@ -633,6 +623,6 @@ def bch_closed_form(alg: StructureConstants, x: LieElement, y: LieElement,
     if cls.tag == CaseTag.SIMULTANEOUS_EIGENVECTOR:
         return _scalar_f(x, y, cls.w, cls.u, cls.v)
     if cls.tag == CaseTag.OPERATOR_COMMUTING:
-        return _operator_f(alg, x, y, cls.w, cls._s_dim, lambda: cls.s_closure,
-                           target_tolerance)
+        scaled, ech = cls._integer_form
+        return _operator_f(alg, x, y, scaled, ech, target_tolerance)
     raise NoClosedFormAvailable("no closed-form condition applies to this pair")

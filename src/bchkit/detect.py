@@ -90,8 +90,9 @@ class CaseClassification:
     of w that the closure worklist inserts and w fails to centralize, scaled to
     primitive integer coordinates; it is None for every other tag.  classify_pair
     stops growing S at the witness, so s_closure is built on first read.  For
-    OperatorCommuting, the private _s_dim holds dim S from the grown echelon, so
-    an evaluator that needs only the dimension builds no RREF.
+    OperatorCommuting, the private _integer_form is (scaled, ech): the integer
+    forms ((xs, sx), (ys, sy), (ws, sw)) of x, y, w, as clear_denominators gives
+    them, and the grown Echelon of S, which the evaluator reads with no RREF.
     """
 
     tag: CaseTag
@@ -104,7 +105,7 @@ class CaseClassification:
     witness: LieElement | None = None
     _s_closure: Callable[[], Subspace | None] = field(default=lambda: None,
                                                      repr=False, compare=False)
-    _s_dim: int | None = field(default=None, repr=False, compare=False)
+    _integer_form: tuple | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def s_closure(self) -> Subspace | None:
@@ -253,6 +254,7 @@ def classify_pair(alg: StructureConstants, x: LieElement, y: LieElement) -> Case
     classification on it; per pair, [X,Y] and its images under L_X, L_Y are computed once.
     The closure S is grown only until its first image b with [[X,Y], b] != 0, the
     NoClosedForm witness; that S is then built in full on first read of s_closure.
+    OperatorCommuting keeps the integer x, y, w and the grown echelon of S for the evaluator.
     """
     facts = algebra_facts(alg)
     # integer coordinates: xs = sx x, ys = sy y, ws = den sx sy w
@@ -274,8 +276,10 @@ def classify_pair(alg: StructureConstants, x: LieElement, y: LieElement) -> Case
     ech = Echelon()
     witness = _witness(alg, ws, _closure(alg, ech, xs, ys, ws, lx_ws, ly_ws))
     if witness is None:
+        g = math.gcd(*ws, alg.den * sx * sy)  # ws / g is clear_denominators(w.coords)[0]
+        scaled = ((xs, sx), (ys, sy), ([c // g for c in ws], alg.den * sx * sy // g))
         return certified(CaseTag.OPERATOR_COMMUTING, _s_closure=ech.subspace,
-                         _s_dim=len(ech.rows))
+                         _integer_form=(scaled, ech))
     return certified(CaseTag.NO_CLOSED_FORM,
                      witness=LieElement(unscaled(witness, math.gcd(*witness))),
                      _s_closure=partial(alg.span_closure, [w], (x, y)))

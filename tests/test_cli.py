@@ -296,6 +296,16 @@ class TestFloatJson:
         assert (code, out) == (1, "")
         assert err.startswith("input error:") and "coordinate 2" in err
 
+    @pytest.mark.parametrize("text", ["1" + "0" * 400, '"1' + "0" * 400 + '/3"'],
+                             ids=["integer", "p/q"])
+    def test_exact_coordinate_beyond_the_double_range_exit_1(self, tmp_path, capsys, text):
+        # a float element converts its exact coordinates to float
+        x = self._coords(tmp_path, "x", f"[0.5, {text}, 0]")
+        y = self._coords(tmp_path, "y", "[0, 1, 0]")
+        code, out, err = run(capsys, "bch", "--algebra", "heisenberg", "--x", x, "--y", y)
+        assert (code, out) == (1, "")
+        assert err.startswith("input error:") and x in err and "coordinate 1" in err
+
 
 class TestOracle:
     def test_series_only(self, workdir, capsys):

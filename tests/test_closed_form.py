@@ -32,7 +32,7 @@ from bchkit.closed_form import (
     f_series,
     oplus,
 )
-from bchkit.algebra import StructureConstants, Subspace
+from bchkit.algebra import LieElement, StructureConstants, Subspace
 from bchkit.detect import (
     CaseTag,
     algebra_facts,
@@ -706,6 +706,33 @@ class TestOperator:
         monkeypatch.setattr(algebra.Echelon, "subspace", no_rref)
         assert bch_closed_form(alg, x, y) == expected
 
+    def test_non_terminating_form_builds_no_rref(self, monkeypatch):
+        # the tail bound's restricted norms come from classify_pair's echelon
+        # rows too: no Fraction RREF of S is built, and z and degree stay pinned
+        entry = catalog_entry("two_scale")
+        (x, y, _), = entry.pairs
+        rng = random.Random(13)
+        diag = families.random_derived_abelian(rng, 2, 3, kind="diag")
+        dx, dy = (families.random_element(rng, diag.dim) for _ in range(2))
+        pinned = [
+            (entry.algebra, x, y, 21,
+             (1.0, 2.0, 1.5819767068693265, 2.3130352855014573)),
+            (diag, dx, dy, 5,
+             (-0.5428571428571429, -0.125, 0.5179313144412385, 0.06954291424075251,
+              0.6313336809071783)),
+        ]
+        for alg, *_ in pinned:
+            algebra_facts(alg)  # per-algebra work builds its own subspaces
+
+        def no_rref(self):
+            raise AssertionError("Echelon.subspace called")
+
+        monkeypatch.setattr(algebra.Echelon, "subspace", no_rref)
+        for alg, x, y, degree, z in pinned:
+            res = bch_closed_form(alg, x, y)
+            assert (res.method, res.exact) == ("OperatorF", False)
+            assert (res.z.coords, res.degree) == (z, degree)
+
     def test_mismatch_rejected(self):
         sl2 = sl2_algebra()
         x, y = sl2.basis_element(0), sl2.basis_element(1)
@@ -726,14 +753,28 @@ class TestOperator:
         with pytest.raises(ClassificationMismatch):  # holds [x, y], but not invariant
             bch_operator(alg, x, y, Subspace.span([w]))
 
+    def test_any_basis_of_the_closure_accepted(self):
+        # S is re-echelonized on integer rows, so a basis other than its RREF,
+        # such as the RREF rows scaled by 2 or summed, gives the same result
+        alg = two_scale_algebra()
+        x, y = alg.element([1, 2, 0, 0]), alg.element([0, 0, 1, 1])
+        s = classify_pair(alg, x, y).s_closure
+        b0, b1 = (LieElement(b) for b in s.basis)
+        expected = bch_operator(alg, x, y, s)
+        for basis in ([b.scale(2) for b in (b0, b1)], [b0 + b1, b1.scale(-3)]):
+            other = Subspace(tuple(b.coords for b in basis))
+            assert other != s
+            assert bch_operator(alg, x, y, other) == expected
+
     def test_nonconvergence_reported(self):
         alg = two_scale_algebra()
         x = alg.element([4, 8, 0, 0])  # restricted adjoint norm 8 > pi
         y = alg.element([0, 0, 1, 1])
         cls = classify_pair(alg, x, y)
         assert cls.tag == CaseTag.OPERATOR_COMMUTING
-        with pytest.raises(NonConvergence):
+        with pytest.raises(NonConvergence) as info:
             bch_operator(alg, x, y, cls.s_closure, 1e-10)
+        assert (info.value.spectral_bound, info.value.achieved_bound) == (8.0, None)
 
     def test_table_grows_past_the_scalar_degree(self, monkeypatch):
         # the sum starts from the scalar path's table, degree 20; the tail bound
@@ -982,6 +1023,7 @@ class TestPerPairWork:
             monkeypatch.setattr(module, "clear_denominators", counted_clear)
         monkeypatch.setattr(StructureConstants, "scaled_bracket", counted_kernel)
         monkeypatch.setattr(StructureConstants, "adjoint", counted_adjoint)
+        operator_pairs = 0
         for entry in entries:
             alg = entry.algebra
             (x, y, expected), = entry.pairs
@@ -991,8 +1033,15 @@ class TestPerPairWork:
             cls = classify_pair(alg, x, y)
             assert cls.tag == expected
             assert not adjoints, entry.name  # the detector builds no adjoint matrix
+            classified = len(cleared)
             if cls.tag != CaseTag.NO_CLOSED_FORM:
                 bch_closed_form(alg, x, y, classification=cls)
+            if cls.tag == CaseTag.OPERATOR_COMMUTING:
+                # the operator form reads the integer x, y and w that classify_pair made
+                operator_pairs += 1
+                pair = (x.coords, y.coords, cls.w.coords)
+                assert not [coords for coords, _ in cleared[classified:]
+                            if any(coords is c for c in pair)], entry.name
             of_x = [vec for coords, vec in cleared if coords is x.coords]
             of_y = [vec for coords, vec in cleared if coords is y.coords]
 
@@ -1005,6 +1054,7 @@ class TestPerPairWork:
             assert of_x and of_y, entry.name
             assert len(same_pair) == 1, entry.name
             assert not adjoints, entry.name  # no closed form builds one either
+        assert operator_pairs
 
     def test_classification_of_another_pair_rejected(self):
         for entry in builtin_catalog():

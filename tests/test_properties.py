@@ -7,8 +7,8 @@ from fractions import Fraction
 from hypothesis import example, given, settings, strategies as st
 
 from bchkit.algebra import Echelon, LieElement, Subspace, clear_denominators
-from bchkit.closed_form import (BivariateSeries, NonConvergence, bch_operator, f_form_product,
-                                f_scalar, f_series)
+from bchkit.closed_form import (BivariateSeries, NonConvergence, _restricted_norm, bch_operator,
+                                f_form_product, f_scalar, f_series)
 from bchkit.detect import (
     CaseTag,
     classify_pair,
@@ -18,6 +18,7 @@ from bchkit.detect import (
 )
 from bchkit import families
 from bchkit.oracle import two_scale_algebra
+from test_detect import borel_algebra
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -152,14 +153,21 @@ def test_incremental_echelon_matches_rref(vecs):
     assert ech.subspace().basis == Subspace.span(vecs).basis == _fraction_rref(vecs)
 
 
-def _restricted_power_index(alg, g, sub):
-    """Smallest k <= dim sub with (L_g on sub)^k = 0, or None, by matrix powers."""
+def _restricted_matrix(alg, g, sub):
+    """Fraction matrix of L_g on the L_g-invariant subspace sub in its RREF basis b,
+    from the adjoint matrix: column j holds the coefficients of L_g b_j."""
     ad = alg.adjoint(g)
     images = [ad.apply(b) for b in sub.basis]
     assert all(sub.contains(img) for img in images)
     cols = [sub.coefficients(img) for img in images]
     k = sub.dim
-    mat = [[cols[j][i] for j in range(k)] for i in range(k)]
+    return [[cols[j][i] for j in range(k)] for i in range(k)]
+
+
+def _restricted_power_index(alg, g, sub):
+    """Smallest k <= dim sub with (L_g on sub)^k = 0, or None, by matrix powers."""
+    mat = _restricted_matrix(alg, g, sub)
+    k = sub.dim
     power = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
     for n in range(k + 1):
         if all(v == 0 for row in power for v in row):
@@ -199,6 +207,37 @@ def test_orbit_nilpotency_index_matches_restricted_matrix(seed):
     assert res.exact == (ix is not None and iy is not None)
     if res.exact:
         assert res.degree == ix + iy - 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEEDS)
+def test_echelon_norm_matches_the_rref_matrix(seed):
+    # the tail bound's restricted norms, read off classify_pair's integer
+    # echelon, are bit for bit the row-sum norms of the Fraction matrices of
+    # L_X and L_Y on s_closure, each entry rounded once and summed in row order
+    rng = random.Random(seed)
+    kind = rng.choice(["nilp", "diag", "two_scale", "b4"])
+    zero = Fraction(0)
+    if kind == "b4":  # diagonal x, y = a E_01 + b E_23: S = span{E_01, E_23}
+        alg = borel_algebra(4)
+        diag, e01, e23 = (0, 4, 7, 9), 1, 8
+        x = LieElement(families.random_fraction(rng) if k in diag else zero
+                       for k in range(alg.dim))
+        y = LieElement(families.random_fraction(rng) if k in (e01, e23) else zero
+                       for k in range(alg.dim))
+    else:  # lever x, core y
+        alg = (two_scale_algebra() if kind == "two_scale" else
+               families.random_derived_abelian(rng, 2, rng.randint(2, 4), kind=kind))
+        x = LieElement(families.random_element(rng, 2).coords + (zero,) * (alg.dim - 2))
+        y = LieElement((zero,) * 2 + families.random_element(rng, alg.dim - 2).coords)
+    cls = classify_pair(alg, x, y)
+    if cls.tag != CaseTag.OPERATOR_COMMUTING:
+        return
+    scaled, ech = cls._integer_form
+    for (gs, sg), g in zip(scaled, (x, y)):
+        reference = max(sum(abs(float(t)) for t in row)
+                        for row in _restricted_matrix(alg, g, cls.s_closure))
+        assert _restricted_norm(alg, gs, sg, ech) == reference
 
 
 @settings(max_examples=40, deadline=None)
