@@ -322,7 +322,8 @@ class StructureConstants:
         # integer coordinates of the basis elements T_a
         self.units = tuple(tuple(int(i == a) for i in range(dim)) for a in range(dim))
         self._derived: Subspace | None = None
-        self._facts = None  # detect.AlgebraFacts, filled by detect.algebra_facts
+        # detect.AlgebraFacts, made once by detect.algebra_facts; each fact is computed on first read
+        self._facts = None
 
     def __repr__(self):
         return f"StructureConstants(dim={self.dim}, nonzero_pairs={len(self._pairs)})"

@@ -16,6 +16,7 @@ rational it holds.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -70,14 +71,36 @@ class RankOneFactorization:
         return total
 
 
-@dataclass(frozen=True)
 class AlgebraFacts:
-    """Pair-independent facts of an algebra; built once by :func:`algebra_facts`."""
+    """Pair-independent facts of an algebra, each computed on its first read.
 
-    derived_dim: int
-    derived_abelian: bool
-    nilpotency: NilpotencyVerdict
-    rank_one: RankOneFactorization | None
+    :func:`algebra_facts` makes one per algebra instance, so it compares by
+    identity.  Classification and evaluation read no fact; the ``check`` JSON
+    reads all four.  Two threads that read a fact first at once may both compute
+    it, and each gets an equal value.
+    """
+
+    def __init__(self, alg: StructureConstants):
+        self._alg = alg
+
+    def __repr__(self):
+        return f"AlgebraFacts({self._alg!r})"
+
+    @cached_property
+    def derived_dim(self) -> int:
+        return self._alg.derived_subalgebra().dim
+
+    @cached_property
+    def derived_abelian(self) -> bool:
+        return is_derived_abelian(self._alg)
+
+    @cached_property
+    def nilpotency(self) -> NilpotencyVerdict:
+        return self._alg.lower_central_series()[1]
+
+    @cached_property
+    def rank_one(self) -> RankOneFactorization | None:
+        return factorize_rank_one(self._alg)
 
 
 @dataclass(frozen=True)
@@ -163,16 +186,16 @@ def is_derived_abelian(alg: StructureConstants) -> bool:
     return all(centralizes(alg, LieElement(b), basis[i + 1:]) for i, b in enumerate(basis))
 
 
+_facts_lock = threading.Lock()
+
+
 def algebra_facts(alg: StructureConstants) -> AlgebraFacts:
-    """The pair-independent facts of alg, computed on first use and kept on alg."""
+    """The one AlgebraFacts of alg, made on the first call and kept on alg; it computes
+    no fact.  Threads whose first calls on alg overlap all get the same object."""
     if alg._facts is None:
-        _, nilpotency = alg.lower_central_series()
-        alg._facts = AlgebraFacts(
-            derived_dim=alg.derived_subalgebra().dim,
-            derived_abelian=is_derived_abelian(alg),
-            nilpotency=nilpotency,
-            rank_one=factorize_rank_one(alg),
-        )
+        with _facts_lock:
+            if alg._facts is None:
+                alg._facts = AlgebraFacts(alg)
     return alg._facts
 
 
@@ -250,8 +273,8 @@ def classify_pair(alg: StructureConstants, x: LieElement, y: LieElement) -> Case
     The conditions are algebraic identities, decided exactly: float coordinates
     count as the binary rationals they hold, so the certificate (w, u, v, S) is
     exact for every input.
-    The algebra facts are computed once per algebra and shared by every
-    classification on it; per pair, [X,Y] and its images under L_X, L_Y are computed once.
+    Every classification on an algebra shares its one AlgebraFacts and reads no
+    fact of it; per pair, [X,Y] and its images under L_X, L_Y are computed once.
     The closure S is grown only until its first image b with [[X,Y], b] != 0, the
     NoClosedForm witness; that S is then built in full on first read of s_closure.
     OperatorCommuting keeps the integer x, y, w and the grown echelon of S for the evaluator.

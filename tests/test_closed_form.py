@@ -35,7 +35,6 @@ from bchkit.closed_form import (
 from bchkit.algebra import LieElement, StructureConstants, Subspace
 from bchkit.detect import (
     CaseTag,
-    algebra_facts,
     classify_pair,
     factorize_rank_one,
     pair_centralizer_condition,
@@ -721,8 +720,6 @@ class TestOperator:
              (-0.5428571428571429, -0.125, 0.5179313144412385, 0.06954291424075251,
               0.6313336809071783)),
         ]
-        for alg, *_ in pinned:
-            algebra_facts(alg)  # per-algebra work builds its own subspaces
 
         def no_rref(self):
             raise AssertionError("Echelon.subspace called")
@@ -812,27 +809,10 @@ class TestOperator:
         assert err.startswith("computation failed") and "best tail bound 1.1e-09" in err
 
 
-def _borel(n: int):
-    """b(n), the upper-triangular n x n matrices on the basis E_ij (i <= j), and
-    the index of each E_ij."""
-    basis = [(i, j) for i in range(n) for j in range(i, n)]
-    index = {e: k for k, e in enumerate(basis)}
-    entries = {}
-    for a, (i, j) in enumerate(basis):
-        for b in range(a + 1, len(basis)):
-            k, l = basis[b]
-            # [E_ij, E_kl] = d_jk E_il - d_li E_kj
-            if j == k:
-                entries[a, b, index[i, l]] = entries.get((a, b, index[i, l]), 0) + 1
-            if l == i:
-                entries[a, b, index[k, j]] = entries.get((a, b, index[k, j]), 0) - 1
-    return algebra.validate(entries, len(basis)), index
-
-
-def _borel_pairs(rng, n: int = 4):
+def _borel_pairs(borel, rng, n: int = 4):
     """Constructed b(n) pairs with a closed form: diagonal x with one
     off-diagonal y, two diagonals, and a nilpotent pair E_i,i+1, E_i+1,i+2."""
-    alg, index = _borel(n)
+    alg, index = borel(n)
 
     def element(values):
         return alg.element([values.get(k, 0) for k in range(alg.dim)])
@@ -856,7 +836,7 @@ def _borel_pairs(rng, n: int = 4):
 class TestGradedTerms:
     DEGREE = 10
 
-    def _instances(self):
+    def _instances(self, borel):
         rng = random.Random(2024)
         half = Fraction(1, 2)
         out = []
@@ -870,12 +850,12 @@ class TestGradedTerms:
                             families.random_element(rng, alg.dim, half)))
         for entry in builtin_catalog():
             out.extend((entry.algebra, x, y) for x, y, _ in entry.pairs)
-        return out + _borel_pairs(rng)
+        return out + _borel_pairs(borel, rng)
 
-    def test_closed_form_parts_equal_series_parts(self):
+    def test_closed_form_parts_equal_series_parts(self, borel):
         tags = set()
         terminating = 0
-        for alg, x, y in self._instances():
+        for alg, x, y in self._instances(borel):
             cls = classify_pair(alg, x, y)
             if cls.tag == CaseTag.NO_CLOSED_FORM:
                 continue
@@ -1000,8 +980,6 @@ class TestPerPairWork:
         # [x, y] is one call of the bracket kernel on integer coordinates of x and
         # of y; those lists are told apart by the coordinate tuple they were made from
         entries = builtin_catalog()
-        for entry in entries:
-            algebra_facts(entry.algebra)  # per-algebra work, not per-pair
         cleared, brackets, adjoints = [], [], []
         clear = algebra.clear_denominators
         kernel, adjoint = StructureConstants.scaled_bracket, StructureConstants.adjoint

@@ -1,11 +1,15 @@
 """Case-detection hierarchy and its certificates."""
 
 import random
+import sys
+import threading
+import time
 from fractions import Fraction
 
 import pytest
 
-from bchkit.algebra import Echelon, LieElement, Subspace, validate
+from bchkit.algebra import Echelon, LieElement, StructureConstants, Subspace
+from bchkit.closed_form import NoClosedFormAvailable, bch_closed_form
 from bchkit.detect import (
     CaseTag,
     algebra_facts,
@@ -17,7 +21,7 @@ from bchkit.detect import (
     simultaneous_eigenpair,
     uv_from_rank_one,
 )
-from bchkit import families
+from bchkit import detect, families, oracle
 from bchkit.oracle import (
     abelian_algebra,
     affine_algebra,
@@ -318,29 +322,14 @@ def naive_classify(alg, x, y):
     return (CaseTag.OPERATOR_COMMUTING if ok else CaseTag.NO_CLOSED_FORM), None, None, sub
 
 
-def borel_algebra(n):
-    """Upper-triangular n x n matrices on the basis E_ij, i <= j."""
-    basis = [(i, j) for i in range(n) for j in range(i, n)]
-    index = {e: k for k, e in enumerate(basis)}
-    entries = {}
-    for a, (i, j) in enumerate(basis):
-        for b, (k, l) in enumerate(basis):
-            if a < b:  # [E_ij, E_kl] = d_jk E_il - d_li E_kj
-                if j == k:
-                    entries[(a, b, index[(i, l)])] = 1
-                if l == i:
-                    entries[(a, b, index[(k, j)])] = entries.get((a, b, index[(k, j)]), 0) - 1
-    return validate(entries, len(basis))
-
-
-def _reference_pairs():
+def _reference_pairs(borel):
     """At least 300 seeded pairs over every generator family, the catalog and sl2."""
     rng = random.Random(31)
     algebras = [families.random_rank_one(rng, rng.randint(3, 6)) for _ in range(8)]
     algebras += [families.random_case1(rng, rng.randint(2, 6))[0] for _ in range(8)]
     derived_abelian = [families.random_derived_abelian(rng, 2, rng.randint(2, 5), kind=kind)
                        for kind in ("diag", "nilp") for _ in range(6)]
-    algebras += derived_abelian + [borel_algebra(3), borel_algebra(4)]
+    algebras += derived_abelian + [borel(3)[0], borel(4)[0]]
     pairs = []
     for alg in derived_abelian:
         # lever x, core y: L_y vanishes on the abelian core, so S is the chain
@@ -366,15 +355,14 @@ def _reference_pairs():
     for _ in range(30):
         a, b, c = (families.random_fraction(rng) for _ in range(3))
         pairs.append((sl2, h.scale(a) + e.scale(b), e.scale(c)))
-    return pairs + _borel_pairs(5, random.Random(32))
+    return pairs + _borel_pairs(borel, 5, random.Random(32))
 
 
-def _borel_pairs(n, rng, per_kind=3):
+def _borel_pairs(borel, n, rng, per_kind=3):
     """Pairs on b(n) of the kinds the library benchmark streams: generic; diagonal x
     with one off-diagonal y (common eigenvector); two diagonals (commuting); and
     E_{i,i+1}, E_{i+1,i+2} (nilpotent)."""
-    alg = borel_algebra(n)
-    index = {e: k for k, e in enumerate((i, j) for i in range(n) for j in range(i, n))}
+    alg, index = borel(n)
     diag = [index[i, i] for i in range(n)]
 
     def coef():
@@ -399,8 +387,8 @@ def _borel_pairs(n, rng, per_kind=3):
 
 
 class TestReferenceClassifier:
-    def test_matches_naive_classifier(self):
-        pairs = _reference_pairs()
+    def test_matches_naive_classifier(self, borel):
+        pairs = _reference_pairs(borel)
         assert len(pairs) >= 300
         seen = set()
         for alg, x, y in pairs:
@@ -412,8 +400,8 @@ class TestReferenceClassifier:
 
 
 class TestWitness:
-    def test_witness_certifies_no_closed_form(self):
-        for alg, x, y in _reference_pairs():
+    def test_witness_certifies_no_closed_form(self, borel):
+        for alg, x, y in _reference_pairs(borel):
             cls = classify_pair(alg, x, y)
             if cls.tag != CaseTag.NO_CLOSED_FORM:
                 assert cls.witness is None
@@ -427,9 +415,8 @@ class TestWitness:
         cls = classify_pair(sl2, sl2.basis_element(0), sl2.basis_element(1))
         assert cls.witness == LieElement((-1, 0, 0))
 
-    def test_closure_stops_at_the_witness(self, monkeypatch):
-        alg = borel_algebra(6)
-        algebra_facts(alg)  # the pair-independent facts use Echelon too
+    def test_closure_stops_at_the_witness(self, monkeypatch, borel):
+        alg, _ = borel(6)
         rng = random.Random(7)
         while True:
             x, y = (families.random_element(rng, alg.dim) for _ in range(2))
@@ -444,3 +431,103 @@ class TestWitness:
         assert len(inserts) <= 3  # w, L_X w, L_Y w
         s = cls.s_closure
         assert s == alg.span_closure([cls.w], (x, y)) and s.dim > 3
+
+
+class TestLazyFacts:
+    """AlgebraFacts computes each fact on its first read; classification and
+    evaluation read none."""
+
+    @staticmethod
+    def _fresh_pairs(borel):
+        """Pairs of every tag, each on an algebra whose facts were never read."""
+        rng = random.Random(41)
+        pairs = [(entry.algebra, x, y)
+                 for entry in oracle._catalog_entries() for x, y, _ in entry.pairs]
+        pairs += _borel_pairs(borel, 4, rng, per_kind=1)
+        for alg in (families.random_rank_one(rng, 4), families.random_case1(rng, 4)[0],
+                    families.random_derived_abelian(rng, 2, 3, kind="diag"),
+                    families.random_derived_abelian(rng, 2, 3, kind="nilp")):
+            pairs += [(alg, families.random_element(rng, alg.dim),
+                       families.random_element(rng, alg.dim)) for _ in range(3)]
+        return pairs
+
+    def test_classification_computes_no_fact(self, monkeypatch, borel):
+        pairs = self._fresh_pairs(borel)
+
+        def no_fact(*args):
+            raise AssertionError("an algebra fact was computed")
+
+        monkeypatch.setattr(StructureConstants, "lower_central_series", no_fact)
+        monkeypatch.setattr(StructureConstants, "derived_subalgebra", no_fact)
+        monkeypatch.setattr(detect, "factorize_rank_one", no_fact)
+        monkeypatch.setattr(detect, "is_derived_abelian", no_fact)
+        classified = []
+        for alg, x, y in pairs:
+            cls = classify_pair(alg, x, y)
+            if cls.tag == CaseTag.NO_CLOSED_FORM:
+                with pytest.raises(NoClosedFormAvailable):
+                    bch_closed_form(alg, x, y, classification=cls)
+            else:
+                bch_closed_form(alg, x, y, classification=cls)
+            classified.append((alg, cls))
+        monkeypatch.undo()
+        assert {cls.tag for _, cls in classified} == set(CaseTag)
+        for alg, cls in classified:
+            facts = cls.facts
+            assert facts is algebra_facts(alg)
+            assert facts.derived_dim == alg.derived_subalgebra().dim
+            assert facts.derived_abelian == is_derived_abelian(alg)
+            assert facts.nilpotency == alg.lower_central_series()[1]
+            assert facts.rank_one == factorize_rank_one(alg)
+
+    def test_identity_and_repr(self):
+        alg = heisenberg_algebra()
+        facts = algebra_facts(alg)
+        assert repr(facts) == f"AlgebraFacts({alg!r})"
+        assert not {"derived_dim", "derived_abelian", "nilpotency", "rank_one"} & vars(facts).keys()
+        assert facts == algebra_facts(alg)
+        assert facts != algebra_facts(heisenberg_algebra())
+
+    def test_overlapping_first_classifications_share_one_facts_object(self, monkeypatch,
+                                                                        borel):
+        # StructureConstants is shared between threads: threads whose first
+        # classifications on a fresh algebra overlap must get its one AlgebraFacts,
+        # or bch_closed_form rejects their certificates as made on another algebra
+        init = detect.AlgebraFacts.__init__
+
+        def slow_init(self, *args, **kwargs):
+            time.sleep(1e-3)  # widen the window between the check and the store
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(detect.AlgebraFacts, "__init__", slow_init)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for trial in range(20):
+                alg, _ = borel(5)
+                rng = random.Random(trial)
+                pairs = [[families.random_element(rng, alg.dim) for _ in range(2)]
+                         for _ in range(4)]
+                barrier = threading.Barrier(len(pairs))
+                facts = [None] * len(pairs)
+
+                def run(i, x, y):
+                    barrier.wait(timeout=30)
+                    cls = classify_pair(alg, x, y)
+                    try:
+                        bch_closed_form(alg, x, y, classification=cls)
+                    except NoClosedFormAvailable:
+                        pass
+                    facts[i] = cls.facts
+
+                threads = [threading.Thread(target=run, args=(i, x, y))
+                           for i, (x, y) in enumerate(pairs)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                one = algebra_facts(alg)
+                assert all(f is one for f in facts), f"trial {trial}"
+        finally:
+            sys.setswitchinterval(interval)

@@ -18,7 +18,6 @@ from bchkit.detect import (
 )
 from bchkit import families
 from bchkit.oracle import two_scale_algebra
-from test_detect import borel_algebra
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -211,7 +210,7 @@ def test_orbit_nilpotency_index_matches_restricted_matrix(seed):
 
 @settings(max_examples=60, deadline=None)
 @given(SEEDS)
-def test_echelon_norm_matches_the_rref_matrix(seed):
+def test_echelon_norm_matches_the_rref_matrix(borel, seed):
     # the tail bound's restricted norms, read off classify_pair's integer
     # echelon, are bit for bit the row-sum norms of the Fraction matrices of
     # L_X and L_Y on s_closure, each entry rounded once and summed in row order
@@ -219,7 +218,7 @@ def test_echelon_norm_matches_the_rref_matrix(seed):
     kind = rng.choice(["nilp", "diag", "two_scale", "b4"])
     zero = Fraction(0)
     if kind == "b4":  # diagonal x, y = a E_01 + b E_23: S = span{E_01, E_23}
-        alg = borel_algebra(4)
+        alg, _ = borel(4)
         diag, e01, e23 = (0, 4, 7, 9), 1, 8
         x = LieElement(families.random_fraction(rng) if k in diag else zero
                        for k in range(alg.dim))
