@@ -70,7 +70,11 @@ class NoClosedFormAvailable(ValueError):
 class BchResult:
     """Output of a closed-form evaluation.  residual_bound covers 8 ulp of the final
     combine x + y + f w for ScalarF and the geometric tail estimate (radius pi) for a
-    non-terminating OperatorF, never the error of f; exact results give 0.0 or None."""
+    non-terminating OperatorF, never the error of f; exact results give 0.0 or None.
+
+    exact is True iff neither x nor y holds a float and the form takes no float
+    value of f (Sum, Central, ScalarF at u = v = 0, terminating OperatorF): z is then
+    all Fraction, one per coordinate of an integer sum; otherwise z is all float."""
 
     z: LieElement
     method: str                       # Sum | Central | ScalarF | OperatorF
@@ -298,20 +302,57 @@ def f_rational(u: Fraction, v: Fraction, degree: int = 40) -> Fraction:
 # closed-form BCH variants
 # ---------------------------------------------------------------------------
 
-def _elements_exact(*elems: LieElement) -> bool:
-    return all(e.is_exact for e in elems)
-
-
 def _check_tolerance(target_tolerance: float) -> None:
     if not (target_tolerance > 0 and math.isfinite(target_tolerance)):
         raise ValueError(f"target_tolerance must be positive and finite, got {target_tolerance}")
 
 
-def _terminating(x: LieElement, y: LieElement, w: LieElement, tag: CaseTag) -> BchResult:
-    """Commuting pair: z = x + y; central bracket: z = x + y + w/2."""
-    if tag == CaseTag.COMMUTING:
-        return BchResult(x + y, "Sum", exact=_elements_exact(x, y))
-    return BchResult(x + y + w.scale(Fraction(1, 2)), "Central", exact=_elements_exact(x, y))
+def _sum_form(a, b) -> tuple[list[int], int]:
+    """The integer form (A sb + B sa, sa sb) of A / sa + B / sb, for integer forms
+    a = (A, sa) and b = (B, sb)."""
+    (av, sa), (bv, sb) = a, b
+    return [p * sb + q * sa for p, q in zip(av, bv)], sa * sb
+
+
+def _combined(method: str, x: LieElement, y: LieElement, scaled, term=None, fval=None,
+              **fields) -> BchResult:
+    """The result z = x + y + t, or x + y + fval t for a float fval, where t = T / st
+    for the integer form term = (T, st), or t = 0 for no term, and scaled holds the
+    integer forms ((xs, sx), (ys, sy)) of x and y.
+
+    exact means that neither x nor y holds a float and that there is no fval; then
+    each coordinate of z is one Fraction of the integer sum.  Otherwise every
+    coordinate is a float, and each int / int rounds once: x + y is
+    (xs sy + ys sx) / (sx sy) for exact x, y, and the float add x_i + y_i, which
+    keeps -0.0, for float input; t_i is T_i / st, where T may hold floats over
+    st = 1 (a float w, see bch_rank_one).  fields go to BchResult as they are.
+    """
+    exact = not any(map(isinstance, x.coords + y.coords, itertools.repeat(float)))
+    if exact:
+        xy = _sum_form(*scaled)
+        if fval is None:
+            z = unscaled(*(xy if term is None else _sum_form(xy, term)))
+            return BchResult(LieElement(z), method, exact=True, **fields)
+        num, den = xy
+        sums = [c / den for c in num]
+    else:
+        sums = [float(a + b) for a, b in zip(x.coords, y.coords)]
+    if term is not None:
+        vec, st = term
+        k = 1.0 if fval is None else fval  # 1.0 t_i is t_i, -0.0 included
+        sums = [s + k * (t / st) for s, t in zip(sums, vec)]
+    return BchResult(LieElement(sums), method, exact=False, **fields)
+
+
+def _halved(form) -> tuple[list[int], int]:
+    """The integer form of w / 2 from that of w."""
+    ws, sw = form
+    return ws, 2 * sw
+
+
+def _cleared(*elems: LieElement) -> list:
+    """The integer forms (clear_denominators) of the elements' coordinates."""
+    return [clear_denominators(e.coords) for e in elems]
 
 
 def bch_special(alg: StructureConstants, x: LieElement, y: LieElement,
@@ -324,19 +365,23 @@ def bch_special(alg: StructureConstants, x: LieElement, y: LieElement,
         raise ClassificationMismatch("pair does not commute")
     if classification == CaseTag.CENTRAL_BRACKET and not is_central(alg, w):
         raise ClassificationMismatch("bracket is not central")
-    return _terminating(x, y, w, classification)
+    scaled = _cleared(x, y, w)
+    if classification == CaseTag.COMMUTING:
+        return _combined("Sum", x, y, scaled[:2])
+    return _combined("Central", x, y, scaled[:2], _halved(scaled[2]))
 
 
-def _scalar_f(x: LieElement, y: LieElement, w: LieElement, u, v) -> BchResult:
-    """z = x + y + f(u, v) w; exact when u = v = 0, where f = 1/2."""
+def _scalar_f(x: LieElement, y: LieElement, scaled, u, v) -> BchResult:
+    """z = x + y + f(u, v) w from the integer forms scaled of x, y and w; exact when
+    u = v = 0, where f = 1/2."""
     if u == 0 and v == 0:
-        z = x + y + w.scale(Fraction(1, 2))
-        return BchResult(z, "ScalarF", exact=_elements_exact(x, y), u=u, v=v,
+        return _combined("ScalarF", x, y, scaled[:2], _halved(scaled[2]), u=u, v=v,
                          residual_bound=0.0)
     fval = f_scalar(u, v)
-    z = x + y + w.scale(fval)
-    bound = 8.0 * 2.0**-53 * abs(fval) * w.sup_norm()
-    return BchResult(z, "ScalarF", exact=False, residual_bound=bound, u=u, v=v)
+    ws, sw = scaled[2]
+    bound = 8.0 * 2.0**-53 * abs(fval) * (max(map(abs, ws)) / sw)
+    return _combined("ScalarF", x, y, scaled[:2], scaled[2], fval, residual_bound=bound,
+                     u=u, v=v)
 
 
 def bch_eigenpair(alg: StructureConstants, x: LieElement, y: LieElement,
@@ -345,7 +390,7 @@ def bch_eigenpair(alg: StructureConstants, x: LieElement, y: LieElement,
     w = alg.bracket(x, y)
     if not w.is_zero() and simultaneous_eigenpair(alg, x, y) != (u, v):
         raise ClassificationMismatch("(u, v) is not a simultaneous eigen-pair for [x, y]")
-    return _scalar_f(x, y, w, u, v)
+    return _scalar_f(x, y, _cleared(x, y, w), u, v)
 
 
 def bch_rank_one(fact: RankOneFactorization, x: LieElement, y: LieElement) -> BchResult:
@@ -353,8 +398,12 @@ def bch_rank_one(fact: RankOneFactorization, x: LieElement, y: LieElement) -> Bc
     u, v = uv_from_rank_one(fact, x, y)
     c_xy = fact.omega_contract(x, y)
     if c_xy == 0:
-        return BchResult(x + y, "Sum", exact=_elements_exact(x, y), u=u, v=v)
-    return _scalar_f(x, y, fact.n.scale(c_xy), u, v)
+        return _combined("Sum", x, y, _cleared(x, y), u=u, v=v)
+    w = fact.n.scale(c_xy)
+    # float input can give a float c_xy: then w is float, and it stays as it is
+    # over 1, so that a -0.0 of w signs its term as before
+    w_form = (w.coords, 1) if isinstance(c_xy, float) else clear_denominators(w.coords)
+    return _scalar_f(x, y, _cleared(x, y) + [w_form], u, v)
 
 
 def bch_rank_one_exact(fact: RankOneFactorization, x: LieElement, y: LieElement,
@@ -417,9 +466,8 @@ def closed_form_terms(alg: StructureConstants, x: LieElement, y: LieElement, w: 
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    scaled = [clear_denominators(e.coords) for e in (x, y, w)]
-    (xs, sx), (ys, sy), _ = scaled
-    c_1 = LieElement(unscaled([a * sy + b * sx for a, b in zip(xs, ys)], sx * sy))
+    scaled = _cleared(x, y, w)
+    c_1 = LieElement(unscaled(*_sum_form(*scaled[:2])))
     walk = _anti_diagonals(alg.scaled_bracket, *(vec for vec, _ in scaled))
     rows = f_series(max(degree - 2, 0))._graded_integer_form[:degree - 1]
     return (c_1,) + tuple(LieElement(unscaled(acc, den))
@@ -480,11 +528,11 @@ def bch_operator(alg: StructureConstants, x: LieElement, y: LieElement,
     """
     _check_tolerance(target_tolerance)
     w = alg.bracket(x, y)
+    scaled = _cleared(x, y, w)
     if w.is_zero():
-        return BchResult(x + y, "Sum", exact=_elements_exact(x, y), degree=0)
+        return _combined("Sum", x, y, scaled[:2], degree=0)
     if not centralizes(alg, w, s_closure.basis):
         raise ClassificationMismatch("[x, y] does not centralize the closure subspace")
-    scaled = [clear_denominators(e.coords) for e in (x, y, w)]
     (xs, _), (ys, _), (ws, _) = scaled
     ech = Echelon()
     for b in s_closure.basis:
@@ -527,8 +575,7 @@ def _operator_f(alg: StructureConstants, x: LieElement, y: LieElement, scaled,
                 for idx, t in enumerate(part):
                     if t:
                         acc[idx] += k * t
-            return BchResult(x + y + LieElement(unscaled(acc, den)), "OperatorF",
-                             exact=_elements_exact(x, y), residual_bound=0.0,
+            return _combined("OperatorF", x, y, scaled[:2], (acc, den), residual_bound=0.0,
                              degree=nx + ny - 2)
 
     # non-terminating: sum the exact parts in floating point up to the tail bound
@@ -618,11 +665,13 @@ def bch_closed_form(alg: StructureConstants, x: LieElement, y: LieElement,
     cls = classification if classification is not None else classify_pair(alg, x, y)
     if cls.x != x or cls.y != y or cls.facts is not algebra_facts(alg):
         raise ClassificationMismatch("classification was made for another pair or algebra")
-    if cls.tag in (CaseTag.COMMUTING, CaseTag.CENTRAL_BRACKET):
-        return _terminating(x, y, cls.w, cls.tag)
+    if cls.tag == CaseTag.NO_CLOSED_FORM:
+        raise NoClosedFormAvailable("no closed-form condition applies to this pair")
+    scaled, ech = cls._integer_form
+    if cls.tag == CaseTag.COMMUTING:
+        return _combined("Sum", x, y, scaled[:2])
+    if cls.tag == CaseTag.CENTRAL_BRACKET:
+        return _combined("Central", x, y, scaled[:2], _halved(scaled[2]))
     if cls.tag == CaseTag.SIMULTANEOUS_EIGENVECTOR:
-        return _scalar_f(x, y, cls.w, cls.u, cls.v)
-    if cls.tag == CaseTag.OPERATOR_COMMUTING:
-        scaled, ech = cls._integer_form
-        return _operator_f(alg, x, y, scaled, ech, target_tolerance)
-    raise NoClosedFormAvailable("no closed-form condition applies to this pair")
+        return _scalar_f(x, y, scaled, cls.u, cls.v)
+    return _operator_f(alg, x, y, scaled, ech, target_tolerance)

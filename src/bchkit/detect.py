@@ -113,9 +113,11 @@ class CaseClassification:
     of w that the closure worklist inserts and w fails to centralize, scaled to
     primitive integer coordinates; it is None for every other tag.  classify_pair
     stops growing S at the witness, so s_closure is built on first read.  For
-    OperatorCommuting, the private _integer_form is (scaled, ech): the integer
-    forms ((xs, sx), (ys, sy), (ws, sw)) of x, y, w, as clear_denominators gives
-    them, and the grown Echelon of S, which the evaluator reads with no RREF.
+    every tag but NoClosedForm, the private _integer_form is (scaled, ech): the
+    integer forms ((xs, sx), (ys, sy), (ws, sw)) of x, y, w, as clear_denominators
+    gives them, from which the evaluator builds z with no second clearing, and for
+    OperatorCommuting the grown Echelon of S, which it reads with no RREF (None
+    for the other tags).  NoClosedForm keeps no integer form.
     """
 
     tag: CaseTag
@@ -277,15 +279,21 @@ def classify_pair(alg: StructureConstants, x: LieElement, y: LieElement) -> Case
     fact of it; per pair, [X,Y] and its images under L_X, L_Y are computed once.
     The closure S is grown only until its first image b with [[X,Y], b] != 0, the
     NoClosedForm witness; that S is then built in full on first read of s_closure.
-    OperatorCommuting keeps the integer x, y, w and the grown echelon of S for the evaluator.
+    Every closed-form tag keeps the integer x, y, w for the evaluator, and
+    OperatorCommuting the grown echelon of S too.
     """
     facts = algebra_facts(alg)
     # integer coordinates: xs = sx x, ys = sy y, ws = den sx sy w
     (xs, sx), (ys, sy) = clear_denominators(x.coords), clear_denominators(y.coords)
     ws = alg.scaled_bracket(xs, ys)
-    w = LieElement(unscaled(ws, alg.den * sx * sy))
+    sw = alg.den * sx * sy
+    w = LieElement(unscaled(ws, sw))
 
-    def certified(tag, u=None, v=None, **certificate):
+    def certified(tag, u=None, v=None, ech=None, **certificate):
+        if tag != CaseTag.NO_CLOSED_FORM:
+            g = math.gcd(*ws, sw)  # ws / g is clear_denominators(w.coords)[0]
+            scaled = ((xs, sx), (ys, sy), ([c // g for c in ws], sw // g))
+            certificate["_integer_form"] = (scaled, ech)
         return CaseClassification(tag, u, v, facts, x, y, w, **certificate)
 
     if not any(ws):
@@ -299,10 +307,7 @@ def classify_pair(alg: StructureConstants, x: LieElement, y: LieElement) -> Case
     ech = Echelon()
     witness = _witness(alg, ws, _closure(alg, ech, xs, ys, ws, lx_ws, ly_ws))
     if witness is None:
-        g = math.gcd(*ws, alg.den * sx * sy)  # ws / g is clear_denominators(w.coords)[0]
-        scaled = ((xs, sx), (ys, sy), ([c // g for c in ws], alg.den * sx * sy // g))
-        return certified(CaseTag.OPERATOR_COMMUTING, _s_closure=ech.subspace,
-                         _integer_form=(scaled, ech))
+        return certified(CaseTag.OPERATOR_COMMUTING, ech=ech, _s_closure=ech.subspace)
     return certified(CaseTag.NO_CLOSED_FORM,
                      witness=LieElement(unscaled(witness, math.gcd(*witness))),
                      _s_closure=partial(alg.span_closure, [w], (x, y)))

@@ -961,6 +961,31 @@ class TestDispatch:
         with pytest.raises(ValueError, match="target_tolerance"):
             bch_operator(two, x, y, s, tolerance)
 
+    def test_int_coordinates_are_exact(self, borel):
+        # exact means "no float coordinate": int coordinates give an exact,
+        # all-Fraction z, from the dispatcher and the standalone evaluators
+        heis, ab = heisenberg_algebra(), abelian_algebra(3)
+        b3, index = borel(3)
+        e01, e12 = (LieElement(int(k == index[e]) for k in range(b3.dim))
+                    for e in ((0, 1), (1, 2)))
+        x, y = LieElement((1, 0, 0)), LieElement((0, 1, 0))
+        a, b = LieElement((1, 2, 3)), LieElement((4, 5, 6))
+        cases = [(ab, a, b, bch_closed_form(ab, a, b), "Sum"),
+                 (ab, a, b, bch_special(ab, a, b, CaseTag.COMMUTING), "Sum"),
+                 (heis, x, y, bch_closed_form(heis, x, y), "Central"),
+                 (heis, x, y, bch_special(heis, x, y, CaseTag.CENTRAL_BRACKET), "Central"),
+                 (b3, e01, e12, bch_closed_form(b3, e01, e12), "ScalarF"),
+                 (b3, e01, e12, bch_eigenpair(b3, e01, e12, 0, 0), "ScalarF"),
+                 (heis, x, y, bch_rank_one(factorize_rank_one(heis), x, y), "ScalarF")]
+        for alg, x, y, res, method in cases:
+            assert (res.method, res.exact) == (method, True)
+            assert all(type(c) is Fraction for c in res.z.coords), method
+            assert res.z == bch_integral_series(alg, x, y, 8), method
+        assert cases[2][3].z.coords == (1, 1, Fraction(1, 2))
+        # one float coordinate makes z all float, its exact coordinates included
+        res = bch_closed_form(heis, LieElement((1, 0.0, 0)), y)
+        assert not res.exact and all(type(c) is float for c in res.z.coords)
+
     def test_identity_laws(self):
         rng = random.Random(16)
         for alg in (heisenberg_algebra(), affine_algebra(), two_scale_algebra()):
@@ -1001,7 +1026,7 @@ class TestPerPairWork:
             monkeypatch.setattr(module, "clear_denominators", counted_clear)
         monkeypatch.setattr(StructureConstants, "scaled_bracket", counted_kernel)
         monkeypatch.setattr(StructureConstants, "adjoint", counted_adjoint)
-        operator_pairs = 0
+        tags = set()
         for entry in entries:
             alg = entry.algebra
             (x, y, expected), = entry.pairs
@@ -1012,16 +1037,17 @@ class TestPerPairWork:
             assert cls.tag == expected
             assert not adjoints, entry.name  # the detector builds no adjoint matrix
             classified = len(cleared)
+            of_x = [vec for coords, vec in cleared if coords is x.coords]
+            of_y = [vec for coords, vec in cleared if coords is y.coords]
             if cls.tag != CaseTag.NO_CLOSED_FORM:
                 bch_closed_form(alg, x, y, classification=cls)
-            if cls.tag == CaseTag.OPERATOR_COMMUTING:
-                # the operator form reads the integer x, y and w that classify_pair made
-                operator_pairs += 1
+                # every closed form reads the integer x, y and w that classify_pair made
+                tags.add(cls.tag)
+                (xs, _), (ys, _), _ = cls._integer_form[0]
+                assert xs is of_x[0] and ys is of_y[0], entry.name
                 pair = (x.coords, y.coords, cls.w.coords)
                 assert not [coords for coords, _ in cleared[classified:]
                             if any(coords is c for c in pair)], entry.name
-            of_x = [vec for coords, vec in cleared if coords is x.coords]
-            of_y = [vec for coords, vec in cleared if coords is y.coords]
 
             def made_from(vec, made):
                 return any(vec is m for m in made)
@@ -1032,7 +1058,41 @@ class TestPerPairWork:
             assert of_x and of_y, entry.name
             assert len(same_pair) == 1, entry.name
             assert not adjoints, entry.name  # no closed form builds one either
-        assert operator_pairs
+        assert tags == set(CaseTag) - {CaseTag.NO_CLOSED_FORM}
+
+    def test_exact_combine_adds_no_fractions(self, borel, monkeypatch):
+        # exact Sum, Central, ScalarF at u = v = 0 and terminating OperatorF build
+        # each coordinate of z as one Fraction of an integer sum
+        b3, index3 = borel(3)
+        b4, index4 = borel(4)
+
+        def borel_element(alg, index, values):
+            return alg.element([values.get(e, 0) for e in sorted(index, key=index.get)])
+
+        heis, aff = heisenberg_algebra(), affine_algebra()
+        pairs = [(aff, aff.basis_element(1), aff.element([0, 3])),
+                 (heis, heis.element(["1/2", "1/3", "1/5"]), heis.element(["-1/4", "2/3", "0"])),
+                 # w = E_02 with L_X w = L_Y w = 0, not central
+                 (b3, borel_element(b3, index3, {(0, 1): "1/2"}),
+                  borel_element(b3, index3, {(1, 2): "2/5"})),
+                 # w = E_02 and L_Y w = -E_03 span S, killed by L_X and L_Y^2
+                 (b4, borel_element(b4, index4, {(0, 1): "1/2"}),
+                  borel_element(b4, index4, {(1, 2): "1/3", (2, 3): "-3/4"}))]
+        classified = [classify_pair(alg, x, y) for alg, x, y in pairs]
+
+        def forbidden(*args):
+            raise AssertionError("Fraction addition in the combine")
+
+        monkeypatch.setattr(Fraction, "__add__", forbidden)
+        monkeypatch.setattr(Fraction, "__radd__", forbidden)
+        results = [bch_closed_form(alg, x, y, classification=cls)
+                   for (alg, x, y), cls in zip(pairs, classified)]
+        monkeypatch.undo()
+        assert [(r.method, r.exact, r.u, r.v) for r in results] == [
+            ("Sum", True, None, None), ("Central", True, None, None),
+            ("ScalarF", True, 0, 0), ("OperatorF", True, None, None)]
+        for (alg, x, y), r in zip(pairs, results):
+            assert r.z == bch_integral_series(alg, x, y, 8)
 
     def test_classification_of_another_pair_rejected(self):
         for entry in builtin_catalog():
@@ -1086,3 +1146,148 @@ class TestFloatInput:
                 assert max(abs(Fraction(a) - Fraction(b))
                            for a, b in zip(res.z.coords, exact.z.coords)) <= 4 * ulp
         assert seen == set(CaseTag)
+
+
+def _pinned_corpus(borel):
+    """A fixed corpus of (algebra, x, y): family algebras with random pairs drawn at
+    one seed, small and large, the catalog pairs and constructed b(4) pairs, each
+    pair given once as Fractions and once as floats."""
+    rng = random.Random(11)
+    pairs = []
+    for _ in range(5):
+        for alg in (families.random_rank_one(rng, rng.randint(3, 5)),
+                    families.random_case1(rng, rng.randint(2, 5))[0],
+                    families.random_derived_abelian(rng, 2, rng.randint(2, 3), kind="diag"),
+                    families.random_derived_abelian(rng, 2, rng.randint(2, 3), kind="nilp")):
+            for sup in (Fraction(1, 2), Fraction(3)):
+                pairs.append((alg, families.random_element(rng, alg.dim, sup),
+                              families.random_element(rng, alg.dim, sup)))
+    for entry in builtin_catalog():
+        pairs.extend((entry.algebra, x, y) for x, y, _ in entry.pairs)
+    pairs += _borel_pairs(borel, rng)
+    return pairs + [(alg, x.to_float(), y.to_float()) for alg, x, y in pairs]
+
+
+def _evaluator_outputs(corpus):
+    """(tag, z repr, method, exact, residual_bound, degree) per pair, or the tag and
+    the error's type where there is no result."""
+    rows = []
+    for alg, x, y in corpus:
+        cls = classify_pair(alg, x, y)
+        row = [cls.tag.value]
+        if cls.tag != CaseTag.NO_CLOSED_FORM:
+            try:
+                res = bch_closed_form(alg, x, y, classification=cls)
+            except NonConvergence as exc:
+                row.append(type(exc).__name__)
+            else:
+                row += [repr(res.z), res.method, res.exact, repr(res.residual_bound),
+                        res.degree]
+        rows.append(row)
+    return rows
+
+
+# sha256 of repr(_evaluator_outputs(_pinned_corpus(borel))), captured before the
+# combine x + y + f w of every closed form moved onto the integer coordinates
+# classify_pair clears; it pins z, exact and residual_bound to the bit
+EVALUATOR_OUTPUTS_SHA256 = "c73ea0b9c95ddbd1d0eb14de32a57ae4bd1b9632421800d5455a9610bde01051"
+
+
+class TestPinnedOutputs:
+    def test_evaluator_outputs_pinned(self, borel):
+        rows = _evaluator_outputs(_pinned_corpus(borel))
+        methods = {(row[2], row[3]) for row in rows if len(row) > 2}
+        assert methods >= {("Sum", True), ("Sum", False), ("Central", True),
+                           ("Central", False), ("ScalarF", True), ("ScalarF", False),
+                           ("OperatorF", True), ("OperatorF", False)}
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == EVALUATOR_OUTPUTS_SHA256
+
+
+def _reference_result(alg, res: BchResult, x, y, w):
+    """(z, exact, residual_bound) of res, rebuilt by LieElement arithmetic: x + y
+    plus the term of res.method, with exact meaning "x and y are all Fraction"."""
+    exact = x.is_exact and y.is_exact
+    if res.method == "Sum":
+        return x + y, exact, res.residual_bound
+    if res.method == "Central" or (res.method == "ScalarF" and res.u == 0 and res.v == 0):
+        return x + y + w.scale(Fraction(1, 2)), exact, res.residual_bound
+    if res.method == "ScalarF":
+        fval = f_scalar(res.u, res.v)
+        return (x + y + w.scale(fval), False,
+                8.0 * 2.0**-53 * abs(fval) * w.sup_norm())
+    parts = closed_form_terms(alg, x, y, w, res.degree + 2)[1:]  # terminating OperatorF
+    return x + y + sum(parts[1:], parts[0]), exact, 0.0
+
+
+def _bit_identity_pairs(borel, rng, kind):
+    if kind == "b4":
+        return _borel_pairs(borel, rng)
+    if kind == "catalog":
+        return [(e.algebra, x, y) for e in builtin_catalog() for x, y, _ in e.pairs]
+    alg = {"rank_one": lambda: families.random_rank_one(rng, rng.randint(3, 5)),
+           "case1": lambda: families.random_case1(rng, rng.randint(2, 5))[0],
+           "diag": lambda: families.random_derived_abelian(rng, 2, rng.randint(2, 3),
+                                                           kind="diag"),
+           "nilp": lambda: families.random_derived_abelian(rng, 2, rng.randint(2, 3),
+                                                           kind="nilp")}[kind]()
+    sup = rng.choice((Fraction(1, 2), Fraction(3)))
+    return [(alg, families.random_element(rng, alg.dim, sup),
+             families.random_element(rng, alg.dim, sup)) for _ in range(3)]
+
+
+def _in_form(rng, x, y, form):
+    """The pair as Fractions, as floats, as floats with shared -0.0 coordinates, or
+    mixed: one element exact and the other float."""
+    if form == "fraction":
+        return x, y
+    if form == "mixed":
+        return (x, y.to_float()) if rng.random() < 0.5 else (x.to_float(), y)
+    if form == "negzero":
+        zeroed = [rng.random() < 0.3 for _ in x.coords]
+        x, y = (LieElement(Fraction(0) if k else c for c, k in zip(e.coords, zeroed))
+                for e in (x, y))
+        return tuple(LieElement(float(c) if c else -0.0 for c in e.coords) for e in (x, y))
+    return x.to_float(), y.to_float()
+
+
+def _assert_bit_identical(alg, res, x, y, w):
+    z, exact, bound = _reference_result(alg, res, x, y, w)
+    assert (repr(res.z), res.exact, repr(res.residual_bound)) == \
+        (repr(z), exact, repr(bound)), (res.method, x, y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1),
+       st.sampled_from(["catalog", "rank_one", "case1", "diag", "nilp", "b4"]),
+       st.sampled_from(["fraction", "float", "negzero", "mixed"]))
+def test_combine_is_bit_identical_to_element_arithmetic(borel, seed, kind, form):
+    # every closed form and standalone evaluator against x + y + c w in LieElement
+    # arithmetic: z repr, exact and residual_bound to the bit
+    rng = random.Random(seed)
+    for alg, x, y in _bit_identity_pairs(borel, rng, kind):
+        x, y = _in_form(rng, x, y, form)
+        cls = classify_pair(alg, x, y)
+        if cls.tag == CaseTag.NO_CLOSED_FORM:
+            continue
+        try:
+            res = bch_closed_form(alg, x, y, classification=cls)
+        except NonConvergence:
+            continue
+        if res.method == "OperatorF" and res.residual_bound:
+            continue  # the float sum of a non-terminating series combines no term
+        _assert_bit_identical(alg, res, x, y, cls.w)
+        if cls.tag in (CaseTag.COMMUTING, CaseTag.CENTRAL_BRACKET):
+            _assert_bit_identical(alg, bch_special(alg, x, y, cls.tag), x, y, cls.w)
+        if cls.tag == CaseTag.SIMULTANEOUS_EIGENVECTOR:
+            _assert_bit_identical(alg, bch_eigenpair(alg, x, y, cls.u, cls.v), x, y, cls.w)
+        fact = factorize_rank_one(alg)
+        if fact is not None:
+            res = bch_rank_one(fact, x, y)
+            w = fact.n.scale(fact.omega_contract(x, y))
+            _assert_bit_identical(alg, res, x, y, w)
+
+
+def test_float_eigenpair_combine_is_bit_identical():
+    aff = affine_algebra()
+    x, y = aff.element([0.7, 0.0]), aff.element([0.0, 0.3])
+    _assert_bit_identical(aff, bch_eigenpair(aff, x, y, 0, 0.7), x, y, aff.bracket(x, y))
