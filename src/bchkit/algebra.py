@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -66,18 +65,55 @@ def as_fraction(value) -> Fraction:
 # elements
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LieElement:
+# stores an attribute past _Frozen.__setattr__; for the subclasses' __init__ only
+_setattr = object.__setattr__
+
+
+class _Frozen:
+    """An immutable value: ==, hash and repr read the attributes named in _fields,
+    in that order, as those of a frozen dataclass do.
+
+    Each subclass's __init__ stores its attributes with _setattr; assigning or
+    deleting any attribute afterwards raises AttributeError.  An attribute left
+    out of _fields (derived or private) takes no part in ==, hash or repr.
+    cached_property writes to the instance __dict__ directly, so it still fills in.
+    """
+
+    _fields: tuple = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class LieElement(_Frozen):
     """A coordinate vector x^a over the algebra basis T_a.
 
     Coordinates are Fractions in exact mode or floats in numeric mode;
     arithmetic degrades from exact to float automatically when mixed.
     """
 
-    coords: tuple
+    _fields = ("coords",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(self.coords))
+    def __init__(self, coords):
+        _setattr(self, "coords", tuple(coords))
 
     @property
     def dim(self) -> int:
@@ -85,7 +121,8 @@ class LieElement:
 
     @property
     def is_exact(self) -> bool:
-        return all(isinstance(c, Fraction) for c in self.coords)
+        """True iff no coordinate is a float, as for BchResult.exact."""
+        return not any(isinstance(c, float) for c in self.coords)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
@@ -153,19 +190,20 @@ def unscaled(vec: Sequence[int], s: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(v, s) if v else _ZERO for v in vec)
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(_Frozen):
     """A subspace stored as a reduced-row-echelon basis over Fraction.
 
     The canonical form makes equality and membership exact and deterministic.
+    pivots, the first nonzero column of each row, is derived from basis and
+    takes no part in ==, hash or repr.
     """
 
-    basis: tuple
-    pivots: tuple = field(init=False, repr=False, compare=False)
+    _fields = ("basis",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "pivots", tuple(
-            next(j for j, x in enumerate(row) if x != 0) for row in self.basis))
+    def __init__(self, basis):
+        _setattr(self, "basis", basis)
+        _setattr(self, "pivots", tuple(next(j for j, x in enumerate(row) if x != 0)
+                                       for row in basis))
 
     @classmethod
     def span(cls, vectors: Iterable[Sequence]) -> "Subspace":
@@ -254,24 +292,30 @@ class Echelon:
         return Subspace(tuple(unscaled(row, row[p]) for row, p in zip(self.rows, self.pivots)))
 
 
-@dataclass(frozen=True)
-class NilpotencyVerdict:
-    """Outcome of the lower-central-series computation."""
+class NilpotencyVerdict(_Frozen):
+    """Outcome of the lower-central-series computation: nil_class is the smallest
+    n with g_n = 0, stable the stabilized subspace when not nilpotent."""
 
-    nilpotent: bool
-    nil_class: int | None = None      # smallest n with g_n = 0
-    stable: Subspace | None = None    # the stabilized subspace when not nilpotent
+    _fields = ("nilpotent", "nil_class", "stable")
+
+    def __init__(self, nilpotent: bool, nil_class: int | None = None,
+                 stable: Subspace | None = None):
+        _setattr(self, "nilpotent", nilpotent)
+        _setattr(self, "nil_class", nil_class)
+        _setattr(self, "stable", stable)
 
 
 # ---------------------------------------------------------------------------
 # adjoint operators
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AdjointOperator:
+class AdjointOperator(_Frozen):
     """Matrix of L_X: Y -> [X, Y]; matrix[c][b] = x^a f_ab^c."""
 
-    matrix: tuple
+    _fields = ("matrix",)
+
+    def __init__(self, matrix):
+        _setattr(self, "matrix", matrix)
 
     @property
     def dim(self) -> int:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable, Sequence
@@ -31,13 +30,15 @@ from .algebra import (
     LieElement,
     StructureConstants,
     Subspace,
+    _Frozen,
+    _setattr,
     as_fraction,
     clear_denominators,
     unscaled,
     validate,
 )
-from .detect import (CaseTag, RankOneFactorization, algebra_facts, centralizes, classify_pair,
-                     is_central, simultaneous_eigenpair, uv_from_rank_one)
+from .detect import (CaseTag, RankOneFactorization, _eigenpair, _pair_forms, _witness,
+                     algebra_facts, classify_pair, uv_from_rank_one)
 
 SERIES_CROSSOVER = 0.25     # switch to the Taylor series inside this box
 SERIES_DEGREE = 20          # series truncation of the scalar evaluator; first operator table
@@ -66,36 +67,44 @@ class NoClosedFormAvailable(ValueError):
     """No condition in the detector hierarchy applies to the pair."""
 
 
-@dataclass(frozen=True)
-class BchResult:
+class BchResult(_Frozen):
     """Output of a closed-form evaluation.  residual_bound covers 8 ulp of the final
     combine x + y + f w for ScalarF and the geometric tail estimate (radius pi) for a
     non-terminating OperatorF, never the error of f; exact results give 0.0 or None.
 
     exact is True iff neither x nor y holds a float and the form takes no float
     value of f (Sum, Central, ScalarF at u = v = 0, terminating OperatorF): z is then
-    all Fraction, one per coordinate of an integer sum; otherwise z is all float."""
+    all Fraction, one per coordinate of an integer sum; otherwise z is all float.
+    method is one of Sum, Central, ScalarF and OperatorF."""
 
-    z: LieElement
-    method: str                       # Sum | Central | ScalarF | OperatorF
-    exact: bool
-    residual_bound: float | None = None
-    u: object = None
-    v: object = None
-    degree: int | None = None
+    _fields = ("z", "method", "exact", "residual_bound", "u", "v", "degree")
+
+    def __init__(self, z: LieElement, method: str, exact: bool,
+                 residual_bound: float | None = None, u=None, v=None,
+                 degree: int | None = None):
+        _setattr(self, "z", z)
+        _setattr(self, "method", method)
+        _setattr(self, "exact", exact)
+        _setattr(self, "residual_bound", residual_bound)
+        _setattr(self, "u", u)
+        _setattr(self, "v", v)
+        _setattr(self, "degree", degree)
 
 
 # ---------------------------------------------------------------------------
 # exact bivariate Taylor series of f
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BivariateSeries:
+class BivariateSeries(_Frozen):
     """Truncated power series sum c_ij u^i v^j with exact coefficients.  evaluate()
-    needs a symmetric table, c_ij = c_ji, as f_series gives; evaluate_exact() does not."""
+    needs a symmetric table, c_ij = c_ji, as f_series gives; evaluate_exact() does not.
+    The table is a dict, so a series is not hashable."""
 
-    coefficients: dict
-    max_degree: int
+    _fields = ("coefficients", "max_degree")
+
+    def __init__(self, coefficients: dict, max_degree: int):
+        _setattr(self, "coefficients", coefficients)
+        _setattr(self, "max_degree", max_degree)
 
     def coeff(self, i: int, j: int) -> Fraction:
         return self.coefficients.get((i, j), Fraction(0))
@@ -360,14 +369,14 @@ def bch_special(alg: StructureConstants, x: LieElement, y: LieElement,
     """Terminating cases: commuting pair, or central bracket (z = x+y+[x,y]/2)."""
     if classification not in (CaseTag.COMMUTING, CaseTag.CENTRAL_BRACKET):
         raise ValueError(f"bch_special does not handle {classification}")
-    w = alg.bracket(x, y)
-    if classification == CaseTag.COMMUTING and not w.is_zero():
-        raise ClassificationMismatch("pair does not commute")
-    if classification == CaseTag.CENTRAL_BRACKET and not is_central(alg, w):
-        raise ClassificationMismatch("bracket is not central")
-    scaled = _cleared(x, y, w)
+    scaled = _pair_forms(alg, x, y)
+    ws = scaled[2][0]
     if classification == CaseTag.COMMUTING:
+        if any(ws):
+            raise ClassificationMismatch("pair does not commute")
         return _combined("Sum", x, y, scaled[:2])
+    if _witness(alg, ws, alg.units) is not None:
+        raise ClassificationMismatch("bracket is not central")
     return _combined("Central", x, y, scaled[:2], _halved(scaled[2]))
 
 
@@ -387,10 +396,12 @@ def _scalar_f(x: LieElement, y: LieElement, scaled, u, v) -> BchResult:
 def bch_eigenpair(alg: StructureConstants, x: LieElement, y: LieElement,
                   u, v) -> BchResult:
     """Scalar form z = x + y + f(u, v) [x, y] for a certified eigen-pair."""
-    w = alg.bracket(x, y)
-    if not w.is_zero() and simultaneous_eigenpair(alg, x, y) != (u, v):
+    scaled = _pair_forms(alg, x, y)
+    (xs, sx), (ys, sy), (ws, _) = scaled
+    if any(ws) and _eigenpair(alg, sx, sy, ws, alg.scaled_bracket(xs, ws),
+                              alg.scaled_bracket(ys, ws)) != (u, v):
         raise ClassificationMismatch("(u, v) is not a simultaneous eigen-pair for [x, y]")
-    return _scalar_f(x, y, _cleared(x, y, w), u, v)
+    return _scalar_f(x, y, scaled, u, v)
 
 
 def bch_rank_one(fact: RankOneFactorization, x: LieElement, y: LieElement) -> BchResult:
@@ -527,16 +538,16 @@ def bch_operator(alg: StructureConstants, x: LieElement, y: LieElement,
     integer walk as the binary rationals they hold; their result is not exact.
     """
     _check_tolerance(target_tolerance)
-    w = alg.bracket(x, y)
-    scaled = _cleared(x, y, w)
-    if w.is_zero():
-        return _combined("Sum", x, y, scaled[:2], degree=0)
-    if not centralizes(alg, w, s_closure.basis):
-        raise ClassificationMismatch("[x, y] does not centralize the closure subspace")
+    scaled = _pair_forms(alg, x, y)
     (xs, _), (ys, _), (ws, _) = scaled
+    if not any(ws):
+        return _combined("Sum", x, y, scaled[:2], degree=0)
+    rows = [clear_denominators(b)[0] for b in s_closure.basis]
+    if _witness(alg, ws, rows) is not None:
+        raise ClassificationMismatch("[x, y] does not centralize the closure subspace")
     ech = Echelon()
-    for b in s_closure.basis:
-        ech.insert(clear_denominators(b)[0])
+    for row in rows:
+        ech.insert(row)
     if ech.insert(ws) or next(alg.close(ech, list(ech.rows), (xs, ys)), None) is not None:
         raise ClassificationMismatch("the closure subspace does not hold [x, y] "
                                      "or is not invariant under L_X, L_Y")

@@ -17,11 +17,9 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, partial
-from typing import Callable
 
 from .algebra import (
     DimensionMismatch,
@@ -30,6 +28,8 @@ from .algebra import (
     NilpotencyVerdict,
     StructureConstants,
     Subspace,
+    _Frozen,
+    _setattr,
     clear_denominators,
     unscaled,
 )
@@ -43,16 +43,19 @@ class CaseTag(Enum):
     NO_CLOSED_FORM = "NoClosedForm"
 
 
-@dataclass(frozen=True)
-class RankOneFactorization:
+class RankOneFactorization(_Frozen):
     """Factorization f_ab^c = omega_ab n^c for a one-dimensional derived algebra.
 
     The gauge freedom (lambda*omega, n/lambda) is fixed by normalizing the
     first nonzero coordinate of n to 1.
     """
 
-    omega: tuple          # dim x dim antisymmetric Fraction matrix
-    n: LieElement
+    _fields = ("omega", "n")
+
+    def __init__(self, omega: tuple, n: LieElement):
+        # omega: dim x dim antisymmetric Fraction matrix
+        _setattr(self, "omega", omega)
+        _setattr(self, "n", n)
 
     @property
     def dim(self) -> int:
@@ -103,8 +106,11 @@ class AlgebraFacts:
         return factorize_rank_one(self._alg)
 
 
-@dataclass(frozen=True)
-class CaseClassification:
+def _no_closure() -> None:
+    return None
+
+
+class CaseClassification(_Frozen):
     """The strongest condition the pair (x, y) meets, as built by classify_pair:
     w = [x, y], (u, v) for SimultaneousEigenvector, and the closure S of w under
     L_x, L_y for OperatorCommuting and NoClosedForm.
@@ -117,20 +123,26 @@ class CaseClassification:
     integer forms ((xs, sx), (ys, sy), (ws, sw)) of x, y, w, as clear_denominators
     gives them, from which the evaluator builds z with no second clearing, and for
     OperatorCommuting the grown Echelon of S, which it reads with no RREF (None
-    for the other tags).  NoClosedForm keeps no integer form.
+    for the other tags).  NoClosedForm keeps no integer form.  _s_closure and
+    _integer_form take no part in ==, hash or repr.
     """
 
-    tag: CaseTag
-    u: Fraction | None
-    v: Fraction | None
-    facts: AlgebraFacts
-    x: LieElement
-    y: LieElement
-    w: LieElement
-    witness: LieElement | None = None
-    _s_closure: Callable[[], Subspace | None] = field(default=lambda: None,
-                                                     repr=False, compare=False)
-    _integer_form: tuple | None = field(default=None, repr=False, compare=False)
+    _fields = ("tag", "u", "v", "facts", "x", "y", "w", "witness")
+
+    def __init__(self, tag: CaseTag, u: Fraction | None, v: Fraction | None,
+                 facts: AlgebraFacts, x: LieElement, y: LieElement, w: LieElement,
+                 witness: LieElement | None = None, _s_closure=_no_closure,
+                 _integer_form: tuple | None = None):
+        _setattr(self, "tag", tag)
+        _setattr(self, "u", u)
+        _setattr(self, "v", v)
+        _setattr(self, "facts", facts)
+        _setattr(self, "x", x)
+        _setattr(self, "y", y)
+        _setattr(self, "w", w)
+        _setattr(self, "witness", witness)
+        _setattr(self, "_s_closure", _s_closure)
+        _setattr(self, "_integer_form", _integer_form)
 
     @cached_property
     def s_closure(self) -> Subspace | None:
@@ -201,14 +213,23 @@ def algebra_facts(alg: StructureConstants) -> AlgebraFacts:
     return alg._facts
 
 
-def is_central(alg: StructureConstants, w: LieElement) -> bool:
-    """True iff [w, T_b] = 0 for every basis element T_b."""
-    return _witness(alg, clear_denominators(w.coords)[0], alg.units) is None
-
-
 def pair_center_condition(alg: StructureConstants, x: LieElement, y: LieElement) -> bool:
     """True iff [[X,Y], [g,g]] = 0: the bracket lies in the centre of [g,g]."""
     return centralizes(alg, alg.bracket(x, y), alg.derived_subalgebra().basis)
+
+
+def _pair_forms(alg: StructureConstants, x: LieElement, y: LieElement):
+    """((xs, sx), (ys, sy), (ws, sw)): the integer forms of x, y and w = [x, y], each
+    as clear_denominators gives it, from one clearing of x and y and one kernel call.
+    The kernel gives den sx sy w; dividing it and den sx sy by their gcd leaves the
+    least common denominator of w.  DimensionMismatch unless x and y belong to alg."""
+    if x.dim != alg.dim or y.dim != alg.dim:
+        raise DimensionMismatch("element does not belong to this algebra")
+    (xs, sx), (ys, sy) = clear_denominators(x.coords), clear_denominators(y.coords)
+    ws = alg.scaled_bracket(xs, ys)
+    sw = alg.den * sx * sy
+    g = math.gcd(*ws, sw)
+    return (xs, sx), (ys, sy), ([c // g for c in ws], sw // g)
 
 
 def _eigenpair(alg: StructureConstants, sx: int, sy: int, ws, lx_ws, ly_ws):
@@ -247,8 +268,7 @@ def pair_centralizer_condition(alg: StructureConstants, x: LieElement, y: LieEle
     closure even when ok is False: the check stops at the first image of [X,Y]
     it fails on, and the rest of S is grown without it.
     """
-    (xs, _), (ys, _) = clear_denominators(x.coords), clear_denominators(y.coords)
-    ws = alg.scaled_bracket(xs, ys)
+    (xs, _), (ys, _), (ws, _) = _pair_forms(alg, x, y)
     ech = Echelon()
     images = _closure(alg, ech, xs, ys, ws, alg.scaled_bracket(xs, ws), alg.scaled_bracket(ys, ws))
     ok = _witness(alg, ws, images) is None
@@ -260,8 +280,7 @@ def pair_centralizer_condition(alg: StructureConstants, x: LieElement, y: LieEle
 def simultaneous_eigenpair(alg: StructureConstants, x: LieElement, y: LieElement):
     """(u, v) with L_X w = v w, L_Y w = -u w for w = [X,Y], or None; exact Fractions,
     decided by componentwise equality on integer coordinates."""
-    (xs, sx), (ys, sy) = clear_denominators(x.coords), clear_denominators(y.coords)
-    ws = alg.scaled_bracket(xs, ys)
+    (xs, sx), (ys, sy), (ws, _) = _pair_forms(alg, x, y)
     if not any(ws):
         return Fraction(0), Fraction(0)
     return _eigenpair(alg, sx, sy, ws, alg.scaled_bracket(xs, ws), alg.scaled_bracket(ys, ws))
@@ -283,16 +302,13 @@ def classify_pair(alg: StructureConstants, x: LieElement, y: LieElement) -> Case
     OperatorCommuting the grown echelon of S too.
     """
     facts = algebra_facts(alg)
-    # integer coordinates: xs = sx x, ys = sy y, ws = den sx sy w
-    (xs, sx), (ys, sy) = clear_denominators(x.coords), clear_denominators(y.coords)
-    ws = alg.scaled_bracket(xs, ys)
-    sw = alg.den * sx * sy
+    # integer coordinates: xs = sx x, ys = sy y, ws = sw w
+    scaled = _pair_forms(alg, x, y)
+    (xs, sx), (ys, sy), (ws, sw) = scaled
     w = LieElement(unscaled(ws, sw))
 
     def certified(tag, u=None, v=None, ech=None, **certificate):
         if tag != CaseTag.NO_CLOSED_FORM:
-            g = math.gcd(*ws, sw)  # ws / g is clear_denominators(w.coords)[0]
-            scaled = ((xs, sx), (ys, sy), ([c // g for c in ws], sw // g))
             certificate["_integer_form"] = (scaled, ech)
         return CaseClassification(tag, u, v, facts, x, y, w, **certificate)
 

@@ -14,7 +14,6 @@ so that agreement between routes is meaningful evidence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Sequence
@@ -23,6 +22,8 @@ from .algebra import (
     DimensionMismatch,
     LieElement,
     StructureConstants,
+    _Frozen,
+    _setattr,
     as_fraction,
     clear_denominators,
     unscaled,
@@ -375,23 +376,27 @@ def matrix_bch(rep: MatrixRep, x: LieElement, y: LieElement,
 # builtin catalog
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(_Frozen):
     """A shipped example algebra, its documented probe pairs and, where a
     faithful one is easy, a matrix representation.
 
     The representation is kept as plain data: rep_images, the basis images
     rho(T_a) as nested tuples of floats (None where there is no rep), and its
     faithful_on text.  rep builds the MatrixRep on first read and keeps it, so
-    looking up an entry for its algebra does not import numpy.
+    looking up an entry for its algebra does not import numpy.  pairs holds the
+    documented probe pairs as ((x, y, expected CaseTag), ...).
     """
 
-    name: str
-    description: str
-    algebra: StructureConstants
-    pairs: tuple  # ((x, y, expected CaseTag), ...) documented probe pairs
-    rep_images: tuple | None = None
-    faithful_on: str = ""
+    _fields = ("name", "description", "algebra", "pairs", "rep_images", "faithful_on")
+
+    def __init__(self, name: str, description: str, algebra: StructureConstants, pairs: tuple,
+                 rep_images: tuple | None = None, faithful_on: str = ""):
+        _setattr(self, "name", name)
+        _setattr(self, "description", description)
+        _setattr(self, "algebra", algebra)
+        _setattr(self, "pairs", pairs)
+        _setattr(self, "rep_images", rep_images)
+        _setattr(self, "faithful_on", faithful_on)
 
     @cached_property
     def rep(self) -> MatrixRep | None:

@@ -236,6 +236,12 @@ class TestElements:
         f = heis.element([0.5, 0.0, 0.0])
         assert not f.is_exact
 
+    def test_int_coordinates_are_exact(self):
+        # is_exact means "no float coordinate", as BchResult.exact does
+        assert LieElement((1, 0, 0)).is_exact
+        assert LieElement((1, Fraction(1, 2))).is_exact
+        assert not LieElement((1, 0.5)).is_exact
+
     def test_length_checked(self, heis):
         with pytest.raises(DimensionMismatch):
             heis.element([1, 2])

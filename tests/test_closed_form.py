@@ -1060,6 +1060,44 @@ class TestPerPairWork:
             assert not adjoints, entry.name  # no closed form builds one either
         assert tags == set(CaseTag) - {CaseTag.NO_CLOSED_FORM}
 
+    def test_standalone_evaluators_clear_and_bracket_once(self, borel, monkeypatch):
+        # bch_eigenpair, bch_special and bch_operator check their pair on one clearing
+        # of x and y: [x, y] is one kernel call; the eigenpair adds L_X w and L_Y w,
+        # the central check [T_b, w] for each basis element; the operator form
+        # clears each basis row of S once
+        calls = {"clear": 0, "kernel": 0}
+        clear, kernel = algebra.clear_denominators, StructureConstants.scaled_bracket
+
+        def counted_clear(coords):
+            calls["clear"] += 1
+            return clear(coords)
+
+        def counted_kernel(alg, a, b):
+            calls["kernel"] += 1
+            return kernel(alg, a, b)
+
+        for module in (algebra, detect, closed_form):
+            monkeypatch.setattr(module, "clear_denominators", counted_clear)
+        monkeypatch.setattr(StructureConstants, "scaled_bracket", counted_kernel)
+        aff, heis = affine_algebra(), heisenberg_algebra()
+        runs = [(lambda: bch_eigenpair(aff, aff.basis_element(0), aff.element(["1/2", 3]),
+                                       Fraction(-1, 2), Fraction(1)), "ScalarF", 3),
+                (lambda: bch_special(heis, heis.element(["1/2", 0, 1]),
+                                     heis.element([0, "2/3", 0]), CaseTag.CENTRAL_BRACKET),
+                 "Central", 1 + heis.dim)]
+        for run, method, brackets in runs:
+            calls.update(clear=0, kernel=0)
+            assert run().method == method
+            assert calls == {"clear": 2, "kernel": brackets}, method
+        b4, index = borel(4)
+        coords = [{index[0, 1]: "1/2"}, {index[1, 2]: "1/3", index[2, 3]: "-3/4"}]
+        x, y = (b4.element([c.get(e, 0) for e in range(b4.dim)]) for c in coords)
+        s = classify_pair(b4, x, y).s_closure  # spanned by w = E_02 and L_Y w = -E_03
+        bch_operator(b4, x, y, s)  # builds the f_series tables it reads, once per process
+        calls.update(clear=0, kernel=0)
+        assert bch_operator(b4, x, y, s).method == "OperatorF"
+        assert calls["clear"] == 2 + s.dim
+
     def test_exact_combine_adds_no_fractions(self, borel, monkeypatch):
         # exact Sum, Central, ScalarF at u = v = 0 and terminating OperatorF build
         # each coordinate of z as one Fraction of an integer sum
@@ -1205,7 +1243,7 @@ class TestPinnedOutputs:
 
 def _reference_result(alg, res: BchResult, x, y, w):
     """(z, exact, residual_bound) of res, rebuilt by LieElement arithmetic: x + y
-    plus the term of res.method, with exact meaning "x and y are all Fraction"."""
+    plus the term of res.method, with exact meaning "x and y hold no float"."""
     exact = x.is_exact and y.is_exact
     if res.method == "Sum":
         return x + y, exact, res.residual_bound

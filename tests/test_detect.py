@@ -8,8 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from bchkit.algebra import Echelon, LieElement, StructureConstants, Subspace
-from bchkit.closed_form import NoClosedFormAvailable, bch_closed_form
+from bchkit.algebra import DimensionMismatch, Echelon, LieElement, StructureConstants, Subspace
+from bchkit.closed_form import NoClosedFormAvailable, bch_closed_form, bch_special
 from bchkit.detect import (
     CaseTag,
     algebra_facts,
@@ -174,6 +174,20 @@ class TestClassify:
         assert cls.tag == CaseTag.CENTRAL_BRACKET
         assert cls.facts.nilpotency.nil_class == 2
         assert cls.facts.rank_one is not None
+
+    def test_element_of_another_dimension_rejected(self):
+        # a coordinate vector shorter or longer than dim is no element of the algebra
+        heis = heisenberg_algebra()
+        for x, y in [(LieElement((1, 0)), heis.basis_element(1)),
+                     (heis.basis_element(0), LieElement((0, 1))),
+                     (LieElement((1, 0, 0, 0)), heis.basis_element(1))]:
+            with pytest.raises(DimensionMismatch):
+                classify_pair(heis, x, y)
+            for check in (simultaneous_eigenpair, pair_centralizer_condition):
+                with pytest.raises(DimensionMismatch):
+                    check(heis, x, y)
+            with pytest.raises(DimensionMismatch):
+                bch_special(heis, x, y, CaseTag.CENTRAL_BRACKET)
 
     def test_affine_eigen(self):
         aff = affine_algebra()

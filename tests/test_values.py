@@ -1,0 +1,197 @@
+"""The nine value types: repr, equality, hashing, immutability, copy and pickle.
+
+The expected strings are literals, so a change to how the types are built
+cannot move the repr that the pinned result hashes are taken over.
+"""
+
+import copy
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from bchkit.algebra import AdjointOperator, LieElement, NilpotencyVerdict, Subspace
+from bchkit.closed_form import BchResult, BivariateSeries
+from bchkit.detect import CaseClassification, CaseTag, RankOneFactorization, classify_pair
+from bchkit.oracle import CatalogEntry, affine_algebra, heisenberg_algebra
+
+F = Fraction
+AFF, HEIS = affine_algebra(), heisenberg_algebra()
+
+
+def _values():
+    """(name, builder, repr) for each type; builder() makes a new, equal value each call."""
+    return [
+        ("exact_element", lambda: LieElement((F(1, 2), 0)),
+         "LieElement(coords=(Fraction(1, 2), 0))"),
+        ("float_element", lambda: LieElement([1.5, -0.0]),
+         "LieElement(coords=(1.5, -0.0))"),
+        ("subspace", lambda: Subspace(((F(1), F(0), F(-1, 2)), (F(0), F(1), F(3)))),
+         "Subspace(basis=((Fraction(1, 1), Fraction(0, 1), Fraction(-1, 2)), "
+         "(Fraction(0, 1), Fraction(1, 1), Fraction(3, 1))))"),
+        ("nilpotent", lambda: NilpotencyVerdict(True, nil_class=2),
+         "NilpotencyVerdict(nilpotent=True, nil_class=2, stable=None)"),
+        ("not_nilpotent", lambda: NilpotencyVerdict(False, stable=Subspace(((F(0), F(1)),))),
+         "NilpotencyVerdict(nilpotent=False, nil_class=None, "
+         "stable=Subspace(basis=((Fraction(0, 1), Fraction(1, 1)),)))"),
+        ("adjoint", lambda: AdjointOperator(((F(0), F(0)), (F(-1), F(1)))),
+         "AdjointOperator(matrix=((Fraction(0, 1), Fraction(0, 1)), "
+         "(Fraction(-1, 1), Fraction(1, 1))))"),
+        ("rank_one", lambda: RankOneFactorization(((F(0), F(1)), (F(-1), F(0))),
+                                                  LieElement((F(0), F(1)))),
+         "RankOneFactorization(omega=((Fraction(0, 1), Fraction(1, 1)), "
+         "(Fraction(-1, 1), Fraction(0, 1))), n=LieElement(coords=(Fraction(0, 1), "
+         "Fraction(1, 1))))"),
+        ("eigenpair_case",
+         lambda: classify_pair(AFF, AFF.element(["1/2", 0]), AFF.element([0, 3])),
+         "CaseClassification(tag=<CaseTag.SIMULTANEOUS_EIGENVECTOR: "
+         "'SimultaneousEigenvector'>, u=Fraction(0, 1), v=Fraction(1, 2), "
+         "facts=AlgebraFacts(StructureConstants(dim=2, nonzero_pairs=1)), "
+         "x=LieElement(coords=(Fraction(1, 2), Fraction(0, 1))), "
+         "y=LieElement(coords=(Fraction(0, 1), Fraction(3, 1))), "
+         "w=LieElement(coords=(Fraction(0, 1), Fraction(3, 2))), witness=None)"),
+        ("central_case",
+         lambda: classify_pair(HEIS, HEIS.element([1, 0, 0]), HEIS.element([0, 1, 0])),
+         "CaseClassification(tag=<CaseTag.CENTRAL_BRACKET: 'CentralBracket'>, u=None, "
+         "v=None, facts=AlgebraFacts(StructureConstants(dim=3, nonzero_pairs=1)), "
+         "x=LieElement(coords=(Fraction(1, 1), Fraction(0, 1), Fraction(0, 1))), "
+         "y=LieElement(coords=(Fraction(0, 1), Fraction(1, 1), Fraction(0, 1))), "
+         "w=LieElement(coords=(Fraction(0, 1), Fraction(0, 1), Fraction(1, 1))), "
+         "witness=None)"),
+        ("scalar_result",
+         lambda: BchResult(LieElement((F(1, 2), F(3))), "ScalarF", False,
+                           residual_bound=1e-16, u=F(-3), v=F(1, 2), degree=None),
+         "BchResult(z=LieElement(coords=(Fraction(1, 2), Fraction(3, 1))), "
+         "method='ScalarF', exact=False, residual_bound=1e-16, u=Fraction(-3, 1), "
+         "v=Fraction(1, 2), degree=None)"),
+        ("sum_result", lambda: BchResult(LieElement((1, 0)), "Sum", True),
+         "BchResult(z=LieElement(coords=(1, 0)), method='Sum', exact=True, "
+         "residual_bound=None, u=None, v=None, degree=None)"),
+        ("series", lambda: BivariateSeries({(0, 0): F(1, 2), (1, 0): F(-1, 6)}, 1),
+         "BivariateSeries(coefficients={(0, 0): Fraction(1, 2), (1, 0): Fraction(-1, 6)}, "
+         "max_degree=1)"),
+        ("catalog_entry",
+         lambda: CatalogEntry("toy", "a toy entry", AFF,
+                              ((AFF.basis_element(0), AFF.basis_element(1),
+                                CaseTag.SIMULTANEOUS_EIGENVECTOR),),
+                              (((0.0, 1.0), (0.0, 0.0)),), "nothing"),
+         "CatalogEntry(name='toy', description='a toy entry', "
+         "algebra=StructureConstants(dim=2, nonzero_pairs=1), "
+         "pairs=((LieElement(coords=(Fraction(1, 1), Fraction(0, 1))), "
+         "LieElement(coords=(Fraction(0, 1), Fraction(1, 1))), "
+         "<CaseTag.SIMULTANEOUS_EIGENVECTOR: 'SimultaneousEigenvector'>),), "
+         "rep_images=(((0.0, 1.0), (0.0, 0.0)),), faithful_on='nothing')"),
+    ]
+
+
+VALUES = _values()
+IDS = [name for name, _, _ in VALUES]
+BUILDERS = [build for _, build, _ in VALUES]
+HASHABLE = [build for name, build, _ in VALUES if name != "series"]
+
+
+@pytest.mark.parametrize("build, expected", [(b, r) for _, b, r in VALUES], ids=IDS)
+def test_repr(build, expected):
+    assert repr(build()) == expected
+
+
+def test_repr_hides_private_and_derived_fields():
+    sub = Subspace(((F(0), F(1), F(2)), (F(0), F(0), F(1))))
+    assert sub.pivots == (1, 2)
+    assert "pivots" not in repr(sub)
+    cls = classify_pair(HEIS, HEIS.element([1, 0, 0]), HEIS.element([0, 1, 0]))
+    scaled, ech = cls._integer_form
+    assert scaled == (([1, 0, 0], 1), ([0, 1, 0], 1), ([0, 0, 1], 1)) and ech is None
+    assert cls.s_closure is None
+    assert "_integer_form" not in repr(cls) and "_s_closure" not in repr(cls)
+
+
+def test_defaults():
+    assert LieElement(coords=[1, 2]).coords == (1, 2)
+    assert NilpotencyVerdict(True) == NilpotencyVerdict(True, None, None)
+    r = BchResult(LieElement((1,)), "Sum", True)
+    assert (r.residual_bound, r.u, r.v, r.degree) == (None, None, None, None)
+    cls = classify_pair(AFF, AFF.element([1, 0]), AFF.element([0, 1]))
+    bare = CaseClassification(cls.tag, cls.u, cls.v, cls.facts, cls.x, cls.y, cls.w)
+    assert bare.witness is None and bare._integer_form is None and bare.s_closure is None
+    entry = CatalogEntry("toy", "", AFF, ())
+    assert (entry.rep_images, entry.faithful_on, entry.rep) == (None, "", None)
+    with pytest.raises(TypeError):
+        Subspace(((F(1),),), (0,))  # pivots is derived, not an argument
+
+
+@pytest.mark.parametrize("build", HASHABLE, ids=[i for i in IDS if i != "series"])
+def test_equal_values_hash_equal(build):
+    a, b = build(), build()
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("build", BUILDERS, ids=IDS)
+def test_other_types_compare_unequal(build):
+    a = build()
+    fields = tuple(vars(a).values())
+    assert a != fields and fields != a
+    assert a != object()
+    assert a.__eq__(object()) is NotImplemented
+
+
+def test_unequal_values():
+    assert LieElement((1, 0)) != LieElement((0, 1))
+    assert LieElement((F(1), 0)) == LieElement((1, 0))  # equal coordinates, any type
+    assert BchResult(LieElement((1,)), "Sum", True) != BchResult(LieElement((1,)), "Sum", False)
+    assert NilpotencyVerdict(True, 2) != NilpotencyVerdict(True, 3)
+    assert Subspace(((F(1), F(0)),)) != Subspace(((F(0), F(1)),))
+
+
+def test_private_fields_do_not_compare():
+    cls = classify_pair(AFF, AFF.element(["1/2", 0]), AFF.element([0, 3]))
+    other = CaseClassification(cls.tag, cls.u, cls.v, cls.facts, cls.x, cls.y, cls.w,
+                               cls.witness, lambda: "elsewhere", ("another", "form"))
+    assert other == cls and hash(other) == hash(cls)
+    assert other.s_closure == "elsewhere"
+
+
+def test_series_holding_a_dict_is_unhashable():
+    with pytest.raises(TypeError):
+        hash(BivariateSeries({(0, 0): F(1, 2)}, 0))
+
+
+@pytest.mark.parametrize("build", BUILDERS, ids=IDS)
+def test_immutable(build):
+    a = build()
+    name = next(iter(vars(a)))
+    with pytest.raises(AttributeError):
+        setattr(a, name, None)
+    with pytest.raises(AttributeError):
+        delattr(a, name)
+    with pytest.raises(AttributeError):
+        a.unknown = 1
+    assert a == build()
+
+
+def test_cached_properties_still_fill_in():
+    cls = classify_pair(AFF, AFF.element([1, 0]), AFF.element([0, 1]))
+    assert cls.s_closure is None
+    series = BivariateSeries({(0, 0): F(1, 2), (1, 0): F(-1, 6), (0, 1): F(-1, 6)}, 1)
+    assert series.evaluate(0.5, 0.25) == 0.5 - (0.5 + 0.25) / 6
+    entry = CatalogEntry("toy", "", AFF, (), (((0.0, 1.0), (0.0, 0.0)),), "nothing")
+    assert entry.rep is entry.rep
+
+
+COPIED = {"exact_element", "float_element", "subspace", "nilpotent", "not_nilpotent",
+          "scalar_result", "sum_result"}
+
+
+@pytest.mark.parametrize("build", [b for n, b, _ in VALUES if n in COPIED],
+                         ids=[n for n in IDS if n in COPIED])
+def test_copy_and_pickle(build):
+    a = build()
+    for b in (copy.copy(a), pickle.loads(pickle.dumps(a))):
+        assert b == a and hash(b) == hash(a) and repr(b) == repr(a)
+        assert type(b) is type(a)
+        with pytest.raises(AttributeError):
+            b.unknown = 1
+    if isinstance(a, Subspace):
+        assert pickle.loads(pickle.dumps(a)).pivots == a.pivots
