@@ -15,6 +15,7 @@ binary rational it holds, so float elements take the same exact path.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -51,10 +52,10 @@ class JacobiViolation(ValueError):
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce an int, string ("p/q" or "p"), or Fraction to Fraction."""
+    """Coerce an int, string ("p/q" or "p"), or Fraction to Fraction; a bool is no number."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value)
@@ -122,7 +123,7 @@ class LieElement(_Frozen):
     @property
     def is_exact(self) -> bool:
         """True iff no coordinate is a float, as for BchResult.exact."""
-        return not any(isinstance(c, float) for c in self.coords)
+        return not any(map(isinstance, self.coords, itertools.repeat(float)))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
@@ -366,8 +367,6 @@ class StructureConstants:
         # integer coordinates of the basis elements T_a
         self.units = tuple(tuple(int(i == a) for i in range(dim)) for a in range(dim))
         self._derived: Subspace | None = None
-        # detect.AlgebraFacts, made once by detect.algebra_facts; each fact is computed on first read
-        self._facts = None
 
     def __repr__(self):
         return f"StructureConstants(dim={self.dim}, nonzero_pairs={len(self._pairs)})"
@@ -381,8 +380,10 @@ class StructureConstants:
         coordinate is a float: the element is numeric, and each float is exact
         to the structural computations as the binary rational it holds.  A NaN
         or infinite coordinate, or an exact one beyond the double range, raises
-        ValueError.
+        ValueError; a string in place of the coordinate sequence raises TypeError.
         """
+        if isinstance(values, str):
+            raise TypeError(f"expected a sequence of coordinates, got the string {values!r}")
         if len(values) != self.dim:
             raise DimensionMismatch(f"expected {self.dim} coordinates, got {len(values)}")
         if not any(isinstance(v, float) for v in values):
@@ -558,7 +559,7 @@ def validate(entries: Mapping[tuple[int, int, int], object] | Iterable,
     oriented: dict[tuple[int, int, int], Fraction] = {}
     for (a, b, c), raw in items:
         for idx in (a, b, c):
-            if not isinstance(idx, int) or not 0 <= idx < dim:
+            if not isinstance(idx, int) or isinstance(idx, bool) or not 0 <= idx < dim:
                 raise IndexOutOfRange(f"index {idx} outside 0..{dim - 1}")
         val = as_fraction(raw)
         if (a, b, c) in oriented and oriented[(a, b, c)] != val:

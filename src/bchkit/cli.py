@@ -57,6 +57,11 @@ def _check_tolerance(tolerance: float) -> None:
         raise InputError(f"--tolerance must be positive and finite, got {tolerance}")
 
 
+def _check_degree(degree: int) -> None:
+    if degree < 2:
+        raise InputError(f"--degree must be >= 2, got {degree}")
+
+
 # ---------------------------------------------------------------------------
 # input loading
 # ---------------------------------------------------------------------------
@@ -137,22 +142,20 @@ def coords_json(elem: LieElement):
 
 
 def classification_json(cls: detect.CaseClassification) -> dict:
-    facts = cls.facts
-    rank_one = None
-    if facts.rank_one is not None:
-        rank_one = {
-            "omega": [[str(w) for w in row] for row in facts.rank_one.omega],
-            "n": [str(c) for c in facts.rank_one.n.coords],
-        }
-    nilp = facts.nilpotency
+    alg = cls.algebra
+    fact = detect.factorize_rank_one(alg)
+    nilp = alg.lower_central_series()[1]
     return {
         "tag": cls.tag.value,
         "u": scalar_json(cls.u),
         "v": scalar_json(cls.v),
-        "derived_dim": facts.derived_dim,
-        "derived_abelian": facts.derived_abelian,
+        "derived_dim": alg.derived_subalgebra().dim,
+        "derived_abelian": detect.is_derived_abelian(alg),
         "nilpotent": {"class": nilp.nil_class} if nilp.nilpotent else None,
-        "rank_one": rank_one,
+        "rank_one": None if fact is None else {
+            "omega": [[str(w) for w in row] for row in fact.omega],
+            "n": [str(c) for c in fact.n.coords],
+        },
         "S_dim": cls.s_closure.dim if cls.s_closure is not None else None,
     }
 
@@ -196,6 +199,8 @@ def cmd_check(args) -> int:
 
 def cmd_bch(args) -> int:
     _check_tolerance(args.tolerance)
+    if args.verify:
+        _check_degree(args.degree)
     alg = load_algebra(args.algebra)
     x = load_element(args.x, alg)
     y = load_element(args.y, alg)
@@ -221,8 +226,6 @@ def _verify(alg, cls, res: BchResult, degree: int, tolerance: float):
     """The `verify` payload and why it fails, or None: C_n == Z_n exactly for
     n <= degree, and where C_n = 0 beyond the degree (an exact z whose parts
     end at res.degree + 2), |z - sum C_n| <= tolerance."""
-    if degree < 2:
-        raise ValueError("truncation degree must be >= 2")
     series = oracle.bch_series_terms(alg, cls.x, cls.y, degree)
     mismatch = _first_mismatch(closed_form_terms(alg, cls.x, cls.y, cls.w, degree), series)
     tail_bounded = res.exact and (res.degree or 0) + 2 <= degree
@@ -237,6 +240,7 @@ def _verify(alg, cls, res: BchResult, degree: int, tolerance: float):
 
 
 def cmd_oracle(args) -> int:
+    _check_degree(args.degree)
     alg = load_algebra(args.algebra)
     x = load_element(args.x, alg)
     y = load_element(args.y, alg)
@@ -311,8 +315,7 @@ def run_fuzz(seed: int, n: int, family_names, degree: int, tolerance: float,
         raise InputError(f"--n must be >= 0, got {n}")
     if slope_every < 1:
         raise InputError(f"--slope-every must be >= 1, got {slope_every}")
-    if degree < 2:
-        raise InputError(f"--degree must be >= 2, got {degree}")
+    _check_degree(degree)
     _check_tolerance(tolerance)
     if not tolerance / 10 > 0:  # the closed forms are asked for tolerance / 10
         raise InputError(f"--tolerance {tolerance} is too small: tolerance / 10 underflows to 0")

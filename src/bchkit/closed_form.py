@@ -38,7 +38,7 @@ from .algebra import (
     validate,
 )
 from .detect import (CaseTag, RankOneFactorization, _eigenpair, _pair_forms, _witness,
-                     algebra_facts, classify_pair, uv_from_rank_one)
+                     classify_pair, uv_from_rank_one)
 
 SERIES_CROSSOVER = 0.25     # switch to the Taylor series inside this box
 SERIES_DEGREE = 20          # series truncation of the scalar evaluator; first operator table
@@ -336,8 +336,7 @@ def _combined(method: str, x: LieElement, y: LieElement, scaled, term=None, fval
     keeps -0.0, for float input; t_i is T_i / st, where T may hold floats over
     st = 1 (a float w, see bch_rank_one).  fields go to BchResult as they are.
     """
-    exact = not any(map(isinstance, x.coords + y.coords, itertools.repeat(float)))
-    if exact:
+    if x.is_exact and y.is_exact:
         xy = _sum_form(*scaled)
         if fval is None:
             z = unscaled(*(xy if term is None else _sum_form(xy, term)))
@@ -382,8 +381,8 @@ def bch_special(alg: StructureConstants, x: LieElement, y: LieElement,
 
 def _scalar_f(x: LieElement, y: LieElement, scaled, u, v) -> BchResult:
     """z = x + y + f(u, v) w from the integer forms scaled of x, y and w; exact when
-    u = v = 0, where f = 1/2."""
-    if u == 0 and v == 0:
+    u = v = 0, where f = 1/2, and when w = 0, where f is not evaluated."""
+    if (u == 0 and v == 0) or not any(scaled[2][0]):
         return _combined("ScalarF", x, y, scaled[:2], _halved(scaled[2]), u=u, v=v,
                          residual_bound=0.0)
     fval = f_scalar(u, v)
@@ -674,7 +673,7 @@ def bch_closed_form(alg: StructureConstants, x: LieElement, y: LieElement,
     """
     _check_tolerance(target_tolerance)
     cls = classification if classification is not None else classify_pair(alg, x, y)
-    if cls.x != x or cls.y != y or cls.facts is not algebra_facts(alg):
+    if cls.x != x or cls.y != y or cls.algebra is not alg:
         raise ClassificationMismatch("classification was made for another pair or algebra")
     if cls.tag == CaseTag.NO_CLOSED_FORM:
         raise NoClosedFormAvailable("no closed-form condition applies to this pair")

@@ -8,24 +8,24 @@ The conditions are ordered from strongest to weakest:
   OperatorCommuting       [X,Y] commutes with its own iterated-adjoint closure
 
 Each detector returns certificate data consumed by the closed-form
-evaluators.  The conditions are algebraic identities, decided exactly on
-integer coordinates for every input: a float coordinate is the binary
-rational it holds.
+evaluators.  classify_pair's certificate holds the algebra it was made on and
+computes no pair-independent fact of it; check computes those from the
+algebra when it prints them.  The conditions are algebraic identities,
+decided exactly on integer coordinates for every input: a float coordinate
+is the binary rational it holds.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 
 from .algebra import (
     DimensionMismatch,
     Echelon,
     LieElement,
-    NilpotencyVerdict,
     StructureConstants,
     Subspace,
     _Frozen,
@@ -74,80 +74,49 @@ class RankOneFactorization(_Frozen):
         return total
 
 
-class AlgebraFacts:
-    """Pair-independent facts of an algebra, each computed on its first read.
-
-    :func:`algebra_facts` makes one per algebra instance, so it compares by
-    identity.  Classification and evaluation read no fact; the ``check`` JSON
-    reads all four.  Two threads that read a fact first at once may both compute
-    it, and each gets an equal value.
-    """
-
-    def __init__(self, alg: StructureConstants):
-        self._alg = alg
-
-    def __repr__(self):
-        return f"AlgebraFacts({self._alg!r})"
-
-    @cached_property
-    def derived_dim(self) -> int:
-        return self._alg.derived_subalgebra().dim
-
-    @cached_property
-    def derived_abelian(self) -> bool:
-        return is_derived_abelian(self._alg)
-
-    @cached_property
-    def nilpotency(self) -> NilpotencyVerdict:
-        return self._alg.lower_central_series()[1]
-
-    @cached_property
-    def rank_one(self) -> RankOneFactorization | None:
-        return factorize_rank_one(self._alg)
-
-
-def _no_closure() -> None:
-    return None
-
-
 class CaseClassification(_Frozen):
-    """The strongest condition the pair (x, y) meets, as built by classify_pair:
-    w = [x, y], (u, v) for SimultaneousEigenvector, and the closure S of w under
-    L_x, L_y for OperatorCommuting and NoClosedForm.
+    """The strongest condition the pair (x, y) meets on algebra, as built by
+    classify_pair: w = [x, y], (u, v) for SimultaneousEigenvector, and the closure
+    S of w under L_x, L_y for OperatorCommuting and NoClosedForm.
 
+    algebra is the StructureConstants the pair was classified on; it compares by
+    identity, so certificates made on distinct but equal algebra objects differ.
     For NoClosedForm, witness is a vector b of S with [w, b] != 0: the first image
     of w that the closure worklist inserts and w fails to centralize, scaled to
-    primitive integer coordinates; it is None for every other tag.  classify_pair
-    stops growing S at the witness, so s_closure is built on first read.  For
-    every tag but NoClosedForm, the private _integer_form is (scaled, ech): the
-    integer forms ((xs, sx), (ys, sy), (ws, sw)) of x, y, w, as clear_denominators
-    gives them, from which the evaluator builds z with no second clearing, and for
+    primitive integer coordinates; it is None for every other tag.  For every tag
+    but NoClosedForm, the private _integer_form is (scaled, ech): the integer
+    forms ((xs, sx), (ys, sy), (ws, sw)) of x, y, w, as clear_denominators gives
+    them, from which the evaluator builds z with no second clearing, and for
     OperatorCommuting the grown Echelon of S, which it reads with no RREF (None
-    for the other tags).  NoClosedForm keeps no integer form.  _s_closure and
-    _integer_form take no part in ==, hash or repr.
+    for the other tags).  NoClosedForm keeps no integer form.  _integer_form takes
+    no part in ==, hash or repr.
     """
 
-    _fields = ("tag", "u", "v", "facts", "x", "y", "w", "witness")
+    _fields = ("tag", "u", "v", "algebra", "x", "y", "w", "witness")
 
     def __init__(self, tag: CaseTag, u: Fraction | None, v: Fraction | None,
-                 facts: AlgebraFacts, x: LieElement, y: LieElement, w: LieElement,
-                 witness: LieElement | None = None, _s_closure=_no_closure,
-                 _integer_form: tuple | None = None):
+                 algebra: StructureConstants, x: LieElement, y: LieElement, w: LieElement,
+                 witness: LieElement | None = None, _integer_form: tuple | None = None):
         _setattr(self, "tag", tag)
         _setattr(self, "u", u)
         _setattr(self, "v", v)
-        _setattr(self, "facts", facts)
+        _setattr(self, "algebra", algebra)
         _setattr(self, "x", x)
         _setattr(self, "y", y)
         _setattr(self, "w", w)
         _setattr(self, "witness", witness)
-        _setattr(self, "_s_closure", _s_closure)
         _setattr(self, "_integer_form", _integer_form)
 
     @cached_property
     def s_closure(self) -> Subspace | None:
-        """S for OperatorCommuting and NoClosedForm, else None."""
-        return self._s_closure()
+        """S for OperatorCommuting and NoClosedForm, else None: the RREF of the
+        echelon classify_pair grew, or for NoClosedForm, whose S classify_pair
+        stops growing at the witness, the closure built in full."""
+        if self.tag == CaseTag.NO_CLOSED_FORM:
+            return self.algebra.span_closure([self.w], (self.x, self.y))
+        if self.tag == CaseTag.OPERATOR_COMMUTING and self._integer_form is not None:
+            return self._integer_form[1].subspace()
+        return None
 
 
 def factorize_rank_one(alg: StructureConstants) -> RankOneFactorization | None:
@@ -198,19 +167,6 @@ def is_derived_abelian(alg: StructureConstants) -> bool:
     """True iff [[g,g],[g,g]] = 0, from pairwise brackets of the echelonized derived basis."""
     basis = alg.derived_subalgebra().basis
     return all(centralizes(alg, LieElement(b), basis[i + 1:]) for i, b in enumerate(basis))
-
-
-_facts_lock = threading.Lock()
-
-
-def algebra_facts(alg: StructureConstants) -> AlgebraFacts:
-    """The one AlgebraFacts of alg, made on the first call and kept on alg; it computes
-    no fact.  Threads whose first calls on alg overlap all get the same object."""
-    if alg._facts is None:
-        with _facts_lock:
-            if alg._facts is None:
-                alg._facts = AlgebraFacts(alg)
-    return alg._facts
 
 
 def pair_center_condition(alg: StructureConstants, x: LieElement, y: LieElement) -> bool:
@@ -294,14 +250,13 @@ def classify_pair(alg: StructureConstants, x: LieElement, y: LieElement) -> Case
     The conditions are algebraic identities, decided exactly: float coordinates
     count as the binary rationals they hold, so the certificate (w, u, v, S) is
     exact for every input.
-    Every classification on an algebra shares its one AlgebraFacts and reads no
-    fact of it; per pair, [X,Y] and its images under L_X, L_Y are computed once.
-    The closure S is grown only until its first image b with [[X,Y], b] != 0, the
-    NoClosedForm witness; that S is then built in full on first read of s_closure.
-    Every closed-form tag keeps the integer x, y, w for the evaluator, and
+    Classification computes no pair-independent fact of the algebra; per pair,
+    [X,Y] and its images under L_X, L_Y are computed once.  The closure S is
+    grown only until its first image b with [[X,Y], b] != 0, the NoClosedForm
+    witness; that S is then built in full on first read of s_closure.  Every
+    closed-form tag keeps the integer x, y, w for the evaluator, and
     OperatorCommuting the grown echelon of S too.
     """
-    facts = algebra_facts(alg)
     # integer coordinates: xs = sx x, ys = sy y, ws = sw w
     scaled = _pair_forms(alg, x, y)
     (xs, sx), (ys, sy), (ws, sw) = scaled
@@ -310,7 +265,7 @@ def classify_pair(alg: StructureConstants, x: LieElement, y: LieElement) -> Case
     def certified(tag, u=None, v=None, ech=None, **certificate):
         if tag != CaseTag.NO_CLOSED_FORM:
             certificate["_integer_form"] = (scaled, ech)
-        return CaseClassification(tag, u, v, facts, x, y, w, **certificate)
+        return CaseClassification(tag, u, v, alg, x, y, w, **certificate)
 
     if not any(ws):
         return certified(CaseTag.COMMUTING)
@@ -323,7 +278,6 @@ def classify_pair(alg: StructureConstants, x: LieElement, y: LieElement) -> Case
     ech = Echelon()
     witness = _witness(alg, ws, _closure(alg, ech, xs, ys, ws, lx_ws, ly_ws))
     if witness is None:
-        return certified(CaseTag.OPERATOR_COMMUTING, ech=ech, _s_closure=ech.subspace)
+        return certified(CaseTag.OPERATOR_COMMUTING, ech=ech)
     return certified(CaseTag.NO_CLOSED_FORM,
-                     witness=LieElement(unscaled(witness, math.gcd(*witness))),
-                     _s_closure=partial(alg.span_closure, [w], (x, y)))
+                     witness=LieElement(unscaled(witness, math.gcd(*witness))))

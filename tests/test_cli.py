@@ -242,6 +242,19 @@ class TestBch:
         assert code == 3
         assert json.loads(out)["error"] == "NoClosedForm"
 
+    def test_verify_bad_degree_names_the_flag_before_reading_files(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        code, out, err = run(capsys, "bch", "--algebra", "heisenberg",
+                             "--x", missing, "--y", missing, "--verify", "--degree", "1")
+        assert (code, out) == (1, "")
+        assert err == "input error: --degree must be >= 2, got 1\n"
+
+    def test_degree_unread_without_verify(self, workdir, capsys):
+        code, out, _ = run(capsys, "bch", "--algebra", str(workdir / "heis.json"),
+                           "--x", str(workdir / "e0.json"), "--y", str(workdir / "e1.json"),
+                           "--degree", "1")
+        assert code == 0 and json.loads(out)["method"] == "Central"
+
     @pytest.mark.parametrize("tolerance", ["0", "-1", "nan", "inf"])
     @pytest.mark.parametrize("name", ["heisenberg", "two_scale"])
     def test_bad_tolerance_exit_1(self, tmp_path, capsys, name, tolerance):
@@ -307,6 +320,32 @@ class TestFloatJson:
         assert err.startswith("input error:") and x in err and "coordinate 1" in err
 
 
+class TestNonNumberJson:
+    """A JSON value that is not a number is rejected, never read as one."""
+
+    @pytest.mark.parametrize("coords", ['"100"', "[true, false, 0]"], ids=["string", "bools"])
+    @pytest.mark.parametrize("command", ["check", "bch"])
+    def test_coordinates_exit_1(self, tmp_path, capsys, command, coords):
+        x = tmp_path / "x.json"
+        x.write_text('{"coords": ' + coords + '}')
+        y = tmp_path / "y.json"
+        y.write_text('{"coords": [0, 1, 0]}')
+        code, out, err = run(capsys, command, "--algebra", "heisenberg",
+                             "--x", str(x), "--y", str(y))
+        assert (code, out) == (1, "")
+        assert err.startswith("input error:") and str(x) in err
+
+    def test_boolean_index_exit_2(self, tmp_path, capsys):
+        alg = tmp_path / "alg.json"
+        alg.write_text(json.dumps({"dim": 3, "f": [{"a": 0, "b": 1, "c": True, "v": 1}]}))
+        e = tmp_path / "e.json"
+        e.write_text('{"coords": [1, 0, 0]}')
+        code, out, err = run(capsys, "check", "--algebra", str(alg),
+                             "--x", str(e), "--y", str(e))
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "IndexOutOfRange"
+
+
 class TestOracle:
     def test_series_only(self, workdir, capsys):
         code, out, _ = run(capsys, "oracle",
@@ -331,6 +370,13 @@ class TestOracle:
         assert code == 0
         res = json.loads(out)
         assert res["difference_sup_norm"] < 1e-12
+
+    def test_bad_degree_names_the_flag_before_reading_files(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        code, out, err = run(capsys, "oracle", "--algebra", "heisenberg",
+                             "--x", missing, "--y", missing, "--degree", "1")
+        assert (code, out) == (1, "")
+        assert err == "input error: --degree must be >= 2, got 1\n"
 
     @pytest.mark.parametrize("images", [[], [1.0, 2.0, 3.0]])
     def test_malformed_rep_exit_1(self, workdir, capsys, images):

@@ -473,6 +473,18 @@ class TestEigenpair:
         res = bch_eigenpair(heis, x, y, Fraction(0), Fraction(0))
         assert res.exact and res.z.coords == (1, 1, Fraction(1, 2))
 
+    @pytest.mark.parametrize("u, v", [(5, 7), (1000, 1000)])
+    def test_commuting_pair_evaluates_no_f(self, u, v):
+        # w = 0 admits any (u, v) and leaves z = x + y exact; f(1000, 1000)
+        # would overflow
+        heis = heisenberg_algebra()
+        x = heis.basis_element(0)
+        res = bch_eigenpair(heis, x, x, Fraction(u), Fraction(v))
+        assert (res.method, res.exact, res.residual_bound) == ("ScalarF", True, 0.0)
+        assert res.z.coords == (2, 0, 0)
+        assert all(type(c) is Fraction for c in res.z.coords)
+        assert (res.u, res.v) == (u, v)
+
     def test_mismatch(self):
         aff = affine_algebra()
         with pytest.raises(ClassificationMismatch):

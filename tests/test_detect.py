@@ -3,7 +3,6 @@
 import random
 import sys
 import threading
-import time
 from fractions import Fraction
 
 import pytest
@@ -12,7 +11,6 @@ from bchkit.algebra import DimensionMismatch, Echelon, LieElement, StructureCons
 from bchkit.closed_form import NoClosedFormAvailable, bch_closed_form, bch_special
 from bchkit.detect import (
     CaseTag,
-    algebra_facts,
     classify_pair,
     factorize_rank_one,
     is_derived_abelian,
@@ -22,6 +20,7 @@ from bchkit.detect import (
     uv_from_rank_one,
 )
 from bchkit import detect, families, oracle
+from bchkit.cli import classification_json
 from bchkit.oracle import (
     abelian_algebra,
     affine_algebra,
@@ -172,8 +171,10 @@ class TestClassify:
         heis = heisenberg_algebra()
         cls = classify_pair(heis, heis.basis_element(0), heis.basis_element(1))
         assert cls.tag == CaseTag.CENTRAL_BRACKET
-        assert cls.facts.nilpotency.nil_class == 2
-        assert cls.facts.rank_one is not None
+        assert cls.algebra is heis
+        data = classification_json(cls)
+        assert data["nilpotent"] == {"class": 2}
+        assert data["rank_one"] is not None
 
     def test_element_of_another_dimension_rejected(self):
         # a coordinate vector shorter or longer than dim is no element of the algebra
@@ -220,13 +221,15 @@ class TestClassify:
         cls = classify_pair(sl2, sl2.basis_element(0), sl2.basis_element(1))
         assert cls.tag == CaseTag.NO_CLOSED_FORM
 
-    def test_facts_computed_once_per_algebra(self):
+    def test_certificates_share_their_algebra(self):
         alg = two_scale_algebra()
         first = classify_pair(alg, alg.element([1, 2, 0, 0]), alg.element([0, 0, 1, 1]))
         second = classify_pair(alg, alg.basis_element(0), alg.basis_element(1))
-        assert first.facts is second.facts
-        assert classify_pair(two_scale_algebra(), alg.basis_element(0),
-                             alg.basis_element(1)).facts is not first.facts
+        assert first.algebra is second.algebra is alg
+        assert alg.derived_subalgebra() is alg.derived_subalgebra()
+        # an equal but distinct algebra object makes an unequal certificate
+        other = classify_pair(two_scale_algebra(), alg.basis_element(0), alg.basis_element(1))
+        assert other.algebra is not alg and other != second
 
     def test_requires_exact(self):
         # the conditions are decided exactly for float input too: a float is the
@@ -448,8 +451,8 @@ class TestWitness:
 
 
 class TestLazyFacts:
-    """AlgebraFacts computes each fact on its first read; classification and
-    evaluation read none."""
+    """The facts of an algebra are computed only when check prints them;
+    classification and evaluation compute none."""
 
     @staticmethod
     def _fresh_pairs(borel):
@@ -487,33 +490,21 @@ class TestLazyFacts:
         monkeypatch.undo()
         assert {cls.tag for _, cls in classified} == set(CaseTag)
         for alg, cls in classified:
-            facts = cls.facts
-            assert facts is algebra_facts(alg)
-            assert facts.derived_dim == alg.derived_subalgebra().dim
-            assert facts.derived_abelian == is_derived_abelian(alg)
-            assert facts.nilpotency == alg.lower_central_series()[1]
-            assert facts.rank_one == factorize_rank_one(alg)
+            assert cls.algebra is alg
+            data = classification_json(cls)
+            nilp = alg.lower_central_series()[1]
+            fact = factorize_rank_one(alg)
+            assert data["derived_dim"] == alg.derived_subalgebra().dim
+            assert data["derived_abelian"] == is_derived_abelian(alg)
+            assert data["nilpotent"] == ({"class": nilp.nil_class} if nilp.nilpotent else None)
+            assert data["rank_one"] == (None if fact is None else {
+                "omega": [[str(c) for c in row] for row in fact.omega],
+                "n": [str(c) for c in fact.n.coords]})
 
-    def test_identity_and_repr(self):
-        alg = heisenberg_algebra()
-        facts = algebra_facts(alg)
-        assert repr(facts) == f"AlgebraFacts({alg!r})"
-        assert not {"derived_dim", "derived_abelian", "nilpotency", "rank_one"} & vars(facts).keys()
-        assert facts == algebra_facts(alg)
-        assert facts != algebra_facts(heisenberg_algebra())
-
-    def test_overlapping_first_classifications_share_one_facts_object(self, monkeypatch,
-                                                                        borel):
-        # StructureConstants is shared between threads: threads whose first
-        # classifications on a fresh algebra overlap must get its one AlgebraFacts,
-        # or bch_closed_form rejects their certificates as made on another algebra
-        init = detect.AlgebraFacts.__init__
-
-        def slow_init(self, *args, **kwargs):
-            time.sleep(1e-3)  # widen the window between the check and the store
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(detect.AlgebraFacts, "__init__", slow_init)
+    def test_overlapping_first_classifications_are_accepted(self, borel):
+        # StructureConstants is shared between threads: every certificate made
+        # at once on a fresh algebra must hold that algebra, or bch_closed_form
+        # rejects it as made on another algebra
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -523,7 +514,7 @@ class TestLazyFacts:
                 pairs = [[families.random_element(rng, alg.dim) for _ in range(2)]
                          for _ in range(4)]
                 barrier = threading.Barrier(len(pairs))
-                facts = [None] * len(pairs)
+                accepted = [None] * len(pairs)
 
                 def run(i, x, y):
                     barrier.wait(timeout=30)
@@ -532,7 +523,7 @@ class TestLazyFacts:
                         bch_closed_form(alg, x, y, classification=cls)
                     except NoClosedFormAvailable:
                         pass
-                    facts[i] = cls.facts
+                    accepted[i] = cls
 
                 threads = [threading.Thread(target=run, args=(i, x, y))
                            for i, (x, y) in enumerate(pairs)]
@@ -541,7 +532,7 @@ class TestLazyFacts:
                 for thread in threads:
                     thread.join(timeout=60)
                 assert not any(thread.is_alive() for thread in threads)
-                one = algebra_facts(alg)
-                assert all(f is one for f in facts), f"trial {trial}"
+                assert all(cls is not None and cls.algebra is alg for cls in accepted), \
+                    f"trial {trial}"
         finally:
             sys.setswitchinterval(interval)

@@ -11,9 +11,10 @@ from fractions import Fraction
 import pytest
 
 from bchkit.algebra import AdjointOperator, LieElement, NilpotencyVerdict, Subspace
-from bchkit.closed_form import BchResult, BivariateSeries
+from bchkit.closed_form import BchResult, BivariateSeries, ClassificationMismatch, bch_closed_form
 from bchkit.detect import CaseClassification, CaseTag, RankOneFactorization, classify_pair
-from bchkit.oracle import CatalogEntry, affine_algebra, heisenberg_algebra
+from bchkit.oracle import (CatalogEntry, affine_algebra, heisenberg_algebra, sl2_algebra,
+                           two_scale_algebra)
 
 F = Fraction
 AFF, HEIS = affine_algebra(), heisenberg_algebra()
@@ -46,14 +47,14 @@ def _values():
          lambda: classify_pair(AFF, AFF.element(["1/2", 0]), AFF.element([0, 3])),
          "CaseClassification(tag=<CaseTag.SIMULTANEOUS_EIGENVECTOR: "
          "'SimultaneousEigenvector'>, u=Fraction(0, 1), v=Fraction(1, 2), "
-         "facts=AlgebraFacts(StructureConstants(dim=2, nonzero_pairs=1)), "
+         "algebra=StructureConstants(dim=2, nonzero_pairs=1), "
          "x=LieElement(coords=(Fraction(1, 2), Fraction(0, 1))), "
          "y=LieElement(coords=(Fraction(0, 1), Fraction(3, 1))), "
          "w=LieElement(coords=(Fraction(0, 1), Fraction(3, 2))), witness=None)"),
         ("central_case",
          lambda: classify_pair(HEIS, HEIS.element([1, 0, 0]), HEIS.element([0, 1, 0])),
          "CaseClassification(tag=<CaseTag.CENTRAL_BRACKET: 'CentralBracket'>, u=None, "
-         "v=None, facts=AlgebraFacts(StructureConstants(dim=3, nonzero_pairs=1)), "
+         "v=None, algebra=StructureConstants(dim=3, nonzero_pairs=1), "
          "x=LieElement(coords=(Fraction(1, 1), Fraction(0, 1), Fraction(0, 1))), "
          "y=LieElement(coords=(Fraction(0, 1), Fraction(1, 1), Fraction(0, 1))), "
          "w=LieElement(coords=(Fraction(0, 1), Fraction(0, 1), Fraction(1, 1))), "
@@ -103,7 +104,7 @@ def test_repr_hides_private_and_derived_fields():
     scaled, ech = cls._integer_form
     assert scaled == (([1, 0, 0], 1), ([0, 1, 0], 1), ([0, 0, 1], 1)) and ech is None
     assert cls.s_closure is None
-    assert "_integer_form" not in repr(cls) and "_s_closure" not in repr(cls)
+    assert "_integer_form" not in repr(cls)
 
 
 def test_defaults():
@@ -112,7 +113,7 @@ def test_defaults():
     r = BchResult(LieElement((1,)), "Sum", True)
     assert (r.residual_bound, r.u, r.v, r.degree) == (None, None, None, None)
     cls = classify_pair(AFF, AFF.element([1, 0]), AFF.element([0, 1]))
-    bare = CaseClassification(cls.tag, cls.u, cls.v, cls.facts, cls.x, cls.y, cls.w)
+    bare = CaseClassification(cls.tag, cls.u, cls.v, cls.algebra, cls.x, cls.y, cls.w)
     assert bare.witness is None and bare._integer_form is None and bare.s_closure is None
     entry = CatalogEntry("toy", "", AFF, ())
     assert (entry.rep_images, entry.faithful_on, entry.rep) == (None, "", None)
@@ -147,10 +148,10 @@ def test_unequal_values():
 
 def test_private_fields_do_not_compare():
     cls = classify_pair(AFF, AFF.element(["1/2", 0]), AFF.element([0, 3]))
-    other = CaseClassification(cls.tag, cls.u, cls.v, cls.facts, cls.x, cls.y, cls.w,
-                               cls.witness, lambda: "elsewhere", ("another", "form"))
+    other = CaseClassification(cls.tag, cls.u, cls.v, cls.algebra, cls.x, cls.y, cls.w,
+                               cls.witness, ("another", "form"))
     assert other == cls and hash(other) == hash(cls)
-    assert other.s_closure == "elsewhere"
+    assert other._integer_form == ("another", "form") and other.s_closure is None
 
 
 def test_series_holding_a_dict_is_unhashable():
@@ -195,3 +196,34 @@ def test_copy_and_pickle(build):
             b.unknown = 1
     if isinstance(a, Subspace):
         assert pickle.loads(pickle.dumps(a)).pivots == a.pivots
+
+
+def _certified_pairs():
+    """(tag, alg, x, y) for one pair of each tag."""
+    two, sl2 = two_scale_algebra(), sl2_algebra()
+    return [(CaseTag.COMMUTING, HEIS, HEIS.element([1, 0, 0]), HEIS.element([2, 0, 0])),
+            (CaseTag.CENTRAL_BRACKET, HEIS, HEIS.element([1, 0, 0]), HEIS.element([0, 1, 0])),
+            (CaseTag.SIMULTANEOUS_EIGENVECTOR, AFF, AFF.element(["1/2", 0]),
+             AFF.element([0, 3])),
+            (CaseTag.OPERATOR_COMMUTING, two, two.element([1, 2, 0, 0]),
+             two.element([0, 0, 1, 1])),
+            (CaseTag.NO_CLOSED_FORM, sl2, sl2.basis_element(0), sl2.basis_element(1))]
+
+
+@pytest.mark.parametrize("tag, alg, x, y", _certified_pairs(), ids=[t.value for t in CaseTag])
+def test_certificate_copy_and_pickle(tag, alg, x, y):
+    cls = classify_pair(alg, x, y)
+    assert cls.tag == tag
+    copied, unpickled = copy.copy(cls), pickle.loads(pickle.dumps(cls))
+    kept = ("tag", "u", "v", "w", "witness", "s_closure")
+    for other in (copied, unpickled):
+        assert [getattr(other, f) for f in kept] == [getattr(cls, f) for f in kept]
+    assert copied.algebra is alg and copied == cls
+    # the unpickled certificate holds an algebra object of its own
+    assert unpickled.algebra is not alg and unpickled != cls
+    with pytest.raises(ClassificationMismatch):
+        bch_closed_form(alg, x, y, classification=unpickled)
+    if tag != CaseTag.NO_CLOSED_FORM:
+        z = bch_closed_form(alg, x, y, classification=cls)
+        assert bch_closed_form(alg, x, y, classification=copied) == z
+        assert bch_closed_form(unpickled.algebra, x, y, classification=unpickled) == z
