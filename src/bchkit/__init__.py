@@ -1,7 +1,6 @@
 """Closed-form ln(exp(X) exp(Y)) on structure-constant Lie algebras."""
 
 from .algebra import (
-    AdjointOperator,
     AntisymmetryViolation,
     DimensionMismatch,
     IndexOutOfRange,
@@ -37,8 +36,6 @@ from .detect import (
     classify_pair,
     factorize_rank_one,
     is_derived_abelian,
-    pair_center_condition,
-    pair_centralizer_condition,
     uv_from_rank_one,
 )
 from .oracle import (

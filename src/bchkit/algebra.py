@@ -2,8 +2,8 @@
 
 An algebra is defined by structure constants on a chosen basis,
 [T_a, T_b] = f_ab^c T_c, entered sparsely and validated for antisymmetry
-and the Jacobi identity.  All structural computations (brackets, adjoints,
-subspaces, the lower central series) run in exact arithmetic so that later
+and the Jacobi identity.  All structural computations (brackets, subspaces,
+the lower central series) run in exact arithmetic so that later
 condition checks are equalities, not tolerance tests.  They run on integer
 vectors: the structure constants share one common denominator per algebra,
 and an element is cleared to integer coordinates over its own common
@@ -194,17 +194,13 @@ def unscaled(vec: Sequence[int], s: int) -> tuple[Fraction, ...]:
 class Subspace(_Frozen):
     """A subspace stored as a reduced-row-echelon basis over Fraction.
 
-    The canonical form makes equality and membership exact and deterministic.
-    pivots, the first nonzero column of each row, is derived from basis and
-    takes no part in ==, hash or repr.
+    The canonical form makes equality exact and deterministic.
     """
 
     _fields = ("basis",)
 
     def __init__(self, basis):
         _setattr(self, "basis", basis)
-        _setattr(self, "pivots", tuple(next(j for j, x in enumerate(row) if x != 0)
-                                       for row in basis))
 
     @classmethod
     def span(cls, vectors: Iterable[Sequence]) -> "Subspace":
@@ -219,23 +215,6 @@ class Subspace(_Frozen):
 
     def is_zero(self) -> bool:
         return not self.basis
-
-    def reduce(self, vector) -> tuple:
-        """Residual after eliminating against the basis; zero iff contained."""
-        coords = list(vector.coords if isinstance(vector, LieElement) else vector)
-        for row, p in zip(self.basis, self.pivots):
-            if coords[p] != 0:
-                m = coords[p]
-                coords = [x - m * y for x, y in zip(coords, row)]
-        return tuple(coords)
-
-    def contains(self, vector) -> bool:
-        return all(c == 0 for c in self.reduce(vector))
-
-    def coefficients(self, vector) -> tuple:
-        """Coordinates of a member vector in this basis (valid iff contains())."""
-        coords = vector.coords if isinstance(vector, LieElement) else tuple(vector)
-        return tuple(coords[p] for p in self.pivots)
 
 
 class Echelon:
@@ -307,36 +286,6 @@ class NilpotencyVerdict(_Frozen):
 
 
 # ---------------------------------------------------------------------------
-# adjoint operators
-# ---------------------------------------------------------------------------
-
-class AdjointOperator(_Frozen):
-    """Matrix of L_X: Y -> [X, Y]; matrix[c][b] = x^a f_ab^c."""
-
-    _fields = ("matrix",)
-
-    def __init__(self, matrix):
-        _setattr(self, "matrix", matrix)
-
-    @property
-    def dim(self) -> int:
-        return len(self.matrix)
-
-    def apply(self, y):
-        coords = y.coords if isinstance(y, LieElement) else tuple(y)
-        if len(coords) != self.dim:
-            raise DimensionMismatch(f"dim {len(coords)} vs {self.dim}")
-        out = tuple(
-            sum((m * c for m, c in zip(row, coords) if m != 0), Fraction(0))
-            for row in self.matrix
-        )
-        return LieElement(out) if isinstance(y, LieElement) else out
-
-    def is_zero(self) -> bool:
-        return all(all(m == 0 for m in row) for row in self.matrix)
-
-
-# ---------------------------------------------------------------------------
 # the algebra itself
 # ---------------------------------------------------------------------------
 
@@ -380,10 +329,11 @@ class StructureConstants:
         coordinate is a float: the element is numeric, and each float is exact
         to the structural computations as the binary rational it holds.  A NaN
         or infinite coordinate, or an exact one beyond the double range, raises
-        ValueError; a string in place of the coordinate sequence raises TypeError.
+        ValueError; a string or bytes in place of the coordinate sequence raises
+        TypeError.
         """
-        if isinstance(values, str):
-            raise TypeError(f"expected a sequence of coordinates, got the string {values!r}")
+        if isinstance(values, (str, bytes, bytearray)):
+            raise TypeError(f"expected a sequence of coordinates, got {values!r}")
         if len(values) != self.dim:
             raise DimensionMismatch(f"expected {self.dim} coordinates, got {len(values)}")
         if not any(isinstance(v, float) for v in values):
@@ -418,7 +368,7 @@ class StructureConstants:
                 if v != 0:
                     yield a, b, c, v
 
-    # -- bracket and adjoint ------------------------------------------------
+    # -- bracket ------------------------------------------------------------
 
     def scaled_bracket(self, x: Sequence, y: Sequence) -> list:
         """den [x, y] for integer coordinate lists x, y, summed over the support of x.
@@ -443,15 +393,6 @@ class StructureConstants:
             raise DimensionMismatch("element does not belong to this algebra")
         (xs, sx), (ys, sy) = clear_denominators(x.coords), clear_denominators(y.coords)
         return LieElement(unscaled(self.scaled_bracket(xs, ys), self.den * sx * sy))
-
-    def adjoint(self, x: LieElement) -> AdjointOperator:
-        if x.dim != self.dim:
-            raise DimensionMismatch("element does not belong to this algebra")
-        xs, sx = clear_denominators(x.coords)
-        # column b is [x, T_b] = -[T_b, x]
-        cols = [unscaled(self.scaled_bracket(e, xs), -self.den * sx) for e in self.units]
-        matrix = tuple(tuple(cols[b][c] for b in range(self.dim)) for c in range(self.dim))
-        return AdjointOperator(matrix)
 
     # -- subspaces -----------------------------------------------------------
 
@@ -547,11 +488,17 @@ def validate(entries: Mapping[tuple[int, int, int], object] | Iterable,
     antisymmetry.  Supplying both with inconsistent values raises
     AntisymmetryViolation.  The Jacobi identity is checked exhaustively over
     basis triples a < b < c (triples with a repeated index hold automatically).
+    A dim that is not an int (a bool included), or basis_names that is a string
+    or holds anything but strings, raises TypeError.
     """
+    if not isinstance(dim, int) or isinstance(dim, bool):
+        raise TypeError(f"dim must be an integer, got {dim!r}")
     if dim < 1:
         raise ValueError("dim must be >= 1")
     if basis_names is None:
         basis_names = [f"T{i}" for i in range(dim)]
+    if isinstance(basis_names, str) or not all(isinstance(n, str) for n in basis_names):
+        raise TypeError(f"basis_names must be a sequence of strings, got {basis_names!r}")
     if len(basis_names) != dim:
         raise ValueError("basis_names length must equal dim")
 

@@ -167,7 +167,13 @@ class BivariateSeries(_Frozen):
         the parts are summed over one denominator by Horner's rule in b e.
 
         u and v are anything as_fraction takes; a float raises TypeError
-        (evaluate() sums in floating point)."""
+        (evaluate() sums in floating point).
+
+        As a reference value of f, f_series(d) is the degree-d Taylor truncation of
+        r -> f(r u, r v) at r = 1, whose radius is 2 pi / |u - v| (f is singular only
+        where u - v is a nonzero multiple of 2 pi i).  Its error shrinks roughly like
+        (|u - v| / 2 pi)^d, at most (max(|u|, |v|) / pi)^d: keep max(|u|, |v|) well
+        below pi."""
         u, v = as_fraction(u), as_fraction(v)
         be = u.denominator * v.denominator
         pu, pv = ([t**k for k in range(self.max_degree + 1)]
@@ -179,10 +185,6 @@ class BivariateSeries(_Frozen):
             part = sum(a * pu[m - j] * pv[j] for j, a in enumerate(row) if a)
             total = total * be + part * (q // qm)
         return Fraction(total, q * be**self.max_degree)
-
-    def truncated(self, degree: int) -> "BivariateSeries":
-        kept = {k: c for k, c in self.coefficients.items() if k[0] + k[1] <= degree}
-        return BivariateSeries(kept, degree)
 
 
 @lru_cache(maxsize=None)
@@ -272,39 +274,6 @@ def f_scalar(u, v) -> float:
     if math.isinf(value):
         raise OverflowError(f"f({u!r}, {v!r}) exceeds double-precision exp range")
     return value
-
-
-def f_form_product(u: float, v: float) -> float:
-    """Literal ((u-v)e^(u+v) - (ue^u - ve^v)) / (uv(e^u - e^v)); no singularity care."""
-    return ((u - v) * math.exp(u + v) - (u * math.exp(u) - v * math.exp(v))) / (
-        u * v * (math.exp(u) - math.exp(v))
-    )
-
-
-def f_form_negexp(u: float, v: float) -> float:
-    """Literal ((u-v) - (ue^-v - ve^-u)) / (uv(e^-v - e^-u))."""
-    return ((u - v) - (u * math.exp(-v) - v * math.exp(-u))) / (
-        u * v * (math.exp(-v) - math.exp(-u))
-    )
-
-
-def f_form_quotient(u: float, v: float) -> float:
-    """Literal (1/(e^-u - e^-v)) ((1-e^-u)/u - (1-e^-v)/v)."""
-    return ((1 - math.exp(-u)) / u - (1 - math.exp(-v)) / v) / (
-        math.exp(-u) - math.exp(-v)
-    )
-
-
-def f_rational(u: Fraction, v: Fraction, degree: int = 40) -> Fraction:
-    """Exact rational series value of f; accurate only for small |u|, |v|.
-
-    f is singular only where u - v is a nonzero multiple of 2 pi i.  The
-    total-degree truncation is the Taylor truncation of r -> f(r u, r v) at
-    r = 1, whose radius is 2 pi / |u - v|, so the error shrinks roughly like
-    (|u - v| / 2 pi)^degree, which is at most (max(|u|,|v|) / pi)^degree.
-    Keep max(|u|, |v|) well below pi.  Used as a high-precision reference.
-    """
-    return f_series(degree).evaluate_exact(u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -416,21 +385,6 @@ def bch_rank_one(fact: RankOneFactorization, x: LieElement, y: LieElement) -> Bc
     return _scalar_f(x, y, _cleared(x, y) + [w_form], u, v)
 
 
-def bch_rank_one_exact(fact: RankOneFactorization, x: LieElement, y: LieElement,
-                       f_degree: int = 40) -> LieElement:
-    """Rank-one composition with f evaluated as an exact rational series.
-
-    Valid as a high-precision reference when max(|u|, |v|) is well below pi:
-    the error of f is roughly (|u - v| / 2 pi)^f_degree (see f_rational).
-    Everything else stays in exact arithmetic.
-    """
-    u, v = uv_from_rank_one(fact, x, y)
-    c_xy = fact.omega_contract(x, y)
-    if c_xy == 0:
-        return x + y
-    return x + y + fact.n.scale(c_xy * f_rational(u, v, f_degree))
-
-
 def oplus(fact: RankOneFactorization, x: LieElement, y: LieElement) -> LieElement:
     """Generalized addition: the coordinates of ln(e^X e^Y) on a rank-one algebra."""
     return bch_rank_one(fact, x, y).z
@@ -525,8 +479,9 @@ def bch_operator(alg: StructureConstants, x: LieElement, y: LieElement,
     the bracket certificate guarantees L_X and L_Y commute on every term.
 
     s_closure must be an L_X, L_Y-invariant subspace that holds [x, y] and that
-    [x, y] centralizes, as the closure S built by classify_pair or
-    pair_centralizer_condition is; any other raises ClassificationMismatch.  Any
+    [x, y] centralizes, as its closure S, alg.span_closure([[x, y]], (x, y)), is for
+    every pair classify_pair gives a closed form (cls.s_closure for
+    OperatorCommuting); any other raises ClassificationMismatch.  Any
     basis of it serves, RREF or not (rows scaled by 2, say): it is echelonized on
     integers, and the closure worklist checks it.  L_X and L_Y commute on S, and
     each is nilpotent on S iff it kills [x, y] within dim S steps.  If both

@@ -157,21 +157,10 @@ def _witness(alg: StructureConstants, w_scaled, vectors):
     return next((b for b in vectors if any(alg.scaled_bracket(b, w_scaled))), None)
 
 
-def centralizes(alg: StructureConstants, w: LieElement, vectors) -> bool:
-    """True iff [w, b] = 0 for every coordinate vector b; stops at the first nonzero one."""
-    return _witness(alg, clear_denominators(w.coords)[0],
-                    (clear_denominators(b)[0] for b in vectors)) is None
-
-
 def is_derived_abelian(alg: StructureConstants) -> bool:
     """True iff [[g,g],[g,g]] = 0, from pairwise brackets of the echelonized derived basis."""
-    basis = alg.derived_subalgebra().basis
-    return all(centralizes(alg, LieElement(b), basis[i + 1:]) for i, b in enumerate(basis))
-
-
-def pair_center_condition(alg: StructureConstants, x: LieElement, y: LieElement) -> bool:
-    """True iff [[X,Y], [g,g]] = 0: the bracket lies in the centre of [g,g]."""
-    return centralizes(alg, alg.bracket(x, y), alg.derived_subalgebra().basis)
+    basis = [clear_denominators(b)[0] for b in alg.derived_subalgebra().basis]
+    return all(_witness(alg, b, basis[i + 1:]) is None for i, b in enumerate(basis))
 
 
 def _pair_forms(alg: StructureConstants, x: LieElement, y: LieElement):
@@ -215,31 +204,6 @@ def _closure(alg, ech, xs, ys, ws, lx_ws, ly_ws):
             owed.append(img)
             yield img
     yield from alg.close(ech, owed, (xs, ys))
-
-
-def pair_centralizer_condition(alg: StructureConstants, x: LieElement, y: LieElement):
-    """Closure S of [X,Y] under L_X, L_Y, and whether [X,Y] centralizes it.
-
-    Returns (ok, S); S is reused by the operator-form evaluator.  S is the whole
-    closure even when ok is False: the check stops at the first image of [X,Y]
-    it fails on, and the rest of S is grown without it.
-    """
-    (xs, _), (ys, _), (ws, _) = _pair_forms(alg, x, y)
-    ech = Echelon()
-    images = _closure(alg, ech, xs, ys, ws, alg.scaled_bracket(xs, ws), alg.scaled_bracket(ys, ws))
-    ok = _witness(alg, ws, images) is None
-    for _ in images:
-        pass
-    return ok, ech.subspace()
-
-
-def simultaneous_eigenpair(alg: StructureConstants, x: LieElement, y: LieElement):
-    """(u, v) with L_X w = v w, L_Y w = -u w for w = [X,Y], or None; exact Fractions,
-    decided by componentwise equality on integer coordinates."""
-    (xs, sx), (ys, sy), (ws, _) = _pair_forms(alg, x, y)
-    if not any(ws):
-        return Fraction(0), Fraction(0)
-    return _eigenpair(alg, sx, sy, ws, alg.scaled_bracket(xs, ws), alg.scaled_bracket(ys, ws))
 
 
 def classify_pair(alg: StructureConstants, x: LieElement, y: LieElement) -> CaseClassification:

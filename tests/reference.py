@@ -1,0 +1,92 @@
+"""Independent references that the tests compare bchkit against.
+
+None of these runs in the package: each is a second route to a value that
+bchkit computes another way, written so that it shares as little code with
+it as it can.
+"""
+
+import math
+from fractions import Fraction
+
+from bchkit.algebra import DimensionMismatch, LieElement, Subspace
+from bchkit.closed_form import f_series
+from bchkit.detect import uv_from_rank_one
+
+
+# ---------------------------------------------------------------------------
+# the paper's three printed forms of f, literally, with no singularity care
+# ---------------------------------------------------------------------------
+
+def f_form_product(u: float, v: float) -> float:
+    """Literal ((u-v)e^(u+v) - (ue^u - ve^v)) / (uv(e^u - e^v))."""
+    return ((u - v) * math.exp(u + v) - (u * math.exp(u) - v * math.exp(v))) / (
+        u * v * (math.exp(u) - math.exp(v))
+    )
+
+
+def f_form_negexp(u: float, v: float) -> float:
+    """Literal ((u-v) - (ue^-v - ve^-u)) / (uv(e^-v - e^-u))."""
+    return ((u - v) - (u * math.exp(-v) - v * math.exp(-u))) / (
+        u * v * (math.exp(-v) - math.exp(-u))
+    )
+
+
+def f_form_quotient(u: float, v: float) -> float:
+    """Literal (1/(e^-u - e^-v)) ((1-e^-u)/u - (1-e^-v)/v)."""
+    return ((1 - math.exp(-u)) / u - (1 - math.exp(-v)) / v) / (
+        math.exp(-u) - math.exp(-v)
+    )
+
+
+def bch_rank_one_exact(fact, x: LieElement, y: LieElement, f_degree: int = 40) -> LieElement:
+    """Rank-one composition with f evaluated as the exact series value
+    f_series(f_degree).evaluate_exact(u, v); everything else stays exact.
+
+    A high-precision reference while max(|u|, |v|) is well below pi: the
+    error of f is roughly (|u - v| / 2 pi)^f_degree.
+    """
+    u, v = uv_from_rank_one(fact, x, y)
+    c_xy = fact.omega_contract(x, y)
+    if c_xy == 0:
+        return x + y
+    return x + y + fact.n.scale(c_xy * f_series(f_degree).evaluate_exact(u, v))
+
+
+# ---------------------------------------------------------------------------
+# adjoint matrices and subspaces over Fraction
+# ---------------------------------------------------------------------------
+
+def adjoint(alg, x: LieElement) -> tuple:
+    """Matrix of L_x: y -> [x, y], entry [c][b] = sum_a x^a f_ab^c.
+
+    Summed from alg.structure_constant, which reads the algebra's Fraction
+    table, so it shares no code with the integer bracket kernel."""
+    dim = alg.dim
+    if x.dim != dim:
+        raise DimensionMismatch(f"dim {x.dim} vs {dim}")
+    support = [(a, xa) for a, xa in enumerate(x.coords) if xa != 0]
+    return tuple(tuple(sum((xa * alg.structure_constant(a, b, c) for a, xa in support),
+                           Fraction(0))
+                       for b in range(dim))
+                 for c in range(dim))
+
+
+def apply(matrix, y) -> LieElement:
+    """matrix . y for an element or coordinate sequence y."""
+    coords = y.coords if isinstance(y, LieElement) else tuple(y)
+    return LieElement(tuple(sum((m * c for m, c in zip(row, coords) if m != 0), Fraction(0))
+                            for row in matrix))
+
+
+def in_span(sub: Subspace, vector) -> bool:
+    """True iff vector (an element or coordinate sequence) lies in sub."""
+    coords = vector.coords if isinstance(vector, LieElement) else tuple(vector)
+    return Subspace.span(sub.basis + (coords,)) == sub
+
+
+def centralized_closure(alg, x: LieElement, y: LieElement):
+    """(ok, S): the closure S of w = [x, y] under L_x, L_y, from alg.span_closure, and
+    whether [w, b] = 0 for every basis vector b of S."""
+    w = alg.bracket(x, y)
+    sub = alg.span_closure([w], (x, y))
+    return all(alg.bracket(w, LieElement(b)).is_zero() for b in sub.basis), sub

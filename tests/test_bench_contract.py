@@ -58,14 +58,17 @@ def test_f_is_called_through_module_globals():
 
 def test_fuzz_reaches_every_expected_layer(monkeypatch):
     # the fuzz_verify workload fails its coverage check when a layer it expects
-    # (the series oracle, say) drops out of the fuzz path
+    # (the series oracle, say) drops out of the fuzz path; the call is the
+    # workload's own, cut to two instances per family, one graded and one not
     monkeypatch.syspath_prepend(str(BENCH_DIR))  # fuzz_verify imports its siblings
     expected = load_bench_module("bench_fuzz_verify",
                                  BENCH_DIR / "fuzz_verify.py").FuzzVerify.expected_layers
+    child = load_bench_module("bench_fuzz_child", BENCH_DIR / "fuzz_child.py")
     tracer = load_tracer().Tracer()
     tracer.install()
     try:
-        report = cli.run_fuzz(1, 2, ["rank_one", "case1", "catalog"], 8, 1e-8, 1)
+        report = cli.run_fuzz(1, 2, list(child.FAMILIES), child.DEGREE, child.TOLERANCE,
+                              child.SLOPE_EVERY)
     finally:
         tracer.uninstall()
     assert report["pass"]

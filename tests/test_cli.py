@@ -335,6 +335,20 @@ class TestNonNumberJson:
         assert (code, out) == (1, "")
         assert err.startswith("input error:") and str(x) in err
 
+    @pytest.mark.parametrize("algebra", [{"dim": True, "f": []},
+                                         {"dim": 3, "basis_names": "PQI", "f": []},
+                                         {"dim": 3, "basis_names": ["P", "Q", 1], "f": []}],
+                             ids=["bool_dim", "string_names", "number_name"])
+    def test_algebra_header_exit_1(self, tmp_path, capsys, algebra):
+        alg = tmp_path / "alg.json"
+        alg.write_text(json.dumps(algebra))
+        e = tmp_path / "e.json"
+        e.write_text('{"coords": [1]}' if algebra["dim"] is True else '{"coords": [1, 0, 0]}')
+        code, out, err = run(capsys, "check", "--algebra", str(alg),
+                             "--x", str(e), "--y", str(e))
+        assert (code, out) == (1, "")
+        assert err.startswith("input error:") and str(alg) in err
+
     def test_boolean_index_exit_2(self, tmp_path, capsys):
         alg = tmp_path / "alg.json"
         alg.write_text(json.dumps({"dim": 3, "f": [{"a": 0, "b": 1, "c": True, "v": 1}]}))
@@ -485,6 +499,22 @@ class TestFuzz:
         assert families["rank_one"]["count"] == 2 and families["rank_one"]["skipped"] == 3
         assert families["case1"]["count"] == 3 and families["case1"]["skipped"] == 2
 
+    def test_one_series_expansion_per_instance(self, monkeypatch):
+        # the graded instances take the float reference from the same expansion
+        from bchkit import oracle
+        expansions = []
+        parts = oracle._integer_parts
+
+        def counted(*args):
+            expansions.append(args)
+            return parts(*args)
+
+        monkeypatch.setattr(oracle, "_integer_parts", counted)
+        report = cli.run_fuzz(1, 10, ["rank_one", "case1", "catalog"], 8, 1e-8, 5)
+        assert report["pass"]
+        compared = sum(f["count"] for f in report["families"].values())
+        assert compared == len(expansions) == 30
+
     def test_injected_bug_caught(self, capsys):
         code, out, _ = run(capsys, "fuzz", "--seed", "42", "--n", "4",
                            "--families", "rank_one,case1", "--inject-bug")
@@ -609,7 +639,29 @@ def _heavy_modules_after(code: str) -> list:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+PUBLIC_NAMES = (
+    "AntisymmetryViolation", "BchResult", "BivariateSeries", "CaseClassification", "CaseTag",
+    "ClassificationMismatch", "DimensionMismatch", "ExpansionResidualTooLarge",
+    "IndexOutOfRange", "JacobiViolation", "LieElement", "LogDomainError", "MatrixRep",
+    "NilpotencyVerdict", "NoClosedFormAvailable", "NonConvergence", "RankOneFactorization",
+    "StructureConstants", "Subspace", "as_fraction", "bch_closed_form", "bch_eigenpair",
+    "bch_integral_series", "bch_operator", "bch_rank_one", "bch_series_terms", "bch_special",
+    "builtin_catalog", "case1_build", "classify_pair", "closed_form_terms", "f_scalar",
+    "f_series", "factorize_rank_one", "is_derived_abelian", "matrix_bch", "matrix_exp",
+    "matrix_log", "oplus", "uv_from_rank_one", "validate",
+)
+
+
 class TestImports:
+    def test_public_names_pinned(self):
+        # an API change shows up here as a diff; submodules are not names of the API
+        import types
+
+        import bchkit
+        public = sorted(name for name, value in vars(bchkit).items()
+                        if not name.startswith("_") and not isinstance(value, types.ModuleType))
+        assert tuple(public) == PUBLIC_NAMES
+
     @pytest.mark.parametrize("module", ["bchkit", "bchkit.cli"])
     def test_import(self, module):
         assert _heavy_modules_after(f"import {module}") == []

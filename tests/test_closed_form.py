@@ -20,14 +20,9 @@ from bchkit.closed_form import (
     bch_eigenpair,
     bch_operator,
     bch_rank_one,
-    bch_rank_one_exact,
     bch_special,
     case1_build,
     closed_form_terms,
-    f_form_negexp,
-    f_form_product,
-    f_form_quotient,
-    f_rational,
     f_scalar,
     f_series,
     oplus,
@@ -37,7 +32,6 @@ from bchkit.detect import (
     CaseTag,
     classify_pair,
     factorize_rank_one,
-    pair_centralizer_condition,
     uv_from_rank_one,
 )
 from bchkit import algebra, closed_form, detect, families
@@ -55,6 +49,7 @@ from bchkit.oracle import (
     two_scale_algebra,
     uvc_model_algebra,
 )
+from reference import centralized_closure, f_form_negexp, f_form_product, f_form_quotient
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +73,7 @@ class TestScalarF:
         expected = (e + 1 / e - 2) / (e - 1 / e)
         assert abs(f_scalar(1, -1) - expected) < 1e-15
         # cross-check against the exact series partial sums
-        series_val = float(f_rational(Fraction(1), Fraction(-1), degree=24))
+        series_val = float(f_series(24).evaluate_exact(1, -1))
         assert abs(series_val - expected) < 1e-9
 
     def test_value_at_one_minus_one_against_series_oracle(self):
@@ -143,7 +138,7 @@ class TestScalarF:
         checked = 0
         for u, v in points:
             if max(abs(u), abs(v), abs(u - v)) < 0.25:
-                exact = f_rational(Fraction(u), Fraction(v), 40)
+                exact = f_series(40).evaluate_exact(Fraction(u), Fraction(v))
                 got = f_scalar(u, v)
                 assert abs(Fraction(got) - exact) <= BOX_ERROR * exact, (u, v, got)
                 checked += 1
@@ -334,10 +329,6 @@ class TestSeries:
         for k in range(9):
             assert series.coeff(k, 0) == axis[k], k
 
-    def test_truncated(self):
-        assert set(f_series(6).truncated(2).coefficients) == \
-            {(i, j) for i in range(3) for j in range(3) if i + j <= 2}
-
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             f_series(-1)
@@ -363,13 +354,14 @@ class TestSeries:
                                            if k[0] + k[1] <= d}, d
 
     def test_horner_rows_on_every_table_shape(self):
-        # odd and even degrees, 0 and 1 included; a truncated table builds its own rows
+        # odd and even degrees, 0 and 1 included; a table cut from a larger one
+        # builds its own rows
         rng = random.Random(6)
         points = [(rng.uniform(-0.25, 0.25), rng.uniform(-0.25, 0.25)) for _ in range(40)]
         points += [(0.0, 0.0), (0.2, 0.2), (0.1, -1e-300)]
         big = f_series(40)
         for d in range(10):
-            series, cut = f_series(d), big.truncated(d)
+            series, cut = f_series(d), _truncated(big, d)
             assert [len(row) for row in series._horner_rows] == [d - 2 * b + 1 for b in
                                                                  range(d // 2, -1, -1)]
             for u, v in points:
@@ -390,7 +382,7 @@ class TestSeries:
         for (i, j), c in big.coefficients.items():
             assert big.coeff(j, i) == c
         for d in range(34):
-            assert f_series(d) == f_series(d + 7).truncated(d), d
+            assert f_series(d) == _truncated(f_series(d + 7), d), d
 
     def test_series_40_stdout_pinned(self, capsys):
         # sha256 of `bchkit f --series 40` stdout, captured while the table
@@ -398,6 +390,11 @@ class TestSeries:
         assert main(["f", "--series", "40"]) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == "ef3f73cf9a0791c0610b5ab031bad309e5e3999f69e419d5489a1590e5d3f516"
+
+
+def _truncated(series: BivariateSeries, d: int) -> BivariateSeries:
+    """The table of series cut to total degree d."""
+    return BivariateSeries({k: c for k, c in series.coefficients.items() if k[0] + k[1] <= d}, d)
 
 
 def _long_division_table(d: int) -> dict:
@@ -618,7 +615,7 @@ class TestOperator:
     def test_heisenberg_terminates_exact(self):
         heis = heisenberg_algebra()
         x, y = heis.basis_element(0), heis.basis_element(1)
-        ok, s = pair_centralizer_condition(heis, x, y)
+        ok, s = centralized_closure(heis, x, y)
         assert ok
         res = bch_operator(heis, x, y, s)
         assert res.exact and res.degree == 0
@@ -633,7 +630,7 @@ class TestOperator:
             cls = classify_pair(alg, x, y)
             if cls.tag != CaseTag.SIMULTANEOUS_EIGENVECTOR:
                 continue
-            ok, s = pair_centralizer_condition(alg, x, y)
+            ok, s = centralized_closure(alg, x, y)
             assert ok
             r_op = bch_operator(alg, x, y, s, 1e-12)
             r_sc = bch_eigenpair(alg, x, y, cls.u, cls.v)
@@ -694,7 +691,7 @@ class TestOperator:
         alg = families.random_derived_abelian(rng, 2, 3, kind="nilp")
         x = families.random_element(rng, alg.dim)
         y = families.random_element(rng, alg.dim)
-        ok, s = pair_centralizer_condition(alg, x, y)
+        ok, s = centralized_closure(alg, x, y)
         assert ok
         res = bch_operator(alg, x, y, s)
         assert res.exact
@@ -745,7 +742,7 @@ class TestOperator:
     def test_mismatch_rejected(self):
         sl2 = sl2_algebra()
         x, y = sl2.basis_element(0), sl2.basis_element(1)
-        ok, s = pair_centralizer_condition(sl2, x, y)
+        ok, s = centralized_closure(sl2, x, y)
         assert not ok
         with pytest.raises(ClassificationMismatch):
             bch_operator(sl2, x, y, s)
@@ -758,7 +755,7 @@ class TestOperator:
         alg = two_scale_algebra()
         x, y = alg.element([1, 2, 0, 0]), alg.element([0, 0, 1, 1])
         w = alg.bracket(x, y)
-        assert pair_centralizer_condition(alg, x, y)[1].dim == 2
+        assert classify_pair(alg, x, y).s_closure.dim == 2
         with pytest.raises(ClassificationMismatch):  # holds [x, y], but not invariant
             bch_operator(alg, x, y, Subspace.span([w]))
 
@@ -1017,9 +1014,9 @@ class TestPerPairWork:
         # [x, y] is one call of the bracket kernel on integer coordinates of x and
         # of y; those lists are told apart by the coordinate tuple they were made from
         entries = builtin_catalog()
-        cleared, brackets, adjoints = [], [], []
+        cleared, brackets = [], []
         clear = algebra.clear_denominators
-        kernel, adjoint = StructureConstants.scaled_bracket, StructureConstants.adjoint
+        kernel = StructureConstants.scaled_bracket
 
         def counted_clear(coords):
             vec, scale = clear(coords)
@@ -1030,24 +1027,17 @@ class TestPerPairWork:
             brackets.append((a, b))
             return kernel(alg, a, b)
 
-        def counted_adjoint(alg, a):
-            adjoints.append(a)
-            return adjoint(alg, a)
-
         for module in (algebra, detect, closed_form):
             monkeypatch.setattr(module, "clear_denominators", counted_clear)
         monkeypatch.setattr(StructureConstants, "scaled_bracket", counted_kernel)
-        monkeypatch.setattr(StructureConstants, "adjoint", counted_adjoint)
         tags = set()
         for entry in entries:
             alg = entry.algebra
             (x, y, expected), = entry.pairs
             cleared.clear()
             brackets.clear()
-            adjoints.clear()
             cls = classify_pair(alg, x, y)
             assert cls.tag == expected
-            assert not adjoints, entry.name  # the detector builds no adjoint matrix
             classified = len(cleared)
             of_x = [vec for coords, vec in cleared if coords is x.coords]
             of_y = [vec for coords, vec in cleared if coords is y.coords]
@@ -1069,7 +1059,6 @@ class TestPerPairWork:
                          or (made_from(a, of_y) and made_from(b, of_x))]
             assert of_x and of_y, entry.name
             assert len(same_pair) == 1, entry.name
-            assert not adjoints, entry.name  # no closed form builds one either
         assert tags == set(CaseTag) - {CaseTag.NO_CLOSED_FORM}
 
     def test_standalone_evaluators_clear_and_bracket_once(self, borel, monkeypatch):

@@ -8,15 +8,12 @@ from fractions import Fraction
 import pytest
 
 from bchkit.algebra import DimensionMismatch, Echelon, LieElement, StructureConstants, Subspace
-from bchkit.closed_form import NoClosedFormAvailable, bch_closed_form, bch_special
+from bchkit.closed_form import NoClosedFormAvailable, bch_closed_form, bch_eigenpair, bch_special
 from bchkit.detect import (
     CaseTag,
     classify_pair,
     factorize_rank_one,
     is_derived_abelian,
-    pair_center_condition,
-    pair_centralizer_condition,
-    simultaneous_eigenpair,
     uv_from_rank_one,
 )
 from bchkit import detect, families, oracle
@@ -30,6 +27,7 @@ from bchkit.oracle import (
     two_scale_algebra,
     uvc_model_algebra,
 )
+from reference import adjoint, apply, centralized_closure, in_span
 
 
 class TestFactorizeRankOne:
@@ -118,47 +116,32 @@ class TestDerivedAbelian:
 
 
 class TestPairConditions:
-    def test_heisenberg_center(self):
-        heis = heisenberg_algebra()
-        rng = random.Random(3)
-        for _ in range(5):
-            x = families.random_element(rng, 3)
-            y = families.random_element(rng, 3)
-            assert pair_center_condition(heis, x, y)
-
-    def test_abelian_derived_implies_center(self):
-        rng = random.Random(4)
-        for _ in range(5):
-            alg = families.random_derived_abelian(rng, 2, 3)
-            x = families.random_element(rng, alg.dim)
-            y = families.random_element(rng, alg.dim)
-            assert is_derived_abelian(alg)
-            assert pair_center_condition(alg, x, y)
-
-    def test_sl2_fails_center(self):
-        sl2 = sl2_algebra()
-        assert not pair_center_condition(sl2, sl2.basis_element(0), sl2.basis_element(1))
-
     def test_center_implies_centralizer(self):
+        # [[X,Y], [g,g]] = 0: the bracket lies in the centre of [g,g], which holds
+        # its closure, so classify_pair finds a closed form
         rng = random.Random(5)
         samples = [(heisenberg_algebra(), 3), (two_scale_algebra(), 4)]
         for alg, dim in samples:
             for _ in range(5):
                 x = families.random_element(rng, dim)
                 y = families.random_element(rng, dim)
-                if pair_center_condition(alg, x, y):
-                    ok, _ = pair_centralizer_condition(alg, x, y)
-                    assert ok
+                w = alg.bracket(x, y)
+                if all(alg.bracket(w, LieElement(b)).is_zero()
+                       for b in alg.derived_subalgebra().basis):
+                    assert centralized_closure(alg, x, y)[0]
+                    assert classify_pair(alg, x, y).tag != CaseTag.NO_CLOSED_FORM
 
     def test_heisenberg_centralizer(self):
         heis = heisenberg_algebra()
-        ok, s = pair_centralizer_condition(heis, heis.basis_element(0), heis.basis_element(1))
-        assert ok and s.dim == 1 and s.basis[0] == (0, 0, 1)
+        x, y = heis.basis_element(0), heis.basis_element(1)
+        assert classify_pair(heis, x, y).tag == CaseTag.CENTRAL_BRACKET
+        s = heis.span_closure([heis.bracket(x, y)], (x, y))
+        assert s.dim == 1 and s.basis[0] == (0, 0, 1)
 
     def test_sl2_centralizer_fails(self):
         sl2 = sl2_algebra()
-        ok, s = pair_centralizer_condition(sl2, sl2.basis_element(0), sl2.basis_element(1))
-        assert not ok and s.dim == 3
+        cls = classify_pair(sl2, sl2.basis_element(0), sl2.basis_element(1))
+        assert cls.tag == CaseTag.NO_CLOSED_FORM and cls.s_closure.dim == 3
 
 
 class TestClassify:
@@ -184,9 +167,6 @@ class TestClassify:
                      (LieElement((1, 0, 0, 0)), heis.basis_element(1))]:
             with pytest.raises(DimensionMismatch):
                 classify_pair(heis, x, y)
-            for check in (simultaneous_eigenpair, pair_centralizer_condition):
-                with pytest.raises(DimensionMismatch):
-                    check(heis, x, y)
             with pytest.raises(DimensionMismatch):
                 bch_special(heis, x, y, CaseTag.CENTRAL_BRACKET)
 
@@ -214,7 +194,7 @@ class TestClassify:
         assert cls.tag == CaseTag.OPERATOR_COMMUTING
         assert cls.s_closure.dim == 2
         # the bracket is not an eigenvector of L_X here
-        assert simultaneous_eigenpair(alg, x, y) is None
+        assert Subspace.span([cls.w, alg.bracket(x, cls.w)]).dim == 2
 
     def test_sl2_no_closed_form(self):
         sl2 = sl2_algebra()
@@ -250,16 +230,16 @@ class TestEigenHelper:
         aff = affine_algebra()
         x = aff.element([0.7, 0.0])
         y = aff.element([0.0, 0.3])
-        pair = simultaneous_eigenpair(aff, x, y)
-        assert pair is not None
-        u, v = pair
-        assert abs(u) < 1e-15 and abs(v - 0.7) < 1e-15
+        cls = classify_pair(aff, x, y)
+        assert cls.tag == CaseTag.SIMULTANEOUS_EIGENVECTOR
+        assert abs(cls.u) < 1e-15 and abs(cls.v - 0.7) < 1e-15
 
     def test_float_mode_rejects_non_eigen(self):
         alg = two_scale_algebra()
         x = alg.element([1.0, 2.0, 0.0, 0.0])
         y = alg.element([0.0, 0.0, 1.0, 1.0])
-        assert simultaneous_eigenpair(alg, x, y) is None
+        cls = classify_pair(alg, x, y)
+        assert cls.tag == CaseTag.OPERATOR_COMMUTING and cls.u is None
 
     def test_near_eigenpair_is_not_one(self):
         # rates 1 and 1 + 2^-50: within any float tolerance of the equal-rate
@@ -267,12 +247,17 @@ class TestEigenHelper:
         alg = two_scale_algebra()
         x = alg.element([1.0, 1.0 + 2.0**-50, 0.0, 0.0])
         y = alg.element([0.0, 0.0, 1.0, 1.0])
-        assert simultaneous_eigenpair(alg, x, y) is None
-        assert classify_pair(alg, x, y).tag == CaseTag.OPERATOR_COMMUTING
+        cls = classify_pair(alg, x, y)
+        assert cls.tag == CaseTag.OPERATOR_COMMUTING
+        assert Subspace.span([cls.w, alg.bracket(x, cls.w)]).dim == 2
 
     def test_zero_bracket(self):
+        # a zero bracket is the eigenvector of every (u, v); (0, 0) gives z = x + y exactly
         alg = abelian_algebra(2)
-        assert simultaneous_eigenpair(alg, alg.basis_element(0), alg.basis_element(1)) == (0, 0)
+        x, y = alg.basis_element(0), alg.basis_element(1)
+        assert classify_pair(alg, x, y).tag == CaseTag.COMMUTING
+        res = bch_eigenpair(alg, x, y, 0, 0)
+        assert res.exact and res.z == x + y
 
 
 class TestHierarchy:
@@ -290,52 +275,53 @@ class TestHierarchy:
             y = families.random_element(rng, alg.dim)
             cls = classify_pair(alg, x, y)
             if cls.tag == CaseTag.SIMULTANEOUS_EIGENVECTOR:
-                ok, _ = pair_centralizer_condition(alg, x, y)
+                ok, _ = centralized_closure(alg, x, y)
                 assert ok
-            if cls.tag == CaseTag.CENTRAL_BRACKET:
-                assert simultaneous_eigenpair(alg, x, y) == (0, 0)
+            if cls.tag == CaseTag.CENTRAL_BRACKET:  # an eigenvector with u = v = 0
+                assert alg.bracket(x, cls.w).is_zero() and alg.bracket(y, cls.w).is_zero()
 
 
 def test_centralizer_condition_requires_exact():
     # exact for float input: 0.1 is the binary rational it holds
     alg = two_scale_algebra()
     xf, yf = [0.1, 0.2, 0.0, 0.0], [0.0, 0.0, 1.0, 0.3]
-    got = pair_centralizer_condition(alg, alg.element(xf), alg.element(yf))
-    assert got == pair_centralizer_condition(
-        alg, alg.element([str(Fraction(c)) for c in xf]),
-        alg.element([str(Fraction(c)) for c in yf]))
-    assert got[0] and got[1].dim == 2
+    got = classify_pair(alg, alg.element(xf), alg.element(yf))
+    ref = classify_pair(alg, alg.element([str(Fraction(c)) for c in xf]),
+                        alg.element([str(Fraction(c)) for c in yf]))
+    assert (got.tag, got.s_closure) == (ref.tag, ref.s_closure)
+    assert got.tag == CaseTag.OPERATOR_COMMUTING and got.s_closure.dim == 2
 
 
 def naive_classify(alg, x, y):
-    """(tag, u, v, S) by the README table, written out with no shared helpers.
+    """(tag, u, v, S) by the README table, written out with no shared helpers: every
+    bracket is an adjoint matrix from the Fraction table (reference.adjoint), not the
+    integer bracket kernel.
 
     Commuting if w = [x, y] = 0; CentralBracket if ad(w) = 0; SimultaneousEigenvector
     if [x, w] = v w and [y, w] = -u w; otherwise the closure S of w under ad(x),
     ad(y), grown by sweeping the whole basis again until nothing is added, and
     OperatorCommuting iff w commutes with S.
     """
-    w = alg.bracket(x, y)
+    ad_x, ad_y = adjoint(alg, x), adjoint(alg, y)
+    w = apply(ad_x, y)
     if w.is_zero():
         return CaseTag.COMMUTING, None, None, None
-    if alg.adjoint(w).is_zero():
+    if not any(any(row) for row in adjoint(alg, w)):
         return CaseTag.CENTRAL_BRACKET, None, None, None
-    lx_w, ly_w = alg.bracket(x, w), alg.bracket(y, w)
+    lx_w, ly_w = apply(ad_x, w), apply(ad_y, w)
     k = next(j for j, c in enumerate(w.coords) if c != 0)
     v, u = lx_w.coords[k] / w.coords[k], -ly_w.coords[k] / w.coords[k]
-    eigen = lx_w == w.scale(v) and ly_w == w.scale(-u)
-    assert simultaneous_eigenpair(alg, x, y) == ((u, v) if eigen else None)
-    if eigen:
+    if lx_w == w.scale(v) and ly_w == w.scale(-u):
         return CaseTag.SIMULTANEOUS_EIGENVECTOR, u, v, None
-    ops = [alg.adjoint(x), alg.adjoint(y)]
     sub = Subspace.span([w])
     while True:
-        grown = Subspace.span(list(sub.basis) + [op.apply(b) for op in ops for b in sub.basis])
+        grown = Subspace.span(list(sub.basis) + [apply(ad, b) for ad in (ad_x, ad_y)
+                                                 for b in sub.basis])
         if grown == sub:
             break
         sub = grown
-    ok = all(alg.bracket(w, LieElement(b)).is_zero() for b in sub.basis)
-    assert pair_centralizer_condition(alg, x, y) == (ok, sub)
+    ad_w = adjoint(alg, w)
+    ok = all(apply(ad_w, b).is_zero() for b in sub.basis)
     return (CaseTag.OPERATOR_COMMUTING if ok else CaseTag.NO_CLOSED_FORM), None, None, sub
 
 
@@ -423,7 +409,7 @@ class TestWitness:
             if cls.tag != CaseTag.NO_CLOSED_FORM:
                 assert cls.witness is None
                 continue
-            assert cls.s_closure.contains(cls.witness)
+            assert in_span(cls.s_closure, cls.witness)
             assert not alg.bracket(cls.w, cls.witness).is_zero()
 
     def test_sl2_witness_is_the_first_image(self):
