@@ -426,6 +426,8 @@ class StructureConstants:
     def span_closure(self, seeds: Sequence[LieElement],
                      generators: Sequence[LieElement]) -> Subspace:
         """Smallest subspace containing the seeds and invariant under L_g for every generator g."""
+        if any(e.dim != self.dim for e in (*seeds, *generators)):
+            raise DimensionMismatch("element does not belong to this algebra")
         ech = Echelon()
         owed = [clear_denominators(v.coords)[0] for v in seeds]
         for vec in owed:

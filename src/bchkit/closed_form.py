@@ -41,7 +41,7 @@ from .detect import (CaseTag, RankOneFactorization, _eigenpair, _pair_forms, _wi
                      classify_pair, uv_from_rank_one)
 
 SERIES_CROSSOVER = 0.25     # switch to the Taylor series inside this box
-SERIES_DEGREE = 20          # series truncation of the scalar evaluator; first operator table
+SERIES_DEGREE = 20          # series truncation of the scalar evaluator
 
 OPERATOR_MAX_DEGREE = 48    # hard cap for the adaptive operator series
 OPERATOR_RADIUS = math.pi   # heuristic convergence radius for restricted adjoints
@@ -187,8 +187,14 @@ class BivariateSeries(_Frozen):
         return Fraction(total, q * be**self.max_degree)
 
 
-@lru_cache(maxsize=None)
-def _f_series_cached(max_total_degree: int) -> BivariateSeries:
+# (rows, prefix, K_s) of _f_rows through degree s; each step publishes a whole table in one
+# assignment, so no lock is needed: a racing writer can only put back a shorter table
+_F_TABLE: tuple = ((), (), 1)
+
+
+def _f_rows(degree: int) -> tuple:
+    """The rows ([A_m0, ..., A_0m], q_m) for m = 0 .. degree, c_ij = A_ij / q_m over the
+    least common denominator of degree m, after growing the table to degree."""
     # Write g(t) = (1 - e^-t)/t.  Both g(u) - g(v) and e^-u - e^-v vanish on
     # the diagonal, so divide each by (u - v):
     #   [(h(u)-h(v))/(u-v)]_ij = h_{i+j+1}  for a univariate series h.
@@ -201,10 +207,9 @@ def _f_series_cached(max_total_degree: int) -> BivariateSeries:
     # anti-diagonal t, so degree s costs O(s^2) terms.  Every denominator of
     # degree s divides K_s = prod_{m<=s} (m+2)!, so the recurrence runs on the
     # integers c_ij K_s, and f is symmetric, so only i >= j is computed.
-    coeffs: dict = {}
-    scale = 1     # K_(s-1)
-    prefix = []   # prefix[t][k] = K_t sum_{k' < k} c_{k', t-k'}
-    for s in range(max_total_degree + 1):
+    global _F_TABLE
+    rows, prefix, scale = _F_TABLE  # prefix[t][k] = K_t sum_{k' < k} c_{k', t-k'}
+    for s in range(len(rows), degree + 1):
         # weight[t] = e_{s-t} K_s / K_t, with K_s / K_t = prod_{t<m<=s} (m+2)!
         weight = [0] * s
         ratio = 1
@@ -214,24 +219,27 @@ def _f_series_cached(max_total_degree: int) -> BivariateSeries:
         row = [0] * (s + 1)
         for i in range(s, (s - 1) // 2, -1):
             j = s - i
-            acc = (-1) ** s * scale  # -n_s K_s
+            acc = (-1) ** s * scale  # -n_s K_s, with scale still K_(s-1)
             for t in range(s):
                 pt = prefix[t]
                 acc += weight[t] * (pt[min(i, t) + 1] - pt[max(0, t - j)])
             row[i] = row[j] = acc
         scale *= math.factorial(s + 2)
-        prefix.append(list(itertools.accumulate(row, initial=0)))
-        exact = [Fraction(c, scale) for c in row[:s // 2 + 1]]
-        for i in range(s, -1, -1):
-            coeffs[(i, s - i)] = exact[min(i, s - i)]
-    return BivariateSeries(coeffs, max_total_degree)
+        g = math.gcd(*row, scale)  # A_s = row / g over q_s = K_s / g
+        rows += ((tuple(c // g for c in row), scale // g),)
+        prefix += (tuple(itertools.accumulate(row, initial=0)),)
+        _F_TABLE = rows, prefix, scale
+    return rows[:degree + 1]
 
 
+@lru_cache(maxsize=None)
 def f_series(max_total_degree: int) -> BivariateSeries:
     """Exact Taylor coefficients of f about (0,0) through the given total degree."""
     if max_total_degree < 0:
         raise ValueError("degree must be >= 0")
-    return _f_series_cached(max_total_degree)
+    coeffs = {(s - j, j): Fraction(a, q)
+              for s, (row, q) in enumerate(_f_rows(max_total_degree)) for j, a in enumerate(row)}
+    return BivariateSeries(coeffs, max_total_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -430,17 +438,19 @@ def closed_form_terms(alg: StructureConstants, x: LieElement, y: LieElement, w: 
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
+    if any(e.dim != alg.dim for e in (x, y, w)):
+        raise DimensionMismatch("element does not belong to this algebra")
     scaled = _cleared(x, y, w)
     c_1 = LieElement(unscaled(*_sum_form(*scaled[:2])))
     walk = _anti_diagonals(alg.scaled_bracket, *(vec for vec, _ in scaled))
-    rows = f_series(max(degree - 2, 0))._graded_integer_form[:degree - 1]
+    rows = _f_rows(degree - 2)
     return (c_1,) + tuple(LieElement(unscaled(acc, den))
                           for acc, _, den in _graded_parts(alg, scaled, rows, walk))
 
 
 def _graded_parts(alg: StructureConstants, scaled, rows, diagonals):
     """(acc, norm, den) for n = 2, 3, ..., one per coefficient row (A_m, q_m) of
-    f_series(d)._graded_integer_form, m = n - 2: C_n = acc / den, and norm / den is
+    _f_rows, m = n - 2: C_n = acc / den, and norm / den is
     the shell norm sum_{i+j=m} |c_ij| |L_X^i L_Y^j w|_inf.  scaled holds the scaled
     coordinates ((xs, sx), (ys, sy), (ws, sw)) of x, y, w, and diagonals is their
     kernel walk _anti_diagonals(alg.scaled_bracket, xs, ys, ws), whose entry j on
@@ -459,15 +469,6 @@ def _graded_parts(alg: StructureConstants, scaled, rows, diagonals):
                     if t:
                         acc[idx] += k * t
         yield acc, norm, sw * (px * py) ** m * q
-
-
-def _growing_rows():
-    """The coefficient rows of f from f_series(SERIES_DEGREE), the table the scalar
-    path builds, grown by 12 degrees at a time up to OPERATOR_MAX_DEGREE as they are read."""
-    lo, d = 0, SERIES_DEGREE
-    while lo <= OPERATOR_MAX_DEGREE:
-        yield from f_series(d)._graded_integer_form[lo:]
-        lo, d = d + 1, min(d + 12, OPERATOR_MAX_DEGREE)
 
 
 def bch_operator(alg: StructureConstants, x: LieElement, y: LieElement,
@@ -531,7 +532,7 @@ def _operator_f(alg: StructureConstants, x: LieElement, y: LieElement, scaled,
         if diag[0] is None and diag[-1] is None:
             nx, ny = (next(m for m, d in enumerate(seen) if d[e] is None) for e in (0, -1))
             # C_n = 0 beyond n = nx + ny: sum the parts over one denominator
-            rows = f_series(nx + ny - 2)._graded_integer_form
+            rows = _f_rows(nx + ny - 2)
             parts = list(_graded_parts(alg, scaled, rows, itertools.chain(seen, walk)))
             den = math.lcm(*(d for _, _, d in parts))
             acc = [0] * alg.dim
@@ -553,7 +554,8 @@ def _operator_f(alg: StructureConstants, x: LieElement, y: LieElement, scaled,
     acc = [0.0] * alg.dim
     prev_norm = math.inf
     bound = math.inf
-    parts = _graded_parts(alg, scaled, _growing_rows(), itertools.chain(seen, walk))
+    rows = (_f_rows(m)[m] for m in range(OPERATOR_MAX_DEGREE + 1))  # row m read at shell m
+    parts = _graded_parts(alg, scaled, rows, itertools.chain(seen, walk))
     for shell, (part, norm, den) in enumerate(parts):
         for idx, t in enumerate(part):
             if t:
@@ -632,6 +634,8 @@ def bch_closed_form(alg: StructureConstants, x: LieElement, y: LieElement,
         raise ClassificationMismatch("classification was made for another pair or algebra")
     if cls.tag == CaseTag.NO_CLOSED_FORM:
         raise NoClosedFormAvailable("no closed-form condition applies to this pair")
+    if cls._integer_form is None:
+        raise ClassificationMismatch("classification was not made by classify_pair")
     scaled, ech = cls._integer_form
     if cls.tag == CaseTag.COMMUTING:
         return _combined("Sum", x, y, scaled[:2])

@@ -110,13 +110,14 @@ class CaseClassification(_Frozen):
     @cached_property
     def s_closure(self) -> Subspace | None:
         """S for OperatorCommuting and NoClosedForm, else None: the RREF of the
-        echelon classify_pair grew, or for NoClosedForm, whose S classify_pair
-        stops growing at the witness, the closure built in full."""
-        if self.tag == CaseTag.NO_CLOSED_FORM:
-            return self.algebra.span_closure([self.w], (self.x, self.y))
-        if self.tag == CaseTag.OPERATOR_COMMUTING and self._integer_form is not None:
+        echelon classify_pair grew, or, where no echelon is held (NoClosedForm,
+        whose S classify_pair stops growing at the witness, or a certificate
+        built by hand), the closure built in full."""
+        if self.tag not in (CaseTag.OPERATOR_COMMUTING, CaseTag.NO_CLOSED_FORM):
+            return None
+        if self._integer_form is not None:
             return self._integer_form[1].subspace()
-        return None
+        return self.algebra.span_closure([self.w], (self.x, self.y))
 
 
 def factorize_rank_one(alg: StructureConstants) -> RankOneFactorization | None:

@@ -240,6 +240,12 @@ class TestSubspaces:
         s = affine.span_closure([affine.basis_element(1)], [affine.basis_element(0)])
         assert s.dim == 1 and s.basis[0] == (0, 1)
 
+    def test_span_closure_rejects_another_dimension(self, heis):
+        x = heis.basis_element(0)
+        for seeds, generators in (([LieElement((0, 1))], [x]), ([x], [LieElement((1, 0, 0, 0))])):
+            with pytest.raises(DimensionMismatch):
+                heis.span_closure(seeds, generators)
+
     def test_span_closure_zero_seed(self, heis):
         s = heis.span_closure([heis.zero()], [heis.basis_element(0)])
         assert s.is_zero()

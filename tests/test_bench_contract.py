@@ -42,6 +42,7 @@ def test_f_is_called_through_module_globals():
     tracer = load_tracer().Tracer()
     aff, two = affine_algebra(), two_scale_algebra()
     pairs = [(aff, aff.basis_element(0), aff.basis_element(1)),          # ScalarF
+             (aff, aff.element(["1/8", "0"]), aff.basis_element(1)),     # ScalarF, series box
              (two, two.element(["1/4", "1/2", "0", "0"]),
               two.element(["0", "0", "1/4", "1/4"]))]                   # OperatorF
     tracer.install()

@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from bchkit import BivariateSeries, cli, closed_form
+from bchkit import cli, closed_form
+from bchkit.algebra import clear_denominators
 from bchkit.cli import main
 from bchkit.oracle import sl2_algebra
 
@@ -195,15 +196,17 @@ class TestBch:
 
     def test_verify_fail_exit_4(self, workdir, capsys, monkeypatch):
         # a wrong c_10 changes the closed form's degree-3 part C_3 = c_10 [x, w] + ...
-        true_series = closed_form.f_series
+        true_rows = closed_form._f_rows
 
         def shifted(degree):
-            series = true_series(degree)
-            coefficients = dict(series.coefficients)
-            coefficients[1, 0] = coefficients.get((1, 0), Fraction(0)) + Fraction(1, 7)
-            return BivariateSeries(coefficients, series.max_degree)
+            rows = list(true_rows(degree))
+            if degree >= 1:
+                (c_10, c_01), q = rows[1]
+                rows[1] = clear_denominators([Fraction(c_10, q) + Fraction(1, 7),
+                                              Fraction(c_01, q)])
+            return rows
 
-        monkeypatch.setattr(closed_form, "f_series", shifted)
+        monkeypatch.setattr(closed_form, "_f_rows", shifted)
         code, out, err = run(capsys, "bch",
                              "--algebra", str(workdir / "affine.json"),
                              "--x", str(workdir / "a0.json"),

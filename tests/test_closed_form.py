@@ -5,6 +5,7 @@ import json
 import math
 import random
 import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -27,8 +28,9 @@ from bchkit.closed_form import (
     f_series,
     oplus,
 )
-from bchkit.algebra import LieElement, StructureConstants, Subspace
+from bchkit.algebra import DimensionMismatch, LieElement, StructureConstants, Subspace
 from bchkit.detect import (
+    CaseClassification,
     CaseTag,
     classify_pair,
     factorize_rank_one,
@@ -384,6 +386,52 @@ class TestSeries:
         for d in range(34):
             assert f_series(d) == _truncated(f_series(d + 7), d), d
 
+    def test_concurrent_growth_gives_the_single_thread_rows(self, monkeypatch):
+        # four threads grow the one table of f from empty to different degrees at
+        # once; each growth step is one assignment, so every reader gets the rows
+        # one thread alone computes
+        monkeypatch.setattr(closed_form, "_F_TABLE", ((), (), 1))
+        expected = closed_form._f_rows(48)
+        degrees = (48, 20, 33, 41)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                monkeypatch.setattr(closed_form, "_F_TABLE", ((), (), 1))
+                barrier = threading.Barrier(len(degrees))
+                got = [None] * len(degrees)
+
+                def run(i, degree):
+                    barrier.wait(timeout=30)
+                    got[i] = closed_form._f_rows(degree)
+
+                threads = [threading.Thread(target=run, args=item)
+                           for item in enumerate(degrees)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                for degree, rows in zip(degrees, got):
+                    assert rows == expected[:degree + 1], degree
+                held = closed_form._F_TABLE[0]
+                assert held == expected[:len(held)]
+                assert closed_form._f_rows(48) == expected
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_growth_order_does_not_change_the_tables(self, monkeypatch):
+        # from an empty table, reading 48 then 20 or 20 then 48 gives the same
+        # f_series(d) for every d <= 48 as the cached tables
+        build = closed_form.f_series.__wrapped__  # f_series without its cache
+        tables = []
+        for order in ((48, 20), (20, 48)):
+            monkeypatch.setattr(closed_form, "_F_TABLE", ((), (), 1))
+            for degree in order:
+                build(degree)
+            tables.append([build(d) for d in range(49)])
+        assert tables[0] == tables[1] == [f_series(d) for d in range(49)]
+
     def test_series_40_stdout_pinned(self, capsys):
         # sha256 of `bchkit f --series 40` stdout, captured while the table
         # was still built by Fraction long division
@@ -401,7 +449,7 @@ def _long_division_table(d: int) -> dict:
     """c_ij of f through total degree d by plain bivariate long division.
 
     Numerator n_ij = (-1)^(s+1)/(s+2)! and divisor e_ij = (-1)^(s+1)/(s+1)!
-    with s = i + j (see closed_form._f_series_cached); no prefix sums, no
+    with s = i + j (see closed_form._f_rows); no prefix sums, no
     symmetry, no integer scaling.
     """
     def num(s):
@@ -783,17 +831,21 @@ class TestOperator:
         assert (info.value.spectral_bound, info.value.achieved_bound) == (8.0, None)
 
     def test_table_grows_past_the_scalar_degree(self, monkeypatch):
-        # the sum starts from the scalar path's table, degree 20; the tail bound
-        # first drops below the tolerance at 23, so the table grows once, to 32
+        # the tail bound first drops below the tolerance at 23: the sum reads
+        # row m at shell m, so the table of f grows from empty to degree 23 and
+        # no further, and f_series is never called
         entry = catalog_entry("two_scale")
         alg = entry.algebra
         x = alg.element(["1/2", "2/3", 0, 0])
         y = alg.element([0, 0, 10**12, 2 * 10**12])
+        monkeypatch.setattr(closed_form, "_F_TABLE", ((), (), 1))
         degrees = []
-        series = closed_form.f_series
-        monkeypatch.setattr(closed_form, "f_series", lambda d: degrees.append(d) or series(d))
+        rows = closed_form._f_rows
+        monkeypatch.setattr(closed_form, "_f_rows", lambda d: degrees.append(d) or rows(d))
+        monkeypatch.setattr(closed_form, "f_series", None)
         res = bch_closed_form(alg, x, y)
-        assert degrees == [20, 32] and res.degree == 23
+        assert degrees == list(range(24)) and res.degree == 23
+        assert len(closed_form._F_TABLE[0]) == 24
         ref = matrix_bch(entry.rep, x, y)
         scale = max(abs(c) for c in ref.coords)
         assert max(abs(a - b) for a, b in zip(res.z.coords, ref.coords)) < 1e-14 * scale
@@ -878,6 +930,15 @@ class TestGradedTerms:
                 terminating += res.method == "OperatorF"
         assert tags == set(CaseTag) - {CaseTag.NO_CLOSED_FORM}
         assert terminating > 0
+
+    def test_elements_of_another_dimension_rejected(self):
+        heis = heisenberg_algebra()
+        x, y = heis.basis_element(0), heis.basis_element(1)
+        w = heis.bracket(x, y)
+        for args in ((LieElement((1, 0)), y, w), (x, LieElement((0, 1, 0, 0)), w),
+                     (x, y, LieElement((0, 0, 1, 0))), (x, y, LieElement((1,)))):
+            with pytest.raises(DimensionMismatch):
+                closed_form_terms(heis, *args, 4)
 
     def test_terms_are_graded(self):
         # C_n(e x, e y) = e^n C_n(x, y)
@@ -1094,7 +1155,7 @@ class TestPerPairWork:
         coords = [{index[0, 1]: "1/2"}, {index[1, 2]: "1/3", index[2, 3]: "-3/4"}]
         x, y = (b4.element([c.get(e, 0) for e in range(b4.dim)]) for c in coords)
         s = classify_pair(b4, x, y).s_closure  # spanned by w = E_02 and L_Y w = -E_03
-        bch_operator(b4, x, y, s)  # builds the f_series tables it reads, once per process
+        bch_operator(b4, x, y, s)  # grows the table of f to the degree it reads
         calls.update(clear=0, kernel=0)
         assert bch_operator(b4, x, y, s).method == "OperatorF"
         assert calls["clear"] == 2 + s.dim
@@ -1145,6 +1206,22 @@ class TestPerPairWork:
             twin = StructureConstants.from_json_dict(alg.to_json_dict())
             with pytest.raises(ClassificationMismatch):
                 bch_closed_form(twin, x, y, classification=cls)
+
+    def test_hand_built_certificate_rejected(self):
+        # a certificate built from the fields of classify_pair's equals it, but
+        # holds no integer form of the pair to evaluate from
+        methods = set()
+        for name in ("heisenberg", "affine", "two_scale"):
+            entry = catalog_entry(name)
+            alg = entry.algebra
+            (x, y, _), = entry.pairs
+            cls = classify_pair(alg, x, y)
+            methods.add(bch_closed_form(alg, x, y, classification=cls).method)
+            twin = CaseClassification(cls.tag, cls.u, cls.v, alg, x, y, cls.w)
+            assert twin == cls
+            with pytest.raises(ClassificationMismatch):
+                bch_closed_form(alg, x, y, classification=twin)
+        assert methods == {"Central", "ScalarF", "OperatorF"}
 
 
 def _eighths(rng, dim):

@@ -10,6 +10,7 @@ import pytest
 from bchkit.algebra import DimensionMismatch, Echelon, LieElement, StructureConstants, Subspace
 from bchkit.closed_form import NoClosedFormAvailable, bch_closed_form, bch_eigenpair, bch_special
 from bchkit.detect import (
+    CaseClassification,
     CaseTag,
     classify_pair,
     factorize_rank_one,
@@ -417,6 +418,20 @@ class TestWitness:
         sl2 = sl2_algebra()
         cls = classify_pair(sl2, sl2.basis_element(0), sl2.basis_element(1))
         assert cls.witness == LieElement((-1, 0, 0))
+
+    def test_hand_built_certificate_builds_its_closure(self):
+        # with no echelon held, s_closure is the closure built in full, as for
+        # NoClosedForm, on every tag that has one
+        pairs = [(two_scale_algebra(), [1, 2, 0, 0], [0, 0, 1, 1]),
+                 (sl2_algebra(), [1, 0, 0], [0, 1, 0])]
+        tags = set()
+        for alg, xc, yc in pairs:
+            x, y = alg.element(xc), alg.element(yc)
+            cls = classify_pair(alg, x, y)
+            twin = CaseClassification(cls.tag, cls.u, cls.v, alg, x, y, cls.w, cls.witness)
+            assert twin.s_closure == cls.s_closure == alg.span_closure([cls.w], (x, y))
+            tags.add(cls.tag)
+        assert tags == {CaseTag.OPERATOR_COMMUTING, CaseTag.NO_CLOSED_FORM}
 
     def test_closure_stops_at_the_witness(self, monkeypatch, borel):
         alg, _ = borel(6)
