@@ -19,15 +19,10 @@ from .closed_form import (
     NoClosedFormAvailable,
     NonConvergence,
     bch_closed_form,
-    bch_eigenpair,
-    bch_operator,
-    bch_rank_one,
-    bch_special,
     case1_build,
     closed_form_terms,
     f_scalar,
     f_series,
-    oplus,
 )
 from .detect import (
     CaseClassification,
@@ -36,7 +31,6 @@ from .detect import (
     classify_pair,
     factorize_rank_one,
     is_derived_abelian,
-    uv_from_rank_one,
 )
 from .oracle import (
     ExpansionResidualTooLarge,

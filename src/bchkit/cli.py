@@ -4,7 +4,7 @@ Exit codes are a contract scripts rely on:
 
   0  success
   1  malformed input (bad JSON, missing file, schema errors, bad values,
-     command-line usage errors)
+     command-line usage errors), or stdout closed before the output was written
   2  antisymmetry or Jacobi violation in the algebra definition
   3  no closed-form condition applies to the pair
   4  verification or fuzz failure
@@ -119,9 +119,11 @@ def load_element(path: str, alg: StructureConstants) -> LieElement:
 
 def load_rep(path: str) -> oracle.MatrixRep:
     data = _read_json(path)
+    if not isinstance(data, dict) or "basis_images" not in data:
+        raise InputError(f"{path}: missing field 'basis_images'")
     try:
         return oracle.MatrixRep.from_json_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise InputError(f"{path}: {exc}")
 
 
@@ -463,7 +465,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that closed stdout early shows here
+        return code
+    except BrokenPipeError:
+        # the interpreter flushes stdout again on exit: send what is left to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_MALFORMED
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED

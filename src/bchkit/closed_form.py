@@ -29,7 +29,6 @@ from .algebra import (
     Echelon,
     LieElement,
     StructureConstants,
-    Subspace,
     _Frozen,
     _setattr,
     as_fraction,
@@ -37,8 +36,7 @@ from .algebra import (
     unscaled,
     validate,
 )
-from .detect import (CaseTag, RankOneFactorization, _eigenpair, _pair_forms, _witness,
-                     classify_pair, uv_from_rank_one)
+from .detect import CaseTag, classify_pair
 
 SERIES_CROSSOVER = 0.25     # switch to the Taylor series inside this box
 SERIES_DEGREE = 20          # series truncation of the scalar evaluator
@@ -48,7 +46,7 @@ OPERATOR_RADIUS = math.pi   # heuristic convergence radius for restricted adjoin
 
 
 class ClassificationMismatch(ValueError):
-    """A closed-form evaluator got a certificate that fails recheck or is for another pair."""
+    """bch_closed_form got a certificate that classify_pair did not make for this pair."""
 
 
 class NonConvergence(RuntimeError):
@@ -310,8 +308,7 @@ def _combined(method: str, x: LieElement, y: LieElement, scaled, term=None, fval
     each coordinate of z is one Fraction of the integer sum.  Otherwise every
     coordinate is a float, and each int / int rounds once: x + y is
     (xs sy + ys sx) / (sx sy) for exact x, y, and the float add x_i + y_i, which
-    keeps -0.0, for float input; t_i is T_i / st, where T may hold floats over
-    st = 1 (a float w, see bch_rank_one).  fields go to BchResult as they are.
+    keeps -0.0, for float input; t_i is T_i / st.  fields go to BchResult as they are.
     """
     if x.is_exact and y.is_exact:
         xy = _sum_form(*scaled)
@@ -324,7 +321,7 @@ def _combined(method: str, x: LieElement, y: LieElement, scaled, term=None, fval
         sums = [float(a + b) for a, b in zip(x.coords, y.coords)]
     if term is not None:
         vec, st = term
-        k = 1.0 if fval is None else fval  # 1.0 t_i is t_i, -0.0 included
+        k = 1.0 if fval is None else fval  # 1.0 t_i is t_i
         sums = [s + k * (t / st) for s, t in zip(sums, vec)]
     return BchResult(LieElement(sums), method, exact=False, **fields)
 
@@ -335,31 +332,10 @@ def _halved(form) -> tuple[list[int], int]:
     return ws, 2 * sw
 
 
-def _cleared(*elems: LieElement) -> list:
-    """The integer forms (clear_denominators) of the elements' coordinates."""
-    return [clear_denominators(e.coords) for e in elems]
-
-
-def bch_special(alg: StructureConstants, x: LieElement, y: LieElement,
-                classification: CaseTag) -> BchResult:
-    """Terminating cases: commuting pair, or central bracket (z = x+y+[x,y]/2)."""
-    if classification not in (CaseTag.COMMUTING, CaseTag.CENTRAL_BRACKET):
-        raise ValueError(f"bch_special does not handle {classification}")
-    scaled = _pair_forms(alg, x, y)
-    ws = scaled[2][0]
-    if classification == CaseTag.COMMUTING:
-        if any(ws):
-            raise ClassificationMismatch("pair does not commute")
-        return _combined("Sum", x, y, scaled[:2])
-    if _witness(alg, ws, alg.units) is not None:
-        raise ClassificationMismatch("bracket is not central")
-    return _combined("Central", x, y, scaled[:2], _halved(scaled[2]))
-
-
 def _scalar_f(x: LieElement, y: LieElement, scaled, u, v) -> BchResult:
-    """z = x + y + f(u, v) w from the integer forms scaled of x, y and w; exact when
-    u = v = 0, where f = 1/2, and when w = 0, where f is not evaluated."""
-    if (u == 0 and v == 0) or not any(scaled[2][0]):
+    """z = x + y + f(u, v) w from the integer forms scaled of x, y and a nonzero w;
+    exact when u = v = 0, where f = 1/2."""
+    if u == 0 and v == 0:
         return _combined("ScalarF", x, y, scaled[:2], _halved(scaled[2]), u=u, v=v,
                          residual_bound=0.0)
     fval = f_scalar(u, v)
@@ -367,35 +343,6 @@ def _scalar_f(x: LieElement, y: LieElement, scaled, u, v) -> BchResult:
     bound = 8.0 * 2.0**-53 * abs(fval) * (max(map(abs, ws)) / sw)
     return _combined("ScalarF", x, y, scaled[:2], scaled[2], fval, residual_bound=bound,
                      u=u, v=v)
-
-
-def bch_eigenpair(alg: StructureConstants, x: LieElement, y: LieElement,
-                  u, v) -> BchResult:
-    """Scalar form z = x + y + f(u, v) [x, y] for a certified eigen-pair."""
-    scaled = _pair_forms(alg, x, y)
-    (xs, sx), (ys, sy), (ws, _) = scaled
-    if any(ws) and _eigenpair(alg, sx, sy, ws, alg.scaled_bracket(xs, ws),
-                              alg.scaled_bracket(ys, ws)) != (u, v):
-        raise ClassificationMismatch("(u, v) is not a simultaneous eigen-pair for [x, y]")
-    return _scalar_f(x, y, scaled, u, v)
-
-
-def bch_rank_one(fact: RankOneFactorization, x: LieElement, y: LieElement) -> BchResult:
-    """z^c = x^c + y^c + f(x.omega.n, -y.omega.n) (omega_ab x^a y^b) n^c."""
-    u, v = uv_from_rank_one(fact, x, y)
-    c_xy = fact.omega_contract(x, y)
-    if c_xy == 0:
-        return _combined("Sum", x, y, _cleared(x, y), u=u, v=v)
-    w = fact.n.scale(c_xy)
-    # float input can give a float c_xy: then w is float, and it stays as it is
-    # over 1, so that a -0.0 of w signs its term as before
-    w_form = (w.coords, 1) if isinstance(c_xy, float) else clear_denominators(w.coords)
-    return _scalar_f(x, y, _cleared(x, y) + [w_form], u, v)
-
-
-def oplus(fact: RankOneFactorization, x: LieElement, y: LieElement) -> LieElement:
-    """Generalized addition: the coordinates of ln(e^X e^Y) on a rank-one algebra."""
-    return bch_rank_one(fact, x, y).z
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +387,7 @@ def closed_form_terms(alg: StructureConstants, x: LieElement, y: LieElement, w: 
         raise ValueError("degree must be >= 1")
     if any(e.dim != alg.dim for e in (x, y, w)):
         raise DimensionMismatch("element does not belong to this algebra")
-    scaled = _cleared(x, y, w)
+    scaled = [clear_denominators(e.coords) for e in (x, y, w)]
     c_1 = LieElement(unscaled(*_sum_form(*scaled[:2])))
     walk = _anti_diagonals(alg.scaled_bracket, *(vec for vec, _ in scaled))
     rows = _f_rows(degree - 2)
@@ -469,44 +416,6 @@ def _graded_parts(alg: StructureConstants, scaled, rows, diagonals):
                     if t:
                         acc[idx] += k * t
         yield acc, norm, sw * (px * py) ** m * q
-
-
-def bch_operator(alg: StructureConstants, x: LieElement, y: LieElement,
-                 s_closure: Subspace, target_tolerance: float = 1e-10) -> BchResult:
-    """Operator form z = x + y + f(L_X, -L_Y) [x, y].
-
-    The quotient expression for f is singular as a full-space matrix (the
-    exponentials share a kernel), so f is applied through its Taylor series:
-    the bracket certificate guarantees L_X and L_Y commute on every term.
-
-    s_closure must be an L_X, L_Y-invariant subspace that holds [x, y] and that
-    [x, y] centralizes, as its closure S, alg.span_closure([[x, y]], (x, y)), is for
-    every pair classify_pair gives a closed form (cls.s_closure for
-    OperatorCommuting); any other raises ClassificationMismatch.  Any
-    basis of it serves, RREF or not (rows scaled by 2, say): it is echelonized on
-    integers, and the closure worklist checks it.  L_X and L_Y commute on S, and
-    each is nilpotent on S iff it kills [x, y] within dim S steps.  If both
-    are, the series terminates and the result is exact; otherwise the exact graded parts C_n
-    are summed in floating point until a geometric tail bound (row-sum norm
-    against the heuristic radius pi) drops below target_tolerance, which must
-    be positive and finite.  Float x and y, like every input, run through the
-    integer walk as the binary rationals they hold; their result is not exact.
-    """
-    _check_tolerance(target_tolerance)
-    scaled = _pair_forms(alg, x, y)
-    (xs, _), (ys, _), (ws, _) = scaled
-    if not any(ws):
-        return _combined("Sum", x, y, scaled[:2], degree=0)
-    rows = [clear_denominators(b)[0] for b in s_closure.basis]
-    if _witness(alg, ws, rows) is not None:
-        raise ClassificationMismatch("[x, y] does not centralize the closure subspace")
-    ech = Echelon()
-    for row in rows:
-        ech.insert(row)
-    if ech.insert(ws) or next(alg.close(ech, list(ech.rows), (xs, ys)), None) is not None:
-        raise ClassificationMismatch("the closure subspace does not hold [x, y] "
-                                     "or is not invariant under L_X, L_Y")
-    return _operator_f(alg, x, y, scaled, ech, target_tolerance)
 
 
 def _operator_f(alg: StructureConstants, x: LieElement, y: LieElement, scaled,
@@ -624,7 +533,8 @@ def bch_closed_form(alg: StructureConstants, x: LieElement, y: LieElement,
     """Compute ln(e^X e^Y) by the strongest applicable closed form.
 
     A classification must come from classify_pair for this pair and algebra (else
-    ClassificationMismatch); its certificate (w, u, v, S) is used without recheck.
+    ClassificationMismatch, whatever its tag); its certificate (w, u, v, S) is used
+    without recheck.
     target_tolerance must be positive and finite, else ValueError, whichever
     form applies.
     """
@@ -632,10 +542,10 @@ def bch_closed_form(alg: StructureConstants, x: LieElement, y: LieElement,
     cls = classification if classification is not None else classify_pair(alg, x, y)
     if cls.x != x or cls.y != y or cls.algebra is not alg:
         raise ClassificationMismatch("classification was made for another pair or algebra")
-    if cls.tag == CaseTag.NO_CLOSED_FORM:
-        raise NoClosedFormAvailable("no closed-form condition applies to this pair")
     if cls._integer_form is None:
         raise ClassificationMismatch("classification was not made by classify_pair")
+    if cls.tag == CaseTag.NO_CLOSED_FORM:
+        raise NoClosedFormAvailable("no closed-form condition applies to this pair")
     scaled, ech = cls._integer_form
     if cls.tag == CaseTag.COMMUTING:
         return _combined("Sum", x, y, scaled[:2])

@@ -7,12 +7,12 @@ The conditions are ordered from strongest to weakest:
   SimultaneousEigenvector L_X [X,Y] = v [X,Y] and L_Y [X,Y] = -u [X,Y]
   OperatorCommuting       [X,Y] commutes with its own iterated-adjoint closure
 
-Each detector returns certificate data consumed by the closed-form
-evaluators.  classify_pair's certificate holds the algebra it was made on and
-computes no pair-independent fact of it; check computes those from the
-algebra when it prints them.  The conditions are algebraic identities,
-decided exactly on integer coordinates for every input: a float coordinate
-is the binary rational it holds.
+Each detector returns certificate data consumed by bch_closed_form.
+classify_pair's certificate holds the algebra it was made on and computes no
+pair-independent fact of it; check computes those from the algebra when it
+prints them.  The conditions are algebraic identities, decided exactly on
+integer coordinates for every input: a float coordinate is the binary
+rational it holds.
 """
 
 from __future__ import annotations
@@ -57,22 +57,6 @@ class RankOneFactorization(_Frozen):
         _setattr(self, "omega", omega)
         _setattr(self, "n", n)
 
-    @property
-    def dim(self) -> int:
-        return self.n.dim
-
-    def omega_contract(self, x: LieElement, y: LieElement) -> Fraction:
-        """omega_ab x^a y^b."""
-        total = Fraction(0)
-        for a, row in enumerate(self.omega):
-            xa = x.coords[a]
-            if xa == 0:
-                continue
-            for b, w in enumerate(row):
-                if w != 0 and y.coords[b] != 0:
-                    total += xa * w * y.coords[b]
-        return total
-
 
 class CaseClassification(_Frozen):
     """The strongest condition the pair (x, y) meets on algebra, as built by
@@ -83,13 +67,14 @@ class CaseClassification(_Frozen):
     identity, so certificates made on distinct but equal algebra objects differ.
     For NoClosedForm, witness is a vector b of S with [w, b] != 0: the first image
     of w that the closure worklist inserts and w fails to centralize, scaled to
-    primitive integer coordinates; it is None for every other tag.  For every tag
-    but NoClosedForm, the private _integer_form is (scaled, ech): the integer
-    forms ((xs, sx), (ys, sy), (ws, sw)) of x, y, w, as clear_denominators gives
-    them, from which the evaluator builds z with no second clearing, and for
+    primitive integer coordinates; it is None for every other tag.  For every tag,
+    the private _integer_form is (scaled, ech): the integer forms
+    ((xs, sx), (ys, sy), (ws, sw)) of x, y, w, as clear_denominators gives them,
+    from which the evaluator builds z with no second clearing, and for
     OperatorCommuting the grown Echelon of S, which it reads with no RREF (None
-    for the other tags).  NoClosedForm keeps no integer form.  _integer_form takes
-    no part in ==, hash or repr.
+    for the other tags).  It marks the certificate as classify_pair's: one built
+    by hand holds None, and bch_closed_form rejects it whatever its tag.
+    _integer_form takes no part in ==, hash or repr.
     """
 
     _fields = ("tag", "u", "v", "algebra", "x", "y", "w", "witness")
@@ -115,8 +100,9 @@ class CaseClassification(_Frozen):
         built by hand), the closure built in full."""
         if self.tag not in (CaseTag.OPERATOR_COMMUTING, CaseTag.NO_CLOSED_FORM):
             return None
-        if self._integer_form is not None:
-            return self._integer_form[1].subspace()
+        form = self._integer_form
+        if form is not None and form[1] is not None:
+            return form[1].subspace()
         return self.algebra.span_closure([self.w], (self.x, self.y))
 
 
@@ -142,15 +128,6 @@ def factorize_rank_one(alg: StructureConstants) -> RankOneFactorization | None:
                 if alg.structure_constant(a, b, c) != fact.omega[a][b] * n[c]:
                     raise AssertionError("rank-one factorization failed to rebuild tensor")
     return fact
-
-
-def uv_from_rank_one(fact: RankOneFactorization, x: LieElement, y: LieElement):
-    """u = -y^a omega_ab n^b,  v = x^a omega_ab n^b."""
-    if x.dim != fact.dim or y.dim != fact.dim:
-        raise DimensionMismatch("element does not match factorization dimension")
-    u = -fact.omega_contract(y, fact.n)
-    v = fact.omega_contract(x, fact.n)
-    return u, v
 
 
 def _witness(alg: StructureConstants, w_scaled, vectors):
@@ -219,7 +196,7 @@ def classify_pair(alg: StructureConstants, x: LieElement, y: LieElement) -> Case
     [X,Y] and its images under L_X, L_Y are computed once.  The closure S is
     grown only until its first image b with [[X,Y], b] != 0, the NoClosedForm
     witness; that S is then built in full on first read of s_closure.  Every
-    closed-form tag keeps the integer x, y, w for the evaluator, and
+    tag keeps the integer x, y, w, which mark the certificate as made here, and
     OperatorCommuting the grown echelon of S too.
     """
     # integer coordinates: xs = sx x, ys = sy y, ws = sw w
@@ -227,10 +204,8 @@ def classify_pair(alg: StructureConstants, x: LieElement, y: LieElement) -> Case
     (xs, sx), (ys, sy), (ws, sw) = scaled
     w = LieElement(unscaled(ws, sw))
 
-    def certified(tag, u=None, v=None, ech=None, **certificate):
-        if tag != CaseTag.NO_CLOSED_FORM:
-            certificate["_integer_form"] = (scaled, ech)
-        return CaseClassification(tag, u, v, alg, x, y, w, **certificate)
+    def certified(tag, u=None, v=None, ech=None, witness=None):
+        return CaseClassification(tag, u, v, alg, x, y, w, witness, (scaled, ech))
 
     if not any(ws):
         return certified(CaseTag.COMMUTING)

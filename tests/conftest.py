@@ -2,7 +2,8 @@
 
 import pytest
 
-from bchkit.algebra import validate
+from bchkit import closed_form, detect
+from bchkit.algebra import Echelon, clear_denominators, validate
 
 
 def _borel(n: int):
@@ -26,3 +27,17 @@ def _borel(n: int):
 def borel():
     """borel(n) builds a fresh (b(n), index), so no test sees another's per-algebra state."""
     return _borel
+
+
+@pytest.fixture(scope="session")
+def operator_form():
+    """operator_form(alg, x, y, s, tol) is the operator form f(L_X, -L_Y) [x, y], summed
+    as bch_closed_form sums it for OperatorCommuting, on the closure s of a nonzero
+    [x, y] that [x, y] centralizes, whatever stronger tag classify_pair gives the pair."""
+    def evaluate(alg, x, y, s, target_tolerance=1e-10):
+        ech = Echelon()
+        for b in s.basis:
+            ech.insert(clear_denominators(b)[0])
+        return closed_form._operator_f(alg, x, y, detect._pair_forms(alg, x, y), ech,
+                                       target_tolerance)
+    return evaluate

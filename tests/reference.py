@@ -10,7 +10,6 @@ from fractions import Fraction
 
 from bchkit.algebra import DimensionMismatch, LieElement, Subspace
 from bchkit.closed_form import f_series
-from bchkit.detect import uv_from_rank_one
 
 
 # ---------------------------------------------------------------------------
@@ -38,6 +37,17 @@ def f_form_quotient(u: float, v: float) -> float:
     )
 
 
+def omega_contract(fact, x: LieElement, y: LieElement):
+    """omega_ab x^a y^b, summed from the rank-one factorization's omega."""
+    return sum((xa * w * y.coords[b] for xa, row in zip(x.coords, fact.omega)
+                for b, w in enumerate(row) if w != 0), Fraction(0))
+
+
+def rank_one_uv(fact, x: LieElement, y: LieElement) -> tuple:
+    """(u, v) = (-y.omega.n, x.omega.n): L_x n = v n and L_y n = -u n on a rank-one algebra."""
+    return -omega_contract(fact, y, fact.n), omega_contract(fact, x, fact.n)
+
+
 def bch_rank_one_exact(fact, x: LieElement, y: LieElement, f_degree: int = 40) -> LieElement:
     """Rank-one composition with f evaluated as the exact series value
     f_series(f_degree).evaluate_exact(u, v); everything else stays exact.
@@ -45,8 +55,8 @@ def bch_rank_one_exact(fact, x: LieElement, y: LieElement, f_degree: int = 40) -
     A high-precision reference while max(|u|, |v|) is well below pi: the
     error of f is roughly (|u - v| / 2 pi)^f_degree.
     """
-    u, v = uv_from_rank_one(fact, x, y)
-    c_xy = fact.omega_contract(x, y)
+    u, v = rank_one_uv(fact, x, y)
+    c_xy = omega_contract(fact, x, y)
     if c_xy == 0:
         return x + y
     return x + y + fact.n.scale(c_xy * f_series(f_degree).evaluate_exact(u, v))

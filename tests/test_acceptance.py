@@ -15,21 +15,9 @@ import numpy as np
 import pytest
 
 from bchkit.algebra import LieElement
-from bchkit.closed_form import (
-    bch_closed_form,
-    bch_eigenpair,
-    bch_operator,
-    bch_rank_one,
-    f_scalar,
-    f_series,
-)
+from bchkit.closed_form import bch_closed_form, f_scalar, f_series
 from bchkit.closed_form import _f_closed  # branch-level comparison in criterion 8
-from bchkit.detect import (
-    CaseTag,
-    classify_pair,
-    factorize_rank_one,
-    uv_from_rank_one,
-)
+from bchkit.detect import CaseTag, classify_pair, factorize_rank_one
 from bchkit import families
 from bchkit.oracle import (
     bch_integral_series,
@@ -122,7 +110,10 @@ def test_criterion_3_shift_operator_case():
                 continue
             x = alg.basis_element(0).scale(a)
             y = alg.basis_element(1).scale(b)
-            res = bch_eigenpair(alg, x, y, Fraction(0), a)
+            cls = classify_pair(alg, x, y)
+            if b != 0:  # else the pair commutes
+                assert (cls.tag, cls.u, cls.v) == (CaseTag.SIMULTANEOUS_EIGENVECTOR, 0, a)
+            res = bch_closed_form(alg, x, y, classification=cls)
             z_mat = matrix_bch(rep, x, y)
             assert sup_diff(res.z, z_mat) < 1e-10
             closed = (float(a), float(a) * float(b) / (1.0 - math.exp(-float(a))))
@@ -149,10 +140,9 @@ def test_criterion_5_rank_one_conformance():
         rng = random.Random(55)
         for _ in range(200):
             alg = families.random_rank_one(rng, rng.randint(3, 6))
-            fact = factorize_rank_one(alg)
             x = families.random_element(rng, alg.dim)
             y = families.random_element(rng, alg.dim)
-            res = bch_rank_one(fact, x, y)
+            res = bch_closed_form(alg, x, y)
             ref = bch_integral_series(alg, x, y, 8)
             assert sup_diff(res.z, ref) < 1e-8
         # scaling order against the exact closed form, eps = 2^-3 .. 2^-7
@@ -179,7 +169,7 @@ def test_criterion_5_rank_one_conformance():
         assert min(slopes) > 8.5, slopes
 
 
-def test_criterion_6_operator_form_conformance():
+def test_criterion_6_operator_form_conformance(operator_form):
     with criterion(6, "operator form vs oracle on two-scale and abelian-derived algebras"):
         # the fixed two-eigenvalue example
         alg = two_scale_algebra()
@@ -187,7 +177,7 @@ def test_criterion_6_operator_form_conformance():
         y = alg.element(["0", "0", "1/4", "1/4"])
         cls = classify_pair(alg, x, y)
         assert cls.tag == CaseTag.OPERATOR_COMMUTING
-        res = bch_operator(alg, x, y, cls.s_closure, 1e-9)
+        res = bch_closed_form(alg, x, y, 1e-9, classification=cls)
         assert sup_diff(res.z, bch_integral_series(alg, x, y, 8)) < 1e-8
 
         rng = random.Random(66)
@@ -198,13 +188,10 @@ def test_criterion_6_operator_form_conformance():
             y = families.random_element(rng, alg.dim, Fraction(1, 4))
             cls = classify_pair(alg, x, y)
             assert cls.tag != CaseTag.NO_CLOSED_FORM
-            if cls.tag == CaseTag.OPERATOR_COMMUTING:
-                res = bch_operator(alg, x, y, cls.s_closure, 1e-9)
-            else:
-                res = bch_closed_form(alg, x, y, classification=cls)
+            res = bch_closed_form(alg, x, y, 1e-9, classification=cls)
             assert sup_diff(res.z, bch_integral_series(alg, x, y, 8)) < 1e-8
 
-        # scalar-capable pairs: operator and scalar evaluators agree
+        # scalar-capable pairs: the operator form agrees with the scalar form
         checked = 0
         while checked < 20:
             alg = families.random_rank_one(rng, rng.randint(3, 5), nilpotent=False)
@@ -215,8 +202,8 @@ def test_criterion_6_operator_form_conformance():
                 continue
             ok, s_closure = centralized_closure(alg, x, y)
             assert ok
-            r_op = bch_operator(alg, x, y, s_closure, 1e-12)
-            r_sc = bch_eigenpair(alg, x, y, cls.u, cls.v)
+            r_op = operator_form(alg, x, y, s_closure, 1e-12)
+            r_sc = bch_closed_form(alg, x, y, classification=cls)
             assert sup_diff(r_op.z, r_sc.z) < 1e-10
             checked += 1
 

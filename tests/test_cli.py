@@ -407,6 +407,18 @@ class TestOracle:
         assert code == 1
         assert err.startswith("input error:")
 
+    @pytest.mark.parametrize("data", [{"dim_rep": 3}, []])
+    def test_rep_without_basis_images_names_the_field(self, workdir, capsys, data):
+        rep_path = workdir / "r.json"
+        rep_path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "oracle",
+                             "--algebra", str(workdir / "heis.json"),
+                             "--x", str(workdir / "e0.json"),
+                             "--y", str(workdir / "e1.json"),
+                             "--degree", "4", "--rep", str(rep_path))
+        assert (code, out) == (1, "")
+        assert err == f"input error: {rep_path}: missing field 'basis_images'\n"
+
 
 class TestF:
     def test_value_json(self, capsys):
@@ -426,6 +438,19 @@ class TestF:
         assert rows[(1, 0)] == "1/12"
         assert rows[(1, 1)] == "1/24"
         assert rows[(2, 0)] == "0"
+
+    def test_stdout_closed_early_exits_1_without_traceback(self):
+        # the degree-60 table is about 156 KB, more than a pipe holds: the writer
+        # meets the closed pipe after the reader has taken one line
+        proc = subprocess.Popen([sys.executable, "-m", "bchkit.cli", "f", "--series", "60"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert proc.stdout.readline() == b"0\t0\t1/2\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert "Traceback" not in err and "Exception ignored" not in err, err
 
     def test_missing_args_exit_1(self, capsys):
         code, _, err = run(capsys, "f")
@@ -647,11 +672,10 @@ PUBLIC_NAMES = (
     "ClassificationMismatch", "DimensionMismatch", "ExpansionResidualTooLarge",
     "IndexOutOfRange", "JacobiViolation", "LieElement", "LogDomainError", "MatrixRep",
     "NilpotencyVerdict", "NoClosedFormAvailable", "NonConvergence", "RankOneFactorization",
-    "StructureConstants", "Subspace", "as_fraction", "bch_closed_form", "bch_eigenpair",
-    "bch_integral_series", "bch_operator", "bch_rank_one", "bch_series_terms", "bch_special",
-    "builtin_catalog", "case1_build", "classify_pair", "closed_form_terms", "f_scalar",
-    "f_series", "factorize_rank_one", "is_derived_abelian", "matrix_bch", "matrix_exp",
-    "matrix_log", "oplus", "uv_from_rank_one", "validate",
+    "StructureConstants", "Subspace", "as_fraction", "bch_closed_form", "bch_integral_series",
+    "bch_series_terms", "builtin_catalog", "case1_build", "classify_pair", "closed_form_terms",
+    "f_scalar", "f_series", "factorize_rank_one", "is_derived_abelian", "matrix_bch",
+    "matrix_exp", "matrix_log", "validate",
 )
 
 
@@ -664,6 +688,24 @@ class TestImports:
         public = sorted(name for name, value in vars(bchkit).items()
                         if not name.startswith("_") and not isinstance(value, types.ModuleType))
         assert tuple(public) == PUBLIC_NAMES
+
+    def test_every_public_function_runs_in_the_package(self):
+        # each public function of bchkit is called by name in a module of the package
+        # (__init__.py aside) or of bench/, so the package exports only what runs
+        import ast
+        import types
+
+        import bchkit
+        modules = [p for p in (SRC / "bchkit").glob("*.py") if p.name != "__init__.py"]
+        called = set()
+        for path in modules + sorted((SRC.parent / "bench").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    called.add(getattr(func, "id", None) or getattr(func, "attr", None))
+        functions = sorted(name for name, value in vars(bchkit).items()
+                           if not name.startswith("_") and isinstance(value, types.FunctionType))
+        assert functions and [name for name in functions if name not in called] == []
 
     @pytest.mark.parametrize("module", ["bchkit", "bchkit.cli"])
     def test_import(self, module):

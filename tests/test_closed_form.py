@@ -18,23 +18,17 @@ from bchkit.closed_form import (
     NoClosedFormAvailable,
     NonConvergence,
     bch_closed_form,
-    bch_eigenpair,
-    bch_operator,
-    bch_rank_one,
-    bch_special,
     case1_build,
     closed_form_terms,
     f_scalar,
     f_series,
-    oplus,
 )
-from bchkit.algebra import DimensionMismatch, LieElement, StructureConstants, Subspace
+from bchkit.algebra import DimensionMismatch, LieElement, StructureConstants
 from bchkit.detect import (
     CaseClassification,
     CaseTag,
     classify_pair,
     factorize_rank_one,
-    uv_from_rank_one,
 )
 from bchkit import algebra, closed_form, detect, families
 from bchkit.cli import main
@@ -51,7 +45,8 @@ from bchkit.oracle import (
     two_scale_algebra,
     uvc_model_algebra,
 )
-from reference import centralized_closure, f_form_negexp, f_form_product, f_form_quotient
+from reference import (centralized_closure, f_form_negexp, f_form_product, f_form_quotient,
+                       omega_contract, rank_one_uv)
 
 
 # ---------------------------------------------------------------------------
@@ -480,71 +475,68 @@ class TestSpecial:
         alg = abelian_algebra(3)
         x = alg.element([1, 2, 3])
         y = alg.element([4, 5, 6])
-        res = bch_special(alg, x, y, CaseTag.COMMUTING)
+        res = bch_closed_form(alg, x, y)
         assert res.z.coords == (5, 7, 9) and res.exact and res.method == "Sum"
 
     def test_heisenberg_central(self):
         heis = heisenberg_algebra()
-        res = bch_special(heis, heis.basis_element(0), heis.basis_element(1),
-                          CaseTag.CENTRAL_BRACKET)
+        res = bch_closed_form(heis, heis.basis_element(0), heis.basis_element(1))
         assert res.z.coords == (1, 1, Fraction(1, 2))
         assert res.exact and res.method == "Central"
 
     def test_zero_identity(self):
         heis = heisenberg_algebra()
         y = heis.element([2, "1/3", 1])
-        res = bch_special(heis, heis.zero(), y, CaseTag.COMMUTING)
-        assert res.z.coords == y.coords
+        res = bch_closed_form(heis, heis.zero(), y)
+        assert res.z.coords == y.coords and res.method == "Sum"
 
     def test_mismatch_detected(self):
+        # a Commuting certificate for a pair that does not commute is not classify_pair's
         heis = heisenberg_algebra()
+        x, y = heis.basis_element(0), heis.basis_element(1)
+        claim = CaseClassification(CaseTag.COMMUTING, None, None, heis, x, y, heis.zero())
         with pytest.raises(ClassificationMismatch):
-            bch_special(heis, heis.basis_element(0), heis.basis_element(1),
-                        CaseTag.COMMUTING)
+            bch_closed_form(heis, x, y, classification=claim)
 
 
 class TestEigenpair:
     def test_affine_shift_formula(self):
         aff = affine_algebra()
         x, y = aff.basis_element(0), aff.basis_element(1)
-        res = bch_eigenpair(aff, x, y, Fraction(0), Fraction(1))
+        res = bch_closed_form(aff, x, y)
+        assert (res.method, res.u, res.v) == ("ScalarF", 0, 1)
         expected = 1.0 / (1.0 - math.exp(-1.0))
         assert abs(float(res.z.coords[1]) - expected) < 1e-14
         assert float(res.z.coords[0]) == 1.0
 
-    def test_uv_zero_degenerates_to_central(self):
-        heis = heisenberg_algebra()
-        x, y = heis.basis_element(0), heis.basis_element(1)
-        res = bch_eigenpair(heis, x, y, Fraction(0), Fraction(0))
-        assert res.exact and res.z.coords == (1, 1, Fraction(1, 2))
+    def test_uv_zero_degenerates_to_central(self, borel):
+        # L_X w = L_Y w = 0 with w = E_02 not central in b(3): f(0, 0) = 1/2, exactly
+        b3, index = borel(3)
+        x, y = (LieElement(int(k == index[e]) for k in range(b3.dim)) for e in ((0, 1), (1, 2)))
+        res = bch_closed_form(b3, x, y)
+        assert (res.method, res.u, res.v, res.exact) == ("ScalarF", 0, 0, True)
+        assert res.z == x + y + b3.bracket(x, y).scale(Fraction(1, 2))
 
     @pytest.mark.parametrize("u, v", [(5, 7), (1000, 1000)])
     def test_commuting_pair_evaluates_no_f(self, u, v):
-        # w = 0 admits any (u, v) and leaves z = x + y exact; f(1000, 1000)
-        # would overflow
+        # w = 0 leaves z = x + y exact, however large x and y are: f is not
+        # evaluated, where f(1000, 1000) would overflow
         heis = heisenberg_algebra()
-        x = heis.basis_element(0)
-        res = bch_eigenpair(heis, x, x, Fraction(u), Fraction(v))
-        assert (res.method, res.exact, res.residual_bound) == ("ScalarF", True, 0.0)
-        assert res.z.coords == (2, 0, 0)
+        x, y = heis.basis_element(0).scale(u), heis.basis_element(0).scale(v)
+        res = bch_closed_form(heis, x, y)
+        assert (res.method, res.exact, res.residual_bound) == ("Sum", True, None)
+        assert res.z.coords == (u + v, 0, 0)
         assert all(type(c) is Fraction for c in res.z.coords)
-        assert (res.u, res.v) == (u, v)
-
-    def test_mismatch(self):
-        aff = affine_algebra()
-        with pytest.raises(ClassificationMismatch):
-            bch_eigenpair(aff, aff.basis_element(0), aff.basis_element(1),
-                          Fraction(1), Fraction(5))
 
     def test_float_eigenpair_is_checked_exactly(self):
-        # 0.7 is the binary rational it holds, so v = 0.7 is the eigenvalue;
-        # a v one ulp away is not, however small the gap
+        # 0.7 is the binary rational it holds, so v = 0.7 is the eigenvalue,
+        # not the float one ulp away, however small the gap
         aff = affine_algebra()
         x, y = aff.element([0.7, 0.0]), aff.element([0.0, 0.3])
-        res = bch_eigenpair(aff, x, y, 0, 0.7)
+        cls = classify_pair(aff, x, y)
+        assert (cls.u, cls.v) == (0, Fraction(0.7)) and cls.v != math.nextafter(0.7, 1.0)
+        res = bch_closed_form(aff, x, y, classification=cls)
         assert not res.exact and all(type(c) is float for c in res.z.coords)
-        with pytest.raises(ClassificationMismatch):
-            bch_eigenpair(aff, x, y, 0, math.nextafter(0.7, 1.0))
 
     def test_uvc_model_against_oracle(self):
         rng = random.Random(7)
@@ -566,47 +558,53 @@ class TestEigenpair:
 
 
 class TestRankOne:
+    """The paper's rank-one composition z = x + y + f(u, v) (omega_ab x^a y^b) n,
+    with u = -y.omega.n and v = x.omega.n, through classify_pair and bch_closed_form."""
+
     def test_heisenberg_exact(self):
         heis = heisenberg_algebra()
-        fact = factorize_rank_one(heis)
         x = heis.element(["1/2", "1/3", "1/5"])
         y = heis.element(["-1/4", "2/3", "0"])
-        res = bch_rank_one(fact, x, y)
+        res = bch_closed_form(heis, x, y)
         w = heis.bracket(x, y)
         assert res.exact
         assert res.z.coords == (x + y + w.scale(Fraction(1, 2))).coords
 
     def test_routing_matches_eigenpair(self):
+        # classify_pair's eigenpair is the factorization's (u, v), and z is the
+        # rank-one formula with f(u, v) evaluated once
         rng = random.Random(8)
         alg = families.random_rank_one(rng, 4, nilpotent=False)
         fact = factorize_rank_one(alg)
         x = families.random_element(rng, 4)
         y = families.random_element(rng, 4)
-        u, v = uv_from_rank_one(fact, x, y)
-        r1 = bch_rank_one(fact, x, y)
-        r2 = bch_eigenpair(alg, x, y, u, v)
+        cls = classify_pair(alg, x, y)
+        u, v = rank_one_uv(fact, x, y)
+        assert (cls.tag, cls.u, cls.v) == (CaseTag.SIMULTANEOUS_EIGENVECTOR, u, v)
+        res = bch_closed_form(alg, x, y, classification=cls)
+        formula = x + y + fact.n.scale(omega_contract(fact, x, y)).scale(f_scalar(u, v))
         assert max(abs(float(a) - float(b))
-                   for a, b in zip(r1.z.coords, r2.z.coords)) < 1e-15
+                   for a, b in zip(res.z.coords, formula.coords)) < 1e-15
 
     def test_kernel_gives_sum(self):
         aff = affine_algebra()
-        fact = factorize_rank_one(aff)
         y = aff.basis_element(1)  # omega kills the derived direction pair
-        res = bch_rank_one(fact, y, y.scale(Fraction(3)))
+        res = bch_closed_form(aff, y, y.scale(Fraction(3)))
         assert res.z.coords == (0, 4)
 
     def test_uvc_model_routes_through_factorization(self):
         # the dim-3 model with [X,Y] = uX + vY + cI is itself rank one, and
-        # the factorized route must agree with the certified scalar route
+        # the factorization's (u, v) is the certified scalar pair
         u, v = Fraction(1, 2), Fraction(-1, 3)
         alg = uvc_model_algebra(u, v, 2)
         fact = factorize_rank_one(alg)
         x, y = alg.basis_element(0), alg.basis_element(1)
-        r1 = bch_rank_one(fact, x, y)
-        assert (r1.u, r1.v) == (u, v)
-        r2 = bch_eigenpair(alg, x, y, u, v)
+        assert rank_one_uv(fact, x, y) == (u, v)
+        res = bch_closed_form(alg, x, y)
+        assert (res.method, res.u, res.v) == ("ScalarF", u, v)
+        formula = x + y + fact.n.scale(omega_contract(fact, x, y)).scale(f_scalar(u, v))
         assert max(abs(float(a) - float(b))
-                   for a, b in zip(r1.z.coords, r2.z.coords)) < 1e-15
+                   for a, b in zip(res.z.coords, formula.coords)) < 1e-15
 
     def test_exact_reference_matches_oracle_exactly(self):
         # truncating f to total degree D-2 reproduces the series oracle at D
@@ -617,8 +615,8 @@ class TestRankOne:
             x = families.random_element(rng, 4)
             y = families.random_element(rng, 4)
             for degree in (4, 6, 8):
-                u, v = uv_from_rank_one(fact, x, y)
-                c_xy = fact.omega_contract(x, y)
+                u, v = rank_one_uv(fact, x, y)
+                c_xy = omega_contract(fact, x, y)
                 partial = f_series(degree - 2).evaluate_exact(u, v)
                 lhs = x + y + fact.n.scale(c_xy * partial)
                 rhs = bch_integral_series(alg, x, y, degree)
@@ -626,31 +624,36 @@ class TestRankOne:
 
 
 class TestOplus:
+    """The paper's generalized addition x (+) y, the coordinates of ln(e^X e^Y) on a
+    rank-one algebra: bch_closed_form(...).z."""
+
     def test_identity(self):
         rng = random.Random(10)
         alg = families.random_rank_one(rng, 4)
-        fact = factorize_rank_one(alg)
         x = families.random_element(rng, 4)
-        assert oplus(fact, x, alg.zero()).coords == x.coords
-        assert oplus(fact, alg.zero(), x).coords == x.coords
+        assert bch_closed_form(alg, x, alg.zero()).z.coords == x.coords
+        assert bch_closed_form(alg, alg.zero(), x).z.coords == x.coords
 
     def test_heisenberg_form(self):
         heis = heisenberg_algebra()
         fact = factorize_rank_one(heis)
         x = heis.element([1, 2, 3])
         y = heis.element([4, 5, 6])
-        c_xy = fact.omega_contract(x, y)
+        c_xy = omega_contract(fact, x, y)
         expected = x + y + fact.n.scale(c_xy * Fraction(1, 2))
-        assert oplus(fact, x, y).coords == expected.coords
+        assert bch_closed_form(heis, x, y).z.coords == expected.coords
 
     def test_associativity_numeric(self):
         rng = random.Random(11)
         for _ in range(5):
             alg = families.random_rank_one(rng, 4, nilpotent=False)
-            fact = factorize_rank_one(alg)
             xs = [families.random_element(rng, 4) for _ in range(3)]
-            lhs = oplus(fact, oplus(fact, xs[0], xs[1]), xs[2])
-            rhs = oplus(fact, xs[0], oplus(fact, xs[1], xs[2]))
+
+            def oplus(a, b):
+                return bch_closed_form(alg, a, b).z
+
+            lhs = oplus(oplus(xs[0], xs[1]), xs[2])
+            rhs = oplus(xs[0], oplus(xs[1], xs[2]))
             assert max(abs(float(a) - float(b))
                        for a, b in zip(lhs.coords, rhs.coords)) < 1e-10
 
@@ -660,16 +663,16 @@ class TestOplus:
 # ---------------------------------------------------------------------------
 
 class TestOperator:
-    def test_heisenberg_terminates_exact(self):
+    def test_heisenberg_terminates_exact(self, operator_form):
         heis = heisenberg_algebra()
         x, y = heis.basis_element(0), heis.basis_element(1)
         ok, s = centralized_closure(heis, x, y)
         assert ok
-        res = bch_operator(heis, x, y, s)
+        res = operator_form(heis, x, y, s)
         assert res.exact and res.degree == 0
-        assert res.z.coords == (1, 1, Fraction(1, 2))
+        assert res.z == bch_closed_form(heis, x, y).z == LieElement((1, 1, Fraction(1, 2)))
 
-    def test_matches_scalar_on_eigen_instances(self):
+    def test_matches_scalar_on_eigen_instances(self, operator_form):
         rng = random.Random(12)
         for _ in range(5):
             alg = families.random_rank_one(rng, 4, nilpotent=False)
@@ -680,8 +683,8 @@ class TestOperator:
                 continue
             ok, s = centralized_closure(alg, x, y)
             assert ok
-            r_op = bch_operator(alg, x, y, s, 1e-12)
-            r_sc = bch_eigenpair(alg, x, y, cls.u, cls.v)
+            r_op = operator_form(alg, x, y, s, 1e-12)
+            r_sc = bch_closed_form(alg, x, y, classification=cls)
             assert max(abs(float(a) - float(b))
                        for a, b in zip(r_op.z.coords, r_sc.z.coords)) < 1e-10
 
@@ -691,7 +694,7 @@ class TestOperator:
         y = alg.element(["0", "0", "1/4", "1/4"])
         cls = classify_pair(alg, x, y)
         assert cls.tag == CaseTag.OPERATOR_COMMUTING
-        res = bch_operator(alg, x, y, cls.s_closure, 1e-12)
+        res = bch_closed_form(alg, x, y, 1e-12, classification=cls)
         ref = bch_integral_series(alg, x, y, 10)
         assert max(abs(float(a) - float(b))
                    for a, b in zip(res.z.coords, ref.coords)) < 1e-10
@@ -708,14 +711,14 @@ class TestOperator:
         x, y = alg.element(xs), alg.element(ys)
         cls = classify_pair(alg, x, y)
         assert cls.tag == CaseTag.OPERATOR_COMMUTING
-        res = bch_operator(alg, x, y, cls.s_closure)
+        res = bch_closed_form(alg, x, y, classification=cls)
         assert not res.exact and res.degree > 2
         parts = closed_form_terms(alg, x, y, cls.w, res.degree + 2)
         exact = sum(parts[1:], parts[0])
         ulp = Fraction(math.ulp(res.z.sup_norm()))
         assert max(abs(e - Fraction(z)) for e, z in zip(exact.coords, res.z.coords)) <= 4 * ulp
         # float inputs run through the same walk in floats
-        res_float = bch_operator(alg, x.to_float(), y.to_float(), cls.s_closure)
+        res_float = bch_closed_form(alg, x.to_float(), y.to_float())
         assert res_float.degree == res.degree and not res_float.exact
         assert max(abs(Fraction(a) - Fraction(b))
                    for a, b in zip(res_float.z.coords, res.z.coords)) <= 4 * ulp
@@ -727,9 +730,9 @@ class TestOperator:
         alg = algebra.validate({(0, 2, 2): Fraction(1, 10**4), (1, 3, 3): Fraction(1, 10**4)}, 4)
         x, y = alg.element([3 * 10**4, 25 * 10**3, 0, 0]), alg.element([0, 0, 1, 2])
         cls = classify_pair(alg, x, y)
-        res = bch_operator(alg, x, y, cls.s_closure, 1e-10)
+        res = bch_closed_form(alg, x, y, 1e-10, classification=cls)
         assert res.degree == 37
-        res_float = bch_operator(alg, x.to_float(), y.to_float(), cls.s_closure, 1e-10)
+        res_float = bch_closed_form(alg, x.to_float(), y.to_float(), 1e-10)
         assert not res_float.exact
         assert (res_float.z, res_float.degree, res_float.residual_bound) == \
             (res.z, res.degree, res.residual_bound)
@@ -739,9 +742,9 @@ class TestOperator:
         alg = families.random_derived_abelian(rng, 2, 3, kind="nilp")
         x = families.random_element(rng, alg.dim)
         y = families.random_element(rng, alg.dim)
-        ok, s = centralized_closure(alg, x, y)
+        ok, _ = centralized_closure(alg, x, y)
         assert ok
-        res = bch_operator(alg, x, y, s)
+        res = bch_closed_form(alg, x, y)
         assert res.exact
         # nilpotent algebra: high-degree truncation is the exact answer
         ref = bch_integral_series(alg, x, y, alg.dim + 4)
@@ -788,37 +791,16 @@ class TestOperator:
             assert (res.z.coords, res.degree) == (z, degree)
 
     def test_mismatch_rejected(self):
+        # [x, y] does not centralize its closure in sl2: an OperatorCommuting
+        # certificate for the pair is not classify_pair's
         sl2 = sl2_algebra()
         x, y = sl2.basis_element(0), sl2.basis_element(1)
-        ok, s = centralized_closure(sl2, x, y)
+        ok, _ = centralized_closure(sl2, x, y)
         assert not ok
+        claim = CaseClassification(CaseTag.OPERATOR_COMMUTING, None, None, sl2, x, y,
+                                   sl2.bracket(x, y))
         with pytest.raises(ClassificationMismatch):
-            bch_operator(sl2, x, y, s)
-
-    def test_subspace_other_than_the_closure_rejected(self):
-        heis = heisenberg_algebra()
-        x, y = heis.basis_element(0), heis.basis_element(1)
-        with pytest.raises(ClassificationMismatch):  # centralized, but misses [x, y]
-            bch_operator(heis, x, y, Subspace.span([x]))
-        alg = two_scale_algebra()
-        x, y = alg.element([1, 2, 0, 0]), alg.element([0, 0, 1, 1])
-        w = alg.bracket(x, y)
-        assert classify_pair(alg, x, y).s_closure.dim == 2
-        with pytest.raises(ClassificationMismatch):  # holds [x, y], but not invariant
-            bch_operator(alg, x, y, Subspace.span([w]))
-
-    def test_any_basis_of_the_closure_accepted(self):
-        # S is re-echelonized on integer rows, so a basis other than its RREF,
-        # such as the RREF rows scaled by 2 or summed, gives the same result
-        alg = two_scale_algebra()
-        x, y = alg.element([1, 2, 0, 0]), alg.element([0, 0, 1, 1])
-        s = classify_pair(alg, x, y).s_closure
-        b0, b1 = (LieElement(b) for b in s.basis)
-        expected = bch_operator(alg, x, y, s)
-        for basis in ([b.scale(2) for b in (b0, b1)], [b0 + b1, b1.scale(-3)]):
-            other = Subspace(tuple(b.coords for b in basis))
-            assert other != s
-            assert bch_operator(alg, x, y, other) == expected
+            bch_closed_form(sl2, x, y, classification=claim)
 
     def test_nonconvergence_reported(self):
         alg = two_scale_algebra()
@@ -827,7 +809,7 @@ class TestOperator:
         cls = classify_pair(alg, x, y)
         assert cls.tag == CaseTag.OPERATOR_COMMUTING
         with pytest.raises(NonConvergence) as info:
-            bch_operator(alg, x, y, cls.s_closure, 1e-10)
+            bch_closed_form(alg, x, y, target_tolerance=1e-10, classification=cls)
         assert (info.value.spectral_bound, info.value.achieved_bound) == (8.0, None)
 
     def test_table_grows_past_the_scalar_degree(self, monkeypatch):
@@ -1027,13 +1009,10 @@ class TestDispatch:
         for alg, a, b in ((heis, heis.basis_element(0), heis.basis_element(1)), (two, x, y)):
             with pytest.raises(ValueError, match="target_tolerance"):
                 bch_closed_form(alg, a, b, target_tolerance=tolerance)
-        s = classify_pair(two, x, y).s_closure
-        with pytest.raises(ValueError, match="target_tolerance"):
-            bch_operator(two, x, y, s, tolerance)
 
     def test_int_coordinates_are_exact(self, borel):
         # exact means "no float coordinate": int coordinates give an exact,
-        # all-Fraction z, from the dispatcher and the standalone evaluators
+        # all-Fraction z, for every exact form
         heis, ab = heisenberg_algebra(), abelian_algebra(3)
         b3, index = borel(3)
         e01, e12 = (LieElement(int(k == index[e]) for k in range(b3.dim))
@@ -1041,17 +1020,13 @@ class TestDispatch:
         x, y = LieElement((1, 0, 0)), LieElement((0, 1, 0))
         a, b = LieElement((1, 2, 3)), LieElement((4, 5, 6))
         cases = [(ab, a, b, bch_closed_form(ab, a, b), "Sum"),
-                 (ab, a, b, bch_special(ab, a, b, CaseTag.COMMUTING), "Sum"),
                  (heis, x, y, bch_closed_form(heis, x, y), "Central"),
-                 (heis, x, y, bch_special(heis, x, y, CaseTag.CENTRAL_BRACKET), "Central"),
-                 (b3, e01, e12, bch_closed_form(b3, e01, e12), "ScalarF"),
-                 (b3, e01, e12, bch_eigenpair(b3, e01, e12, 0, 0), "ScalarF"),
-                 (heis, x, y, bch_rank_one(factorize_rank_one(heis), x, y), "ScalarF")]
-        for alg, x, y, res, method in cases:
+                 (b3, e01, e12, bch_closed_form(b3, e01, e12), "ScalarF")]
+        for alg, p, q, res, method in cases:
             assert (res.method, res.exact) == (method, True)
             assert all(type(c) is Fraction for c in res.z.coords), method
-            assert res.z == bch_integral_series(alg, x, y, 8), method
-        assert cases[2][3].z.coords == (1, 1, Fraction(1, 2))
+            assert res.z == bch_integral_series(alg, p, q, 8), method
+        assert cases[1][3].z.coords == (1, 1, Fraction(1, 2))
         # one float coordinate makes z all float, its exact coordinates included
         res = bch_closed_form(heis, LieElement((1, 0.0, 0)), y)
         assert not res.exact and all(type(c) is float for c in res.z.coords)
@@ -1122,44 +1097,6 @@ class TestPerPairWork:
             assert len(same_pair) == 1, entry.name
         assert tags == set(CaseTag) - {CaseTag.NO_CLOSED_FORM}
 
-    def test_standalone_evaluators_clear_and_bracket_once(self, borel, monkeypatch):
-        # bch_eigenpair, bch_special and bch_operator check their pair on one clearing
-        # of x and y: [x, y] is one kernel call; the eigenpair adds L_X w and L_Y w,
-        # the central check [T_b, w] for each basis element; the operator form
-        # clears each basis row of S once
-        calls = {"clear": 0, "kernel": 0}
-        clear, kernel = algebra.clear_denominators, StructureConstants.scaled_bracket
-
-        def counted_clear(coords):
-            calls["clear"] += 1
-            return clear(coords)
-
-        def counted_kernel(alg, a, b):
-            calls["kernel"] += 1
-            return kernel(alg, a, b)
-
-        for module in (algebra, detect, closed_form):
-            monkeypatch.setattr(module, "clear_denominators", counted_clear)
-        monkeypatch.setattr(StructureConstants, "scaled_bracket", counted_kernel)
-        aff, heis = affine_algebra(), heisenberg_algebra()
-        runs = [(lambda: bch_eigenpair(aff, aff.basis_element(0), aff.element(["1/2", 3]),
-                                       Fraction(-1, 2), Fraction(1)), "ScalarF", 3),
-                (lambda: bch_special(heis, heis.element(["1/2", 0, 1]),
-                                     heis.element([0, "2/3", 0]), CaseTag.CENTRAL_BRACKET),
-                 "Central", 1 + heis.dim)]
-        for run, method, brackets in runs:
-            calls.update(clear=0, kernel=0)
-            assert run().method == method
-            assert calls == {"clear": 2, "kernel": brackets}, method
-        b4, index = borel(4)
-        coords = [{index[0, 1]: "1/2"}, {index[1, 2]: "1/3", index[2, 3]: "-3/4"}]
-        x, y = (b4.element([c.get(e, 0) for e in range(b4.dim)]) for c in coords)
-        s = classify_pair(b4, x, y).s_closure  # spanned by w = E_02 and L_Y w = -E_03
-        bch_operator(b4, x, y, s)  # grows the table of f to the degree it reads
-        calls.update(clear=0, kernel=0)
-        assert bch_operator(b4, x, y, s).method == "OperatorF"
-        assert calls["clear"] == 2 + s.dim
-
     def test_exact_combine_adds_no_fractions(self, borel, monkeypatch):
         # exact Sum, Central, ScalarF at u = v = 0 and terminating OperatorF build
         # each coordinate of z as one Fraction of an integer sum
@@ -1222,6 +1159,20 @@ class TestPerPairWork:
             with pytest.raises(ClassificationMismatch):
                 bch_closed_form(alg, x, y, classification=twin)
         assert methods == {"Central", "ScalarF", "OperatorF"}
+
+    def test_certificate_origin_checked_before_its_tag(self):
+        # a NoClosedForm certificate built by hand is not classify_pair's either,
+        # whether the pair has a closed form (heisenberg) or not (sl2); only
+        # classify_pair's own NoClosedForm says that no closed form applies
+        for alg in (heisenberg_algebra(), sl2_algebra()):
+            x, y = alg.basis_element(0), alg.basis_element(1)
+            cls = classify_pair(alg, x, y)
+            claim = CaseClassification(CaseTag.NO_CLOSED_FORM, None, None, alg, x, y, cls.w)
+            with pytest.raises(ClassificationMismatch):
+                bch_closed_form(alg, x, y, classification=claim)
+        assert cls.tag == CaseTag.NO_CLOSED_FORM
+        with pytest.raises(NoClosedFormAvailable):
+            bch_closed_form(alg, x, y, classification=cls)
 
 
 def _eighths(rng, dim):
@@ -1377,8 +1328,8 @@ def _assert_bit_identical(alg, res, x, y, w):
        st.sampled_from(["catalog", "rank_one", "case1", "diag", "nilp", "b4"]),
        st.sampled_from(["fraction", "float", "negzero", "mixed"]))
 def test_combine_is_bit_identical_to_element_arithmetic(borel, seed, kind, form):
-    # every closed form and standalone evaluator against x + y + c w in LieElement
-    # arithmetic: z repr, exact and residual_bound to the bit
+    # every closed form against x + y + c w in LieElement arithmetic: z repr,
+    # exact and residual_bound to the bit
     rng = random.Random(seed)
     for alg, x, y in _bit_identity_pairs(borel, rng, kind):
         x, y = _in_form(rng, x, y, form)
@@ -1392,18 +1343,11 @@ def test_combine_is_bit_identical_to_element_arithmetic(borel, seed, kind, form)
         if res.method == "OperatorF" and res.residual_bound:
             continue  # the float sum of a non-terminating series combines no term
         _assert_bit_identical(alg, res, x, y, cls.w)
-        if cls.tag in (CaseTag.COMMUTING, CaseTag.CENTRAL_BRACKET):
-            _assert_bit_identical(alg, bch_special(alg, x, y, cls.tag), x, y, cls.w)
-        if cls.tag == CaseTag.SIMULTANEOUS_EIGENVECTOR:
-            _assert_bit_identical(alg, bch_eigenpair(alg, x, y, cls.u, cls.v), x, y, cls.w)
-        fact = factorize_rank_one(alg)
-        if fact is not None:
-            res = bch_rank_one(fact, x, y)
-            w = fact.n.scale(fact.omega_contract(x, y))
-            _assert_bit_identical(alg, res, x, y, w)
 
 
 def test_float_eigenpair_combine_is_bit_identical():
     aff = affine_algebra()
     x, y = aff.element([0.7, 0.0]), aff.element([0.0, 0.3])
-    _assert_bit_identical(aff, bch_eigenpair(aff, x, y, 0, 0.7), x, y, aff.bracket(x, y))
+    res = bch_closed_form(aff, x, y)
+    assert (res.method, res.u, res.v) == ("ScalarF", 0, 0.7)
+    _assert_bit_identical(aff, res, x, y, aff.bracket(x, y))

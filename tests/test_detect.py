@@ -8,14 +8,13 @@ from fractions import Fraction
 import pytest
 
 from bchkit.algebra import DimensionMismatch, Echelon, LieElement, StructureConstants, Subspace
-from bchkit.closed_form import NoClosedFormAvailable, bch_closed_form, bch_eigenpair, bch_special
+from bchkit.closed_form import NoClosedFormAvailable, bch_closed_form
 from bchkit.detect import (
     CaseClassification,
     CaseTag,
     classify_pair,
     factorize_rank_one,
     is_derived_abelian,
-    uv_from_rank_one,
 )
 from bchkit import detect, families, oracle
 from bchkit.cli import classification_json
@@ -28,7 +27,7 @@ from bchkit.oracle import (
     two_scale_algebra,
     uvc_model_algebra,
 )
-from reference import adjoint, apply, centralized_closure, in_span
+from reference import adjoint, apply, centralized_closure, in_span, rank_one_uv
 
 
 class TestFactorizeRankOne:
@@ -63,27 +62,38 @@ class TestFactorizeRankOne:
 
 
 class TestUv:
+    """classify_pair's (u, v) on a rank-one algebra is (-y.omega.n, x.omega.n)."""
+
     def test_uvc_identification(self):
         u, v, c = Fraction(1, 2), Fraction(-1, 3), Fraction(2)
         alg = uvc_model_algebra(u, v, c)
         fact = factorize_rank_one(alg)
-        got = uv_from_rank_one(fact, alg.basis_element(0), alg.basis_element(1))
-        assert got == (u, v)
+        x, y = alg.basis_element(0), alg.basis_element(1)
+        cls = classify_pair(alg, x, y)
+        assert (cls.u, cls.v) == rank_one_uv(fact, x, y) == (u, v)
 
     def test_heisenberg_zero(self):
+        # omega.n = 0: every bracket is central, and no pair has a nonzero (u, v)
         heis = heisenberg_algebra()
         fact = factorize_rank_one(heis)
         rng = random.Random(0)
         for _ in range(5):
             x = families.random_element(rng, 3)
             y = families.random_element(rng, 3)
-            assert uv_from_rank_one(fact, x, y) == (0, 0)
+            assert rank_one_uv(fact, x, y) == (0, 0)
+            assert classify_pair(heis, x, y).tag in (CaseTag.COMMUTING, CaseTag.CENTRAL_BRACKET)
 
     def test_zero_x_gives_zero_v(self):
+        # v = x.omega.n vanishes for x = 0, where the pair commutes, and for x
+        # along n, where classify_pair reads it off the eigenpair
         aff = affine_algebra()
         fact = factorize_rank_one(aff)
-        u, v = uv_from_rank_one(fact, aff.zero(), aff.basis_element(1))
-        assert v == 0
+        y = aff.basis_element(0)
+        assert rank_one_uv(fact, aff.zero(), y)[1] == 0
+        assert classify_pair(aff, aff.zero(), y).tag == CaseTag.COMMUTING
+        cls = classify_pair(aff, fact.n, y)
+        assert cls.tag == CaseTag.SIMULTANEOUS_EIGENVECTOR
+        assert (cls.u, cls.v) == rank_one_uv(fact, fact.n, y) and cls.v == 0
 
 
 class TestDerivedAbelian:
@@ -169,7 +179,7 @@ class TestClassify:
             with pytest.raises(DimensionMismatch):
                 classify_pair(heis, x, y)
             with pytest.raises(DimensionMismatch):
-                bch_special(heis, x, y, CaseTag.CENTRAL_BRACKET)
+                bch_closed_form(heis, x, y)
 
     def test_affine_eigen(self):
         aff = affine_algebra()
@@ -253,11 +263,12 @@ class TestEigenHelper:
         assert Subspace.span([cls.w, alg.bracket(x, cls.w)]).dim == 2
 
     def test_zero_bracket(self):
-        # a zero bracket is the eigenvector of every (u, v); (0, 0) gives z = x + y exactly
+        # a zero bracket is the eigenvector of every (u, v); Commuting gives z = x + y exactly
         alg = abelian_algebra(2)
         x, y = alg.basis_element(0), alg.basis_element(1)
-        assert classify_pair(alg, x, y).tag == CaseTag.COMMUTING
-        res = bch_eigenpair(alg, x, y, 0, 0)
+        cls = classify_pair(alg, x, y)
+        assert cls.tag == CaseTag.COMMUTING
+        res = bch_closed_form(alg, x, y, classification=cls)
         assert res.exact and res.z == x + y
 
 

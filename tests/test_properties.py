@@ -7,12 +7,11 @@ from fractions import Fraction
 from hypothesis import example, given, settings, strategies as st
 
 from bchkit.algebra import Echelon, LieElement, Subspace, clear_denominators
-from bchkit.closed_form import (BivariateSeries, NonConvergence, _restricted_norm, bch_operator,
-                                f_scalar, f_series)
+from bchkit.closed_form import BivariateSeries, NonConvergence, _restricted_norm, f_scalar, f_series
 from bchkit.detect import CaseTag, classify_pair, factorize_rank_one
 from bchkit import families
 from bchkit.oracle import two_scale_algebra
-from reference import adjoint, apply, centralized_closure, f_form_product, in_span
+from reference import adjoint, apply, centralized_closure, f_form_product, in_span, rank_one_uv
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -176,7 +175,7 @@ def _restricted_power_index(alg, g, sub):
 
 @settings(max_examples=60, deadline=None)
 @given(SEEDS)
-def test_orbit_nilpotency_index_matches_restricted_matrix(seed):
+def test_orbit_nilpotency_index_matches_restricted_matrix(operator_form, seed):
     # [g,g] is abelian in these algebras, so w centralizes its closure S, and
     # L_g is nilpotent on S exactly when its orbit of w dies within dim S steps:
     # the operator form is exact iff both are, with degree ix + iy - 2
@@ -197,7 +196,7 @@ def test_orbit_nilpotency_index_matches_restricted_matrix(seed):
         return
     ix, iy = (_restricted_power_index(alg, g, sub) for g in (x, y))
     try:
-        res = bch_operator(alg, x, y, sub)
+        res = operator_form(alg, x, y, sub)
     except NonConvergence:
         assert ix is None or iy is None
         return
@@ -298,15 +297,16 @@ def test_f_matches_naive_form(u, v):
 @settings(max_examples=50, deadline=None)
 @given(small_fractions, small_fractions)
 def test_uv_gauge_invariance(u_param, v_param):
-    # scalars extracted from the factorization do not depend on the gauge
-    from bchkit.detect import uv_from_rank_one
+    # scalars extracted from the factorization do not depend on the gauge, and
+    # they are classify_pair's eigenpair
     from bchkit.oracle import uvc_model_algebra
     if u_param == 0 and v_param == 0:
         return
     alg = uvc_model_algebra(u_param, v_param, Fraction(3, 2))
     fact = factorize_rank_one(alg)
-    got = uv_from_rank_one(fact, alg.basis_element(0), alg.basis_element(1))
-    assert got == (u_param, v_param)
+    x, y = alg.basis_element(0), alg.basis_element(1)
+    cls = classify_pair(alg, x, y)
+    assert (cls.u, cls.v) == rank_one_uv(fact, x, y) == (u_param, v_param)
 
 
 rationals = st.one_of(st.integers(min_value=-7, max_value=7),
