@@ -78,6 +78,9 @@ class _Frozen:
     deleting any attribute afterwards raises AttributeError.  An attribute left
     out of _fields (derived or private) takes no part in ==, hash or repr.
     cached_property writes to the instance __dict__ directly, so it still fills in.
+
+    A value equals itself before any _key() is built: tuple comparison already
+    treats identical elements as equal, so this changes no comparison's result.
     """
 
     _fields: tuple = ()
@@ -86,6 +89,8 @@ class _Frozen:
         return tuple([getattr(self, f) for f in self._fields])
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._key() == other._key()

@@ -100,6 +100,12 @@ def _algebra_from_data(data, source: str) -> StructureConstants:
     if not isinstance(data, dict) or "dim" not in data:
         raise InputError(f"{source}: expected an object with a 'dim' field")
     try:
+        for i, item in enumerate(data.get("f", [])):
+            if not isinstance(item, dict):
+                raise InputError(f"{source}: entry {i} of 'f' is not an object")
+            for field in ("a", "b", "c", "v"):
+                if field not in item:
+                    raise InputError(f"{source}: entry {i} of 'f' has no field {field!r}")
         return StructureConstants.from_json_dict(data)
     except (AntisymmetryViolation, JacobiViolation, IndexOutOfRange):
         raise

@@ -73,20 +73,35 @@ class BchResult(_Frozen):
     exact is True iff neither x nor y holds a float and the form takes no float
     value of f (Sum, Central, ScalarF at u = v = 0, terminating OperatorF): z is then
     all Fraction, one per coordinate of an integer sum; otherwise z is all float.
-    method is one of Sum, Central, ScalarF and OperatorF."""
+    method is one of Sum, Central, ScalarF and OperatorF.
+
+    bch_closed_form's ScalarF result keeps the certificate's ratios
+    _uv = (un, ud, vn, vd), not the certificate, and builds u and v from
+    them on first read; _uv, when given, stands for u and v and takes no part
+    in ==, hash or repr."""
 
     _fields = ("z", "method", "exact", "residual_bound", "u", "v", "degree")
 
     def __init__(self, z: LieElement, method: str, exact: bool,
                  residual_bound: float | None = None, u=None, v=None,
-                 degree: int | None = None):
+                 degree: int | None = None, _uv: tuple | None = None):
         _setattr(self, "z", z)
         _setattr(self, "method", method)
         _setattr(self, "exact", exact)
         _setattr(self, "residual_bound", residual_bound)
-        _setattr(self, "u", u)
-        _setattr(self, "v", v)
+        if _uv is None:
+            _setattr(self, "u", u)
+            _setattr(self, "v", v)
         _setattr(self, "degree", degree)
+        _setattr(self, "_uv", _uv)
+
+    @cached_property
+    def u(self) -> Fraction:
+        return Fraction(self._uv[0], self._uv[1])
+
+    @cached_property
+    def v(self) -> Fraction:
+        return Fraction(self._uv[2], self._uv[3])
 
 
 # ---------------------------------------------------------------------------
@@ -332,17 +347,20 @@ def _halved(form) -> tuple[list[int], int]:
     return ws, 2 * sw
 
 
-def _scalar_f(x: LieElement, y: LieElement, scaled, u, v) -> BchResult:
-    """z = x + y + f(u, v) w from the integer forms scaled of x, y and a nonzero w;
-    exact when u = v = 0, where f = 1/2."""
-    if u == 0 and v == 0:
-        return _combined("ScalarF", x, y, scaled[:2], _halved(scaled[2]), u=u, v=v,
+def _scalar_f(x: LieElement, y: LieElement, scaled, uv) -> BchResult:
+    """z = x + y + f(u, v) w from the integer forms scaled of x, y and a nonzero w and
+    the ratios uv = (un, ud, vn, vd) of u and v, ud, vd > 0; exact when
+    un = vn = 0, where f = 1/2.  f_scalar gets un / ud and vn / vd, each int / int
+    rounded once, as float() of the Fraction is; the result keeps uv, no Fraction."""
+    un, ud, vn, vd = uv
+    if not un and not vn:
+        return _combined("ScalarF", x, y, scaled[:2], _halved(scaled[2]), _uv=uv,
                          residual_bound=0.0)
-    fval = f_scalar(u, v)
+    fval = f_scalar(un / ud, vn / vd)
     ws, sw = scaled[2]
     bound = 8.0 * 2.0**-53 * abs(fval) * (max(map(abs, ws)) / sw)
     return _combined("ScalarF", x, y, scaled[:2], scaled[2], fval, residual_bound=bound,
-                     u=u, v=v)
+                     _uv=uv)
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +552,8 @@ def bch_closed_form(alg: StructureConstants, x: LieElement, y: LieElement,
 
     A classification must come from classify_pair for this pair and algebra (else
     ClassificationMismatch, whatever its tag); its certificate (w, u, v, S) is used
-    without recheck.
+    without recheck, in the integer form classify_pair decided with, so no field
+    of the certificate is built here.
     target_tolerance must be positive and finite, else ValueError, whichever
     form applies.
     """
@@ -552,5 +571,5 @@ def bch_closed_form(alg: StructureConstants, x: LieElement, y: LieElement,
     if cls.tag == CaseTag.CENTRAL_BRACKET:
         return _combined("Central", x, y, scaled[:2], _halved(scaled[2]))
     if cls.tag == CaseTag.SIMULTANEOUS_EIGENVECTOR:
-        return _scalar_f(x, y, scaled, cls.u, cls.v)
+        return _scalar_f(x, y, scaled, cls._uv)
     return _operator_f(alg, x, y, scaled, ech, target_tolerance)

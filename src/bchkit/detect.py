@@ -74,7 +74,15 @@ class CaseClassification(_Frozen):
     OperatorCommuting the grown Echelon of S, which it reads with no RREF (None
     for the other tags).  It marks the certificate as classify_pair's: one built
     by hand holds None, and bch_closed_form rejects it whatever its tag.
-    _integer_form takes no part in ==, hash or repr.
+
+    classify_pair's certificate keeps what it decided with on integers and
+    builds w, u, v and witness on first read, as it builds s_closure: w from
+    (ws, sw); u = un / ud and v = vn / vd from the private _uv = (un, ud, vn, vd),
+    ud, vd > 0, for SimultaneousEigenvector (None for the other tags); witness
+    from the private _witness_form, its integer vector (None but for
+    NoClosedForm).  bch_closed_form reads these integers, not the fields.  A
+    certificate built by hand holds the fields it is given.  The private
+    attributes take no part in ==, hash or repr.
     """
 
     _fields = ("tag", "u", "v", "algebra", "x", "y", "w", "witness")
@@ -91,6 +99,40 @@ class CaseClassification(_Frozen):
         _setattr(self, "w", w)
         _setattr(self, "witness", witness)
         _setattr(self, "_integer_form", _integer_form)
+
+    @classmethod
+    def _certified(cls, tag: CaseTag, algebra: StructureConstants, x: LieElement,
+                   y: LieElement, integer_form: tuple, uv: tuple | None = None,
+                   witness_form: list | None = None) -> CaseClassification:
+        """classify_pair's certificate, whose w, u, v and witness are built on first read."""
+        self = cls.__new__(cls)
+        _setattr(self, "tag", tag)
+        _setattr(self, "algebra", algebra)
+        _setattr(self, "x", x)
+        _setattr(self, "y", y)
+        _setattr(self, "_integer_form", integer_form)
+        _setattr(self, "_uv", uv)
+        _setattr(self, "_witness_form", witness_form)
+        return self
+
+    @cached_property
+    def w(self) -> LieElement:
+        return LieElement(unscaled(*self._integer_form[0][2]))
+
+    @cached_property
+    def u(self) -> Fraction | None:
+        uv = self._uv
+        return None if uv is None else Fraction(uv[0], uv[1])
+
+    @cached_property
+    def v(self) -> Fraction | None:
+        uv = self._uv
+        return None if uv is None else Fraction(uv[2], uv[3])
+
+    @cached_property
+    def witness(self) -> LieElement | None:
+        vec = self._witness_form
+        return None if vec is None else LieElement(unscaled(vec, math.gcd(*vec)))
 
     @cached_property
     def s_closure(self) -> Subspace | None:
@@ -156,7 +198,8 @@ def _pair_forms(alg: StructureConstants, x: LieElement, y: LieElement):
 
 
 def _eigenpair(alg: StructureConstants, sx: int, sy: int, ws, lx_ws, ly_ws):
-    """(u, v) with L_X w = v w and L_Y w = -u w for a nonzero w, or None.
+    """The ratios (un, ud, vn, vd), u = un / ud and v = vn / vd with ud, vd > 0,
+    such that L_X w = v w and L_Y w = -u w for a nonzero w, or None.
 
     On integer coordinates ws = s w, lx_ws = den sx [x, ws] = den sx v ws and
     ly_ws = den sy [y, ws] = -den sy u ws: cross-multiply at the pivot k of ws.
@@ -165,7 +208,9 @@ def _eigenpair(alg: StructureConstants, sx: int, sy: int, ws, lx_ws, ly_ws):
     wk, ak, bk = ws[k], lx_ws[k], ly_ws[k]
     if (all(a * wk == ak * c for a, c in zip(lx_ws, ws))
             and all(b * wk == bk * c for b, c in zip(ly_ws, ws))):
-        return -Fraction(bk, alg.den * sy * wk), Fraction(ak, alg.den * sx * wk)
+        if wk < 0:  # positive denominators: a zero ratio is 0, never -0.0, as a float
+            wk, ak, bk = -wk, -ak, -bk
+        return -bk, alg.den * sy * wk, ak, alg.den * sx * wk
     return None
 
 
@@ -193,31 +238,30 @@ def classify_pair(alg: StructureConstants, x: LieElement, y: LieElement) -> Case
     count as the binary rationals they hold, so the certificate (w, u, v, S) is
     exact for every input.
     Classification computes no pair-independent fact of the algebra; per pair,
-    [X,Y] and its images under L_X, L_Y are computed once.  The closure S is
-    grown only until its first image b with [[X,Y], b] != 0, the NoClosedForm
-    witness; that S is then built in full on first read of s_closure.  Every
-    tag keeps the integer x, y, w, which mark the certificate as made here, and
-    OperatorCommuting the grown echelon of S too.
+    w = [X,Y] and its images L_X w, L_Y w are computed once, in that order, and
+    w is bracketed with the basis elements only if both images vanish: a
+    central w has [X, w] = [Y, w] = 0.  The closure S is grown only until its
+    first image b with [[X,Y], b] != 0, the NoClosedForm witness.  The
+    certificate keeps the integers it was decided on and builds no Fraction:
+    w, u, v, witness and s_closure are built on first read (CaseClassification).
     """
     # integer coordinates: xs = sx x, ys = sy y, ws = sw w
     scaled = _pair_forms(alg, x, y)
-    (xs, sx), (ys, sy), (ws, sw) = scaled
-    w = LieElement(unscaled(ws, sw))
+    (xs, sx), (ys, sy), (ws, _) = scaled
 
-    def certified(tag, u=None, v=None, ech=None, witness=None):
-        return CaseClassification(tag, u, v, alg, x, y, w, witness, (scaled, ech))
+    def certified(tag, ech=None, uv=None, witness_form=None):
+        return CaseClassification._certified(tag, alg, x, y, (scaled, ech), uv, witness_form)
 
     if not any(ws):
         return certified(CaseTag.COMMUTING)
-    if _witness(alg, ws, alg.units) is None:
-        return certified(CaseTag.CENTRAL_BRACKET)
     lx_ws, ly_ws = alg.scaled_bracket(xs, ws), alg.scaled_bracket(ys, ws)
-    pair = _eigenpair(alg, sx, sy, ws, lx_ws, ly_ws)
-    if pair is not None:
-        return certified(CaseTag.SIMULTANEOUS_EIGENVECTOR, *pair)
+    if not any(lx_ws) and not any(ly_ws) and _witness(alg, ws, alg.units) is None:
+        return certified(CaseTag.CENTRAL_BRACKET)
+    uv = _eigenpair(alg, sx, sy, ws, lx_ws, ly_ws)
+    if uv is not None:
+        return certified(CaseTag.SIMULTANEOUS_EIGENVECTOR, uv=uv)
     ech = Echelon()
     witness = _witness(alg, ws, _closure(alg, ech, xs, ys, ws, lx_ws, ly_ws))
     if witness is None:
         return certified(CaseTag.OPERATOR_COMMUTING, ech=ech)
-    return certified(CaseTag.NO_CLOSED_FORM,
-                     witness=LieElement(unscaled(witness, math.gcd(*witness))))
+    return certified(CaseTag.NO_CLOSED_FORM, witness_form=witness)

@@ -1,5 +1,8 @@
 """Shared test builders."""
 
+import sys
+from fractions import Fraction
+
 import pytest
 
 from bchkit import closed_form, detect
@@ -41,3 +44,26 @@ def operator_form():
         return closed_form._operator_f(alg, x, y, detect._pair_forms(alg, x, y), ech,
                                        target_tolerance)
     return evaluate
+
+
+_COUNTED_MODULES = frozenset({"bchkit.algebra", "bchkit.detect", "bchkit.closed_form"})
+
+
+@pytest.fixture
+def fraction_builds(monkeypatch):
+    """A list that gets (module, function) for each Fraction built by code in
+    bchkit.algebra, bchkit.detect or bchkit.closed_form, directly or through
+    Fraction arithmetic there, while the test runs."""
+    builds = []
+    new = Fraction.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_globals.get("__name__") == "fractions":
+            frame = frame.f_back  # arithmetic inside Fraction: charge its caller
+        if frame is not None and frame.f_globals.get("__name__") in _COUNTED_MODULES:
+            builds.append((frame.f_globals["__name__"], frame.f_code.co_name))
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted_new)
+    return builds

@@ -129,6 +129,25 @@ class TestCheck:
                            "--y", str(workdir / "e1.json"))
         assert code == 1 and "input error" in err
 
+    @pytest.mark.parametrize("field", ["a", "b", "c", "v"])
+    def test_entry_without_a_field_names_it(self, workdir, capsys, field):
+        entry = {"a": 0, "b": 1, "c": 1, "v": "1"}
+        del entry[field]
+        path = workdir / "partial.json"
+        path.write_text(json.dumps({"dim": 2, "f": [{"a": 0, "b": 1, "c": 1, "v": "1"}, entry]}))
+        code, out, err = run(capsys, "check", "--algebra", str(path),
+                             "--x", str(workdir / "a0.json"), "--y", str(workdir / "a1.json"))
+        assert (code, out) == (1, "")
+        assert err == f"input error: {path}: entry 1 of 'f' has no field {field!r}\n"
+
+    def test_entry_that_is_not_an_object_names_it(self, workdir, capsys):
+        path = workdir / "partial.json"
+        path.write_text(json.dumps({"dim": 2, "f": [[0, 1, 1, "1"]]}))
+        code, out, err = run(capsys, "check", "--algebra", str(path),
+                             "--x", str(workdir / "a0.json"), "--y", str(workdir / "a1.json"))
+        assert (code, out) == (1, "")
+        assert err == f"input error: {path}: entry 0 of 'f' is not an object\n"
+
     def test_jacobi_violation_exit_2(self, workdir, capsys):
         code, _, err = run(capsys, "check",
                            "--algebra", str(workdir / "bad.json"),

@@ -45,8 +45,8 @@ from bchkit.oracle import (
     two_scale_algebra,
     uvc_model_algebra,
 )
-from reference import (centralized_closure, f_form_negexp, f_form_product, f_form_quotient,
-                       omega_contract, rank_one_uv)
+from reference import (adjoint, apply, centralized_closure, f_form_negexp, f_form_product,
+                       f_form_quotient, omega_contract, rank_one_uv)
 
 
 # ---------------------------------------------------------------------------
@@ -1066,7 +1066,7 @@ class TestPerPairWork:
         for module in (algebra, detect, closed_form):
             monkeypatch.setattr(module, "clear_denominators", counted_clear)
         monkeypatch.setattr(StructureConstants, "scaled_bracket", counted_kernel)
-        tags = set()
+        tags, seen = set(), set()
         for entry in entries:
             alg = entry.algebra
             (x, y, expected), = entry.pairs
@@ -1095,7 +1095,51 @@ class TestPerPairWork:
                          or (made_from(a, of_y) and made_from(b, of_x))]
             assert of_x and of_y, entry.name
             assert len(same_pair) == 1, entry.name
+            # w meets the basis elements only once L_X w = L_Y w = 0: the central
+            # test runs in full for CentralBracket and not at all past it
+            units = [a for a, _ in brackets if made_from(a, alg.units)]
+            if cls.tag == CaseTag.CENTRAL_BRACKET:
+                assert sorted(map(alg.units.index, units)) == list(range(alg.dim)), entry.name
+            elif cls.tag != CaseTag.COMMUTING:
+                assert not units, entry.name
+            seen.add(cls.tag)
         assert tags == set(CaseTag) - {CaseTag.NO_CLOSED_FORM}
+        assert seen == set(CaseTag)
+
+    def test_scalar_and_operator_pairs_build_no_fraction(self, fraction_builds):
+        # classify_pair and bch_closed_form build no Fraction on a ScalarF pair with
+        # u, v != 0 or a non-terminating OperatorF pair; each field read afterwards
+        # is what an eager computation gives
+        aff = affine_algebra()
+        rank_one = families.random_rank_one(random.Random(5), 4)
+        two_scale = catalog_entry("two_scale")
+        (tx, ty, _), = two_scale.pairs
+        pairs = [(aff, aff.element(["1/2", "1"]), aff.element(["-1/3", "2"])),
+                 (rank_one, families.random_element(random.Random(6), 4),
+                  families.random_element(random.Random(7), 4)),
+                 (two_scale.algebra, tx, ty)]
+        for alg, x, y in pairs:  # the per-algebra and f tables are built once, here
+            bch_closed_form(alg, x, y)
+        fraction_builds.clear()
+        runs = []
+        for alg, x, y in pairs:
+            cls = classify_pair(alg, x, y)
+            runs.append((cls, bch_closed_form(alg, x, y, classification=cls)))
+        assert fraction_builds == []
+        methods = []
+        for (alg, x, y), (cls, res) in zip(pairs, runs):
+            methods.append((res.method, res.exact, res.degree is None))
+            w = apply(adjoint(alg, x), y)
+            assert (cls.w, cls.witness) == (w, None)
+            if res.method == "ScalarF":
+                uv = rank_one_uv(factorize_rank_one(alg), x, y)
+                assert 0 not in uv
+                assert (cls.u, cls.v) == (res.u, res.v) == uv
+                assert cls.s_closure is None
+            else:
+                assert (cls.u, cls.v, res.u, res.v) == (None,) * 4
+                assert (True, cls.s_closure) == centralized_closure(alg, x, y)
+        assert methods == [("ScalarF", False, True)] * 2 + [("OperatorF", False, False)]
 
     def test_exact_combine_adds_no_fractions(self, borel, monkeypatch):
         # exact Sum, Central, ScalarF at u = v = 0 and terminating OperatorF build

@@ -1,5 +1,7 @@
 """Case-detection hierarchy and its certificates."""
 
+import copy
+import pickle
 import random
 import sys
 import threading
@@ -8,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from bchkit.algebra import DimensionMismatch, Echelon, LieElement, StructureConstants, Subspace
-from bchkit.closed_form import NoClosedFormAvailable, bch_closed_form
+from bchkit.closed_form import BchResult, NoClosedFormAvailable, bch_closed_form
 from bchkit.detect import (
     CaseClassification,
     CaseTag,
@@ -460,6 +462,41 @@ class TestWitness:
         assert len(inserts) <= 3  # w, L_X w, L_Y w
         s = cls.s_closure
         assert s == alg.span_closure([cls.w], (x, y)) and s.dim > 3
+
+
+class TestLazyCertificate:
+    """classify_pair's certificate and bch_closed_form's result build their fields on
+    first read; they behave as those built by hand from the same field values."""
+
+    @staticmethod
+    def _same(got, want):
+        assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+
+    def test_matches_hand_built_values(self, borel):
+        seen = set()
+        for alg, x, y in _reference_pairs(borel):
+            cls = classify_pair(alg, x, y)
+            unread, copied = pickle.dumps(cls), copy.copy(cls)
+            hand = CaseClassification(cls.tag, cls.u, cls.v, alg, x, y, cls.w, cls.witness)
+            read = pickle.dumps(cls)
+            for got in (cls, copied):
+                self._same(got, hand)
+            for blob in (unread, read):
+                got = pickle.loads(blob)
+                assert got.algebra is not alg
+                self._same(got, CaseClassification(hand.tag, hand.u, hand.v, got.algebra,
+                                                   x, y, hand.w, hand.witness))
+                assert got.s_closure == cls.s_closure
+            seen.add(cls.tag)
+            if cls.tag == CaseTag.NO_CLOSED_FORM:
+                continue
+            res = bch_closed_form(alg, x, y, classification=cls)
+            unread, copied = pickle.dumps(res), copy.copy(res)
+            hand = BchResult(res.z, res.method, res.exact, res.residual_bound, res.u, res.v,
+                             res.degree)
+            for got in (res, copied, pickle.loads(unread), pickle.loads(pickle.dumps(res))):
+                self._same(got, hand)
+        assert seen == set(CaseTag)
 
 
 class TestLazyFacts:

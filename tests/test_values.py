@@ -140,6 +140,17 @@ def test_unequal_values():
     assert Subspace(((F(1), F(0)),)) != Subspace(((F(0), F(1)),))
 
 
+def test_a_value_equals_itself_before_its_key_is_built(monkeypatch):
+    values = [build() for build in BUILDERS]
+
+    def no_key(self):
+        raise AssertionError("_key built to compare a value with itself")
+
+    for value in values:
+        monkeypatch.setattr(type(value), "_key", no_key)
+    assert all(value == value and not value != value for value in values)
+
+
 def test_private_fields_do_not_compare():
     cls = classify_pair(AFF, AFF.element(["1/2", 0]), AFF.element([0, 3]))
     other = CaseClassification(cls.tag, cls.u, cls.v, cls.algebra, cls.x, cls.y, cls.w,
