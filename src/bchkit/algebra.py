@@ -495,8 +495,8 @@ def validate(entries: Mapping[tuple[int, int, int], object] | Iterable,
     antisymmetry.  Supplying both with inconsistent values raises
     AntisymmetryViolation.  The Jacobi identity is checked exhaustively over
     basis triples a < b < c (triples with a repeated index hold automatically).
-    A dim that is not an int (a bool included), or basis_names that is a string
-    or holds anything but strings, raises TypeError.
+    A dim or an index that is not an int (a bool included), or basis_names that
+    is a string or holds anything but strings, raises TypeError.
     """
     if not isinstance(dim, int) or isinstance(dim, bool):
         raise TypeError(f"dim must be an integer, got {dim!r}")
@@ -513,7 +513,9 @@ def validate(entries: Mapping[tuple[int, int, int], object] | Iterable,
     oriented: dict[tuple[int, int, int], Fraction] = {}
     for (a, b, c), raw in items:
         for idx in (a, b, c):
-            if not isinstance(idx, int) or isinstance(idx, bool) or not 0 <= idx < dim:
+            if not isinstance(idx, int) or isinstance(idx, bool):
+                raise TypeError(f"index {idx!r} of entry {(a, b, c)!r} is not an integer")
+            if not 0 <= idx < dim:
                 raise IndexOutOfRange(f"index {idx} outside 0..{dim - 1}")
         val = as_fraction(raw)
         if (a, b, c) in oriented and oriented[(a, b, c)] != val:

@@ -99,8 +99,11 @@ def load_algebra(spec: str) -> StructureConstants:
 def _algebra_from_data(data, source: str) -> StructureConstants:
     if not isinstance(data, dict) or "dim" not in data:
         raise InputError(f"{source}: expected an object with a 'dim' field")
+    entries = data.get("f", [])
+    if not isinstance(entries, list):
+        raise InputError(f"{source}: 'f' must be a list of entries")
     try:
-        for i, item in enumerate(data.get("f", [])):
+        for i, item in enumerate(entries):
             if not isinstance(item, dict):
                 raise InputError(f"{source}: entry {i} of 'f' is not an object")
             for field in ("a", "b", "c", "v"):
@@ -235,7 +238,7 @@ def _verify(alg, cls, res: BchResult, degree: int, tolerance: float):
     n <= degree, and where C_n = 0 beyond the degree (an exact z whose parts
     end at res.degree + 2), |z - sum C_n| <= tolerance."""
     series = oracle.bch_series_terms(alg, cls.x, cls.y, degree)
-    mismatch = _first_mismatch(closed_form_terms(alg, cls.x, cls.y, cls.w, degree), series)
+    mismatch = _first_mismatch(closed_form_terms(alg, cls.x, cls.y, degree), series)
     tail_bounded = res.exact and (res.degree or 0) + 2 <= degree
     diff = _sup_diff(res.z, oracle.series_sum(series))
     verify = {"degree": degree, "difference_sup_norm": diff, "graded_mismatch_degree": mismatch,
@@ -374,7 +377,7 @@ def run_fuzz(seed: int, n: int, family_names, degree: int, tolerance: float,
                 violation(family, alg, x, y, error=err)
             if graded:
                 graded_checked += 1
-                closed = list(closed_form_terms(alg, x, y, cls.w, degree))
+                closed = list(closed_form_terms(alg, x, y, degree))
                 if inject_bug and degree >= 3:  # the same shift in degree 3
                     closed[2] += (alg.bracket(x, cls.w) - alg.bracket(y, cls.w)).scale(_BUG_DELTA)
                 mismatch = _first_mismatch(closed, terms)

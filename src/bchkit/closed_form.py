@@ -32,11 +32,10 @@ from .algebra import (
     _Frozen,
     _setattr,
     as_fraction,
-    clear_denominators,
     unscaled,
     validate,
 )
-from .detect import CaseTag, classify_pair
+from .detect import CaseTag, _pair_forms, _uv_field, classify_pair
 
 SERIES_CROSSOVER = 0.25     # switch to the Taylor series inside this box
 SERIES_DEGREE = 20          # series truncation of the scalar evaluator
@@ -75,33 +74,25 @@ class BchResult(_Frozen):
     all Fraction, one per coordinate of an integer sum; otherwise z is all float.
     method is one of Sum, Central, ScalarF and OperatorF.
 
-    bch_closed_form's ScalarF result keeps the certificate's ratios
-    _uv = (un, ud, vn, vd), not the certificate, and builds u and v from
-    them on first read; _uv, when given, stands for u and v and takes no part
-    in ==, hash or repr."""
+    A ScalarF result keeps the certificate's ratios _uv = (un, ud, vn, vd),
+    keyword-only and private, not the certificate, and builds u = un / ud and
+    v = vn / vd from them on first read; u and v are None where _uv is None.
+    _uv takes no part in ==, hash or repr."""
 
     _fields = ("z", "method", "exact", "residual_bound", "u", "v", "degree")
 
     def __init__(self, z: LieElement, method: str, exact: bool,
-                 residual_bound: float | None = None, u=None, v=None,
-                 degree: int | None = None, _uv: tuple | None = None):
+                 residual_bound: float | None = None, degree: int | None = None, *,
+                 _uv: tuple | None = None):
         _setattr(self, "z", z)
         _setattr(self, "method", method)
         _setattr(self, "exact", exact)
         _setattr(self, "residual_bound", residual_bound)
-        if _uv is None:
-            _setattr(self, "u", u)
-            _setattr(self, "v", v)
         _setattr(self, "degree", degree)
         _setattr(self, "_uv", _uv)
 
-    @cached_property
-    def u(self) -> Fraction:
-        return Fraction(self._uv[0], self._uv[1])
-
-    @cached_property
-    def v(self) -> Fraction:
-        return Fraction(self._uv[2], self._uv[3])
+    u = _uv_field(0)
+    v = _uv_field(2)
 
 
 # ---------------------------------------------------------------------------
@@ -109,18 +100,28 @@ class BchResult(_Frozen):
 # ---------------------------------------------------------------------------
 
 class BivariateSeries(_Frozen):
-    """Truncated power series sum c_ij u^i v^j with exact coefficients.  evaluate()
-    needs a symmetric table, c_ij = c_ji, as f_series gives; evaluate_exact() does not.
-    The table is a dict, so a series is not hashable."""
+    """Truncated power series sum c_ij u^i v^j with exact coefficients, held as the
+    graded integer rows that _f_rows gives: rows[m] = ([A_m0, ..., A_0m], q_m) with
+    c_ij = A_ij / q_m for i + j = m.  max_degree is len(rows) - 1, and coefficients,
+    the Fraction table {(i, j): c_ij} with its zeros, is built on first read.
+    ValueError unless each row m holds m + 1 entries.  evaluate() needs a symmetric table, c_ij = c_ji, as f_series gives;
+    evaluate_exact() does not.  The table is a dict, so a series is not hashable."""
 
     _fields = ("coefficients", "max_degree")
 
-    def __init__(self, coefficients: dict, max_degree: int):
-        _setattr(self, "coefficients", coefficients)
-        _setattr(self, "max_degree", max_degree)
+    def __init__(self, rows: tuple):
+        if any(len(row) != m + 1 for m, (row, _) in enumerate(rows)):
+            raise ValueError("row m of a series table must hold m + 1 coefficients")
+        _setattr(self, "rows", rows)
 
-    def coeff(self, i: int, j: int) -> Fraction:
-        return self.coefficients.get((i, j), Fraction(0))
+    @property
+    def max_degree(self) -> int:
+        return len(self.rows) - 1
+
+    @cached_property
+    def coefficients(self) -> dict:
+        return {(m - j, j): Fraction(a, q)
+                for m, (row, q) in enumerate(self.rows) for j, a in enumerate(row)}
 
     def evaluate(self, u: float, v: float) -> float:
         """Float value at u, v by nested Horner in s = u + v and p = u v: an
@@ -144,8 +145,8 @@ class BivariateSeries(_Frozen):
         For a symmetric table the degree-m part is sum_{i>j} c_ij p^j P_(i-j) plus
         c_kk p^k for m = 2k, with the power sums P_n = u^n + v^n = s P_(n-1) - p P_(n-2),
         P_0 = 2, P_1 = s, as integer polynomials in s and p.  Each degree runs on
-        the integers A_ij = c_ij q_m of _graded_integer_form; the quotient by q_m
-        is the only rounding.  ValueError if the table is not symmetric.
+        the integers A_ij = c_ij q_m of rows; the quotient by q_m is the only
+        rounding.  ValueError if the table is not symmetric.
         """
         n = self.max_degree
         power_sums = [[2], [1]]  # P_k[b] = coefficient of s^(k-2b) p^b
@@ -154,7 +155,7 @@ class BivariateSeries(_Frozen):
             power_sums.append([x - y for x, y in itertools.zip_longest(s_term, p_term,
                                                                        fillvalue=0)])
         rows = [[] for _ in range(n // 2 + 1)]  # rows[b] gets d_ab for a = m - 2b, m ascending
-        for m, (row, q) in enumerate(self._graded_integer_form):
+        for m, (row, q) in enumerate(self.rows):
             if row != row[::-1]:
                 raise ValueError(f"evaluate needs a symmetric table; degree {m} is not")
             part = [0] * (m // 2 + 1)  # part[b] = q_m d_(m-2b),b
@@ -166,13 +167,6 @@ class BivariateSeries(_Frozen):
             for b, num in enumerate(part):
                 rows[b].append(num / q)  # int / int rounds once, correctly
         return tuple(tuple(reversed(r)) for r in reversed(rows))
-
-    @cached_property
-    def _graded_integer_form(self) -> tuple:
-        """([A_m0, ..., A_0m], q_m) for each total degree m <= max_degree, with
-        c_ij = A_ij / q_m over the least common denominator q_m of degree m."""
-        return tuple(clear_denominators([self.coeff(m - j, j) for j in range(m + 1)])
-                     for m in range(self.max_degree + 1))
 
     def evaluate_exact(self, u: Fraction, v: Fraction) -> Fraction:
         """Exact value at rational u = a/b, v = c/e.  With U = a e and V = c b, the
@@ -191,10 +185,9 @@ class BivariateSeries(_Frozen):
         be = u.denominator * v.denominator
         pu, pv = ([t**k for k in range(self.max_degree + 1)]
                   for t in (u.numerator * v.denominator, v.numerator * u.denominator))
-        form = self._graded_integer_form
-        q = math.lcm(*(qm for _, qm in form))
+        q = math.lcm(*(qm for _, qm in self.rows))
         total = 0
-        for m, (row, qm) in enumerate(form):
+        for m, (row, qm) in enumerate(self.rows):
             part = sum(a * pu[m - j] * pv[j] for j, a in enumerate(row) if a)
             total = total * be + part * (q // qm)
         return Fraction(total, q * be**self.max_degree)
@@ -250,9 +243,7 @@ def f_series(max_total_degree: int) -> BivariateSeries:
     """Exact Taylor coefficients of f about (0,0) through the given total degree."""
     if max_total_degree < 0:
         raise ValueError("degree must be >= 0")
-    coeffs = {(s - j, j): Fraction(a, q)
-              for s, (row, q) in enumerate(_f_rows(max_total_degree)) for j, a in enumerate(row)}
-    return BivariateSeries(coeffs, max_total_degree)
+    return BivariateSeries(_f_rows(max_total_degree))
 
 
 # ---------------------------------------------------------------------------
@@ -391,21 +382,20 @@ def _restricted_norm(alg: StructureConstants, gs, scale: int, ech: Echelon) -> f
     return max(sum(abs(img[p]) / d for img, d in cols) for p in ech.pivots)
 
 
-def closed_form_terms(alg: StructureConstants, x: LieElement, y: LieElement, w: LieElement,
+def closed_form_terms(alg: StructureConstants, x: LieElement, y: LieElement,
                       degree: int) -> tuple[LieElement, ...]:
-    """The homogeneous parts (C_1, ..., C_degree) of x + y + f(L_X, -L_Y) w: C_1 = x + y
-    and C_n = sum_{i+j=n-2} c_ij L_X^i (-L_Y)^j w, with c_ij the coefficients of f_series.
+    """The homogeneous parts (C_1, ..., C_degree) of x + y + f(L_X, -L_Y) w, w = [x, y]:
+    C_1 = x + y and C_n = sum_{i+j=n-2} c_ij L_X^i (-L_Y)^j w, with c_ij the
+    coefficients of f_series.
 
-    For w = [x, y], wherever a closed form applies, C_n is the part Z_n of
-    ln(e^X e^Y) (oracle.bch_series_terms), so C_n == Z_n checks the closed form
-    degree by degree, exactly: each C_n is summed on the integer kernel, C_1 too,
-    so float coordinates give the parts of the binary rationals they hold.
+    Wherever a closed form applies, C_n is the part Z_n of ln(e^X e^Y)
+    (oracle.bch_series_terms), so C_n == Z_n checks the closed form degree by
+    degree, exactly: each C_n is summed on the integer kernel, C_1 too, so float
+    coordinates give the parts of the binary rationals they hold.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    if any(e.dim != alg.dim for e in (x, y, w)):
-        raise DimensionMismatch("element does not belong to this algebra")
-    scaled = [clear_denominators(e.coords) for e in (x, y, w)]
+    scaled = _pair_forms(alg, x, y)
     c_1 = LieElement(unscaled(*_sum_form(*scaled[:2])))
     walk = _anti_diagonals(alg.scaled_bracket, *(vec for vec, _ in scaled))
     rows = _f_rows(degree - 2)
@@ -550,8 +540,8 @@ def bch_closed_form(alg: StructureConstants, x: LieElement, y: LieElement,
                     classification=None) -> BchResult:
     """Compute ln(e^X e^Y) by the strongest applicable closed form.
 
-    A classification must come from classify_pair for this pair and algebra (else
-    ClassificationMismatch, whatever its tag); its certificate (w, u, v, S) is used
+    A classification must be classify_pair's certificate for this pair and this
+    algebra object (else ClassificationMismatch, whatever its tag); it is used
     without recheck, in the integer form classify_pair decided with, so no field
     of the certificate is built here.
     target_tolerance must be positive and finite, else ValueError, whichever
@@ -561,8 +551,6 @@ def bch_closed_form(alg: StructureConstants, x: LieElement, y: LieElement,
     cls = classification if classification is not None else classify_pair(alg, x, y)
     if cls.x != x or cls.y != y or cls.algebra is not alg:
         raise ClassificationMismatch("classification was made for another pair or algebra")
-    if cls._integer_form is None:
-        raise ClassificationMismatch("classification was not made by classify_pair")
     if cls.tag == CaseTag.NO_CLOSED_FORM:
         raise NoClosedFormAvailable("no closed-form condition applies to this pair")
     scaled, ech = cls._integer_form

@@ -58,6 +58,16 @@ class RankOneFactorization(_Frozen):
         _setattr(self, "n", n)
 
 
+def _uv_field(k: int) -> cached_property:
+    """The u (k = 0) or v (k = 2) of a value holding the private ratios
+    _uv = (un, ud, vn, vd), ud, vd > 0: un / ud or vn / vd, built on first read,
+    or None where _uv is None."""
+    def read(self) -> Fraction | None:
+        uv = self._uv
+        return None if uv is None else Fraction(uv[k], uv[k + 1])
+    return cached_property(read)
+
+
 class CaseClassification(_Frozen):
     """The strongest condition the pair (x, y) meets on algebra, as built by
     classify_pair: w = [x, y], (u, v) for SimultaneousEigenvector, and the closure
@@ -67,67 +77,38 @@ class CaseClassification(_Frozen):
     identity, so certificates made on distinct but equal algebra objects differ.
     For NoClosedForm, witness is a vector b of S with [w, b] != 0: the first image
     of w that the closure worklist inserts and w fails to centralize, scaled to
-    primitive integer coordinates; it is None for every other tag.  For every tag,
-    the private _integer_form is (scaled, ech): the integer forms
-    ((xs, sx), (ys, sy), (ws, sw)) of x, y, w, as clear_denominators gives them,
-    from which the evaluator builds z with no second clearing, and for
-    OperatorCommuting the grown Echelon of S, which it reads with no RREF (None
-    for the other tags).  It marks the certificate as classify_pair's: one built
-    by hand holds None, and bch_closed_form rejects it whatever its tag.
+    primitive integer coordinates; it is None for every other tag.
 
-    classify_pair's certificate keeps what it decided with on integers and
-    builds w, u, v and witness on first read, as it builds s_closure: w from
-    (ws, sw); u = un / ud and v = vn / vd from the private _uv = (un, ud, vn, vd),
-    ud, vd > 0, for SimultaneousEigenvector (None for the other tags); witness
-    from the private _witness_form, its integer vector (None but for
-    NoClosedForm).  bch_closed_form reads these integers, not the fields.  A
-    certificate built by hand holds the fields it is given.  The private
-    attributes take no part in ==, hash or repr.
+    The certificate holds only the integers classify_pair decided with, all
+    keyword-only and private: _integer_form = (scaled, ech), the integer forms
+    ((xs, sx), (ys, sy), (ws, sw)) of x, y, w, as clear_denominators gives them,
+    and for OperatorCommuting the grown Echelon of S (None for the other tags);
+    _uv = (un, ud, vn, vd), ud, vd > 0, for SimultaneousEigenvector (None for the
+    other tags); _witness_form, the witness's integer vector (None but for
+    NoClosedForm).  w, u = un / ud, v = vn / vd, witness and s_closure are built
+    from them on first read; bch_closed_form reads the integers, not the fields.
+    The private attributes take no part in ==, hash or repr.
     """
 
     _fields = ("tag", "u", "v", "algebra", "x", "y", "w", "witness")
 
-    def __init__(self, tag: CaseTag, u: Fraction | None, v: Fraction | None,
-                 algebra: StructureConstants, x: LieElement, y: LieElement, w: LieElement,
-                 witness: LieElement | None = None, _integer_form: tuple | None = None):
+    def __init__(self, tag: CaseTag, algebra: StructureConstants, x: LieElement,
+                 y: LieElement, *, _integer_form: tuple, _uv: tuple | None = None,
+                 _witness_form: list | None = None):
         _setattr(self, "tag", tag)
-        _setattr(self, "u", u)
-        _setattr(self, "v", v)
         _setattr(self, "algebra", algebra)
         _setattr(self, "x", x)
         _setattr(self, "y", y)
-        _setattr(self, "w", w)
-        _setattr(self, "witness", witness)
         _setattr(self, "_integer_form", _integer_form)
+        _setattr(self, "_uv", _uv)
+        _setattr(self, "_witness_form", _witness_form)
 
-    @classmethod
-    def _certified(cls, tag: CaseTag, algebra: StructureConstants, x: LieElement,
-                   y: LieElement, integer_form: tuple, uv: tuple | None = None,
-                   witness_form: list | None = None) -> CaseClassification:
-        """classify_pair's certificate, whose w, u, v and witness are built on first read."""
-        self = cls.__new__(cls)
-        _setattr(self, "tag", tag)
-        _setattr(self, "algebra", algebra)
-        _setattr(self, "x", x)
-        _setattr(self, "y", y)
-        _setattr(self, "_integer_form", integer_form)
-        _setattr(self, "_uv", uv)
-        _setattr(self, "_witness_form", witness_form)
-        return self
+    u = _uv_field(0)
+    v = _uv_field(2)
 
     @cached_property
     def w(self) -> LieElement:
         return LieElement(unscaled(*self._integer_form[0][2]))
-
-    @cached_property
-    def u(self) -> Fraction | None:
-        uv = self._uv
-        return None if uv is None else Fraction(uv[0], uv[1])
-
-    @cached_property
-    def v(self) -> Fraction | None:
-        uv = self._uv
-        return None if uv is None else Fraction(uv[2], uv[3])
 
     @cached_property
     def witness(self) -> LieElement | None:
@@ -137,15 +118,13 @@ class CaseClassification(_Frozen):
     @cached_property
     def s_closure(self) -> Subspace | None:
         """S for OperatorCommuting and NoClosedForm, else None: the RREF of the
-        echelon classify_pair grew, or, where no echelon is held (NoClosedForm,
-        whose S classify_pair stops growing at the witness, or a certificate
-        built by hand), the closure built in full."""
-        if self.tag not in (CaseTag.OPERATOR_COMMUTING, CaseTag.NO_CLOSED_FORM):
-            return None
-        form = self._integer_form
-        if form is not None and form[1] is not None:
-            return form[1].subspace()
-        return self.algebra.span_closure([self.w], (self.x, self.y))
+        echelon classify_pair grew, or, for NoClosedForm, whose S classify_pair
+        stops growing at the witness, the closure built in full."""
+        if self.tag == CaseTag.OPERATOR_COMMUTING:
+            return self._integer_form[1].subspace()
+        if self.tag == CaseTag.NO_CLOSED_FORM:
+            return self.algebra.span_closure([self.w], (self.x, self.y))
+        return None
 
 
 def factorize_rank_one(alg: StructureConstants) -> RankOneFactorization | None:
@@ -249,8 +228,8 @@ def classify_pair(alg: StructureConstants, x: LieElement, y: LieElement) -> Case
     scaled = _pair_forms(alg, x, y)
     (xs, sx), (ys, sy), (ws, _) = scaled
 
-    def certified(tag, ech=None, uv=None, witness_form=None):
-        return CaseClassification._certified(tag, alg, x, y, (scaled, ech), uv, witness_form)
+    def certified(tag, ech=None, **lazy):
+        return CaseClassification(tag, alg, x, y, _integer_form=(scaled, ech), **lazy)
 
     if not any(ws):
         return certified(CaseTag.COMMUTING)
@@ -259,9 +238,9 @@ def classify_pair(alg: StructureConstants, x: LieElement, y: LieElement) -> Case
         return certified(CaseTag.CENTRAL_BRACKET)
     uv = _eigenpair(alg, sx, sy, ws, lx_ws, ly_ws)
     if uv is not None:
-        return certified(CaseTag.SIMULTANEOUS_EIGENVECTOR, uv=uv)
+        return certified(CaseTag.SIMULTANEOUS_EIGENVECTOR, _uv=uv)
     ech = Echelon()
     witness = _witness(alg, ws, _closure(alg, ech, xs, ys, ws, lx_ws, ly_ws))
     if witness is None:
         return certified(CaseTag.OPERATOR_COMMUTING, ech=ech)
-    return certified(CaseTag.NO_CLOSED_FORM, witness_form=witness)
+    return certified(CaseTag.NO_CLOSED_FORM, _witness_form=witness)

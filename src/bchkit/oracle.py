@@ -198,6 +198,8 @@ _PADE13 = (
 _THETA13 = 5.371920351148152
 _LOG_SERIES_THRESHOLD = 0.25
 _MAX_SQRT_STEPS = 60
+_EXPANSION_THRESHOLD = 1e-9  # largest basis-expansion residual matrix_bch accepts
+_HOMOMORPHISM_TOL = 1e-12    # largest entry of rho([a, b]) - [rho(a), rho(b)] accepted
 
 
 def matrix_exp(a: np.ndarray) -> np.ndarray:
@@ -321,7 +323,7 @@ class MatrixRep:
                 out += fc * im
         return out
 
-    def validate_against(self, alg: StructureConstants, tol: float = 1e-12) -> None:
+    def validate_against(self, alg: StructureConstants) -> None:
         """Check rho([T_a, T_b]) = [rho(T_a), rho(T_b)] on all basis pairs."""
         if alg.dim != self.dim:
             raise ValueError("representation size does not match the algebra")
@@ -332,7 +334,7 @@ class MatrixRep:
                 lhs = self.image(alg.bracket(alg.basis_element(a), alg.basis_element(b)))
                 rhs = (self.basis_images[a] @ self.basis_images[b]
                        - self.basis_images[b] @ self.basis_images[a])
-                if np.max(np.abs(lhs - rhs)) > tol:
+                if np.max(np.abs(lhs - rhs)) > _HOMOMORPHISM_TOL:
                     raise ValueError(f"homomorphism check failed on (T_{a}, T_{b})")
 
     def to_json_dict(self) -> dict:
@@ -348,12 +350,13 @@ class MatrixRep:
 
 
 def matrix_bch(rep: MatrixRep, x: LieElement, y: LieElement,
-               with_residual: bool = False, threshold: float = 1e-9):
+               with_residual: bool = False):
     """ln(e^rho(x) e^rho(y)) expanded back into basis coordinates.
 
     The expansion solves a least-squares system with the representation's
     precomputed pseudo-inverse (images need not be orthogonal).  A residual
-    above the threshold means the logarithm left the representation span.
+    above 1e-9 means the logarithm left the representation span
+    (ExpansionResidualTooLarge).
 
     The matrices are floats, so the error scales with the sup norm of z,
     not with each coordinate: a small coordinate next to a large one is not
@@ -366,8 +369,8 @@ def matrix_bch(rep: MatrixRep, x: LieElement, y: LieElement,
     z_mat = matrix_log(matrix_exp(rep.image(x)) @ matrix_exp(rep.image(y)))
     coords = rep._pinv @ z_mat.reshape(-1)
     residual = float(np.linalg.norm(rep._stacked @ coords - z_mat.reshape(-1)))
-    if residual > threshold:
-        raise ExpansionResidualTooLarge(residual, threshold)
+    if residual > _EXPANSION_THRESHOLD:
+        raise ExpansionResidualTooLarge(residual, _EXPANSION_THRESHOLD)
     elem = LieElement(tuple(float(c) for c in coords))
     return (elem, residual) if with_residual else elem
 

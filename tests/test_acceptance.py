@@ -67,7 +67,7 @@ def test_criterion_1_exact_series_coefficients():
         series = f_series(4)
         assert set(series.coefficients) == set(EXPECTED_F_TABLE)
         for key, value in EXPECTED_F_TABLE.items():
-            assert series.coeff(*key) == value, key
+            assert series.coefficients[key] == value, key
 
 
 def test_criterion_2_low_order_composition_terms():

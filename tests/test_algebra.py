@@ -110,6 +110,12 @@ class TestValidate:
         with pytest.raises(TypeError, match="basis_names"):
             validate({(0, 1, 2): 1}, 3, basis_names=names)
 
+    @pytest.mark.parametrize("index", ["0", True, 1.0], ids=["str", "bool", "float"])
+    def test_index_not_an_int_rejected(self, index):
+        # "0" is no index 0, and True would be read as 1
+        with pytest.raises(TypeError, match=r"index .* of entry .* is not an integer"):
+            validate({(index, 1, 1): 1}, 2)
+
     def test_rational_strings(self):
         alg = validate({(0, 1, 0): "-2/3"}, 2)
         assert alg.structure_constant(0, 1, 0) == Fraction(-2, 3)

@@ -148,6 +148,15 @@ class TestCheck:
         assert (code, out) == (1, "")
         assert err == f"input error: {path}: entry 0 of 'f' is not an object\n"
 
+    @pytest.mark.parametrize("f", [None, {}, "f", 3], ids=["null", "object", "string", "number"])
+    def test_entries_not_a_list_exit_1(self, workdir, capsys, f):
+        path = workdir / "partial.json"
+        path.write_text(json.dumps({"dim": 2, "f": f}))
+        code, out, err = run(capsys, "check", "--algebra", str(path),
+                             "--x", str(workdir / "a0.json"), "--y", str(workdir / "a1.json"))
+        assert (code, out) == (1, "")
+        assert err == f"input error: {path}: 'f' must be a list of entries\n"
+
     def test_jacobi_violation_exit_2(self, workdir, capsys):
         code, _, err = run(capsys, "check",
                            "--algebra", str(workdir / "bad.json"),
@@ -371,15 +380,19 @@ class TestNonNumberJson:
         assert (code, out) == (1, "")
         assert err.startswith("input error:") and str(alg) in err
 
-    def test_boolean_index_exit_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("entry, named", [({"a": 0, "b": 1, "c": True, "v": 1}, "True"),
+                                              ({"a": "0", "b": 1, "c": 1, "v": "1"}, "'0'")],
+                             ids=["bool", "str"])
+    def test_non_integer_index_exit_1(self, tmp_path, capsys, entry, named):
+        # a malformed entry, not an index outside the algebra
         alg = tmp_path / "alg.json"
-        alg.write_text(json.dumps({"dim": 3, "f": [{"a": 0, "b": 1, "c": True, "v": 1}]}))
+        alg.write_text(json.dumps({"dim": 3, "f": [entry]}))
         e = tmp_path / "e.json"
         e.write_text('{"coords": [1, 0, 0]}')
         code, out, err = run(capsys, "check", "--algebra", str(alg),
                              "--x", str(e), "--y", str(e))
-        assert (code, out) == (2, "")
-        assert json.loads(err)["error"] == "IndexOutOfRange"
+        assert (code, out) == (1, "")
+        assert err.startswith(f"input error: {alg}: index {named} of entry (")
 
 
 class TestOracle:

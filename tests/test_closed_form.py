@@ -1,5 +1,6 @@
 """The f function (scalar, series, operator) and the closed-form variants."""
 
+import functools
 import hashlib
 import json
 import math
@@ -311,20 +312,20 @@ class TestSeries:
     def test_low_order_coefficients(self):
         series = f_series(4)
         for key, value in EXPECTED_COEFFS.items():
-            assert series.coeff(*key) == value, key
+            assert series.coefficients[key] == value, key
         assert set(series.coefficients) == {(i, j) for i in range(5) for j in range(5)
                                             if i + j <= 4}
 
     def test_symmetric(self):
         series = f_series(9)
         for (i, j), c in series.coefficients.items():
-            assert series.coeff(j, i) == c
+            assert series.coefficients[j, i] == c
 
     def test_axis_matches_univariate_oracle(self):
         series = f_series(8)
         axis = _axis_taylor(8)
         for k in range(9):
-            assert series.coeff(k, 0) == axis[k], k
+            assert series.coefficients[k, 0] == axis[k], k
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -367,8 +368,28 @@ class TestSeries:
                 exact = series.evaluate_exact(Fraction(u), Fraction(v))
                 assert abs(Fraction(got) - exact) <= BOX_ERROR * abs(exact), (d, u, v)
 
+    def test_tables_build_no_fraction_until_read(self, monkeypatch, fraction_builds):
+        # f_series hands f's integer rows to the series, and the box of f_scalar
+        # evaluates from them: the Fraction table is built only when read
+        box = f_series(closed_form.SERIES_DEGREE).evaluate(0.125, -0.0625)
+        fresh = functools.lru_cache(maxsize=None)(closed_form.f_series.__wrapped__)
+        monkeypatch.setattr(closed_form, "f_series", fresh)
+        fraction_builds.clear()
+        series = fresh(23)
+        assert f_scalar(0.125, -0.0625) == box
+        assert fraction_builds == []
+        assert series.rows == closed_form._f_rows(23) and series.max_degree == 23
+        assert len(series.coefficients) == 24 * 25 // 2 and fraction_builds
+
+    @pytest.mark.parametrize("rows", [(((1,), 1), ((1, 2, 3), 1)), (((1, 2), 1),),
+                                      (((1,), 1), ((1,), 1))], ids=["long", "first", "short"])
+    def test_rows_of_the_wrong_length_rejected(self, rows):
+        # a row m of other than m + 1 entries has no place in the table
+        with pytest.raises(ValueError, match="m \\+ 1"):
+            BivariateSeries(rows)
+
     def test_float_evaluation_rejects_an_asymmetric_table(self):
-        lopsided = BivariateSeries({(0, 0): Fraction(1), (1, 0): Fraction(1)}, 1)
+        lopsided = BivariateSeries((((1,), 1), ((1, 0), 1)))
         assert lopsided.evaluate_exact(Fraction(1, 2), 0) == Fraction(3, 2)
         with pytest.raises(ValueError, match="symmetric"):
             lopsided.evaluate(0.5, 0.0)
@@ -377,7 +398,7 @@ class TestSeries:
         # degree s of the table does not depend on how far the table goes
         big = f_series(40)
         for (i, j), c in big.coefficients.items():
-            assert big.coeff(j, i) == c
+            assert big.coefficients[j, i] == c
         for d in range(34):
             assert f_series(d) == _truncated(f_series(d + 7), d), d
 
@@ -437,7 +458,7 @@ class TestSeries:
 
 def _truncated(series: BivariateSeries, d: int) -> BivariateSeries:
     """The table of series cut to total degree d."""
-    return BivariateSeries({k: c for k, c in series.coefficients.items() if k[0] + k[1] <= d}, d)
+    return BivariateSeries(series.rows[:d + 1])
 
 
 def _long_division_table(d: int) -> dict:
@@ -491,10 +512,12 @@ class TestSpecial:
         assert res.z.coords == y.coords and res.method == "Sum"
 
     def test_mismatch_detected(self):
-        # a Commuting certificate for a pair that does not commute is not classify_pair's
+        # the Commuting certificate of (x, 2x) does not pass for (x, y), which does
+        # not commute: its Sum would drop the bracket
         heis = heisenberg_algebra()
         x, y = heis.basis_element(0), heis.basis_element(1)
-        claim = CaseClassification(CaseTag.COMMUTING, None, None, heis, x, y, heis.zero())
+        claim = classify_pair(heis, x, x.scale(2))
+        assert claim.tag == CaseTag.COMMUTING
         with pytest.raises(ClassificationMismatch):
             bch_closed_form(heis, x, y, classification=claim)
 
@@ -713,7 +736,7 @@ class TestOperator:
         assert cls.tag == CaseTag.OPERATOR_COMMUTING
         res = bch_closed_form(alg, x, y, classification=cls)
         assert not res.exact and res.degree > 2
-        parts = closed_form_terms(alg, x, y, cls.w, res.degree + 2)
+        parts = closed_form_terms(alg, x, y, res.degree + 2)
         exact = sum(parts[1:], parts[0])
         ulp = Fraction(math.ulp(res.z.sup_norm()))
         assert max(abs(e - Fraction(z)) for e, z in zip(exact.coords, res.z.coords)) <= 4 * ulp
@@ -789,18 +812,6 @@ class TestOperator:
             res = bch_closed_form(alg, x, y)
             assert (res.method, res.exact) == ("OperatorF", False)
             assert (res.z.coords, res.degree) == (z, degree)
-
-    def test_mismatch_rejected(self):
-        # [x, y] does not centralize its closure in sl2: an OperatorCommuting
-        # certificate for the pair is not classify_pair's
-        sl2 = sl2_algebra()
-        x, y = sl2.basis_element(0), sl2.basis_element(1)
-        ok, _ = centralized_closure(sl2, x, y)
-        assert not ok
-        claim = CaseClassification(CaseTag.OPERATOR_COMMUTING, None, None, sl2, x, y,
-                                   sl2.bracket(x, y))
-        with pytest.raises(ClassificationMismatch):
-            bch_closed_form(sl2, x, y, classification=claim)
 
     def test_nonconvergence_reported(self):
         alg = two_scale_algebra()
@@ -903,7 +914,7 @@ class TestGradedTerms:
             if cls.tag == CaseTag.NO_CLOSED_FORM:
                 continue
             tags.add(cls.tag)
-            closed = closed_form_terms(alg, x, y, cls.w, self.DEGREE)
+            closed = closed_form_terms(alg, x, y, self.DEGREE)
             assert closed == bch_series_terms(alg, x, y, self.DEGREE), (cls.tag, x, y)
             res = bch_closed_form(alg, x, y, classification=cls)
             if res.exact and (res.degree or 0) + 2 <= self.DEGREE:
@@ -916,9 +927,7 @@ class TestGradedTerms:
     def test_elements_of_another_dimension_rejected(self):
         heis = heisenberg_algebra()
         x, y = heis.basis_element(0), heis.basis_element(1)
-        w = heis.bracket(x, y)
-        for args in ((LieElement((1, 0)), y, w), (x, LieElement((0, 1, 0, 0)), w),
-                     (x, y, LieElement((0, 0, 1, 0))), (x, y, LieElement((1,)))):
+        for args in ((LieElement((1, 0)), y), (x, LieElement((0, 1, 0, 0)))):
             with pytest.raises(DimensionMismatch):
                 closed_form_terms(heis, *args, 4)
 
@@ -928,9 +937,8 @@ class TestGradedTerms:
         x, y = alg.element(["1/4", "1/2", "0", "0"]), alg.element(["0", "0", "1/4", "1/4"])
         e = Fraction(1, 3)
         xe, ye = x.scale(e), y.scale(e)
-        scaled = closed_form_terms(alg, xe, ye, alg.bracket(xe, ye), 6)
-        for n, (c, ce) in enumerate(zip(closed_form_terms(alg, x, y, alg.bracket(x, y), 6),
-                                        scaled), 1):
+        scaled = closed_form_terms(alg, xe, ye, 6)
+        for n, (c, ce) in enumerate(zip(closed_form_terms(alg, x, y, 6), scaled), 1):
             assert ce == c.scale(e**n)
 
 
@@ -1063,7 +1071,8 @@ class TestPerPairWork:
             brackets.append((a, b))
             return kernel(alg, a, b)
 
-        for module in (algebra, detect, closed_form):
+        assert not hasattr(closed_form, "clear_denominators")  # it clears nothing itself
+        for module in (algebra, detect):
             monkeypatch.setattr(module, "clear_denominators", counted_clear)
         monkeypatch.setattr(StructureConstants, "scaled_bracket", counted_kernel)
         tags, seen = set(), set()
@@ -1189,34 +1198,30 @@ class TestPerPairWork:
                 bch_closed_form(twin, x, y, classification=cls)
 
     def test_hand_built_certificate_rejected(self):
-        # a certificate built from the fields of classify_pair's equals it, but
-        # holds no integer form of the pair to evaluate from
-        methods = set()
-        for name in ("heisenberg", "affine", "two_scale"):
+        # a certificate is built only from the integers classify_pair decided with:
+        # the call with field values, with or without a witness, is a TypeError
+        for name in ("heisenberg", "affine", "two_scale", "sl2"):
             entry = catalog_entry(name)
             alg = entry.algebra
             (x, y, _), = entry.pairs
             cls = classify_pair(alg, x, y)
-            methods.add(bch_closed_form(alg, x, y, classification=cls).method)
-            twin = CaseClassification(cls.tag, cls.u, cls.v, alg, x, y, cls.w)
-            assert twin == cls
-            with pytest.raises(ClassificationMismatch):
-                bch_closed_form(alg, x, y, classification=twin)
-        assert methods == {"Central", "ScalarF", "OperatorF"}
+            for extra in ((), (cls.witness,)):
+                with pytest.raises(TypeError):
+                    CaseClassification(cls.tag, cls.u, cls.v, alg, x, y, cls.w, *extra)
 
     def test_certificate_origin_checked_before_its_tag(self):
-        # a NoClosedForm certificate built by hand is not classify_pair's either,
-        # whether the pair has a closed form (heisenberg) or not (sl2); only
-        # classify_pair's own NoClosedForm says that no closed form applies
-        for alg in (heisenberg_algebra(), sl2_algebra()):
-            x, y = alg.basis_element(0), alg.basis_element(1)
-            cls = classify_pair(alg, x, y)
-            claim = CaseClassification(CaseTag.NO_CLOSED_FORM, None, None, alg, x, y, cls.w)
-            with pytest.raises(ClassificationMismatch):
-                bch_closed_form(alg, x, y, classification=claim)
-        assert cls.tag == CaseTag.NO_CLOSED_FORM
+        # sl2's NoClosedForm certificate of (E, F) holds the coordinates of the
+        # heisenberg pair (P, Q), which has a closed form: its algebra is checked
+        # before its tag, and only with its own algebra does it say that no
+        # closed form applies
+        heis, sl2 = heisenberg_algebra(), sl2_algebra()
+        x, y = heis.basis_element(0), heis.basis_element(1)
+        cls = classify_pair(sl2, sl2.basis_element(0), sl2.basis_element(1))
+        assert (cls.tag, cls.x, cls.y) == (CaseTag.NO_CLOSED_FORM, x, y)
+        with pytest.raises(ClassificationMismatch):
+            bch_closed_form(heis, x, y, classification=cls)
         with pytest.raises(NoClosedFormAvailable):
-            bch_closed_form(alg, x, y, classification=cls)
+            bch_closed_form(sl2, x, y, classification=cls)
 
 
 def _eighths(rng, dim):
@@ -1326,7 +1331,7 @@ def _reference_result(alg, res: BchResult, x, y, w):
         fval = f_scalar(res.u, res.v)
         return (x + y + w.scale(fval), False,
                 8.0 * 2.0**-53 * abs(fval) * w.sup_norm())
-    parts = closed_form_terms(alg, x, y, w, res.degree + 2)[1:]  # terminating OperatorF
+    parts = closed_form_terms(alg, x, y, res.degree + 2)[1:]  # terminating OperatorF
     return x + y + sum(parts[1:], parts[0]), exact, 0.0
 
 

@@ -10,9 +10,8 @@ from fractions import Fraction
 import pytest
 
 from bchkit.algebra import DimensionMismatch, Echelon, LieElement, StructureConstants, Subspace
-from bchkit.closed_form import BchResult, NoClosedFormAvailable, bch_closed_form
+from bchkit.closed_form import NoClosedFormAvailable, bch_closed_form
 from bchkit.detect import (
-    CaseClassification,
     CaseTag,
     classify_pair,
     factorize_rank_one,
@@ -432,17 +431,16 @@ class TestWitness:
         cls = classify_pair(sl2, sl2.basis_element(0), sl2.basis_element(1))
         assert cls.witness == LieElement((-1, 0, 0))
 
-    def test_hand_built_certificate_builds_its_closure(self):
-        # with no echelon held, s_closure is the closure built in full, as for
-        # NoClosedForm, on every tag that has one
+    def test_s_closure_is_the_full_closure(self):
+        # the echelon grown in full (OperatorCommuting) and the closure rebuilt
+        # past the witness (NoClosedForm) both give the closure built in full
         pairs = [(two_scale_algebra(), [1, 2, 0, 0], [0, 0, 1, 1]),
                  (sl2_algebra(), [1, 0, 0], [0, 1, 0])]
         tags = set()
         for alg, xc, yc in pairs:
             x, y = alg.element(xc), alg.element(yc)
             cls = classify_pair(alg, x, y)
-            twin = CaseClassification(cls.tag, cls.u, cls.v, alg, x, y, cls.w, cls.witness)
-            assert twin.s_closure == cls.s_closure == alg.span_closure([cls.w], (x, y))
+            assert cls.s_closure == alg.span_closure([cls.w], (x, y))
             tags.add(cls.tag)
         assert tags == {CaseTag.OPERATOR_COMMUTING, CaseTag.NO_CLOSED_FORM}
 
@@ -466,36 +464,35 @@ class TestWitness:
 
 class TestLazyCertificate:
     """classify_pair's certificate and bch_closed_form's result build their fields on
-    first read; they behave as those built by hand from the same field values."""
+    first read; a copy or pickle taken before any field is read behaves as one taken
+    after, and as a value made afresh from the same pair."""
 
     @staticmethod
     def _same(got, want):
         assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
 
-    def test_matches_hand_built_values(self, borel):
+    def test_copies_match_the_original(self, borel):
         seen = set()
         for alg, x, y in _reference_pairs(borel):
             cls = classify_pair(alg, x, y)
             unread, copied = pickle.dumps(cls), copy.copy(cls)
-            hand = CaseClassification(cls.tag, cls.u, cls.v, alg, x, y, cls.w, cls.witness)
+            fresh = classify_pair(alg, x, y)
             read = pickle.dumps(cls)
             for got in (cls, copied):
-                self._same(got, hand)
+                self._same(got, fresh)
             for blob in (unread, read):
                 got = pickle.loads(blob)
                 assert got.algebra is not alg
-                self._same(got, CaseClassification(hand.tag, hand.u, hand.v, got.algebra,
-                                                   x, y, hand.w, hand.witness))
+                self._same(got, classify_pair(got.algebra, x, y))
                 assert got.s_closure == cls.s_closure
             seen.add(cls.tag)
             if cls.tag == CaseTag.NO_CLOSED_FORM:
                 continue
             res = bch_closed_form(alg, x, y, classification=cls)
             unread, copied = pickle.dumps(res), copy.copy(res)
-            hand = BchResult(res.z, res.method, res.exact, res.residual_bound, res.u, res.v,
-                             res.degree)
+            fresh = bch_closed_form(alg, x, y, classification=classify_pair(alg, x, y))
             for got in (res, copied, pickle.loads(unread), pickle.loads(pickle.dumps(res))):
-                self._same(got, hand)
+                self._same(got, fresh)
         assert seen == set(CaseTag)
 
 

@@ -326,8 +326,9 @@ def test_evaluate_exact_matches_termwise_sum(u, v, diagonal, degree):
     if diagonal:
         v = u
     table = f_series(degree)
-    lopsided = BivariateSeries({(i, j): c for (i, j), c in table.coefficients.items()
-                                if 2 * j <= i}, degree)
+    lopsided = BivariateSeries(tuple(  # c_ij with i = m - j kept where 2 j <= i
+        ([a if 2 * j <= m - j else 0 for j, a in enumerate(row)], q)
+        for m, (row, q) in enumerate(table.rows)))
     for series in (table, lopsided):
         naive = Fraction(0)
         for (i, j), c in sorted(series.coefficients.items()):

@@ -58,16 +58,16 @@ def _values():
          "witness=None)"),
         ("scalar_result",
          lambda: BchResult(LieElement((F(1, 2), F(3))), "ScalarF", False,
-                           residual_bound=1e-16, u=F(-3), v=F(1, 2), degree=None),
+                           residual_bound=1e-16, degree=None, _uv=(-3, 1, 1, 2)),
          "BchResult(z=LieElement(coords=(Fraction(1, 2), Fraction(3, 1))), "
          "method='ScalarF', exact=False, residual_bound=1e-16, u=Fraction(-3, 1), "
          "v=Fraction(1, 2), degree=None)"),
         ("sum_result", lambda: BchResult(LieElement((1, 0)), "Sum", True),
          "BchResult(z=LieElement(coords=(1, 0)), method='Sum', exact=True, "
          "residual_bound=None, u=None, v=None, degree=None)"),
-        ("series", lambda: BivariateSeries({(0, 0): F(1, 2), (1, 0): F(-1, 6)}, 1),
-         "BivariateSeries(coefficients={(0, 0): Fraction(1, 2), (1, 0): Fraction(-1, 6)}, "
-         "max_degree=1)"),
+        ("series", lambda: BivariateSeries((((1,), 2), ((-1, -1), 6))),
+         "BivariateSeries(coefficients={(0, 0): Fraction(1, 2), (1, 0): Fraction(-1, 6), "
+         "(0, 1): Fraction(-1, 6)}, max_degree=1)"),
         ("catalog_entry",
          lambda: CatalogEntry("toy", "a toy entry", AFF,
                               ((AFF.basis_element(0), AFF.basis_element(1),
@@ -107,8 +107,9 @@ def test_defaults():
     r = BchResult(LieElement((1,)), "Sum", True)
     assert (r.residual_bound, r.u, r.v, r.degree) == (None, None, None, None)
     cls = classify_pair(AFF, AFF.element([1, 0]), AFF.element([0, 1]))
-    bare = CaseClassification(cls.tag, cls.u, cls.v, cls.algebra, cls.x, cls.y, cls.w)
-    assert bare.witness is None and bare._integer_form is None and bare.s_closure is None
+    bare = CaseClassification(cls.tag, cls.algebra, cls.x, cls.y,
+                              _integer_form=cls._integer_form)
+    assert (bare.u, bare.v, bare.witness, bare.s_closure) == (None, None, None, None)
     entry = CatalogEntry("toy", "", AFF, ())
     assert (entry.rep_images, entry.faithful_on, entry.rep) == (None, "", None)
     with pytest.raises(TypeError):
@@ -152,16 +153,23 @@ def test_a_value_equals_itself_before_its_key_is_built(monkeypatch):
 
 
 def test_private_fields_do_not_compare():
+    # the same values from other integers: w = (2 ws) / (2 sw), u = 2 un / 2 ud, ...
     cls = classify_pair(AFF, AFF.element(["1/2", 0]), AFF.element([0, 3]))
-    other = CaseClassification(cls.tag, cls.u, cls.v, cls.algebra, cls.x, cls.y, cls.w,
-                               cls.witness, ("another", "form"))
-    assert other == cls and hash(other) == hash(cls)
-    assert other._integer_form == ("another", "form") and other.s_closure is None
+    (xf, yf, (ws, sw)), ech = cls._integer_form
+    doubled = tuple(2 * t for t in cls._uv)
+    other = CaseClassification(cls.tag, cls.algebra, cls.x, cls.y,
+                               _integer_form=((xf, yf, ([2 * c for c in ws], 2 * sw)), ech),
+                               _uv=doubled)
+    assert other == cls and hash(other) == hash(cls) and repr(other) == repr(cls)
+    assert other._integer_form != cls._integer_form and other._uv != cls._uv
+    z = LieElement((F(1), F(2)))
+    res = BchResult(z, "ScalarF", False, _uv=cls._uv)
+    assert res == BchResult(z, "ScalarF", False, _uv=doubled) and res._uv != doubled
 
 
 def test_series_holding_a_dict_is_unhashable():
     with pytest.raises(TypeError):
-        hash(BivariateSeries({(0, 0): F(1, 2)}, 0))
+        hash(BivariateSeries((((1,), 2),)))
 
 
 @pytest.mark.parametrize("build", BUILDERS, ids=IDS)
@@ -180,7 +188,7 @@ def test_immutable(build):
 def test_cached_properties_still_fill_in():
     cls = classify_pair(AFF, AFF.element([1, 0]), AFF.element([0, 1]))
     assert cls.s_closure is None
-    series = BivariateSeries({(0, 0): F(1, 2), (1, 0): F(-1, 6), (0, 1): F(-1, 6)}, 1)
+    series = BivariateSeries((((1,), 2), ((-1, -1), 6)))
     assert series.evaluate(0.5, 0.25) == 0.5 - (0.5 + 0.25) / 6
     entry = CatalogEntry("toy", "", AFF, (), (((0.0, 1.0), (0.0, 0.0)),), "nothing")
     assert entry.rep is entry.rep
