@@ -298,32 +298,33 @@ class StructureConstants:
     """A validated Lie algebra given by structure constants.
 
     Construct through :func:`validate`; instances are immutable and safe to
-    share between threads.  The nonzero basis brackets [T_a, T_b], a < b, are
-    kept as Fraction vectors; the bracket kernel reads them as sparse integer
-    rows over the common denominator ``den`` of all structure constants.
+    share between threads.  The nonzero constants f_ab^c, a < b, are kept as
+    the integers den f_ab^c over their common denominator ``den``; the bracket
+    kernel reads them as sparse integer rows.
     """
 
-    def __init__(self, dim: int, pair_brackets: Mapping[tuple[int, int], tuple],
+    def __init__(self, dim: int, constants: Mapping[tuple[int, int, int], Fraction],
                  basis_names: Sequence[str]):
         self.dim = dim
         self.basis_names = tuple(basis_names)
-        self._pairs = {k: tuple(v) for k, v in pair_brackets.items()}
-        self.den = math.lcm(*(v.denominator for vec in self._pairs.values() for v in vec))
+        self.den = math.lcm(*(v.denominator for v in constants.values()))
+        # _scaled[a, b, c] = den f_ab^c for the nonzero constants, a < b, in sorted order
+        self._scaled = {k: v.numerator * (self.den // v.denominator)
+                        for k, v in sorted(constants.items())}
         # rows[a] = ((b, ((c, den f_ab^c), ...)), ...) over the nonzero brackets, both orientations
         rows = [[] for _ in range(dim)]
-        for (a, b), vec in sorted(self._pairs.items()):
-            scaled = tuple((c, v.numerator * (self.den // v.denominator))
-                           for c, v in enumerate(vec) if v != 0)
-            if scaled:
-                rows[a].append((b, scaled))
-                rows[b].append((a, tuple((c, -v) for c, v in scaled)))
+        for (a, b), group in itertools.groupby(self._scaled.items(), key=lambda kv: kv[0][:2]):
+            scaled = tuple((c, v) for (_, _, c), v in group)
+            rows[a].append((b, scaled))
+            rows[b].append((a, tuple((c, -v) for c, v in scaled)))
         self._rows = tuple(tuple(sorted(r)) for r in rows)
         # integer coordinates of the basis elements T_a
         self.units = tuple(tuple(int(i == a) for i in range(dim)) for a in range(dim))
         self._derived: Subspace | None = None
 
     def __repr__(self):
-        return f"StructureConstants(dim={self.dim}, nonzero_pairs={len(self._pairs)})"
+        pairs = sum(map(len, self._rows)) // 2  # each nonzero bracket is in two rows
+        return f"StructureConstants(dim={self.dim}, nonzero_pairs={pairs})"
 
     # -- elements ----------------------------------------------------------
 
@@ -362,16 +363,13 @@ class StructureConstants:
         return LieElement(tuple(Fraction(1 if i == a else 0) for i in range(self.dim)))
 
     def structure_constant(self, a: int, b: int, c: int) -> Fraction:
-        key, sign = ((a, b), 1) if a < b else ((b, a), -1)
-        vec = self._pairs.get(key)
-        return sign * vec[c] if vec is not None else Fraction(0)
+        key, sign = ((a, b, c), 1) if a < b else ((b, a, c), -1)
+        return Fraction(sign * self._scaled.get(key, 0), self.den)
 
     def entries(self):
         """Sparse nonzero entries (a, b, c, value) with a < b."""
-        for (a, b), vec in sorted(self._pairs.items()):
-            for c, v in enumerate(vec):
-                if v != 0:
-                    yield a, b, c, v
+        for (a, b, c), v in self._scaled.items():
+            yield a, b, c, Fraction(v, self.den)
 
     # -- bracket ------------------------------------------------------------
 
@@ -404,7 +402,8 @@ class StructureConstants:
     def derived_subalgebra(self) -> Subspace:
         """Echelonized span of all basis brackets [T_a, T_b], a < b."""
         if self._derived is None:
-            self._derived = Subspace.span(self._pairs.values())
+            self._derived = Subspace.span(self.scaled_bracket(a, b)
+                                          for a, b in itertools.combinations(self.units, 2))
         return self._derived
 
     def lower_central_series(self) -> tuple[list[Subspace], NilpotencyVerdict]:
@@ -533,14 +532,7 @@ def validate(entries: Mapping[tuple[int, int, int], object] | Iterable,
         if canon.setdefault(key, signed) != signed:
             raise AntisymmetryViolation(a, b, c)
 
-    pair_brackets: dict[tuple[int, int], list] = {}
-    for (a, b, c), val in canon.items():
-        if val == 0:
-            continue
-        vec = pair_brackets.setdefault((a, b), [Fraction(0)] * dim)
-        vec[c] = val
-
-    alg = StructureConstants(dim, pair_brackets, basis_names)
+    alg = StructureConstants(dim, {k: v for k, v in canon.items() if v}, basis_names)
 
     # den^2 ([T_a,[T_b,T_c]] + [T_b,[T_c,T_a]] + [T_c,[T_a,T_b]]) on the kernel
     units, kernel = alg.units, alg.scaled_bracket

@@ -18,6 +18,7 @@ otherwise.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from fractions import Fraction
@@ -35,7 +36,7 @@ from .algebra import (
     unscaled,
     validate,
 )
-from .detect import CaseTag, _pair_forms, _uv_field, classify_pair
+from .detect import CaseClassification, CaseTag, _uv_field, classify_pair
 
 SERIES_CROSSOVER = 0.25     # switch to the Taylor series inside this box
 SERIES_DEGREE = 20          # series truncation of the scalar evaluator
@@ -297,6 +298,20 @@ def _check_tolerance(target_tolerance: float) -> None:
         raise ValueError(f"target_tolerance must be positive and finite, got {target_tolerance}")
 
 
+def _finite(coords) -> list[float]:
+    """The floats coords yields, or OverflowError naming the first coordinate of z
+    that is not finite or whose int / int or float() overflows, as f_scalar does."""
+    z = []
+    with contextlib.suppress(OverflowError):
+        for c in coords:
+            if not math.isfinite(c):
+                break
+            z.append(c)
+        else:
+            return z
+    raise OverflowError(f"coordinate {len(z)} of z lies beyond the double range")
+
+
 def _sum_form(a, b) -> tuple[list[int], int]:
     """The integer form (A sb + B sa, sa sb) of A / sa + B / sb, for integer forms
     a = (A, sa) and b = (B, sb)."""
@@ -314,7 +329,8 @@ def _combined(method: str, x: LieElement, y: LieElement, scaled, term=None, fval
     each coordinate of z is one Fraction of the integer sum.  Otherwise every
     coordinate is a float, and each int / int rounds once: x + y is
     (xs sy + ys sx) / (sx sy) for exact x, y, and the float add x_i + y_i, which
-    keeps -0.0, for float input; t_i is T_i / st.  fields go to BchResult as they are.
+    keeps -0.0, for float input; t_i is T_i / st, and z is _finite.  fields go to
+    BchResult as they are, but with fval, residual_bound is 8 ulp of |fval| |t|_inf.
     """
     if x.is_exact and y.is_exact:
         xy = _sum_form(*scaled)
@@ -322,14 +338,17 @@ def _combined(method: str, x: LieElement, y: LieElement, scaled, term=None, fval
             z = unscaled(*(xy if term is None else _sum_form(xy, term)))
             return BchResult(LieElement(z), method, exact=True, **fields)
         num, den = xy
-        sums = [c / den for c in num]
+        sums = (c / den for c in num)
     else:
-        sums = [float(a + b) for a, b in zip(x.coords, y.coords)]
+        sums = (float(a + b) for a, b in zip(x.coords, y.coords))
     if term is not None:
         vec, st = term
         k = 1.0 if fval is None else fval  # 1.0 t_i is t_i
-        sums = [s + k * (t / st) for s, t in zip(sums, vec)]
-    return BchResult(LieElement(sums), method, exact=False, **fields)
+        sums = (s + k * (t / st) for s, t in zip(sums, vec))
+    z = LieElement(_finite(sums))
+    if fval is not None:  # after _finite, no T_i / st overflows
+        fields["residual_bound"] = 8.0 * 2.0**-53 * abs(fval) * (max(map(abs, vec)) / st)
+    return BchResult(z, method, exact=False, **fields)
 
 
 def _halved(form) -> tuple[list[int], int]:
@@ -348,10 +367,7 @@ def _scalar_f(x: LieElement, y: LieElement, scaled, uv) -> BchResult:
         return _combined("ScalarF", x, y, scaled[:2], _halved(scaled[2]), _uv=uv,
                          residual_bound=0.0)
     fval = f_scalar(un / ud, vn / vd)
-    ws, sw = scaled[2]
-    bound = 8.0 * 2.0**-53 * abs(fval) * (max(map(abs, ws)) / sw)
-    return _combined("ScalarF", x, y, scaled[:2], scaled[2], fval, residual_bound=bound,
-                     _uv=uv)
+    return _combined("ScalarF", x, y, scaled[:2], scaled[2], fval, _uv=uv)
 
 
 # ---------------------------------------------------------------------------
@@ -382,20 +398,19 @@ def _restricted_norm(alg: StructureConstants, gs, scale: int, ech: Echelon) -> f
     return max(sum(abs(img[p]) / d for img, d in cols) for p in ech.pivots)
 
 
-def closed_form_terms(alg: StructureConstants, x: LieElement, y: LieElement,
-                      degree: int) -> tuple[LieElement, ...]:
-    """The homogeneous parts (C_1, ..., C_degree) of x + y + f(L_X, -L_Y) w, w = [x, y]:
-    C_1 = x + y and C_n = sum_{i+j=n-2} c_ij L_X^i (-L_Y)^j w, with c_ij the
-    coefficients of f_series.
+def closed_form_terms(classification: CaseClassification, degree: int) -> tuple[LieElement, ...]:
+    """The homogeneous parts (C_1, ..., C_degree) of x + y + f(L_X, -L_Y) w, w = [x, y],
+    for classify_pair's certificate of (x, y): C_1 = x + y and
+    C_n = sum_{i+j=n-2} c_ij L_X^i (-L_Y)^j w, with c_ij the coefficients of f_series.
 
     Wherever a closed form applies, C_n is the part Z_n of ln(e^X e^Y)
     (oracle.bch_series_terms), so C_n == Z_n checks the closed form degree by
-    degree, exactly: each C_n is summed on the integer kernel, C_1 too, so float
-    coordinates give the parts of the binary rationals they hold.
+    degree, exactly: each C_n is summed on the integer kernel from the certificate's
+    integer forms, C_1 too, so float coordinates give the binary rationals' parts.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    scaled = _pair_forms(alg, x, y)
+    alg, (scaled, _) = classification.algebra, classification._integer_form
     c_1 = LieElement(unscaled(*_sum_form(*scaled[:2])))
     walk = _anti_diagonals(alg.scaled_bracket, *(vec for vec, _ in scaled))
     rows = _f_rows(degree - 2)
@@ -474,9 +489,8 @@ def _operator_f(alg: StructureConstants, x: LieElement, y: LieElement, scaled,
     rows = (_f_rows(m)[m] for m in range(OPERATOR_MAX_DEGREE + 1))  # row m read at shell m
     parts = _graded_parts(alg, scaled, rows, itertools.chain(seen, walk))
     for shell, (part, norm, den) in enumerate(parts):
-        for idx, t in enumerate(part):
-            if t:
-                acc[idx] += t / den  # int / int rounds once, correctly
+        acc = _finite(a + t / den if t else a  # int / int rounds once, correctly
+                      for a, t in zip(acc, part))
         shell_norm = norm / den
         # single shells can vanish by coefficient cancellation (pure even
         # powers of f are zero), so bound the tail off two consecutive shells
@@ -486,7 +500,7 @@ def _operator_f(alg: StructureConstants, x: LieElement, y: LieElement, scaled,
             break
     if bound >= target_tolerance:
         raise NonConvergence(r, achieved_bound=bound)
-    z = x.to_float() + y.to_float() + LieElement(tuple(acc))
+    z = LieElement(_finite(float(a) + float(b) + c for a, b, c in zip(x.coords, y.coords, acc)))
     return BchResult(z, "OperatorF", exact=False, residual_bound=bound, degree=shell)
 
 
@@ -545,7 +559,7 @@ def bch_closed_form(alg: StructureConstants, x: LieElement, y: LieElement,
     without recheck, in the integer form classify_pair decided with, so no field
     of the certificate is built here.
     target_tolerance must be positive and finite, else ValueError, whichever
-    form applies.
+    form applies.  A float z beyond the double range raises OverflowError (_finite).
     """
     _check_tolerance(target_tolerance)
     cls = classification if classification is not None else classify_pair(alg, x, y)

@@ -349,14 +349,14 @@ class MatrixRep:
         return cls(data["basis_images"], faithful_on=data.get("faithful_on", ""))
 
 
-def matrix_bch(rep: MatrixRep, x: LieElement, y: LieElement,
-               with_residual: bool = False):
+def matrix_bch(rep: MatrixRep, x: LieElement, y: LieElement) -> LieElement:
     """ln(e^rho(x) e^rho(y)) expanded back into basis coordinates.
 
     The expansion solves a least-squares system with the representation's
     precomputed pseudo-inverse (images need not be orthogonal).  A residual
     above 1e-9 means the logarithm left the representation span
-    (ExpansionResidualTooLarge).
+    (ExpansionResidualTooLarge).  A product e^rho(x) e^rho(y) with an entry
+    beyond the double range raises LogDomainError.
 
     The matrices are floats, so the error scales with the sup norm of z,
     not with each coordinate: a small coordinate next to a large one is not
@@ -366,13 +366,16 @@ def matrix_bch(rep: MatrixRep, x: LieElement, y: LieElement,
     """
     import numpy as np
 
-    z_mat = matrix_log(matrix_exp(rep.image(x)) @ matrix_exp(rep.image(y)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = matrix_exp(rep.image(x)) @ matrix_exp(rep.image(y))
+    if not np.isfinite(product).all():
+        raise LogDomainError("e^X e^Y overflows the double range")
+    z_mat = matrix_log(product)
     coords = rep._pinv @ z_mat.reshape(-1)
     residual = float(np.linalg.norm(rep._stacked @ coords - z_mat.reshape(-1)))
     if residual > _EXPANSION_THRESHOLD:
         raise ExpansionResidualTooLarge(residual, _EXPANSION_THRESHOLD)
-    elem = LieElement(tuple(float(c) for c in coords))
-    return (elem, residual) if with_residual else elem
+    return LieElement(tuple(float(c) for c in coords))
 
 
 # ---------------------------------------------------------------------------

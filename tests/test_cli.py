@@ -11,7 +11,6 @@ from pathlib import Path
 import pytest
 
 from bchkit import cli, closed_form
-from bchkit.algebra import clear_denominators
 from bchkit.cli import main
 from bchkit.oracle import sl2_algebra
 
@@ -38,6 +37,24 @@ def workdir(tmp_path):
     (tmp_path / "a0small.json").write_text(json.dumps({"coords": ["1/8", "0"]}))
     (tmp_path / "a1small.json").write_text(json.dumps({"coords": ["0", "1/8"]}))
     return tmp_path
+
+
+@pytest.fixture
+def wrong_f(monkeypatch):
+    """f's Taylor table with c_10 = c_01 = 1/11 in place of 1/12: f gains
+    (1/11 - 1/12)(u + v), and the closed form's degree-3 part C_3 gains that
+    multiple of [x, w] - [y, w].  f_series' cache is cleared on entry and on exit,
+    so the Taylor box of f_scalar reads the mutated table too."""
+    true_rows = closed_form._f_rows
+
+    def shifted(degree):
+        rows = true_rows(degree)
+        return rows[:1] + (((1, 1), 11),) + rows[2:] if degree >= 1 else rows
+
+    monkeypatch.setattr(closed_form, "_f_rows", shifted)
+    closed_form.f_series.cache_clear()
+    yield
+    closed_form.f_series.cache_clear()
 
 
 # `check` stdout for each catalog entry's documented pair: (exit code, JSON line)
@@ -222,19 +239,7 @@ class TestBch:
         assert code == 0
         assert json.loads(out)["verify"]["difference_sup_norm"] < 1e-8
 
-    def test_verify_fail_exit_4(self, workdir, capsys, monkeypatch):
-        # a wrong c_10 changes the closed form's degree-3 part C_3 = c_10 [x, w] + ...
-        true_rows = closed_form._f_rows
-
-        def shifted(degree):
-            rows = list(true_rows(degree))
-            if degree >= 1:
-                (c_10, c_01), q = rows[1]
-                rows[1] = clear_denominators([Fraction(c_10, q) + Fraction(1, 7),
-                                              Fraction(c_01, q)])
-            return rows
-
-        monkeypatch.setattr(closed_form, "_f_rows", shifted)
+    def test_verify_fail_exit_4(self, workdir, capsys, wrong_f):
         code, out, err = run(capsys, "bch",
                              "--algebra", str(workdir / "affine.json"),
                              "--x", str(workdir / "a0.json"),
@@ -350,6 +355,18 @@ class TestFloatJson:
         assert (code, out) == (1, "")
         assert err.startswith("input error:") and x in err and "coordinate 1" in err
 
+    @pytest.mark.parametrize("name, x, y, coordinate", [
+        ("affine", '["1", "0"]', '["0", "15e307"]', 1),
+        ("abelian3", "[1e308, 0.0, 0.0]", "[1e308, 0.0, 0.0]", 0),
+        ("heisenberg", "[1e200, 0, 0]", "[0, 1e200, 0]", 2),
+    ])
+    def test_z_beyond_the_double_range_exit_1(self, tmp_path, capsys, name, x, y, coordinate):
+        # as f does, where its value overflows
+        x, y = self._coords(tmp_path, "x", x), self._coords(tmp_path, "y", y)
+        code, out, err = run(capsys, "bch", "--algebra", name, "--x", x, "--y", y)
+        assert (code, out) == (1, "")
+        assert err == f"input error: coordinate {coordinate} of z lies beyond the double range\n"
+
 
 class TestNonNumberJson:
     """A JSON value that is not a number is rejected, never read as one."""
@@ -419,6 +436,18 @@ class TestOracle:
         assert code == 0
         res = json.loads(out)
         assert res["difference_sup_norm"] < 1e-12
+
+    def test_matrix_overflow_exit_4(self, tmp_path, capsys):
+        from bchkit.oracle import catalog_entry
+        rep_path = tmp_path / "rep.json"
+        rep_path.write_text(json.dumps(catalog_entry("affine").rep.to_json_dict()))
+        x, y = tmp_path / "x.json", tmp_path / "y.json"
+        x.write_text('{"coords": ["1000", "0"]}')
+        y.write_text('{"coords": ["0", "1"]}')
+        code, out, err = run(capsys, "oracle", "--algebra", "affine", "--x", str(x),
+                             "--y", str(y), "--rep", str(rep_path))
+        assert (code, out) == (4, "")
+        assert err == "computation failed: e^X e^Y overflows the double range\n"
 
     def test_bad_degree_names_the_flag_before_reading_files(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.json")
@@ -575,14 +604,16 @@ class TestFuzz:
         compared = sum(f["count"] for f in report["families"].values())
         assert compared == len(expansions) == 30
 
-    def test_injected_bug_caught(self, capsys):
+    def test_injected_bug_caught(self, capsys, wrong_f):
         code, out, _ = run(capsys, "fuzz", "--seed", "42", "--n", "4",
-                           "--families", "rank_one,case1", "--inject-bug")
+                           "--families", "rank_one,case1")
         assert code == 4
         report = json.loads(out)
         assert report["pass"] is False and report["violations"]
-        # the graded check alone sees the shift of f by delta (u + v) in degree 3
+        # the graded check sees the shift of f by delta (u + v) in degree 3, and the
+        # float check sees it through the Taylor box of f_scalar
         assert {v.get("graded_mismatch_degree") for v in report["violations"]} >= {3}
+        assert any("error" in v for v in report["violations"])
 
     @pytest.mark.parametrize("names", [",", "rank_one,bogus"])
     def test_bad_family_list_rejected_before_any_instance(self, capsys, monkeypatch, names):

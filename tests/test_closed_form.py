@@ -24,7 +24,7 @@ from bchkit.closed_form import (
     f_scalar,
     f_series,
 )
-from bchkit.algebra import DimensionMismatch, LieElement, StructureConstants
+from bchkit.algebra import LieElement, StructureConstants
 from bchkit.detect import (
     CaseClassification,
     CaseTag,
@@ -736,7 +736,7 @@ class TestOperator:
         assert cls.tag == CaseTag.OPERATOR_COMMUTING
         res = bch_closed_form(alg, x, y, classification=cls)
         assert not res.exact and res.degree > 2
-        parts = closed_form_terms(alg, x, y, res.degree + 2)
+        parts = closed_form_terms(cls, res.degree + 2)
         exact = sum(parts[1:], parts[0])
         ulp = Fraction(math.ulp(res.z.sup_norm()))
         assert max(abs(e - Fraction(z)) for e, z in zip(exact.coords, res.z.coords)) <= 4 * ulp
@@ -914,7 +914,7 @@ class TestGradedTerms:
             if cls.tag == CaseTag.NO_CLOSED_FORM:
                 continue
             tags.add(cls.tag)
-            closed = closed_form_terms(alg, x, y, self.DEGREE)
+            closed = closed_form_terms(cls, self.DEGREE)
             assert closed == bch_series_terms(alg, x, y, self.DEGREE), (cls.tag, x, y)
             res = bch_closed_form(alg, x, y, classification=cls)
             if res.exact and (res.degree or 0) + 2 <= self.DEGREE:
@@ -924,22 +924,33 @@ class TestGradedTerms:
         assert tags == set(CaseTag) - {CaseTag.NO_CLOSED_FORM}
         assert terminating > 0
 
-    def test_elements_of_another_dimension_rejected(self):
-        heis = heisenberg_algebra()
-        x, y = heis.basis_element(0), heis.basis_element(1)
-        for args in ((LieElement((1, 0)), y), (x, LieElement((0, 1, 0, 0)))):
-            with pytest.raises(DimensionMismatch):
-                closed_form_terms(heis, *args, 4)
-
     def test_terms_are_graded(self):
         # C_n(e x, e y) = e^n C_n(x, y)
         alg = two_scale_algebra()
         x, y = alg.element(["1/4", "1/2", "0", "0"]), alg.element(["0", "0", "1/4", "1/4"])
         e = Fraction(1, 3)
         xe, ye = x.scale(e), y.scale(e)
-        scaled = closed_form_terms(alg, xe, ye, 6)
-        for n, (c, ce) in enumerate(zip(closed_form_terms(alg, x, y, 6), scaled), 1):
+        closed = closed_form_terms(classify_pair(alg, x, y), 6)
+        scaled = closed_form_terms(classify_pair(alg, xe, ye), 6)
+        for n, (c, ce) in enumerate(zip(closed, scaled), 1):
             assert ce == c.scale(e**n)
+
+    def test_terms_read_the_certificate(self, monkeypatch):
+        # the integer forms of x, y and w come from the certificate: nothing
+        # clears the pair or brackets it again
+        certificates = [classify_pair(entry.algebra, x, y)
+                        for entry in builtin_catalog() for x, y, _ in entry.pairs]
+        expected = [bch_series_terms(c.algebra, c.x, c.y, 6) for c in certificates]
+
+        def refused(*args):
+            raise AssertionError("the pair was cleared again")
+
+        for module, name in ((algebra, "clear_denominators"), (detect, "clear_denominators"),
+                             (detect, "_pair_forms")):
+            monkeypatch.setattr(module, name, refused)
+        for cls, terms in zip(certificates, expected):
+            if cls.tag != CaseTag.NO_CLOSED_FORM:
+                assert closed_form_terms(cls, 6) == terms, cls.algebra
 
 
 # ---------------------------------------------------------------------------
@@ -1263,6 +1274,25 @@ class TestFloatInput:
                            for a, b in zip(res.z.coords, exact.z.coords)) <= 4 * ulp
         assert seen == set(CaseTag)
 
+    # a float z beyond the double range: the sum x + y overflows (Sum), w / 2 (Central)
+    # or w (ScalarF) is beyond it, f w adds past it, or the operator sum does
+    @pytest.mark.parametrize("name, x, y, coordinate, method", [
+        ("abelian3", [1e308, 0.0, 0.0], [1e308, 0.0, 0.0], 0, "Sum"),
+        ("heisenberg", [1e200, 0.0, 0.0], [0.0, 1e200, 0.0], 2, "Central"),
+        ("affine", ["1", "0"], ["0", "15e307"], 1, "ScalarF"),
+        ("affine", [2.0, 0.0], [0.0, 1e308], 1, "ScalarF"),
+        ("two_scale", [1.0, 0.5, 0.0, 0.0], [0.0, 0.0, 1.7e308, 1e308], 2, "OperatorF"),
+    ])
+    def test_z_beyond_the_double_range_raises(self, name, x, y, coordinate, method):
+        alg = catalog_entry(name).algebra
+        x, y = alg.element(x), alg.element(y)
+        with pytest.raises(OverflowError,
+                           match=f"^coordinate {coordinate} of z lies beyond the double range$"):
+            bch_closed_form(alg, x, y, target_tolerance=1e300)
+        # within the range, the same form applies
+        res = bch_closed_form(alg, x.scale(1e-120), y.scale(1e-120), target_tolerance=1e300)
+        assert res.method == method and all(map(math.isfinite, res.z.coords))
+
 
 def _pinned_corpus(borel):
     """A fixed corpus of (algebra, x, y): family algebras with random pairs drawn at
@@ -1331,7 +1361,8 @@ def _reference_result(alg, res: BchResult, x, y, w):
         fval = f_scalar(res.u, res.v)
         return (x + y + w.scale(fval), False,
                 8.0 * 2.0**-53 * abs(fval) * w.sup_norm())
-    parts = closed_form_terms(alg, x, y, res.degree + 2)[1:]  # terminating OperatorF
+    # terminating OperatorF
+    parts = closed_form_terms(classify_pair(alg, x, y), res.degree + 2)[1:]
     return x + y + sum(parts[1:], parts[0]), exact, 0.0
 
 

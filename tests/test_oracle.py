@@ -3,6 +3,7 @@
 import ast
 import math
 import random
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -426,12 +427,21 @@ class TestMatrixBch:
         z = matrix_bch(entry.rep, x, alg.zero())
         assert sup_diff(z, x) < 1e-13
 
-    def test_residual_returned(self):
+    def test_expansion_reproduces_the_log(self):
         entry = catalog_entry("heisenberg")
+        alg, rep = entry.algebra, entry.rep
+        x, y = alg.basis_element(0), alg.basis_element(1)
+        z = matrix_bch(rep, x, y)
+        log = matrix_log(matrix_exp(rep.image(x)) @ matrix_exp(rep.image(y)))
+        assert np.linalg.norm(rep.image(z) - log) < 1e-12
+
+    def test_overflow_is_a_log_domain_error(self):
+        entry = catalog_entry("affine")
         alg = entry.algebra
-        _, residual = matrix_bch(entry.rep, alg.basis_element(0), alg.basis_element(1),
-                                 with_residual=True)
-        assert residual < 1e-12
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no numpy warning on the way
+            with pytest.raises(LogDomainError, match="overflows the double range"):
+                matrix_bch(entry.rep, alg.element(["1000", "0"]), alg.element(["0", "1"]))
 
     def test_error_scales_with_the_sup_norm(self):
         # z_A2 = x_A2 exactly, since no bracket reaches the A coordinates;
