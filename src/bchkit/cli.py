@@ -334,9 +334,11 @@ def run_fuzz(seed: int, n: int, family_names, degree: int, tolerance: float,
         raise InputError(f"--tolerance {tolerance} is too small: tolerance / 10 underflows to 0")
     if not family_names:
         raise InputError("--families names no family")
-    for family in family_names:
+    for i, family in enumerate(family_names):
         if family not in _FUZZ_FAMILIES:
             raise InputError(f"unknown fuzz family {family!r}")
+        if family in family_names[:i]:  # its report would overwrite the first
+            raise InputError(f"fuzz family {family!r} named twice")
     rng = random.Random(seed)
     report = {
         "seed": seed, "n": n, "degree": degree, "tolerance": tolerance,

@@ -50,14 +50,19 @@ class ClassificationMismatch(ValueError):
 
 
 class NonConvergence(RuntimeError):
-    """Operator series cannot reach the target tolerance."""
+    """Operator series cannot reach the target tolerance: the restricted adjoint
+    norm is not inside OPERATOR_RADIUS (achieved_bound is None), or it is and
+    the tail bound at OPERATOR_MAX_DEGREE is still above the tolerance."""
 
     def __init__(self, spectral_bound: float, achieved_bound: float | None):
         self.spectral_bound = spectral_bound
         self.achieved_bound = achieved_bound
-        msg = f"operator series not convergent: restricted adjoint norm {spectral_bound:.3g}"
-        if achieved_bound is not None:
-            msg += f", best tail bound {achieved_bound:.3g}"
+        if achieved_bound is None:
+            msg = f"operator series not convergent: restricted adjoint norm {spectral_bound:.3g}"
+        else:
+            msg = (f"operator series missed the tolerance by degree {OPERATOR_MAX_DEGREE}: "
+                   f"restricted adjoint norm {spectral_bound:.3g} is inside the radius pi, "
+                   f"best tail bound {achieved_bound:.3g}")
         super().__init__(msg)
 
 
@@ -520,14 +525,15 @@ def case1_build(m: Sequence) -> tuple[StructureConstants, Callable]:
     dim = len(mvec)
     if dim < 1:
         raise ValueError("dim must be >= 1")
+    halves = [t / 2 for t in mvec]
+    negated = [-t for t in halves]
     entries = {}
-    half = Fraction(1, 2)
     for a in range(dim):
         for b in range(a + 1, dim):
-            if mvec[a] != 0:
-                entries[(a, b, b)] = entries.get((a, b, b), Fraction(0)) + half * mvec[a]
-            if mvec[b] != 0:
-                entries[(a, b, a)] = entries.get((a, b, a), Fraction(0)) - half * mvec[b]
+            if halves[a]:
+                entries[(a, b, b)] = halves[a]
+            if halves[b]:
+                entries[(a, b, a)] = negated[b]
     alg = validate(entries, dim)
 
     def uvc_map(alpha, beta, x: LieElement, y: LieElement):

@@ -3,6 +3,12 @@
 Every generated tensor goes through full validation, so a generator bug
 surfaces as an antisymmetry/Jacobi error rather than a silently wrong test.
 
+Each random coordinate is drawn as an integer pair (numerator, denominator)
+by two ``rng.randint`` calls.  random_element and random_case1 rescale on
+those integers and build one Fraction per output value, so the stream of a
+seed, and every value drawn from it, is that of the Fraction arithmetic
+they replace.
+
 Rank-one commutator tensors f_ab^c = omega_ab n^c only satisfy the Jacobi
 identity when omega_ab s_c + omega_bc s_a + omega_ca s_b = 0 for s = omega.n,
 so the two branches are sampled from parameterizations that enforce it:
@@ -18,7 +24,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .algebra import LieElement, StructureConstants, nullspace_basis, validate
+from .algebra import LieElement, StructureConstants, as_fraction, nullspace_basis, validate
 from .closed_form import case1_build
 
 
@@ -26,25 +32,54 @@ def random_fraction(rng: random.Random, max_num: int = 8, max_den: int = 8) -> F
     return Fraction(rng.randint(-max_num, max_num), rng.randint(1, max_den))
 
 
+def _nonzero_pairs(rng: random.Random, dim: int) -> list:
+    """dim (numerator, denominator) pairs as random_fraction draws them, drawn
+    again until a numerator is nonzero."""
+    while True:
+        pairs = [(rng.randint(-8, 8), rng.randint(1, 8)) for _ in range(dim)]
+        if any(num for num, _ in pairs):
+            return pairs
+
+
+def _peak(pairs) -> tuple[int, int]:
+    """(pn, pd) with pn / pd the largest |num| / den over the pairs."""
+    pn, pd = 0, 1
+    for num, den in pairs:
+        if abs(num) * pd > pn * den:
+            pn, pd = abs(num), den
+    return pn, pd
+
+
+def _check_dim(dim: int, least: int = 1) -> None:
+    if dim < least:
+        raise ValueError(f"dim must be >= {least}, got {dim}")
+
+
 def random_vector(rng: random.Random, dim: int, max_num: int = 8,
                   max_den: int = 8) -> tuple:
     return tuple(random_fraction(rng, max_num, max_den) for _ in range(dim))
 
 
-def random_nonzero_vector(rng: random.Random, dim: int, **kw) -> tuple:
-    while True:
-        v = random_vector(rng, dim, **kw)
-        if any(c != 0 for c in v):
-            return v
+def random_nonzero_vector(rng: random.Random, dim: int) -> tuple:
+    return tuple(Fraction(num, den) for num, den in _nonzero_pairs(rng, dim))
 
 
 def random_element(rng: random.Random, dim: int,
                    sup: Fraction = Fraction(1, 2)) -> LieElement:
-    """Exact-rational element scaled so its largest coordinate magnitude is sup."""
-    coords = random_nonzero_vector(rng, dim)
-    peak = max(abs(c) for c in coords)
-    scale = sup / peak
-    return LieElement(tuple(scale * c for c in coords))
+    """Exact-rational element scaled so its largest coordinate magnitude is sup.
+
+    sup is read by as_fraction (a float raises TypeError) and must be positive;
+    dim must be at least 1.  Each error is raised before anything is drawn.
+    """
+    _check_dim(dim)
+    sup = as_fraction(sup)
+    if sup <= 0:
+        raise ValueError(f"sup must be positive, got {sup}")
+    pairs = _nonzero_pairs(rng, dim)
+    pn, pd = _peak(pairs)
+    # sup / (pn/pd) * (num/den), reduced by the one Fraction built per coordinate
+    scale_num, scale_den = sup.numerator * pd, sup.denominator * pn
+    return LieElement(tuple(Fraction(scale_num * num, scale_den * den) for num, den in pairs))
 
 
 def _wedge(p, q):
@@ -89,7 +124,11 @@ def random_rank_one(rng: random.Random, dim: int,
     produce eigen-scalars |u|, |v| <= 1/6 and a bracket amplitude of order
     one; this keeps a degree-8 series truncation well under 1e-8 without
     sacrificing genericity.
+
+    A dim below 2, or below 3 with nilpotent=True, raises ValueError before
+    anything is drawn; with nilpotent=None at dim 2 the coin is drawn first.
     """
+    _check_dim(dim, 2)
     if nilpotent is None:
         nilpotent = rng.random() < 0.5
     if nilpotent:
@@ -143,19 +182,19 @@ def random_case1(rng: random.Random, dim: int):
     """Random scaled-antisymmetrized-delta algebra; returns (algebra, m, uvc_map).
 
     m is rescaled so elements of sup-norm 1/2 give |u|, |v| <= 1/6 (same
-    series-window consideration as random_rank_one).
+    series-window consideration as random_rank_one).  dim must be at least 1;
+    ValueError is raised before anything is drawn.
     """
-    while True:
-        m = list(random_vector(rng, dim))
-        if any(c != 0 for c in m):
-            break
-    cap = Fraction(1, 6)
-    bound = Fraction(dim, 4) * max(abs(c) for c in m)  # |u| = |y.m|/2 <= dim max|m| / 4
-    while bound > cap:
-        m = [c / 2 for c in m]
-        bound /= 2
+    _check_dim(dim)
+    pairs = _nonzero_pairs(rng, dim)
+    pn, pd = _peak(pairs)
+    # halve m as few times as gives |u| = |y.m|/2 <= dim max|m| / 4 <= 1/6
+    halvings = 0
+    while 3 * dim * pn > (2 * pd) << halvings:
+        halvings += 1
+    m = tuple(Fraction(num, den << halvings) for num, den in pairs)
     alg, uvc_map = case1_build(m)
-    return alg, tuple(m), uvc_map
+    return alg, m, uvc_map
 
 
 def random_derived_abelian(rng: random.Random, levers: int = 2, core: int = 3,

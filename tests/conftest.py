@@ -46,14 +46,15 @@ def operator_form():
     return evaluate
 
 
-_COUNTED_MODULES = frozenset({"bchkit.algebra", "bchkit.detect", "bchkit.closed_form"})
+_COUNTED_MODULES = frozenset({"bchkit.algebra", "bchkit.detect", "bchkit.closed_form",
+                              "bchkit.families"})
 
 
 @pytest.fixture
 def fraction_builds(monkeypatch):
     """A list that gets (module, function) for each Fraction built by code in
-    bchkit.algebra, bchkit.detect or bchkit.closed_form, directly or through
-    Fraction arithmetic there, while the test runs."""
+    bchkit.algebra, bchkit.detect, bchkit.closed_form or bchkit.families,
+    directly or through Fraction arithmetic there, while the test runs."""
     builds = []
     new = Fraction.__new__
 

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from bchkit import cli, closed_form
+from bchkit import LieElement, cli, closed_form, families
 from bchkit.cli import main
 from bchkit.oracle import sl2_algebra
 
@@ -547,12 +548,47 @@ class TestF:
 # against matrix_bch
 FUZZ_SEED1_N10_SLOPE5_SHA256 = "671af7f1a02d813b9a717133b1e92dca6b5e0b4ef16e1972bdc0c50f6e3b5ab7"
 
+# sha256 of _family_stream(), the generators' outputs and the rng state after
+# each call, captured before random_element and random_case1 moved from
+# Fraction arithmetic to integer draws.  The fuzz reports and the benchmark's
+# inputs are drawn from these streams.
+FAMILY_STREAM_SHA256 = "fbcceda33feaf8f418e04e558260a9cc626824952ba527da7852a6df023da6d6"
+
+
+def _family_stream() -> str:
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    calls = [(families.random_element, d, s) for d in range(1, 22) for s in (half, quarter)]
+    calls += [(families.random_rank_one, d, nilpotent) for d in range(2, 7)
+              for nilpotent in (None, True, False) if d >= 3 or nilpotent is not True]
+    calls += [(families.random_case1, d) for d in range(1, 7)]
+    calls += [(families.random_derived_abelian, 2, core, kind)
+              for kind in ("diag", "nilp") for core in (2, 3, 4)]
+    rng = random.Random(30)
+    digest = hashlib.sha256()
+    for draw, *args in calls:
+        try:
+            out = draw(rng, *args)
+        except ValueError as exc:  # the coin's nilpotent branch at dim 2
+            out = type(exc).__name__
+        if isinstance(out, tuple):  # random_case1: (algebra, m, uvc_map)
+            out = (out[0].to_json_dict(), out[1])
+        elif isinstance(out, LieElement):
+            out = out.coords
+        elif not isinstance(out, str):
+            out = out.to_json_dict()
+        digest.update(repr(out).encode())
+        digest.update(repr(rng.getstate()).encode())
+    return digest.hexdigest()
+
 
 class TestFuzz:
     def test_benchmark_configuration_pinned(self, capsys):
         code, out, _ = run(capsys, "fuzz", "--seed", "1", "--n", "10", "--slope-every", "5")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == FUZZ_SEED1_N10_SLOPE5_SHA256
+
+    def test_family_streams_pinned(self):
+        assert _family_stream() == FAMILY_STREAM_SHA256
 
     def test_deterministic_and_passing(self, capsys):
         args = ["fuzz", "--seed", "42", "--n", "6", "--slope-every", "3"]
@@ -615,7 +651,7 @@ class TestFuzz:
         assert {v.get("graded_mismatch_degree") for v in report["violations"]} >= {3}
         assert any("error" in v for v in report["violations"])
 
-    @pytest.mark.parametrize("names", [",", "rank_one,bogus"])
+    @pytest.mark.parametrize("names", [",", "rank_one,bogus", "rank_one,case1,rank_one"])
     def test_bad_family_list_rejected_before_any_instance(self, capsys, monkeypatch, names):
         drawn = []
         draw = cli._fuzz_instance

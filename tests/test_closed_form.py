@@ -862,6 +862,19 @@ class TestOperator:
         assert (code, out) == (4, "")
         assert err.startswith("computation failed") and "best tail bound 1.1e-09" in err
 
+    def test_degree_cap_message_inside_the_radius(self, tmp_path, capsys):
+        # restricted norm 1 is inside the radius pi, but |w| near 1e308 keeps the
+        # absolute tail bound far above the tolerance at degree 48
+        for name, coords in (("x", [1.0, 0.5, 0, 0]), ("y", [0, 0, 1e308, 1e308])):
+            (tmp_path / f"{name}.json").write_text(json.dumps({"coords": coords}))
+        code = main(["bch", "--algebra", "two_scale",
+                     "--x", str(tmp_path / "x.json"), "--y", str(tmp_path / "y.json")])
+        out, err = capsys.readouterr()
+        assert (code, out) == (4, "")
+        assert err == ("computation failed: operator series missed the tolerance by degree 48: "
+                       "restricted adjoint norm 1 is inside the radius pi, "
+                       "best tail bound 2.89e+269\n")
+
 
 def _borel_pairs(borel, rng, n: int = 4):
     """Constructed b(n) pairs with a closed form: diagonal x with one
