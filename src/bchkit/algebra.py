@@ -112,8 +112,9 @@ class _Frozen:
 class LieElement(_Frozen):
     """A coordinate vector x^a over the algebra basis T_a.
 
-    Coordinates are Fractions in exact mode or floats in numeric mode;
-    arithmetic degrades from exact to float automatically when mixed.
+    Coordinates are Fractions in exact mode or floats in numeric mode, as
+    StructureConstants.element builds them.  An element has no arithmetic:
+    brackets and closed forms act on it through the algebra.
     """
 
     _fields = ("coords",)
@@ -129,33 +130,6 @@ class LieElement(_Frozen):
     def is_exact(self) -> bool:
         """True iff no coordinate is a float, as for BchResult.exact."""
         return not any(map(isinstance, self.coords, itertools.repeat(float)))
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-    def _check(self, other: "LieElement"):
-        if self.dim != other.dim:
-            raise DimensionMismatch(f"dim {self.dim} vs {other.dim}")
-
-    def __add__(self, other: "LieElement") -> "LieElement":
-        self._check(other)
-        return LieElement(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "LieElement") -> "LieElement":
-        self._check(other)
-        return LieElement(tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "LieElement":
-        return LieElement(tuple(-a for a in self.coords))
-
-    def scale(self, s) -> "LieElement":
-        return LieElement(tuple(s * a for a in self.coords))
-
-    def __rmul__(self, s) -> "LieElement":
-        return self.scale(s)
-
-    def to_float(self) -> "LieElement":
-        return LieElement(tuple(float(a) for a in self.coords))
 
     def sup_norm(self) -> float:
         return max((abs(float(a)) for a in self.coords), default=0.0)
@@ -353,9 +327,6 @@ class StructureConstants:
             except OverflowError:
                 raise ValueError(f"coordinate {i} lies beyond the double range") from None
         return LieElement(tuple(coords))
-
-    def zero(self) -> LieElement:
-        return LieElement((Fraction(0),) * self.dim)
 
     def basis_element(self, a: int) -> LieElement:
         if not 0 <= a < self.dim:

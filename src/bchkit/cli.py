@@ -321,13 +321,13 @@ def _fuzz_instance(rng: random.Random, family: str):
 
 
 def run_fuzz(seed: int, n: int, family_names, degree: int, tolerance: float,
-             slope_every: int) -> dict:
+             graded_every: int) -> dict:
     """Randomized closed-form-vs-oracle conformance; deterministic per seed.  Every
-    slope_every-th instance also has its graded parts checked: C_n == Z_n, n <= D."""
+    graded_every-th instance also has its graded parts checked: C_n == Z_n, n <= D."""
     if n < 0:
         raise InputError(f"--n must be >= 0, got {n}")
-    if slope_every < 1:
-        raise InputError(f"--slope-every must be >= 1, got {slope_every}")
+    if graded_every < 1:
+        raise InputError(f"--graded-every must be >= 1, got {graded_every}")
     _check_degree(degree)
     _check_tolerance(tolerance)
     if not tolerance / 10 > 0:  # the closed forms are asked for tolerance / 10
@@ -367,7 +367,7 @@ def run_fuzz(seed: int, n: int, family_names, degree: int, tolerance: float,
             res = bch_closed_form(alg, x, y, target_tolerance=tolerance / 10,
                                   classification=cls)
             mismatch = None
-            if idx % slope_every == 0:  # one expansion serves both checks
+            if idx % graded_every == 0:  # one expansion serves both checks
                 graded_checked += 1
                 reference, mismatch = _graded(cls, degree)
             else:
@@ -391,7 +391,7 @@ def run_fuzz(seed: int, n: int, family_names, degree: int, tolerance: float,
 def cmd_fuzz(args) -> int:
     family_names = [f.strip() for f in args.families.split(",") if f.strip()]
     report = run_fuzz(args.seed, args.n, family_names, args.degree,
-                      args.tolerance, args.slope_every)
+                      args.tolerance, args.graded_every)
     print(json.dumps(report, sort_keys=True))
     if "warning" in report:
         print(report["warning"], file=sys.stderr)
@@ -456,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--families", default=",".join(_FUZZ_FAMILIES))
     p_fuzz.add_argument("--degree", type=int, default=8)
     p_fuzz.add_argument("--tolerance", type=float, default=1e-8)
-    p_fuzz.add_argument("--slope-every", type=int, default=25, metavar="K",
+    p_fuzz.add_argument("--graded-every", type=int, default=25, metavar="K",
                         help="check C_n = Z_n exactly for n <= D on every K-th instance")
     p_fuzz.set_defaults(func=cmd_fuzz)
     return parser

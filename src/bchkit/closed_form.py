@@ -110,8 +110,9 @@ class BivariateSeries(_Frozen):
     graded integer rows that _f_rows gives: rows[m] = ([A_m0, ..., A_0m], q_m) with
     c_ij = A_ij / q_m for i + j = m.  max_degree is len(rows) - 1, and coefficients,
     the Fraction table {(i, j): c_ij} with its zeros, is built on first read.
-    ValueError unless each row m holds m + 1 entries.  evaluate() needs a symmetric table, c_ij = c_ji, as f_series gives;
-    evaluate_exact() does not.  The table is a dict, so a series is not hashable."""
+    ValueError unless each row m holds m + 1 entries.  evaluate() needs a symmetric
+    table, c_ij = c_ji, as f_series gives.  The table is a dict, so a series is not
+    hashable."""
 
     _fields = ("coefficients", "max_degree")
 
@@ -173,30 +174,6 @@ class BivariateSeries(_Frozen):
             for b, num in enumerate(part):
                 rows[b].append(num / q)  # int / int rounds once, correctly
         return tuple(tuple(reversed(r)) for r in reversed(rows))
-
-    def evaluate_exact(self, u: Fraction, v: Fraction) -> Fraction:
-        """Exact value at rational u = a/b, v = c/e.  With U = a e and V = c b, the
-        degree-m part is N_m / (q_m (b e)^m), N_m = sum_j A_mj U^(m-j) V^j, and
-        the parts are summed over one denominator by Horner's rule in b e.
-
-        u and v are anything as_fraction takes; a float raises TypeError
-        (evaluate() sums in floating point).
-
-        As a reference value of f, f_series(d) is the degree-d Taylor truncation of
-        r -> f(r u, r v) at r = 1, whose radius is 2 pi / |u - v| (f is singular only
-        where u - v is a nonzero multiple of 2 pi i).  Its error shrinks roughly like
-        (|u - v| / 2 pi)^d, at most (max(|u|, |v|) / pi)^d: keep max(|u|, |v|) well
-        below pi."""
-        u, v = as_fraction(u), as_fraction(v)
-        be = u.denominator * v.denominator
-        pu, pv = ([t**k for k in range(self.max_degree + 1)]
-                  for t in (u.numerator * v.denominator, v.numerator * u.denominator))
-        q = math.lcm(*(qm for _, qm in self.rows))
-        total = 0
-        for m, (row, qm) in enumerate(self.rows):
-            part = sum(a * pu[m - j] * pv[j] for j, a in enumerate(row) if a)
-            total = total * be + part * (q // qm)
-        return Fraction(total, q * be**self.max_degree)
 
 
 # (rows, prefix, K_s) of _f_rows through degree s; each step publishes a whole table in one

@@ -117,23 +117,21 @@ def random_rank_one(rng: random.Random, dim: int,
     """Random algebra with a one-dimensional derived subalgebra.
 
     nilpotent=True forces omega.n = 0, False forces omega.n != 0, None flips
-    a coin.  dim must be at least 3 for the nilpotent branch (the kernel of
-    a nonzero antisymmetric form needs room) and at least 2 otherwise.
+    a coin.  dim must be at least 2 with nilpotent=False and at least 3
+    otherwise: the nilpotent branch needs room for the kernel of a nonzero
+    antisymmetric form, and with nilpotent=None the coin may pick it.
 
     Non-nilpotent tensors are rescaled so that elements of sup-norm 1/2
     produce eigen-scalars |u|, |v| <= 1/6 and a bracket amplitude of order
     one; this keeps a degree-8 series truncation well under 1e-8 without
     sacrificing genericity.
 
-    A dim below 2, or below 3 with nilpotent=True, raises ValueError before
-    anything is drawn; with nilpotent=None at dim 2 the coin is drawn first.
+    A smaller dim raises ValueError before anything is drawn.
     """
-    _check_dim(dim, 2)
+    _check_dim(dim, 2 if nilpotent is False else 3)
     if nilpotent is None:
         nilpotent = rng.random() < 0.5
     if nilpotent:
-        if dim < 3:
-            raise ValueError("nilpotent rank-one sampling needs dim >= 3")
         while True:
             p = random_nonzero_vector(rng, dim)
             q = random_nonzero_vector(rng, dim)

@@ -337,13 +337,6 @@ class MatrixRep:
                 if np.max(np.abs(lhs - rhs)) > _HOMOMORPHISM_TOL:
                     raise ValueError(f"homomorphism check failed on (T_{a}, T_{b})")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "dim_rep": self.dim_rep,
-            "basis_images": [im.tolist() for im in self.basis_images],
-            "faithful_on": self.faithful_on,
-        }
-
     @classmethod
     def from_json_dict(cls, data) -> "MatrixRep":
         return cls(data["basis_images"], faithful_on=data.get("faithful_on", ""))

@@ -2,14 +2,83 @@
 
 None of these runs in the package: each is a second route to a value that
 bchkit computes another way, written so that it shares as little code with
-it as it can.
+it as it can.  The element arithmetic and the rep-file writer at the top are
+the tests' own too: bchkit computes on integer forms and reads rep files, so
+it has no use for either.
 """
 
+import functools
 import math
 from fractions import Fraction
 
-from bchkit.algebra import DimensionMismatch, LieElement, Subspace
-from bchkit.closed_form import f_series
+from bchkit.algebra import DimensionMismatch, LieElement, Subspace, as_fraction
+from bchkit.closed_form import BivariateSeries, f_series
+
+
+# ---------------------------------------------------------------------------
+# element arithmetic, coordinate by coordinate, and rep files
+# ---------------------------------------------------------------------------
+
+def _plus(x: LieElement, y: LieElement) -> LieElement:
+    if x.dim != y.dim:
+        raise DimensionMismatch(f"dim {x.dim} vs {y.dim}")
+    return LieElement(a + b for a, b in zip(x.coords, y.coords))
+
+
+def plus(*terms: LieElement) -> LieElement:
+    """terms[0] + terms[1] + ..., summed left to right in each coordinate."""
+    return functools.reduce(_plus, terms)
+
+
+def minus(x: LieElement, y: LieElement) -> LieElement:
+    """x - y."""
+    return plus(x, times(-1, y))
+
+
+def times(s, x: LieElement) -> LieElement:
+    """s x."""
+    return LieElement(s * a for a in x.coords)
+
+
+def is_zero(x: LieElement) -> bool:
+    return not any(x.coords)
+
+
+def rep_json_dict(rep) -> dict:
+    """A MatrixRep as the JSON object that MatrixRep.from_json_dict and the CLI's
+    --rep read."""
+    return {"dim_rep": rep.dim_rep, "basis_images": [im.tolist() for im in rep.basis_images],
+            "faithful_on": rep.faithful_on}
+
+
+# ---------------------------------------------------------------------------
+# the exact value of a truncated series of f
+# ---------------------------------------------------------------------------
+
+def evaluate_exact(series: BivariateSeries, u, v) -> Fraction:
+    """Exact value of series at rational u = a/b, v = c/e.  With U = a e and V = c b,
+    the degree-m part is N_m / (q_m (b e)^m), N_m = sum_j A_mj U^(m-j) V^j, and the
+    parts are summed over one denominator by Horner's rule in b e.  The table need
+    not be symmetric.
+
+    u and v are anything as_fraction takes; a float raises TypeError
+    (series.evaluate() sums in floating point).
+
+    As a reference value of f, f_series(d) is the degree-d Taylor truncation of
+    r -> f(r u, r v) at r = 1, whose radius is 2 pi / |u - v| (f is singular only
+    where u - v is a nonzero multiple of 2 pi i).  Its error shrinks roughly like
+    (|u - v| / 2 pi)^d, at most (max(|u|, |v|) / pi)^d: keep max(|u|, |v|) well
+    below pi."""
+    u, v = as_fraction(u), as_fraction(v)
+    be = u.denominator * v.denominator
+    pu, pv = ([t**k for k in range(series.max_degree + 1)]
+              for t in (u.numerator * v.denominator, v.numerator * u.denominator))
+    q = math.lcm(*(qm for _, qm in series.rows))
+    total = 0
+    for m, (row, qm) in enumerate(series.rows):
+        part = sum(a * pu[m - j] * pv[j] for j, a in enumerate(row) if a)
+        total = total * be + part * (q // qm)
+    return Fraction(total, q * be**series.max_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +119,7 @@ def rank_one_uv(fact, x: LieElement, y: LieElement) -> tuple:
 
 def bch_rank_one_exact(fact, x: LieElement, y: LieElement, f_degree: int = 40) -> LieElement:
     """Rank-one composition with f evaluated as the exact series value
-    f_series(f_degree).evaluate_exact(u, v); everything else stays exact.
+    evaluate_exact(f_series(f_degree), u, v); everything else stays exact.
 
     A high-precision reference while max(|u|, |v|) is well below pi: the
     error of f is roughly (|u - v| / 2 pi)^f_degree.
@@ -58,8 +127,8 @@ def bch_rank_one_exact(fact, x: LieElement, y: LieElement, f_degree: int = 40) -
     u, v = rank_one_uv(fact, x, y)
     c_xy = omega_contract(fact, x, y)
     if c_xy == 0:
-        return x + y
-    return x + y + fact.n.scale(c_xy * f_series(f_degree).evaluate_exact(u, v))
+        return plus(x, y)
+    return plus(x, y, times(c_xy * evaluate_exact(f_series(f_degree), u, v), fact.n))
 
 
 # ---------------------------------------------------------------------------
@@ -99,4 +168,4 @@ def centralized_closure(alg, x: LieElement, y: LieElement):
     whether [w, b] = 0 for every basis vector b of S."""
     w = alg.bracket(x, y)
     sub = alg.span_closure([w], (x, y))
-    return all(alg.bracket(w, LieElement(b)).is_zero() for b in sub.basis), sub
+    return all(is_zero(alg.bracket(w, LieElement(b))) for b in sub.basis), sub

@@ -26,8 +26,8 @@ from bchkit.oracle import (
     matrix_bch,
     two_scale_algebra,
 )
-from reference import (bch_rank_one_exact, centralized_closure, f_form_negexp, f_form_product,
-                       f_form_quotient)
+from reference import (bch_rank_one_exact, centralized_closure, evaluate_exact, f_form_negexp,
+                       f_form_product, f_form_quotient, is_zero, minus, plus, times)
 
 
 @contextmanager
@@ -79,21 +79,17 @@ def test_criterion_2_low_order_composition_terms():
         lxw, lyw = alg.bracket(x, w), alg.bracket(y, w)
         lylxw = alg.bracket(y, lxw)
         # each compared direction is active, so a wrong coefficient is visible
-        assert not w.is_zero() and not (lxw - lyw).is_zero() and not lylxw.is_zero()
-        expected = (x + y + w.scale(Fraction(1, 2))
-                    + (lxw - lyw).scale(Fraction(1, 12))
-                    - lylxw.scale(Fraction(1, 24)))
+        assert not is_zero(w) and not is_zero(minus(lxw, lyw)) and not is_zero(lylxw)
+
+        def composition(c2, c3, c4):  # x + y + c2 w + c3 (lxw - lyw) - c4 lylxw
+            return plus(x, y, times(Fraction(c2), w), times(Fraction(c3), minus(lxw, lyw)),
+                        times(-Fraction(c4), lylxw))
+
         got = bch_integral_series(alg, x, y, 4)
-        assert got.coords == expected.coords
+        assert got.coords == composition("1/2", "1/12", "1/24").coords
         # sensitivity: perturbing any of the three coefficients breaks equality
-        for wrong in (
-            x + y + w.scale(Fraction(1, 3)) + (lxw - lyw).scale(Fraction(1, 12))
-            - lylxw.scale(Fraction(1, 24)),
-            x + y + w.scale(Fraction(1, 2)) + (lxw - lyw).scale(Fraction(1, 11))
-            - lylxw.scale(Fraction(1, 24)),
-            x + y + w.scale(Fraction(1, 2)) + (lxw - lyw).scale(Fraction(1, 12))
-            - lylxw.scale(Fraction(1, 23)),
-        ):
+        for wrong in (composition("1/3", "1/12", "1/24"), composition("1/2", "1/11", "1/24"),
+                      composition("1/2", "1/12", "1/23")):
             assert got.coords != wrong.coords
 
 
@@ -108,8 +104,8 @@ def test_criterion_3_shift_operator_case():
             b = Fraction(rng.randint(-8, 8), 8)
             if a == 0:
                 continue
-            x = alg.basis_element(0).scale(a)
-            y = alg.basis_element(1).scale(b)
+            x = times(a, alg.basis_element(0))
+            y = times(b, alg.basis_element(1))
             cls = classify_pair(alg, x, y)
             if b != 0:  # else the pair commutes
                 assert (cls.tag, cls.u, cls.v) == (CaseTag.SIMULTANEOUS_EIGENVECTOR, 0, a)
@@ -130,7 +126,7 @@ def test_criterion_4_central_case():
         for _ in range(100):
             x = families.random_element(rng, 3)
             y = families.random_element(rng, 3)
-            closed = x + y + alg.bracket(x, y).scale(Fraction(1, 2))
+            closed = plus(x, y, times(Fraction(1, 2), alg.bracket(x, y)))
             z_mat = matrix_bch(rep, x, y)
             assert sup_diff(closed, z_mat) < 1e-12
 
@@ -155,7 +151,7 @@ def test_criterion_5_rank_one_conformance():
             points = []
             for p in range(3, 8):
                 eps = Fraction(1, 2**p)
-                xs, ys = x.scale(eps), y.scale(eps)
+                xs, ys = times(eps, x), times(eps, y)
                 gap = sup_diff_exact(bch_rank_one_exact(fact, xs, ys),
                                      bch_integral_series(alg, xs, ys, 8))
                 if gap == 0.0:
@@ -239,7 +235,7 @@ def test_criterion_7_detector_soundness():
             y = families.random_element(rng, alg.dim)
             cls = classify_pair(alg, x, y)
             if cls.tag == CaseTag.CENTRAL_BRACKET:  # an eigenvector with u = v = 0
-                assert alg.bracket(x, cls.w).is_zero() and alg.bracket(y, cls.w).is_zero()
+                assert is_zero(alg.bracket(x, cls.w)) and is_zero(alg.bracket(y, cls.w))
             if cls.tag in (CaseTag.COMMUTING, CaseTag.CENTRAL_BRACKET,
                            CaseTag.SIMULTANEOUS_EIGENVECTOR):
                 ok, _ = centralized_closure(alg, x, y)
@@ -270,7 +266,7 @@ def test_criterion_8_f_evaluation_robustness():
                 continue
             assert abs(series.evaluate(u, v) - _f_closed(max(u, v), min(u, v))) < 1e-13
             # f_scalar against the exact series value of f at the same doubles
-            exact = f_series(40).evaluate_exact(Fraction(u), Fraction(v))
+            exact = evaluate_exact(f_series(40), Fraction(u), Fraction(v))
             got = f_scalar(u, v)
             if abs(u - v) < 0.25:  # inside the series box
                 assert abs(Fraction(got) - exact) <= Fraction(4, 2**53) * abs(exact), (u, v)

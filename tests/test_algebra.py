@@ -22,7 +22,7 @@ from bchkit.oracle import (
     builtin_catalog,
     heisenberg_algebra,
 )
-from reference import adjoint, apply, in_span
+from reference import adjoint, apply, in_span, is_zero, times
 
 
 @pytest.fixture
@@ -44,7 +44,7 @@ class TestValidate:
         for a in range(3):
             for b in range(3):
                 if {a, b} != {0, 1}:
-                    assert heis.bracket(heis.basis_element(a), heis.basis_element(b)).is_zero()
+                    assert is_zero(heis.bracket(heis.basis_element(a), heis.basis_element(b)))
 
     def test_affine_shift(self, affine):
         z = affine.bracket(affine.basis_element(0), affine.basis_element(1))
@@ -124,18 +124,18 @@ class TestValidate:
 class TestBracket:
     def test_self_bracket_vanishes(self, heis):
         x = heis.element(["1/2", "-3", "7/5"])
-        assert heis.bracket(x, x).is_zero()
+        assert is_zero(heis.bracket(x, x))
 
     def test_bilinearity_on_affine(self, affine):
         a, b = Fraction(3, 4), Fraction(-5, 7)
-        x = affine.basis_element(0).scale(a)
-        y = affine.basis_element(1).scale(b)
+        x = times(a, affine.basis_element(0))
+        y = times(b, affine.basis_element(1))
         assert affine.bracket(x, y).coords == (0, a * b)
 
     def test_antisymmetry(self, heis):
         x = heis.element([1, 2, 3])
         y = heis.element(["1/2", 0, "-1"])
-        assert heis.bracket(x, y).coords == (-heis.bracket(y, x)).coords
+        assert heis.bracket(x, y).coords == times(-1, heis.bracket(y, x)).coords
 
     def test_element_with_a_float_is_all_float(self, heis):
         # so a result never mixes floats and fractions
@@ -156,7 +156,7 @@ class TestAdjoint:
         assert nonzero == [(2, 1)]
 
     def test_zero_element(self, heis):
-        assert not any(any(row) for row in adjoint(heis, heis.zero()))
+        assert not any(any(row) for row in adjoint(heis, heis.element([0] * heis.dim)))
 
     def test_affine_eigenvalue_one(self, affine):
         ad = adjoint(affine, affine.basis_element(0))
@@ -253,7 +253,7 @@ class TestSubspaces:
                 heis.span_closure(seeds, generators)
 
     def test_span_closure_zero_seed(self, heis):
-        s = heis.span_closure([heis.zero()], [heis.basis_element(0)])
+        s = heis.span_closure([heis.element([0] * heis.dim)], [heis.basis_element(0)])
         assert s.is_zero()
 
 class TestElements:
@@ -280,14 +280,9 @@ class TestElements:
         with pytest.raises(TypeError, match="sequence of coordinates"):
             heis.element(values)
 
-    def test_arithmetic(self, heis):
-        x = heis.element([1, 2, 3])
-        y = heis.element([4, 5, 6])
-        assert (x + y).coords == (5, 7, 9)
-        assert (x - y).coords == (-3, -3, -3)
-        assert (Fraction(1, 2) * x).coords == (Fraction(1, 2), 1, Fraction(3, 2))
-        assert (-x).coords == (-1, -2, -3)
-        assert x.sup_norm() == 3.0
+    def test_sup_norm(self, heis):
+        assert heis.element([1, -3, "5/2"]).sup_norm() == 3.0
+        assert heis.element([0.5, -0.25, 0.0]).sup_norm() == 0.5
 
 
 class TestJson:

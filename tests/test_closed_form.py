@@ -46,8 +46,14 @@ from bchkit.oracle import (
     two_scale_algebra,
     uvc_model_algebra,
 )
-from reference import (adjoint, apply, centralized_closure, f_form_negexp, f_form_product,
-                       f_form_quotient, omega_contract, rank_one_uv)
+from reference import (adjoint, apply, centralized_closure, evaluate_exact, f_form_negexp,
+                       f_form_product, f_form_quotient, minus, omega_contract, plus,
+                       rank_one_uv, times)
+
+
+def _floats(alg, *elements) -> tuple:
+    """Each element with every coordinate rounded to the nearest double."""
+    return tuple(alg.element([float(c) for c in e.coords]) for e in elements)
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +77,7 @@ class TestScalarF:
         expected = (e + 1 / e - 2) / (e - 1 / e)
         assert abs(f_scalar(1, -1) - expected) < 1e-15
         # cross-check against the exact series partial sums
-        series_val = float(f_series(24).evaluate_exact(1, -1))
+        series_val = float(evaluate_exact(f_series(24), 1, -1))
         assert abs(series_val - expected) < 1e-9
 
     def test_value_at_one_minus_one_against_series_oracle(self):
@@ -81,7 +87,7 @@ class TestScalarF:
         x, y = alg.basis_element(0), alg.basis_element(1)
         w = alg.bracket(x, y)
         z = bch_integral_series(alg, x, y, 12)
-        extracted = float((z - x - y).coords[0] / w.coords[0])
+        extracted = float(minus(minus(z, x), y).coords[0] / w.coords[0])
         expected = (math.e + 1 / math.e - 2) / (math.e - 1 / math.e)
         # degree-12 truncation of f at |u| = |v| = 1 leaves a ~1e-6 tail
         assert abs(extracted - expected) < 1e-5
@@ -112,7 +118,7 @@ class TestScalarF:
         for _ in range(200):
             u = rng.uniform(-0.24, 0.24)
             v = rng.uniform(-0.24, 0.24)
-            exact = series.evaluate_exact(Fraction(u), Fraction(v))
+            exact = evaluate_exact(series, Fraction(u), Fraction(v))
             got = f_scalar(u, v)
             if abs(u - v) < 0.25:
                 assert abs(Fraction(got) - exact) <= BOX_ERROR * exact, (u, v)
@@ -136,7 +142,7 @@ class TestScalarF:
         checked = 0
         for u, v in points:
             if max(abs(u), abs(v), abs(u - v)) < 0.25:
-                exact = f_series(40).evaluate_exact(Fraction(u), Fraction(v))
+                exact = evaluate_exact(f_series(40), Fraction(u), Fraction(v))
                 got = f_scalar(u, v)
                 assert abs(Fraction(got) - exact) <= BOX_ERROR * exact, (u, v, got)
                 checked += 1
@@ -334,10 +340,10 @@ class TestSeries:
     def test_evaluate_exact_takes_exact_rationals_only(self):
         # ints, Fractions and "p/q" strings are exact; floats go to evaluate()
         series = f_series(12)
-        assert series.evaluate_exact("1/3", -2) == series.evaluate_exact(Fraction(1, 3),
+        assert evaluate_exact(series, "1/3", -2) == evaluate_exact(series, Fraction(1, 3),
                                                                          Fraction(-2))
         with pytest.raises(TypeError, match="exact rational"):
-            series.evaluate_exact(0.5, Fraction(1, 4))
+            evaluate_exact(series, 0.5, Fraction(1, 4))
 
     def test_matches_long_division(self):
         # every table equals plain O(d^4) long division of the two series,
@@ -365,7 +371,7 @@ class TestSeries:
             for u, v in points:
                 got = series.evaluate(u, v)
                 assert got == series.evaluate(v, u) == cut.evaluate(u, v), (d, u, v)
-                exact = series.evaluate_exact(Fraction(u), Fraction(v))
+                exact = evaluate_exact(series, Fraction(u), Fraction(v))
                 assert abs(Fraction(got) - exact) <= BOX_ERROR * abs(exact), (d, u, v)
 
     def test_tables_build_no_fraction_until_read(self, monkeypatch, fraction_builds):
@@ -390,7 +396,7 @@ class TestSeries:
 
     def test_float_evaluation_rejects_an_asymmetric_table(self):
         lopsided = BivariateSeries((((1,), 1), ((1, 0), 1)))
-        assert lopsided.evaluate_exact(Fraction(1, 2), 0) == Fraction(3, 2)
+        assert evaluate_exact(lopsided, Fraction(1, 2), 0) == Fraction(3, 2)
         with pytest.raises(ValueError, match="symmetric"):
             lopsided.evaluate(0.5, 0.0)
 
@@ -508,7 +514,7 @@ class TestSpecial:
     def test_zero_identity(self):
         heis = heisenberg_algebra()
         y = heis.element([2, "1/3", 1])
-        res = bch_closed_form(heis, heis.zero(), y)
+        res = bch_closed_form(heis, heis.element([0] * heis.dim), y)
         assert res.z.coords == y.coords and res.method == "Sum"
 
     def test_mismatch_detected(self):
@@ -516,7 +522,7 @@ class TestSpecial:
         # not commute: its Sum would drop the bracket
         heis = heisenberg_algebra()
         x, y = heis.basis_element(0), heis.basis_element(1)
-        claim = classify_pair(heis, x, x.scale(2))
+        claim = classify_pair(heis, x, times(2, x))
         assert claim.tag == CaseTag.COMMUTING
         with pytest.raises(ClassificationMismatch):
             bch_closed_form(heis, x, y, classification=claim)
@@ -538,14 +544,14 @@ class TestEigenpair:
         x, y = (LieElement(int(k == index[e]) for k in range(b3.dim)) for e in ((0, 1), (1, 2)))
         res = bch_closed_form(b3, x, y)
         assert (res.method, res.u, res.v, res.exact) == ("ScalarF", 0, 0, True)
-        assert res.z == x + y + b3.bracket(x, y).scale(Fraction(1, 2))
+        assert res.z == plus(x, y, times(Fraction(1, 2), b3.bracket(x, y)))
 
     @pytest.mark.parametrize("u, v", [(5, 7), (1000, 1000)])
     def test_commuting_pair_evaluates_no_f(self, u, v):
         # w = 0 leaves z = x + y exact, however large x and y are: f is not
         # evaluated, where f(1000, 1000) would overflow
         heis = heisenberg_algebra()
-        x, y = heis.basis_element(0).scale(u), heis.basis_element(0).scale(v)
+        x, y = times(u, heis.basis_element(0)), times(v, heis.basis_element(0))
         res = bch_closed_form(heis, x, y)
         assert (res.method, res.exact, res.residual_bound) == ("Sum", True, None)
         assert res.z.coords == (u + v, 0, 0)
@@ -591,7 +597,7 @@ class TestRankOne:
         res = bch_closed_form(heis, x, y)
         w = heis.bracket(x, y)
         assert res.exact
-        assert res.z.coords == (x + y + w.scale(Fraction(1, 2))).coords
+        assert res.z.coords == plus(x, y, times(Fraction(1, 2), w)).coords
 
     def test_routing_matches_eigenpair(self):
         # classify_pair's eigenpair is the factorization's (u, v), and z is the
@@ -605,14 +611,14 @@ class TestRankOne:
         u, v = rank_one_uv(fact, x, y)
         assert (cls.tag, cls.u, cls.v) == (CaseTag.SIMULTANEOUS_EIGENVECTOR, u, v)
         res = bch_closed_form(alg, x, y, classification=cls)
-        formula = x + y + fact.n.scale(omega_contract(fact, x, y)).scale(f_scalar(u, v))
+        formula = plus(x, y, times(f_scalar(u, v), times(omega_contract(fact, x, y), fact.n)))
         assert max(abs(float(a) - float(b))
                    for a, b in zip(res.z.coords, formula.coords)) < 1e-15
 
     def test_kernel_gives_sum(self):
         aff = affine_algebra()
         y = aff.basis_element(1)  # omega kills the derived direction pair
-        res = bch_closed_form(aff, y, y.scale(Fraction(3)))
+        res = bch_closed_form(aff, y, times(Fraction(3), y))
         assert res.z.coords == (0, 4)
 
     def test_uvc_model_routes_through_factorization(self):
@@ -625,7 +631,7 @@ class TestRankOne:
         assert rank_one_uv(fact, x, y) == (u, v)
         res = bch_closed_form(alg, x, y)
         assert (res.method, res.u, res.v) == ("ScalarF", u, v)
-        formula = x + y + fact.n.scale(omega_contract(fact, x, y)).scale(f_scalar(u, v))
+        formula = plus(x, y, times(f_scalar(u, v), times(omega_contract(fact, x, y), fact.n)))
         assert max(abs(float(a) - float(b))
                    for a, b in zip(res.z.coords, formula.coords)) < 1e-15
 
@@ -640,8 +646,8 @@ class TestRankOne:
             for degree in (4, 6, 8):
                 u, v = rank_one_uv(fact, x, y)
                 c_xy = omega_contract(fact, x, y)
-                partial = f_series(degree - 2).evaluate_exact(u, v)
-                lhs = x + y + fact.n.scale(c_xy * partial)
+                partial = evaluate_exact(f_series(degree - 2), u, v)
+                lhs = plus(x, y, times(c_xy * partial, fact.n))
                 rhs = bch_integral_series(alg, x, y, degree)
                 assert lhs.coords == rhs.coords
 
@@ -654,8 +660,9 @@ class TestOplus:
         rng = random.Random(10)
         alg = families.random_rank_one(rng, 4)
         x = families.random_element(rng, 4)
-        assert bch_closed_form(alg, x, alg.zero()).z.coords == x.coords
-        assert bch_closed_form(alg, alg.zero(), x).z.coords == x.coords
+        zero = alg.element([0] * alg.dim)
+        assert bch_closed_form(alg, x, zero).z.coords == x.coords
+        assert bch_closed_form(alg, zero, x).z.coords == x.coords
 
     def test_heisenberg_form(self):
         heis = heisenberg_algebra()
@@ -663,7 +670,7 @@ class TestOplus:
         x = heis.element([1, 2, 3])
         y = heis.element([4, 5, 6])
         c_xy = omega_contract(fact, x, y)
-        expected = x + y + fact.n.scale(c_xy * Fraction(1, 2))
+        expected = plus(x, y, times(c_xy * Fraction(1, 2), fact.n))
         assert bch_closed_form(heis, x, y).z.coords == expected.coords
 
     def test_associativity_numeric(self):
@@ -737,11 +744,11 @@ class TestOperator:
         res = bch_closed_form(alg, x, y, classification=cls)
         assert not res.exact and res.degree > 2
         parts = closed_form_terms(cls, res.degree + 2)
-        exact = sum(parts[1:], parts[0])
+        exact = plus(*parts)
         ulp = Fraction(math.ulp(res.z.sup_norm()))
         assert max(abs(e - Fraction(z)) for e, z in zip(exact.coords, res.z.coords)) <= 4 * ulp
         # float inputs run through the same walk in floats
-        res_float = bch_closed_form(alg, x.to_float(), y.to_float())
+        res_float = bch_closed_form(alg, *_floats(alg, x, y))
         assert res_float.degree == res.degree and not res_float.exact
         assert max(abs(Fraction(a) - Fraction(b))
                    for a, b in zip(res_float.z.coords, res.z.coords)) <= 4 * ulp
@@ -755,7 +762,7 @@ class TestOperator:
         cls = classify_pair(alg, x, y)
         res = bch_closed_form(alg, x, y, 1e-10, classification=cls)
         assert res.degree == 37
-        res_float = bch_closed_form(alg, x.to_float(), y.to_float(), 1e-10)
+        res_float = bch_closed_form(alg, *_floats(alg, x, y), 1e-10)
         assert not res_float.exact
         assert (res_float.z, res_float.degree, res_float.residual_bound) == \
             (res.z, res.degree, res.residual_bound)
@@ -932,7 +939,7 @@ class TestGradedTerms:
             res = bch_closed_form(alg, x, y, classification=cls)
             if res.exact and (res.degree or 0) + 2 <= self.DEGREE:
                 # terminating: C_n = 0 beyond n = degree + 2, and the sum is z
-                assert res.z == sum(closed[1:], closed[0])
+                assert res.z == plus(*closed)
                 terminating += res.method == "OperatorF"
         assert tags == set(CaseTag) - {CaseTag.NO_CLOSED_FORM}
         assert terminating > 0
@@ -942,11 +949,11 @@ class TestGradedTerms:
         alg = two_scale_algebra()
         x, y = alg.element(["1/4", "1/2", "0", "0"]), alg.element(["0", "0", "1/4", "1/4"])
         e = Fraction(1, 3)
-        xe, ye = x.scale(e), y.scale(e)
+        xe, ye = times(e, x), times(e, y)
         closed = closed_form_terms(classify_pair(alg, x, y), 6)
         scaled = closed_form_terms(classify_pair(alg, xe, ye), 6)
         for n, (c, ce) in enumerate(zip(closed, scaled), 1):
-            assert ce == c.scale(e**n)
+            assert ce == times(e**n, c)
 
     def test_terms_read_the_certificate(self, monkeypatch):
         # the integer forms of x, y and w come from the certificate: nothing
@@ -981,7 +988,7 @@ class TestCase1:
             y = families.random_element(rng, dim)
             xm = sum(a * b for a, b in zip(x.coords, m))
             ym = sum(a * b for a, b in zip(y.coords, m))
-            expected = (y.scale(xm) - x.scale(ym)).scale(Fraction(1, 2))
+            expected = times(Fraction(1, 2), minus(times(xm, y), times(ym, x)))
             assert alg.bracket(x, y).coords == expected.coords
 
     def test_zero_m_abelian(self):
@@ -1067,10 +1074,11 @@ class TestDispatch:
         rng = random.Random(16)
         for alg in (heisenberg_algebra(), affine_algebra(), two_scale_algebra()):
             x = families.random_element(rng, alg.dim)
-            z = bch_closed_form(alg, x, alg.zero()).z
+            zero = alg.element([0] * alg.dim)
+            z = bch_closed_form(alg, x, zero).z
             assert max(abs(float(a) - float(b))
                        for a, b in zip(z.coords, x.coords)) < 1e-15
-            z = bch_closed_form(alg, alg.zero(), x).z
+            z = bch_closed_form(alg, zero, x).z
             assert max(abs(float(a) - float(b))
                        for a, b in zip(z.coords, x.coords)) < 1e-15
 
@@ -1216,7 +1224,7 @@ class TestPerPairWork:
             with pytest.raises(ClassificationMismatch):
                 bch_closed_form(alg, y, x, classification=cls)
             with pytest.raises(ClassificationMismatch):
-                bch_closed_form(alg, x, y.scale(2), classification=cls)
+                bch_closed_form(alg, x, times(2, y), classification=cls)
             twin = StructureConstants.from_json_dict(alg.to_json_dict())
             with pytest.raises(ClassificationMismatch):
                 bch_closed_form(twin, x, y, classification=cls)
@@ -1303,7 +1311,7 @@ class TestFloatInput:
                            match=f"^coordinate {coordinate} of z lies beyond the double range$"):
             bch_closed_form(alg, x, y, target_tolerance=1e300)
         # within the range, the same form applies
-        res = bch_closed_form(alg, x.scale(1e-120), y.scale(1e-120), target_tolerance=1e300)
+        res = bch_closed_form(alg, times(1e-120, x), times(1e-120, y), target_tolerance=1e300)
         assert res.method == method and all(map(math.isfinite, res.z.coords))
 
 
@@ -1324,7 +1332,7 @@ def _pinned_corpus(borel):
     for entry in builtin_catalog():
         pairs.extend((entry.algebra, x, y) for x, y, _ in entry.pairs)
     pairs += _borel_pairs(borel, rng)
-    return pairs + [(alg, x.to_float(), y.to_float()) for alg, x, y in pairs]
+    return pairs + [(alg, *_floats(alg, x, y)) for alg, x, y in pairs]
 
 
 def _evaluator_outputs(corpus):
@@ -1363,20 +1371,20 @@ class TestPinnedOutputs:
 
 
 def _reference_result(alg, res: BchResult, x, y, w):
-    """(z, exact, residual_bound) of res, rebuilt by LieElement arithmetic: x + y
+    """(z, exact, residual_bound) of res, rebuilt by coordinate arithmetic: x + y
     plus the term of res.method, with exact meaning "x and y hold no float"."""
     exact = x.is_exact and y.is_exact
     if res.method == "Sum":
-        return x + y, exact, res.residual_bound
+        return plus(x, y), exact, res.residual_bound
     if res.method == "Central" or (res.method == "ScalarF" and res.u == 0 and res.v == 0):
-        return x + y + w.scale(Fraction(1, 2)), exact, res.residual_bound
+        return plus(x, y, times(Fraction(1, 2), w)), exact, res.residual_bound
     if res.method == "ScalarF":
         fval = f_scalar(res.u, res.v)
-        return (x + y + w.scale(fval), False,
+        return (plus(x, y, times(fval, w)), False,
                 8.0 * 2.0**-53 * abs(fval) * w.sup_norm())
     # terminating OperatorF
     parts = closed_form_terms(classify_pair(alg, x, y), res.degree + 2)[1:]
-    return x + y + sum(parts[1:], parts[0]), exact, 0.0
+    return plus(x, y, plus(*parts)), exact, 0.0
 
 
 def _bit_identity_pairs(borel, rng, kind):
@@ -1395,19 +1403,19 @@ def _bit_identity_pairs(borel, rng, kind):
              families.random_element(rng, alg.dim, sup)) for _ in range(3)]
 
 
-def _in_form(rng, x, y, form):
+def _in_form(rng, alg, x, y, form):
     """The pair as Fractions, as floats, as floats with shared -0.0 coordinates, or
     mixed: one element exact and the other float."""
     if form == "fraction":
         return x, y
     if form == "mixed":
-        return (x, y.to_float()) if rng.random() < 0.5 else (x.to_float(), y)
+        return (x, *_floats(alg, y)) if rng.random() < 0.5 else (*_floats(alg, x), y)
     if form == "negzero":
         zeroed = [rng.random() < 0.3 for _ in x.coords]
         x, y = (LieElement(Fraction(0) if k else c for c, k in zip(e.coords, zeroed))
                 for e in (x, y))
         return tuple(LieElement(float(c) if c else -0.0 for c in e.coords) for e in (x, y))
-    return x.to_float(), y.to_float()
+    return _floats(alg, x, y)
 
 
 def _assert_bit_identical(alg, res, x, y, w):
@@ -1421,11 +1429,11 @@ def _assert_bit_identical(alg, res, x, y, w):
        st.sampled_from(["catalog", "rank_one", "case1", "diag", "nilp", "b4"]),
        st.sampled_from(["fraction", "float", "negzero", "mixed"]))
 def test_combine_is_bit_identical_to_element_arithmetic(borel, seed, kind, form):
-    # every closed form against x + y + c w in LieElement arithmetic: z repr,
+    # every closed form against x + y + c w in coordinate arithmetic: z repr,
     # exact and residual_bound to the bit
     rng = random.Random(seed)
     for alg, x, y in _bit_identity_pairs(borel, rng, kind):
-        x, y = _in_form(rng, x, y, form)
+        x, y = _in_form(rng, alg, x, y, form)
         cls = classify_pair(alg, x, y)
         if cls.tag == CaseTag.NO_CLOSED_FORM:
             continue

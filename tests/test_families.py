@@ -13,8 +13,9 @@ from bchkit import families
     lambda rng: families.random_case1(rng, 0),
     lambda rng: families.random_rank_one(rng, 1),
     lambda rng: families.random_rank_one(rng, 1, nilpotent=False),
+    lambda rng: families.random_rank_one(rng, 2),  # the coin may pick the nilpotent branch
     lambda rng: families.random_rank_one(rng, 2, nilpotent=True),
-], ids=["element_0", "case1_0", "rank_one_1", "rank_one_1_not_nilpotent",
+], ids=["element_0", "case1_0", "rank_one_1", "rank_one_1_not_nilpotent", "rank_one_2",
         "rank_one_2_nilpotent"])
 def test_dimension_too_small_rejected_before_any_draw(draw):
     rng = random.Random(0)

@@ -33,6 +33,7 @@ from bchkit.oracle import (
     sl2_algebra,
     two_scale_algebra,
 )
+from reference import is_zero, minus, plus, rep_json_dict, times
 
 
 def sup_diff(a, b):
@@ -168,10 +169,10 @@ class TestIntegralSeries:
             w = alg.bracket(x, y)
             lxw, lyw = alg.bracket(x, w), alg.bracket(y, w)
             lylxw = alg.bracket(y, lxw)
-            assert not lylxw.is_zero()  # the -1/24 term must be exercised
-            expected = (x + y + w.scale(Fraction(1, 2))
-                        + (lxw - lyw).scale(Fraction(1, 12))
-                        - lylxw.scale(Fraction(1, 24)))
+            assert not is_zero(lylxw)  # the -1/24 term must be exercised
+            expected = plus(x, y, times(Fraction(1, 2), w),
+                            times(Fraction(1, 12), minus(lxw, lyw)),
+                            times(Fraction(-1, 24), lylxw))
             assert bch_integral_series(alg, x, y, 4).coords == expected.coords
 
             # degree 5: the standard homogeneous term Z_5
@@ -181,11 +182,11 @@ class TestIntegralSeries:
                     z = alg.bracket(u, z)
                 return z
 
-            z5 = ((nest(y, y, y, y, x) + nest(x, x, x, x, y)).scale(Fraction(-1, 720))
-                  + (nest(x, y, y, y, x) + nest(y, x, x, x, y)).scale(Fraction(1, 360))
-                  + (nest(y, x, y, x, y) + nest(x, y, x, y, x)).scale(Fraction(1, 120)))
-            assert not z5.is_zero()
-            got = bch_integral_series(alg, x, y, 5) - bch_integral_series(alg, x, y, 4)
+            z5 = plus(times(Fraction(-1, 720), plus(nest(y, y, y, y, x), nest(x, x, x, x, y))),
+                      times(Fraction(1, 360), plus(nest(x, y, y, y, x), nest(y, x, x, x, y))),
+                      times(Fraction(1, 120), plus(nest(y, x, y, x, y), nest(x, y, x, y, x))))
+            assert not is_zero(z5)
+            got = minus(bch_integral_series(alg, x, y, 5), bch_integral_series(alg, x, y, 4))
             assert got.coords == z5.coords
 
     def test_series_terms(self):
@@ -195,27 +196,27 @@ class TestIntegralSeries:
             alg, x, y = _pinned_input(label)
             terms = bch_series_terms(alg, x, y, 8)
             assert len(terms) == 8
-            assert terms[0] == x + y
-            assert terms[1] == alg.bracket(x, y).scale(Fraction(1, 2))
-            total = sum(terms[1:], terms[0])
+            assert terms[0] == plus(x, y)
+            assert terms[1] == times(Fraction(1, 2), alg.bracket(x, y))
+            total = plus(*terms)
             assert total.coords == bch_integral_series(alg, x, y, 8).coords, label
-            scaled = bch_series_terms(alg, x.scale(eps), y.scale(eps), 8)
+            scaled = bch_series_terms(alg, times(eps, x), times(eps, y), 8)
             for n, (term, term_eps) in enumerate(zip(terms, scaled), 1):
-                assert term_eps.coords == term.scale(eps**n).coords, (label, n)
+                assert term_eps.coords == times(eps**n, term).coords, (label, n)
 
     def test_degree_three(self):
         alg = sl2_algebra()
         x, y = alg.element([1, 0, "1/3"]), alg.element([0, 1, "-1/2"])
         w = alg.bracket(x, y)
-        expected = (x + y + w.scale(Fraction(1, 2))
-                    + (alg.bracket(x, w) - alg.bracket(y, w)).scale(Fraction(1, 12)))
+        expected = plus(x, y, times(Fraction(1, 2), w),
+                        times(Fraction(1, 12), minus(alg.bracket(x, w), alg.bracket(y, w))))
         assert bch_integral_series(alg, x, y, 3).coords == expected.coords
 
     def test_heisenberg_terminates(self):
         heis = heisenberg_algebra()
         x = heis.element(["1/2", "1/3", "-2"])
         y = heis.element(["5", "-1/7", "1/4"])
-        expected = x + y + heis.bracket(x, y).scale(Fraction(1, 2))
+        expected = plus(x, y, times(Fraction(1, 2), heis.bracket(x, y)))
         for degree in (2, 3, 5, 9):
             assert bch_integral_series(heis, x, y, degree).coords == expected.coords
 
@@ -254,8 +255,9 @@ class TestIntegralSeries:
         points = []
         for p in range(3, 8):
             eps = Fraction(1, 2**p)
-            lo = bch_integral_series(alg, x.scale(eps), y.scale(eps), degree)
-            hi = bch_integral_series(alg, x.scale(eps), y.scale(eps), degree + 4)
+            xs, ys = times(eps, x), times(eps, y)
+            lo = bch_integral_series(alg, xs, ys, degree)
+            hi = bch_integral_series(alg, xs, ys, degree + 4)
             gap = max(abs(float(a - b)) for a, b in zip(lo.coords, hi.coords))
             assert gap > 0
             points.append((-p, math.log2(gap)))
@@ -272,23 +274,23 @@ def _reference_series_terms(alg: StructureConstants, x: LieElement, y: LieElemen
         raise ValueError("truncation degree must be >= 1")
     if not (x.is_exact and y.is_exact):
         raise TypeError("the series oracle requires exact rational coordinates")
-    zero = alg.zero()  # zero results are this object, so checks are identity tests
-    if alg.bracket(x, y).is_zero():
-        return (x + y,) + (zero,) * (degree - 1)
+    zero = alg.element([0] * alg.dim)  # zero results are this object: identity tests
+    if is_zero(alg.bracket(x, y)):
+        return (plus(x, y),) + (zero,) * (degree - 1)
 
     bern = _bernoulli(degree)
-    x_plus_y, half_diff = x + y, (x - y).scale(Fraction(1, 2))
+    x_plus_y, half_diff = plus(x, y), times(Fraction(1, 2), minus(x, y))
     z, s = [None, x_plus_y], {}  # z[n] = Z_n, s[m, n] = S(m, n)
 
     def bracket(a, b):
         if a is zero or b is zero:
             return zero
         c = alg.bracket(a, b)
-        return zero if c.is_zero() else c
+        return zero if is_zero(c) else c
 
     def total(parts):
         parts = [p for p in parts if p is not zero]
-        return sum(parts[1:], parts[0]) if parts else zero
+        return plus(*parts) if parts else zero
 
     def nested(m, n):  # S(m, n), each computed once
         if (m, n) not in s:
@@ -298,9 +300,9 @@ def _reference_series_terms(alg: StructureConstants, x: LieElement, y: LieElemen
 
     for n in range(1, degree):
         nxt = total([bracket(half_diff, z[n])]
-                    + [t.scale(bern[2 * p] / math.factorial(2 * p))
+                    + [times(bern[2 * p] / math.factorial(2 * p), t)
                        for p in range(1, n // 2 + 1) if (t := nested(2 * p, n)) is not zero])
-        z.append(nxt if nxt is zero else nxt.scale(Fraction(1, n + 1)))
+        z.append(nxt if nxt is zero else times(Fraction(1, n + 1), nxt))
     return tuple(z[1:])
 
 
@@ -424,7 +426,7 @@ class TestMatrixBch:
         entry = catalog_entry("affine")
         alg = entry.algebra
         x = alg.element(["1/3", "-2/5"])
-        z = matrix_bch(entry.rep, x, alg.zero())
+        z = matrix_bch(entry.rep, x, alg.element([0] * alg.dim))
         assert sup_diff(z, x) < 1e-13
 
     def test_expansion_reproduces_the_log(self):
@@ -523,7 +525,7 @@ class TestCatalog:
 
     def test_rep_json_roundtrip(self):
         rep = catalog_entry("heisenberg").rep
-        again = MatrixRep.from_json_dict(rep.to_json_dict())
+        again = MatrixRep.from_json_dict(rep_json_dict(rep))
         for a, b in zip(rep.basis_images, again.basis_images):
             assert np.array_equal(a, b)
 
