@@ -172,7 +172,7 @@ def classification_json(cls: detect.CaseClassification) -> dict:
 
 
 def result_json(res: BchResult) -> dict:
-    return {
+    out = {
         "z": coords_json(res.z),
         "method": res.method,
         "exact": res.exact,
@@ -181,6 +181,9 @@ def result_json(res: BchResult) -> dict:
         "v": scalar_json(res.v),
         "degree": res.degree,
     }
+    if res.lines is not None:  # an operator form split into joint eigenlines
+        out["lines"] = [{"u": scalar_json(u), "v": scalar_json(v)} for u, v in res.lines]
+    return out
 
 
 def _sup_diff(a: LieElement, b: LieElement) -> float:

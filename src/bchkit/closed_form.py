@@ -9,11 +9,12 @@ scalar evaluator takes the exact bivariate Taylor polynomial of f, rewritten
 in the symmetric s = u + v and p = u v and evaluated by nested Horner's rule.
 Outside that box it uses one rearrangement of the quotient that keeps its
 digits on the axes, on the diagonal and up to the double range, with no case
-of their own.  The same Taylor coefficients drive the operator form
-f(L_X, -L_Y) [X,Y] used when the scalar hypothesis fails but the adjoints
-effectively commute: one walk of L_X^i L_Y^j [X,Y] on integers gives its exact
-graded parts, summed exactly when the series terminates and in floating point
-otherwise.
+of their own.  The operator form f(L_X, -L_Y) [X,Y] is used when the scalar
+hypothesis fails but the adjoints effectively commute: where L_X and L_Y split
+[X,Y] into joint eigenlines over Q it is the scalar form once per line;
+otherwise one walk of L_X^i L_Y^j [X,Y] on integers gives its exact graded
+parts for the same Taylor coefficients, summed exactly when the series
+terminates and in floating point otherwise.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .algebra import (
     unscaled,
     validate,
 )
-from .detect import CaseClassification, CaseTag, _uv_field, classify_pair
+from .detect import CaseClassification, CaseTag, _eigenvalue, _uv_field, classify_pair
 
 SERIES_CROSSOVER = 0.25     # switch to the Taylor series inside this box
 SERIES_DEGREE = 20          # series truncation of the scalar evaluator
@@ -52,7 +53,9 @@ class ClassificationMismatch(ValueError):
 class NonConvergence(RuntimeError):
     """Operator series cannot reach the target tolerance: the restricted adjoint
     norm is not inside OPERATOR_RADIUS (achieved_bound is None), or it is and
-    the tail bound at OPERATOR_MAX_DEGREE is still above the tolerance."""
+    the tail bound at OPERATOR_MAX_DEGREE is still above the tolerance.  Only a
+    series that neither terminates nor splits into joint eigenlines is summed
+    this way, so only such a pair raises it."""
 
     def __init__(self, spectral_bound: float, achieved_bound: float | None):
         self.spectral_bound = spectral_bound
@@ -72,33 +75,46 @@ class NoClosedFormAvailable(ValueError):
 
 class BchResult(_Frozen):
     """Output of a closed-form evaluation.  residual_bound covers 8 ulp of the final
-    combine x + y + f w for ScalarF and the geometric tail estimate (radius pi) for a
-    non-terminating OperatorF, never the error of f; exact results give 0.0 or None.
+    combine x + y + f w for ScalarF, the same summed over the lines of an OperatorF
+    split into joint eigenlines, and the geometric tail estimate (radius pi) for a
+    non-terminating OperatorF that does not split, never the error of f; exact
+    results give 0.0 or None.
 
     exact is True iff neither x nor y holds a float and the form takes no float
     value of f (Sum, Central, ScalarF at u = v = 0, terminating OperatorF): z is then
     all Fraction, one per coordinate of an integer sum; otherwise z is all float.
-    method is one of Sum, Central, ScalarF and OperatorF.
+    method is one of Sum, Central, ScalarF and OperatorF.  degree is the last degree
+    of f's series summed by a series OperatorF, else None.
 
     A ScalarF result keeps the certificate's ratios _uv = (un, ud, vn, vd),
     keyword-only and private, not the certificate, and builds u = un / ud and
     v = vn / vd from them on first read; u and v are None where _uv is None.
-    _uv takes no part in ==, hash or repr."""
+    An OperatorF result split into joint eigenlines w = sum_k w_k keeps one such
+    ratio per line, _lines, and builds lines = ((u_k, v_k), ...) from them on first
+    read, with L_X w_k = v_k w_k and L_Y w_k = -u_k w_k; lines is None where _lines
+    is.  _uv, _lines and lines take no part in ==, hash or repr."""
 
     _fields = ("z", "method", "exact", "residual_bound", "u", "v", "degree")
 
     def __init__(self, z: LieElement, method: str, exact: bool,
                  residual_bound: float | None = None, degree: int | None = None, *,
-                 _uv: tuple | None = None):
+                 _uv: tuple | None = None, _lines: tuple | None = None):
         _setattr(self, "z", z)
         _setattr(self, "method", method)
         _setattr(self, "exact", exact)
         _setattr(self, "residual_bound", residual_bound)
         _setattr(self, "degree", degree)
         _setattr(self, "_uv", _uv)
+        _setattr(self, "_lines", _lines)
 
     u = _uv_field(0)
     v = _uv_field(2)
+
+    @cached_property
+    def lines(self) -> tuple | None:
+        if self._lines is None:
+            return None
+        return tuple((Fraction(un, ud), Fraction(vn, vd)) for un, ud, vn, vd in self._lines)
 
 
 # ---------------------------------------------------------------------------
@@ -301,22 +317,29 @@ def _sum_form(a, b) -> tuple[list[int], int]:
     return [p * sb + q * sa for p, q in zip(av, bv)], sa * sb
 
 
-def _combined(method: str, x: LieElement, y: LieElement, scaled, term=None, fval=None,
-              **fields) -> BchResult:
-    """The result z = x + y + t, or x + y + fval t for a float fval, where t = T / st
-    for the integer form term = (T, st), or t = 0 for no term, and scaled holds the
-    integer forms ((xs, sx), (ys, sy)) of x and y.
+def _plus_term(sums, k, vec, st):
+    """Each float s_i of sums plus k t_i, where t_i = T_i / st rounds once."""
+    return (s + k * (t / st) for s, t in zip(sums, vec))
 
-    exact means that neither x nor y holds a float and that there is no fval; then
+
+def _combined(method: str, x: LieElement, y: LieElement, scaled, term=None, weighted=(),
+              **fields) -> BchResult:
+    """The result z = x + y + t + sum_k f_k t_k, where t = T / st for the integer form
+    term = (T, st), or t = 0 for no term, weighted = [(f_k, (T_k, st_k)), ...] pairs
+    a float value f_k of f with the integer form of t_k, and scaled holds the integer
+    forms ((xs, sx), (ys, sy)) of x and y.
+
+    exact means that neither x nor y holds a float and that weighted is empty; then
     each coordinate of z is one Fraction of the integer sum.  Otherwise every
     coordinate is a float, and each int / int rounds once: x + y is
     (xs sy + ys sx) / (sx sy) for exact x, y, and the float add x_i + y_i, which
-    keeps -0.0, for float input; t_i is T_i / st, and z is _finite.  fields go to
-    BchResult as they are, but with fval, residual_bound is 8 ulp of |fval| |t|_inf.
+    keeps -0.0, for float input; each t_i is T_i / st, the terms are added in
+    order, and z is _finite.  fields go to BchResult as they are, but with weighted
+    terms, residual_bound is the sum over them of 8 ulp of |f_k| |t_k|_inf.
     """
     if x.is_exact and y.is_exact:
         xy = _sum_form(*scaled)
-        if fval is None:
+        if not weighted:
             z = unscaled(*(xy if term is None else _sum_form(xy, term)))
             return BchResult(LieElement(z), method, exact=True, **fields)
         num, den = xy
@@ -324,12 +347,15 @@ def _combined(method: str, x: LieElement, y: LieElement, scaled, term=None, fval
     else:
         sums = (float(a + b) for a, b in zip(x.coords, y.coords))
     if term is not None:
-        vec, st = term
-        k = 1.0 if fval is None else fval  # 1.0 t_i is t_i
-        sums = (s + k * (t / st) for s, t in zip(sums, vec))
+        sums = _plus_term(sums, 1.0, *term)  # 1.0 t_i is t_i
+    for fval, (vec, st) in weighted:
+        sums = _plus_term(sums, fval, vec, st)
     z = LieElement(_finite(sums))
-    if fval is not None:  # after _finite, no T_i / st overflows
-        fields["residual_bound"] = 8.0 * 2.0**-53 * abs(fval) * (max(map(abs, vec)) / st)
+    if weighted:  # after _finite, no T_i / st overflows
+        bound = 0.0
+        for fval, (vec, st) in weighted:
+            bound += 8.0 * 2.0**-53 * abs(fval) * (max(map(abs, vec)) / st)
+        fields["residual_bound"] = bound
     return BchResult(z, method, exact=False, **fields)
 
 
@@ -349,26 +375,32 @@ def _scalar_f(x: LieElement, y: LieElement, scaled, uv) -> BchResult:
         return _combined("ScalarF", x, y, scaled[:2], _halved(scaled[2]), _uv=uv,
                          residual_bound=0.0)
     fval = f_scalar(un / ud, vn / vd)
-    return _combined("ScalarF", x, y, scaled[:2], scaled[2], fval, _uv=uv)
+    return _combined("ScalarF", x, y, scaled[:2], weighted=[(fval, scaled[2])], _uv=uv)
 
 
 # ---------------------------------------------------------------------------
 # operator form
 # ---------------------------------------------------------------------------
 
-def _anti_diagonals(step, gx, gy, w):
+def _anti_diagonals(step, gx, gy, w, x_edge=(), y_edge=()):
     """Yield the anti-diagonals [L_X^i L_Y^j w for j = 0 .. m], i + j = m, of the
     orbit of w for m = 0, 1, ..., with None for a zero vector.  step(gx, vec)
     applies L_X and step(gy, vec) applies L_Y, each up to a fixed scale: one L_X
-    step per entry and one L_Y step at the end of each diagonal."""
+    step per entry and one L_Y step at the end of each diagonal.  x_edge and
+    y_edge hold L_X^m w and L_Y^m w, as step makes them, for the first m: the
+    walk takes those ends of a diagonal from them instead of stepping."""
     def image(g, vec):
         img = None if vec is None else step(g, vec)
         return img if img is not None and any(img) else None
 
+    def end(edge, m, g, vec):
+        return image(g, vec) if m >= len(edge) else edge[m] if any(edge[m]) else None
+
     diag = [w if any(w) else None]
-    while True:
+    for m in itertools.count(1):
         yield diag
-        diag = [image(gx, vec) for vec in diag] + [image(gy, diag[-1])]
+        diag = ([end(x_edge, m, gx, diag[0])] + [image(gx, vec) for vec in diag[1:]]
+                + [end(y_edge, m, gy, diag[-1])])
 
 
 def _restricted_norm(alg: StructureConstants, gs, scale: int, ech: Echelon) -> float:
@@ -423,42 +455,239 @@ def _graded_parts(alg: StructureConstants, scaled, rows, diagonals):
         yield acc, norm, sw * (px * py) ** m * q
 
 
-def _operator_f(alg: StructureConstants, x: LieElement, y: LieElement, scaled,
-                ech: Echelon, target_tolerance: float) -> BchResult:
-    """z = x + y + f(L_X, -L_Y) w for a nonzero w = [x, y] that centralizes its closure S.
+def _orbit(step, g, vec, first):
+    """vec, L vec, L^2 vec, ... for L = step(g, .), with first = L vec; each image is
+    made only when the one before it has been taken."""
+    yield vec
+    while True:
+        yield first
+        first = step(g, first)
+
+
+def _least_relation(orbit, coords):
+    """(edge, p) for the orbit vec, L vec, L^2 vec, ... of a nonzero integer vec under
+    a linear L that keeps a subspace V, vec in V, whose vectors are told apart by
+    their entries at the positions coords: edge = [vec, L vec, ..., L^s vec] ends at
+    the first L^s vec that lies in the span of the vectors before it, and
+    p = [p_0, ..., p_(s-1), 1] is the least relation, sum_j p_j L^j vec = 0.
+
+    The entries at coords are eliminated fraction-free (as Echelon.reduce), each row
+    carrying the coefficients of its combination of the edge.  Where L maps integer
+    vectors to integer vectors, p, the minimal polynomial of L on the cyclic span of
+    vec, divides the characteristic polynomial of an integer matrix: it is monic in
+    Z[t], and dividing the relation by its leading coefficient is exact."""
+    n = len(coords)
+    edge, rows = [], []
+    for img in orbit:
+        aug = [img[j] for j in coords] + [0] * (n + 1)
+        aug[n + len(edge)] = 1
+        edge.append(img)
+        for row, k in rows:
+            m = aug[k]
+            if m:
+                lead = row[k]
+                c = math.gcd(lead, m)
+                lead, m = lead // c, m // c
+                aug = [lead * a - m * r for a, r in zip(aug, row)]
+        k = next((j for j, a in enumerate(aug[:n]) if a), None)
+        if k is None:
+            rel = aug[n:n + len(edge)]
+            return edge, [c // rel[-1] for c in rel]
+        c = math.gcd(*aug)
+        rows.append(([a // c for a in aug], k))
+
+
+def _deflated(p, r):
+    """(q, p(r)) with p = (t - r) q + p(r), by synthetic division; coefficients
+    lowest first."""
+    q, acc = [], 0
+    for c in reversed(p):
+        acc = acc * r + c
+        q.append(acc)
+    rem = q.pop()
+    return q[::-1], rem
+
+
+def _largest_root(p):
+    """The largest root of the monic integer p, of degree n >= 3, where Newton's
+    method finds it to be an integer; None where p has no integer root so found.
+
+    Real roots lie within sqrt(n - 1) standard deviations of their mean
+    (Laguerre-Samuelson), which the two leading coefficients give: a negative
+    variance means complex roots and a zero one a repeated root.  Newton's method
+    from the upper end of that interval falls to the largest root where all roots
+    are real.  It runs on p(2^e tau) / 2^(e n), with every real root below 2^e in
+    size, where a coefficient too large for n real roots means complex ones; the
+    rounded estimate is refined by Newton steps on the integers and confirmed by
+    exact Horner."""
+    n = len(p) - 1
+    a, b = p[n - 1], p[n - 2]
+    spread = (n - 1) * ((n - 1) * a * a - 2 * n * b)  # (n - 1) n^2 variance
+    if spread <= 0:
+        return None
+    root = math.isqrt(spread) + 1
+    e = (abs(a) + root).bit_length()
+    if e > 1000 or any(abs(c).bit_length() > e * (n - i) + n for i, c in enumerate(p)):
+        return None
+    scaled = [c / (1 << e * (n - i)) for i, c in enumerate(p)]  # int / int rounds once
+    tau = (root - a) / n / (1 << e)
+    tol = max(2.0**-50, math.ldexp(0.25, -e))
+    for _ in range(64):
+        val = slope = 0.0
+        for c in reversed(scaled):
+            slope = slope * tau + val
+            val = val * tau + c
+        if not slope:
+            break
+        step = val / slope
+        tau -= step
+        if abs(step) < tol:
+            break
+    r = round(math.ldexp(tau, e))
+    for _ in range(64):  # a cluster of roots halves the distance per step, at least
+        q, val = _deflated(p, r)
+        if not val:
+            return r
+        slope = _deflated(q, r)[1]  # p'(r) = q(r)
+        step = (2 * val + slope) // (2 * slope) if slope else 0  # nearest to val / slope
+        if not step:
+            return None
+        r -= step
+    return None
+
+
+def _integer_roots(p):
+    """The roots of the monic integer p = [p_0, ..., p_(s-1), 1], s >= 1, if they are
+    s distinct integers, else None.  A rational root of a monic integer polynomial
+    is an integer; each root found is divided out exactly, and the last two come
+    from the discriminant's integer square root."""
+    roots = []
+    while len(p) > 3:
+        r = _largest_root(p)
+        if r is None:
+            return None
+        p = _deflated(p, r)[0]
+        roots.append(r)
+    if len(p) == 3:
+        c, b, _ = p
+        disc = b * b - 4 * c
+        d = math.isqrt(disc) if disc > 0 else 0
+        if d * d != disc or not d:
+            return None
+        roots += [(d - b) // 2, (-d - b) // 2]
+    else:
+        roots.append(-p[0])
+    return roots if len(set(roots)) == len(roots) else None
+
+
+def _eigenlines(edge, p):
+    """[(r, W, h), ...], one per root r of p, for the (edge, p) of _least_relation,
+    where p has s distinct integer roots, else None.  With h_r = p / (t - r),
+    W = h_r(L) vec is the sum of h_r's coefficients times the edge and h = h_r(r),
+    so L W = r W and vec = sum W / h, the Lagrange split of vec; W / h is kept
+    with h > 0."""
+    roots = _integer_roots(p)
+    if roots is None:
+        return None
+    lines = []
+    for r in roots:
+        vec = [0] * len(edge[0])
+        for c, v in zip(_deflated(p, r)[0], edge):
+            if c:
+                vec = [a + c * t for a, t in zip(vec, v)]
+        h = math.prod(r - o for o in roots if o != r)
+        c = math.gcd(*vec, h) * (1 if h > 0 else -1)
+        lines.append((r, [a // c for a in vec], h // c))
+    return lines
+
+
+def _joint_eigenlines(alg: StructureConstants, scaled, edge, pivots):
+    """The split of w = [x, y] into joint eigenlines of L_X and L_Y on S, or None.
 
     scaled holds the integer forms ((xs, sx), (ys, sy), (ws, sw)) of x, y and w, and
-    ech holds S on integer rows: dim S is len(ech.rows), and the tail bound's norms
-    come from those rows (_restricted_norm).
+    edge is ws, L ws, L^2 ws, ... for the kernel's L = den sx L_X, on to a vector
+    in the span of those before it; a vector of S is told apart by its entries at
+    the pivots of S's echelon.  Each L_X-eigenvector W of _eigenlines is
+    bracketed once with y: where L_Y W is a multiple of W (detect._eigenvalue), W
+    is a joint line, else that eigenspace is split again by L_Y's own edge from W.
+    Returns [(uv, (W, d)), ...] with w = sum W / d, L_X W = v W and L_Y W = -u W,
+    uv = (un, ud, vn, vd) as for ScalarF; None where an edge has a repeated,
+    irrational or complex root."""
+    (_, sx), (ys, sy), (_, sw) = scaled
+    px, py = alg.den * sx, alg.den * sy
+    split = []
+    for r, vec, h in _eigenlines(*_least_relation(edge, pivots)) or ():
+        img = alg.scaled_bracket(ys, vec)
+        ratio = _eigenvalue(vec, img)
+        if ratio is not None:
+            split.append(((-ratio[0], py * ratio[1], r, px), (vec, h * sw)))
+            continue
+        sub = _eigenlines(*_least_relation(_orbit(alg.scaled_bracket, ys, vec, img), pivots))
+        if sub is None:
+            return None
+        split += [((-rho, py, r, px), (sub_vec, sub_h * h * sw)) for rho, sub_vec, sub_h in sub]
+    return split or None
 
-    One walk of L_X^i L_Y^j w on the integer kernel serves both outcomes.
-    [L_X, L_Y] = L_w vanishes on S = span{L_X^i L_Y^j w}, so L_X^k = 0 on S
-    iff L_X^k w = 0: the first zero on each edge of the first dim S + 1
-    anti-diagonals decides termination, and a terminating series is the exact
-    sum of the parts of closed_form_terms.  Otherwise the same walk goes on, and
-    each exact part C_n is rounded once per coordinate and summed in floating
-    point until the geometric tail bound drops below target_tolerance.
+
+def _operator_f(alg: StructureConstants, x: LieElement, y: LieElement, scaled,
+                ech: Echelon, images, target_tolerance: float) -> BchResult:
+    """z = x + y + f(L_X, -L_Y) w for a nonzero w = [x, y] that centralizes its closure S.
+
+    scaled holds the integer forms ((xs, sx), (ys, sy), (ws, sw)) of x, y and w,
+    ech holds S on integer rows (dim S is len(ech.rows)), and images holds the
+    kernel's L_X w and L_Y w, as classify_pair computed them.
+
+    [L_X, L_Y] = L_w vanishes on S = span{L_X^i L_Y^j w}, so L_X^k = 0 on S iff
+    L_X^k w = 0, and the edge L_X^k w, k <= dim S, decides the path.  Where it
+    reaches 0, the walk of L_X^i L_Y^j w goes on from that edge: if L_Y^k w = 0 too
+    within dim S + 1 anti-diagonals, the series terminates and z is the exact sum
+    of the parts of closed_form_terms.  Otherwise, where L_X and L_Y split S into
+    joint eigenlines w = sum w_k with integer eigenvalues of the kernel's maps
+    (_joint_eigenlines; L_X must be 0 on S or not nilpotent),
+    f(L_X, -L_Y) w = sum f(u_k, v_k) w_k: the scalar form once per line, with the
+    ScalarF bound summed over the lines.  Where they do not, _shell_sum sums the
+    walk's parts in floating point.
     """
-    walk = _anti_diagonals(alg.scaled_bracket, *(vec for vec, _ in scaled))
-    seen = []  # an edge that has died stays dead: stop when both have
-    for diag in itertools.islice(walk, len(ech.rows) + 1):
-        seen.append(diag)
-        if diag[0] is None and diag[-1] is None:
-            nx, ny = (next(m for m, d in enumerate(seen) if d[e] is None) for e in (0, -1))
-            # C_n = 0 beyond n = nx + ny: sum the parts over one denominator
-            rows = _f_rows(nx + ny - 2)
-            parts = list(_graded_parts(alg, scaled, rows, itertools.chain(seen, walk)))
-            den = math.lcm(*(d for _, _, d in parts))
-            acc = [0] * alg.dim
-            for part, _, d in parts:
-                k = den // d
-                for idx, t in enumerate(part):
-                    if t:
-                        acc[idx] += k * t
-            return _combined("OperatorF", x, y, scaled[:2], (acc, den), residual_bound=0.0,
-                             degree=nx + ny - 2)
+    kernel = alg.scaled_bracket
+    (xs, _), (ys, _), (ws, _) = scaled
+    edge = [ws, images[0]]
+    while any(edge[-1]) and len(edge) <= len(ech.rows):
+        edge.append(kernel(xs, edge[-1]))
+    walk = _anti_diagonals(kernel, xs, ys, ws, edge, (ws, images[1]))
+    if not any(edge[-1]):  # L_X is nilpotent on S
+        seen = []  # an edge that has died stays dead: stop when both have
+        for diag in itertools.islice(walk, len(ech.rows) + 1):
+            seen.append(diag)
+            if diag[0] is None and diag[-1] is None:
+                nx, ny = (next(m for m, d in enumerate(seen) if d[e] is None) for e in (0, -1))
+                # C_n = 0 beyond n = nx + ny: sum the parts over one denominator
+                rows = _f_rows(nx + ny - 2)
+                parts = list(_graded_parts(alg, scaled, rows, itertools.chain(seen, walk)))
+                den = math.lcm(*(d for _, _, d in parts))
+                acc = [0] * alg.dim
+                for part, _, d in parts:
+                    k = den // d
+                    for idx, t in enumerate(part):
+                        if t:
+                            acc[idx] += k * t
+                return _combined("OperatorF", x, y, scaled[:2], (acc, den),
+                                 residual_bound=0.0, degree=nx + ny - 2)
+        walk = itertools.chain(seen, walk)
+    diagonalizable = any(edge[-1]) or len(edge) == 2  # L_X is not nilpotent, or 0, on S
+    split = _joint_eigenlines(alg, scaled, edge, ech.pivots) if diagonalizable else None
+    if split is None:
+        return _shell_sum(alg, x, y, scaled, ech, walk, target_tolerance)
+    terms = [(f_scalar(un / ud, vn / vd), form) for (un, ud, vn, vd), form in split]
+    return _combined("OperatorF", x, y, scaled[:2], weighted=terms,
+                     _lines=tuple(uv for uv, _ in split))
 
-    # non-terminating: sum the exact parts in floating point up to the tail bound
+
+def _shell_sum(alg: StructureConstants, x: LieElement, y: LieElement, scaled,
+               ech: Echelon, diagonals, target_tolerance: float) -> BchResult:
+    """z = x + y + f(L_X, -L_Y) w for a series that does not terminate, from the walk
+    diagonals of _operator_f: each exact part C_n is rounded once per coordinate and
+    summed in floating point until the geometric tail bound, off the norms of L_X
+    and L_Y on S (_restricted_norm), drops below target_tolerance."""
     r = max(_restricted_norm(alg, gs, sg, ech) for gs, sg in scaled[:2])
     if r >= OPERATOR_RADIUS:
         raise NonConvergence(r, achieved_bound=None)
@@ -469,7 +698,7 @@ def _operator_f(alg: StructureConstants, x: LieElement, y: LieElement, scaled,
     prev_norm = math.inf
     bound = math.inf
     rows = (_f_rows(m)[m] for m in range(OPERATOR_MAX_DEGREE + 1))  # row m read at shell m
-    parts = _graded_parts(alg, scaled, rows, itertools.chain(seen, walk))
+    parts = _graded_parts(alg, scaled, rows, diagonals)
     for shell, (part, norm, den) in enumerate(parts):
         acc = _finite(a + t / den if t else a  # int / int rounds once, correctly
                       for a, t in zip(acc, part))
@@ -557,4 +786,4 @@ def bch_closed_form(alg: StructureConstants, x: LieElement, y: LieElement,
         return _combined("Central", x, y, scaled[:2], _halved(scaled[2]))
     if cls.tag == CaseTag.SIMULTANEOUS_EIGENVECTOR:
         return _scalar_f(x, y, scaled, cls._uv)
-    return _operator_f(alg, x, y, scaled, ech, target_tolerance)
+    return _operator_f(alg, x, y, scaled, ech, cls._images, target_tolerance)

@@ -84,7 +84,9 @@ class CaseClassification(_Frozen):
     ((xs, sx), (ys, sy), (ws, sw)) of x, y, w, as clear_denominators gives them,
     and for OperatorCommuting the grown Echelon of S (None for the other tags);
     _uv = (un, ud, vn, vd), ud, vd > 0, for SimultaneousEigenvector (None for the
-    other tags); _witness_form, the witness's integer vector (None but for
+    other tags); _images = (den sx [xs, ws], den sy [ys, ws]), the kernel's images
+    L_X w and L_Y w on those coordinates, for OperatorCommuting (None for the other
+    tags); _witness_form, the witness's integer vector (None but for
     NoClosedForm).  w, u = un / ud, v = vn / vd, witness and s_closure are built
     from them on first read; bch_closed_form reads the integers, not the fields.
     The private attributes take no part in ==, hash or repr.
@@ -94,13 +96,14 @@ class CaseClassification(_Frozen):
 
     def __init__(self, tag: CaseTag, algebra: StructureConstants, x: LieElement,
                  y: LieElement, *, _integer_form: tuple, _uv: tuple | None = None,
-                 _witness_form: list | None = None):
+                 _images: tuple | None = None, _witness_form: list | None = None):
         _setattr(self, "tag", tag)
         _setattr(self, "algebra", algebra)
         _setattr(self, "x", x)
         _setattr(self, "y", y)
         _setattr(self, "_integer_form", _integer_form)
         _setattr(self, "_uv", _uv)
+        _setattr(self, "_images", _images)
         _setattr(self, "_witness_form", _witness_form)
 
     u = _uv_field(0)
@@ -182,6 +185,7 @@ def _eigenpair(alg: StructureConstants, sx: int, sy: int, ws, lx_ws, ly_ws):
 
     On integer coordinates ws = s w, lx_ws = den sx [x, ws] = den sx v ws and
     ly_ws = den sy [y, ws] = -den sy u ws: cross-multiply at the pivot k of ws.
+    The two checks share the pivot, so this is _eigenvalue for both images at once.
     """
     k = next(j for j, c in enumerate(ws) if c)
     wk, ak, bk = ws[k], lx_ws[k], ly_ws[k]
@@ -191,6 +195,16 @@ def _eigenpair(alg: StructureConstants, sx: int, sy: int, ws, lx_ws, ly_ws):
             wk, ak, bk = -wk, -ak, -bk
         return -bk, alg.den * sy * wk, ak, alg.den * sx * wk
     return None
+
+
+def _eigenvalue(vec, img):
+    """The ratio (n, d), d > 0, with img = (n / d) vec for a nonzero integer vec, or
+    None: cross-multiply at the pivot of vec, as _eigenpair does."""
+    k = next(j for j, c in enumerate(vec) if c)
+    vk, ik = vec[k], img[k]
+    if not all(a * vk == ik * c for a, c in zip(img, vec)):
+        return None
+    return (ik, vk) if vk > 0 else (-ik, -vk)
 
 
 def _closure(alg, ech, xs, ys, ws, lx_ws, ly_ws):
@@ -242,5 +256,5 @@ def classify_pair(alg: StructureConstants, x: LieElement, y: LieElement) -> Case
     ech = Echelon()
     witness = _witness(alg, ws, _closure(alg, ech, xs, ys, ws, lx_ws, ly_ws))
     if witness is None:
-        return certified(CaseTag.OPERATOR_COMMUTING, ech=ech)
+        return certified(CaseTag.OPERATOR_COMMUTING, ech=ech, _images=(lx_ws, ly_ws))
     return certified(CaseTag.NO_CLOSED_FORM, _witness_form=witness)

@@ -41,8 +41,10 @@ def operator_form():
         ech = Echelon()
         for b in s.basis:
             ech.insert(clear_denominators(b)[0])
-        return closed_form._operator_f(alg, x, y, detect._pair_forms(alg, x, y), ech,
-                                       target_tolerance)
+        scaled = detect._pair_forms(alg, x, y)
+        (xs, _), (ys, _), (ws, _) = scaled
+        images = alg.scaled_bracket(xs, ws), alg.scaled_bracket(ys, ws)
+        return closed_form._operator_f(alg, x, y, scaled, ech, images, target_tolerance)
     return evaluate
 
 

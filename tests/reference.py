@@ -11,8 +11,9 @@ import functools
 import math
 from fractions import Fraction
 
-from bchkit.algebra import DimensionMismatch, LieElement, Subspace, as_fraction
+from bchkit.algebra import DimensionMismatch, LieElement, Subspace, as_fraction, validate
 from bchkit.closed_form import BivariateSeries, f_series
+from bchkit.oracle import MatrixRep
 
 
 # ---------------------------------------------------------------------------
@@ -49,6 +50,27 @@ def rep_json_dict(rep) -> dict:
     --rep read."""
     return {"dim_rep": rep.dim_rep, "basis_images": [im.tolist() for im in rep.basis_images],
             "faithful_on": rep.faithful_on}
+
+
+# ---------------------------------------------------------------------------
+# an algebra whose operator form does not split into eigenlines
+# ---------------------------------------------------------------------------
+
+def euclidean_plane(scale=1):
+    """(e(2), rep): the motions of the plane on (J, P1, P2), [J, P1] = scale P2 and
+    [J, P2] = -scale P1, and its faithful 3 x 3 rep for scale = 1, J as the rotation
+    generator and P1, P2 as the translations, or None for another scale.
+
+    For x = theta J and y = c P1, w = [x, y] = theta c P2 and S = span{P1, P2}:
+    L_X rotates S with eigenvalues +-i theta scale and L_Y is 0 on S, so the pair
+    is OperatorCommuting and its operator form has no joint eigenlines over Q."""
+    alg = validate({(0, 1, 2): scale, (0, 2, 1): -scale}, 3, basis_names=["J", "P1", "P2"])
+    if scale != 1:
+        return alg, None
+    rep = MatrixRep([((0, -1, 0), (1, 0, 0), (0, 0, 0)), ((0, 0, 1), (0, 0, 0), (0, 0, 0)),
+                     ((0, 0, 0), (0, 0, 1), (0, 0, 0))], faithful_on="affine maps of the plane")
+    rep.validate_against(alg)
+    return alg, rep
 
 
 # ---------------------------------------------------------------------------

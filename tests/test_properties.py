@@ -6,11 +6,12 @@ from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
 
-from bchkit.algebra import Echelon, LieElement, Subspace, clear_denominators
-from bchkit.closed_form import BivariateSeries, NonConvergence, _restricted_norm, f_scalar, f_series
+from bchkit.algebra import Echelon, LieElement, Subspace, clear_denominators, unscaled
+from bchkit.closed_form import (BivariateSeries, NonConvergence, _joint_eigenlines, _orbit,
+                                _restricted_norm, bch_closed_form, f_scalar, f_series)
 from bchkit.detect import CaseTag, classify_pair, factorize_rank_one
 from bchkit import families
-from bchkit.oracle import two_scale_algebra
+from bchkit.oracle import bch_integral_series, catalog_entry, matrix_bch, two_scale_algebra
 from reference import (adjoint, apply, centralized_closure, evaluate_exact, f_form_product,
                        in_span, is_zero, minus, plus, rank_one_uv, times)
 
@@ -203,6 +204,44 @@ def test_orbit_nilpotency_index_matches_restricted_matrix(operator_form, seed):
     assert res.exact == (ix is not None and iy is not None)
     if res.exact:
         assert res.degree == ix + iy - 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEEDS)
+def test_diagonal_operator_forms_split_into_joint_eigenlines(seed):
+    # L_X and L_Y act diagonally on the core of derived_abelian "diag" and on
+    # two_scale, so every pair whose series does not terminate splits, floats
+    # too: a silent fall back to the shell sum fails here.  w is the sum of the
+    # lines, exactly, each line is a joint eigenvector with the printed (u, v),
+    # and z agrees with the matrix or degree-12 series reference
+    rng = random.Random(seed)
+    if rng.random() < 0.25:
+        entry = catalog_entry("two_scale")
+        alg, rep = entry.algebra, entry.rep
+    else:
+        alg, rep = families.random_derived_abelian(rng, 2, rng.randint(2, 4), kind="diag"), None
+    x, y = (families.random_element(rng, alg.dim) for _ in "xy")
+    if rng.random() < 0.3:
+        x, y = (alg.element([float(c) for c in e.coords]) for e in (x, y))
+    cls = classify_pair(alg, x, y)
+    if cls.tag != CaseTag.OPERATOR_COMMUTING:
+        return
+    res = bch_closed_form(alg, x, y, classification=cls)
+    assert (res.method, res.exact, res.degree) == ("OperatorF", False, None)
+    scaled, ech = cls._integer_form
+    (xs, _), _, (ws, _) = scaled
+    edge = _orbit(alg.scaled_bracket, xs, ws, cls._images[0])
+    lines = [LieElement(unscaled(*form)) for _, form in _joint_eigenlines(alg, scaled, edge,
+                                                                          ech.pivots)]
+    assert plus(*lines) == cls.w
+    exact = [LieElement(Fraction(c) for c in e.coords) for e in (x, y)]
+    ax, ay = (adjoint(alg, e) for e in exact)
+    assert len(res.lines) == len(lines) == cls.s_closure.dim
+    for (u, v), line in zip(res.lines, lines):
+        assert apply(ax, line) == times(v, line) and apply(ay, line) == times(-u, line)
+    ref = matrix_bch(rep, x, y) if rep else bch_integral_series(alg, *exact, 12)
+    scale = max(1.0, ref.sup_norm())
+    assert max(abs(float(a) - float(b)) for a, b in zip(res.z.coords, ref.coords)) < 1e-12 * scale
 
 
 @settings(max_examples=60, deadline=None)

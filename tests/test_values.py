@@ -167,6 +167,16 @@ def test_private_fields_do_not_compare():
     assert res == BchResult(z, "ScalarF", False, _uv=doubled) and res._uv != doubled
 
 
+def test_result_lines_are_built_on_read_and_do_not_compare():
+    # an operator form split into eigenlines keeps one private ratio tuple
+    # (un, ud, vn, vd) per line and builds the (u_k, v_k) Fractions on read
+    z = LieElement((1.0, 2.0))
+    res = BchResult(z, "OperatorF", False, _lines=((0, 1, 4, 2), (-2, 6, 1, 2)))
+    assert res.lines == ((F(0), F(2)), (F(-1, 3), F(1, 2)))
+    assert res == BchResult(z, "OperatorF", False) and "lines" not in repr(res)
+    assert BchResult(z, "Sum", True).lines is None
+
+
 def test_series_holding_a_dict_is_unhashable():
     with pytest.raises(TypeError):
         hash(BivariateSeries((((1,), 2),)))
