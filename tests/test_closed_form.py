@@ -696,9 +696,9 @@ class TestOperator:
     def test_heisenberg_terminates_exact(self, operator_form):
         heis = heisenberg_algebra()
         x, y = heis.basis_element(0), heis.basis_element(1)
-        ok, s = centralized_closure(heis, x, y)
+        ok, _ = centralized_closure(heis, x, y)
         assert ok
-        res = operator_form(heis, x, y, s)
+        res = operator_form(heis, x, y)
         assert res.exact and res.degree == 0
         assert res.z == bch_closed_form(heis, x, y).z == LieElement((1, 1, Fraction(1, 2)))
 
@@ -711,9 +711,9 @@ class TestOperator:
             cls = classify_pair(alg, x, y)
             if cls.tag != CaseTag.SIMULTANEOUS_EIGENVECTOR:
                 continue
-            ok, s = centralized_closure(alg, x, y)
+            ok, _ = centralized_closure(alg, x, y)
             assert ok
-            r_op = operator_form(alg, x, y, s, 1e-12)
+            r_op = operator_form(alg, x, y, 1e-12)
             r_sc = bch_closed_form(alg, x, y, classification=cls)
             assert max(abs(float(a) - float(b))
                        for a, b in zip(r_op.z.coords, r_sc.z.coords)) < 1e-10
@@ -781,9 +781,10 @@ class TestOperator:
         ref = bch_integral_series(alg, x, y, alg.dim + 4)
         assert res.z.coords == ref.coords
 
-    def test_terminating_form_reads_dim_s_from_the_echelon(self, monkeypatch):
-        # a terminating series needs only dim S, which classify_pair's echelon
-        # holds: no Fraction RREF of S is built
+    def test_terminating_form_builds_no_rref(self, monkeypatch):
+        # a terminating series needs only the edges of L_X and L_Y from w, told
+        # apart on the pivots of [g,g]'s integer echelon: no Fraction RREF of S
+        # or of [g,g] is built
         rng = random.Random(13)
         alg = families.random_derived_abelian(rng, 2, 3, kind="nilp")
         x, y = (families.random_element(rng, alg.dim) for _ in range(2))
@@ -797,8 +798,9 @@ class TestOperator:
         assert bch_closed_form(alg, x, y) == expected
 
     def test_non_terminating_form_builds_no_rref(self, monkeypatch):
-        # the tail bound's restricted norms come from classify_pair's echelon
-        # rows too: no Fraction RREF of S is built, and z and degree stay pinned
+        # the tail bound's restricted norms come from the integer echelon rows of
+        # S that the shell sum grows: no Fraction RREF of S is built, and z and
+        # degree stay pinned
         alg, _ = euclidean_plane()
         pinned = [
             (alg, alg.element(["1/2", 0, 0]), alg.element([0, 1, 0]), 9,
@@ -989,6 +991,27 @@ class TestGradedTerms:
             if cls.tag != CaseTag.NO_CLOSED_FORM:
                 assert closed_form_terms(cls, 6) == terms, cls.algebra
 
+    def test_operator_terms_take_the_certificates_images(self, borel, monkeypatch):
+        # an OperatorCommuting certificate holds L_X w and L_Y w, so its walk makes
+        # two kernel calls fewer than the same walk from w, and gives the same C_n
+        kernel, calls = StructureConstants.scaled_bracket, []
+        monkeypatch.setattr(StructureConstants, "scaled_bracket",
+                            lambda alg, a, b: calls.append(1) or kernel(alg, a, b))
+        seen = 0
+        for alg, x, y in self._instances(borel):
+            cls = classify_pair(alg, x, y)
+            if cls.tag != CaseTag.OPERATOR_COMMUTING:
+                continue
+            from_w = CaseClassification(cls.tag, alg, x, y, _integer_form=cls._integer_form)
+            got = []
+            for certificate in (cls, from_w):
+                calls.clear()
+                got.append((closed_form_terms(certificate, self.DEGREE), len(calls)))
+            (terms, count), (walked, walked_count) = got
+            assert terms == walked and count == walked_count - 2, (x, y)
+            seen += 1
+        assert seen
+
 
 # ---------------------------------------------------------------------------
 # m-delta construction
@@ -1139,7 +1162,7 @@ class TestPerPairWork:
                 bch_closed_form(alg, x, y, classification=cls)
                 # every closed form reads the integer x, y and w that classify_pair made
                 tags.add(cls.tag)
-                (xs, _), (ys, _), _ = cls._integer_form[0]
+                (xs, _), (ys, _), _ = cls._integer_form
                 assert xs is of_x[0] and ys is of_y[0], entry.name
                 pair = (x.coords, y.coords, cls.w.coords)
                 assert not [coords for coords, _ in cleared[classified:]
@@ -1165,22 +1188,14 @@ class TestPerPairWork:
         assert seen == set(CaseTag)
 
     def test_split_pairs_make_at_most_two_kernel_calls_per_dimension_of_s(self, monkeypatch):
-        # the edge of L_X from w to dim S, one L_Y bracket per L_X-eigenvector and
-        # L_Y's own edge inside an eigenspace of several lines.  No restricted norm
-        # is taken, and no anti-diagonal is walked unless L_X is 0 on S: then the
-        # walk first looks for the end of L_Y's edge, as for a terminating series,
-        # and its kernel calls come on top
+        # the edge of L_X from w to its first dependency, one L_Y bracket per
+        # L_X-eigenvector and L_Y's own edge inside an eigenspace of several lines;
+        # where L_X is 0 on S, L_Y's edge from w alone.  No restricted norm is
+        # taken and no anti-diagonal is walked
         kernel, calls = StructureConstants.scaled_bracket, []
         monkeypatch.setattr(StructureConstants, "scaled_bracket",
                             lambda alg, a, b: calls.append(1) or kernel(alg, a, b))
-        walk, walked = closed_form._anti_diagonals, []
-
-        def recorded(*args):
-            for diag in walk(*args):
-                walked.append(diag)
-                yield diag
-
-        monkeypatch.setattr(closed_form, "_anti_diagonals", recorded)
+        monkeypatch.setattr(closed_form, "_anti_diagonals", None)
         monkeypatch.setattr(closed_form, "_restricted_norm", None)
         rng = random.Random(18)
         pairs = [(entry.algebra, x, y) for entry in [catalog_entry("two_scale")]
@@ -1189,28 +1204,57 @@ class TestPerPairWork:
             alg = families.random_derived_abelian(rng, 2, core, kind="diag")
             pairs += [(alg, *(families.random_element(rng, alg.dim) for _ in "xy"))
                       for _ in range(4)]
-        orbit, subsplits, shapes = closed_form._orbit, [], set()
-        monkeypatch.setattr(closed_form, "_orbit", lambda *a: subsplits.append(1) or orbit(*a))
+        orbit, starts, subsplits, shapes = closed_form._orbit, [], 0, set()
+        monkeypatch.setattr(closed_form, "_orbit", lambda *a: starts.append(a[2]) or orbit(*a))
         for alg, x, y in pairs:
             cls = classify_pair(alg, x, y)
             if cls.tag != CaseTag.OPERATOR_COMMUTING:
                 continue
+            dim_s = cls.s_closure.dim  # its kernel calls come before the count
+            ws = cls._integer_form[2][0]
             calls.clear()
-            walked.clear()
+            starts.clear()
             res = bch_closed_form(alg, x, y, classification=cls)
-            assert res.degree is None and len(res.lines) == cls.s_closure.dim
-            if walked:
-                assert all(v == 0 for _, v in res.lines), (x, y)
-            else:
-                assert len(calls) <= 2 * cls.s_closure.dim, (x, y)
-            shapes.add(bool(walked))
+            assert len(calls) <= 2 * dim_s, (x, y)
+            assert res.degree is None and len(res.lines) == dim_s
+            subsplits += any(vec is not ws for vec in starts)
+            shapes.add(all(v == 0 for _, v in res.lines))  # L_X is 0 on S
         assert subsplits  # an eigenspace of L_X held several lines
         assert shapes == {False, True}
 
+    def test_warm_operator_classification_makes_three_kernel_calls(self, monkeypatch):
+        # on an algebra whose [g,g] is abelian, and whose fact is cached, an
+        # OperatorCommuting pair costs w, L_X w and L_Y w and grows no closure
+        rng = random.Random(13)
+        algebras = {"nilp": families.random_derived_abelian(rng, 2, 3, kind="nilp"),
+                    "diag": families.random_derived_abelian(rng, 2, 4, kind="diag"),
+                    "two_scale": two_scale_algebra(), "e2": euclidean_plane()[0]}
+        kernel, calls = StructureConstants.scaled_bracket, []
+        insert, inserts = algebra.Echelon.insert, []
+        for name, alg in algebras.items():
+            assert alg.derived_echelon()[1], name  # warm: the fact is built here
+            monkeypatch.setattr(StructureConstants, "scaled_bracket",
+                                lambda alg, a, b: calls.append(1) or kernel(alg, a, b))
+            monkeypatch.setattr(algebra.Echelon, "insert",
+                                lambda ech, vec: inserts.append(1) or insert(ech, vec))
+            seen = 0
+            for _ in range(20):
+                x, y = (families.random_element(rng, alg.dim) for _ in "xy")
+                calls.clear()
+                inserts.clear()
+                cls = classify_pair(alg, x, y)
+                if cls.tag == CaseTag.OPERATOR_COMMUTING:
+                    assert (len(calls), len(inserts)) == (3, 0), (name, x, y)
+                    seen += 1
+            monkeypatch.undo()
+            assert seen, name
+
     def test_terminating_pairs_make_the_walks_kernel_calls(self, borel, monkeypatch):
-        # the edge of L_X from w is the walk's own first edge, so a terminating
-        # series makes no kernel call beyond its walk; the walk starts from the
-        # L_X w and L_Y w of the certificate, two calls fewer than walking from w
+        # the edges of L_X and L_Y from w are the walk's own first and last
+        # entries, so a terminating series makes no kernel call beyond its walk;
+        # the edges start from the L_X w and L_Y w of the certificate, two calls
+        # fewer than walking from w, and the walk stops at the last anti-diagonal
+        # its sum reads: a pair with L_X w = 0 makes the one call L_Y^2 w = 0
         kernel, calls = StructureConstants.scaled_bracket, []
         monkeypatch.setattr(StructureConstants, "scaled_bracket",
                             lambda alg, a, b: calls.append(1) or kernel(alg, a, b))
@@ -1234,7 +1278,7 @@ class TestPerPairWork:
             res = bch_closed_form(alg, x, y, classification=cls)
             assert (res.method, res.exact) == ("OperatorF", True)
             counts.append((res.degree, len(calls)))
-        assert counts == [(1, 2), (2, 3), (2, 3), (4, 7), (4, 7), (4, 7), (1, 2)]
+        assert counts == [(1, 1), (2, 3), (2, 3), (4, 7), (4, 7), (4, 7), (1, 1)]
 
     def test_scalar_and_operator_pairs_build_no_fraction(self, fraction_builds):
         # classify_pair and bch_closed_form build no Fraction on a ScalarF pair with

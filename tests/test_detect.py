@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from bchkit.algebra import DimensionMismatch, Echelon, LieElement, StructureConstants, Subspace
+from bchkit.algebra import DimensionMismatch, Echelon, LieElement, StructureConstants
 from bchkit.closed_form import NoClosedFormAvailable, bch_closed_form
 from bchkit.detect import (
     CaseTag,
@@ -29,7 +29,7 @@ from bchkit.oracle import (
     uvc_model_algebra,
 )
 from reference import (adjoint, apply, centralized_closure, in_span, is_zero, plus, rank_one_uv,
-                       times)
+                       span, times)
 
 
 class TestFactorizeRankOne:
@@ -129,6 +129,79 @@ class TestDerivedAbelian:
             assert is_derived_abelian(alg) == brackets_commute(alg)
 
 
+class TestDerivedFact:
+    """derived_echelon, the one elimination of [g,g], computed once per algebra."""
+
+    @staticmethod
+    def _algebras(borel):
+        rng = random.Random(17)
+        algs = [entry.algebra for entry in oracle._catalog_entries()]
+        algs += [borel(n)[0] for n in range(3, 7)]
+        algs += [families.random_rank_one(rng, rng.randint(3, 6)) for _ in range(3)]
+        algs += [families.random_case1(rng, rng.randint(2, 6))[0] for _ in range(3)]
+        algs += [families.random_derived_abelian(rng, 2, core, kind=kind)
+                 for kind in ("diag", "nilp") for core in (2, 3, 4)]
+        return algs
+
+    def test_fact_matches_the_derived_algebra(self, borel):
+        # the span of the basis brackets, and whether its RREF basis brackets to 0
+        # pairwise, as computed before the fact was cached
+        abelian = set()
+        for alg in self._algebras(borel):
+            units = [alg.basis_element(a) for a in range(alg.dim)]
+            derived = span(alg.bracket(a, b) for i, a in enumerate(units) for b in units[i + 1:])
+            basis = [LieElement(b) for b in derived.basis]
+            commutes = all(is_zero(alg.bracket(a, b))
+                           for i, a in enumerate(basis) for b in basis[i + 1:])
+            ech, flag = alg.derived_echelon()
+            assert alg.derived_echelon()[0] is ech
+            assert ech.subspace() == derived == alg.derived_subalgebra()
+            assert flag == commutes == is_derived_abelian(alg)
+            abelian.add(flag)
+        assert abelian == {False, True}
+
+    def test_threads_on_a_fresh_algebra_agree(self, borel):
+        # two threads make the first classifications on an algebra whose fact
+        # is not yet built: both get the certificates and results that the warm
+        # algebra gives
+        def outcomes(alg, pairs):
+            out = []
+            for x, y in pairs:
+                cls = classify_pair(alg, x, y)
+                try:
+                    res = bch_closed_form(alg, x, y, classification=cls)
+                    out.append((cls, res, res.lines))
+                except NoClosedFormAvailable:
+                    out.append((cls, None, None))
+            return out
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for trial in range(10):
+                rng = random.Random(trial)
+                for alg in (borel(4)[0], two_scale_algebra(),
+                            families.random_derived_abelian(rng, 2, 3, kind="diag")):
+                    pairs = [[families.random_element(rng, alg.dim) for _ in "xy"]
+                             for _ in range(6)]
+                    barrier = threading.Barrier(2)
+                    got = [None, None]
+
+                    def run(i):
+                        barrier.wait(timeout=30)
+                        got[i] = outcomes(alg, pairs)
+
+                    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+                    for thread in threads:
+                        thread.start()
+                    for thread in threads:
+                        thread.join(timeout=60)
+                    assert not any(thread.is_alive() for thread in threads)
+                    assert got[0] == got[1] == outcomes(alg, pairs), f"trial {trial}"
+        finally:
+            sys.setswitchinterval(interval)
+
+
 class TestPairConditions:
     def test_center_implies_centralizer(self):
         # [[X,Y], [g,g]] = 0: the bracket lies in the centre of [g,g], which holds
@@ -207,7 +280,7 @@ class TestClassify:
         assert cls.tag == CaseTag.OPERATOR_COMMUTING
         assert cls.s_closure.dim == 2
         # the bracket is not an eigenvector of L_X here
-        assert Subspace.span([cls.w, alg.bracket(x, cls.w)]).dim == 2
+        assert span([cls.w, alg.bracket(x, cls.w)]).dim == 2
 
     def test_sl2_no_closed_form(self):
         sl2 = sl2_algebra()
@@ -262,7 +335,7 @@ class TestEigenHelper:
         y = alg.element([0.0, 0.0, 1.0, 1.0])
         cls = classify_pair(alg, x, y)
         assert cls.tag == CaseTag.OPERATOR_COMMUTING
-        assert Subspace.span([cls.w, alg.bracket(x, cls.w)]).dim == 2
+        assert span([cls.w, alg.bracket(x, cls.w)]).dim == 2
 
     def test_zero_bracket(self):
         # a zero bracket is the eigenvector of every (u, v); Commuting gives z = x + y exactly
@@ -327,10 +400,10 @@ def naive_classify(alg, x, y):
     v, u = lx_w.coords[k] / w.coords[k], -ly_w.coords[k] / w.coords[k]
     if lx_w == times(v, w) and ly_w == times(-u, w):
         return CaseTag.SIMULTANEOUS_EIGENVECTOR, u, v, None
-    sub = Subspace.span([w])
+    sub = span([w])
     while True:
-        grown = Subspace.span(list(sub.basis) + [apply(ad, b) for ad in (ad_x, ad_y)
-                                                 for b in sub.basis])
+        grown = span(list(sub.basis) + [apply(ad, b) for ad in (ad_x, ad_y)
+                                        for b in sub.basis])
         if grown == sub:
             break
         sub = grown
@@ -447,6 +520,7 @@ class TestWitness:
 
     def test_closure_stops_at_the_witness(self, monkeypatch, borel):
         alg, _ = borel(6)
+        alg.derived_echelon()  # the per-algebra fact, whose inserts are not the pair's
         rng = random.Random(7)
         while True:
             x, y = (families.random_element(rng, alg.dim) for _ in range(2))
@@ -498,8 +572,9 @@ class TestLazyCertificate:
 
 
 class TestLazyFacts:
-    """The facts of an algebra are computed only when check prints them;
-    classification and evaluation compute none."""
+    """The four facts check prints are computed only when it prints them;
+    classification and evaluation read only derived_echelon, the integer [g,g]
+    and whether it is abelian."""
 
     @staticmethod
     def _fresh_pairs(borel):

@@ -6,14 +6,15 @@ from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
 
-from bchkit.algebra import Echelon, LieElement, Subspace, clear_denominators, unscaled
-from bchkit.closed_form import (BivariateSeries, NonConvergence, _joint_eigenlines, _orbit,
-                                _restricted_norm, bch_closed_form, f_scalar, f_series)
-from bchkit.detect import CaseTag, classify_pair, factorize_rank_one
+from bchkit.algebra import Echelon, LieElement, clear_denominators, unscaled
+from bchkit.closed_form import (BivariateSeries, NonConvergence, _joint_eigenlines,
+                                _least_relation, _orbit, _restricted_norm, bch_closed_form,
+                                f_scalar, f_series)
+from bchkit.detect import CaseTag, _closure, classify_pair, factorize_rank_one
 from bchkit import families
 from bchkit.oracle import bch_integral_series, catalog_entry, matrix_bch, two_scale_algebra
 from reference import (adjoint, apply, centralized_closure, evaluate_exact, f_form_product,
-                       in_span, is_zero, minus, plus, rank_one_uv, times)
+                       in_span, is_zero, minus, plus, rank_one_uv, span, times)
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -145,7 +146,7 @@ def test_incremental_echelon_matches_rref(vecs):
         assert ech.insert(clear_denominators(vec)[0]) == grew
         for row, p in zip(ech.rows, ech.pivots):  # primitive, positive pivot
             assert math.gcd(*row) == 1 and row[p] > 0
-    assert ech.subspace().basis == Subspace.span(vecs).basis == _fraction_rref(vecs)
+    assert ech.subspace().basis == span(vecs).basis == _fraction_rref(vecs)
 
 
 def _restricted_matrix(alg, g, sub):
@@ -197,7 +198,7 @@ def test_orbit_nilpotency_index_matches_restricted_matrix(operator_form, seed):
         return
     ix, iy = (_restricted_power_index(alg, g, sub) for g in (x, y))
     try:
-        res = operator_form(alg, x, y, sub)
+        res = operator_form(alg, x, y)
     except NonConvergence:
         assert ix is None or iy is None
         return
@@ -228,11 +229,16 @@ def test_diagonal_operator_forms_split_into_joint_eigenlines(seed):
         return
     res = bch_closed_form(alg, x, y, classification=cls)
     assert (res.method, res.exact, res.degree) == ("OperatorF", False, None)
-    scaled, ech = cls._integer_form
+    scaled = cls._integer_form
     (xs, _), _, (ws, _) = scaled
+    # S grown here, in place of the [g,g] whose pivots the evaluator reads
+    ech = Echelon()
+    for b in cls.s_closure.basis:
+        ech.insert(clear_denominators(b)[0])
     edge = _orbit(alg.scaled_bracket, xs, ws, cls._images[0])
-    lines = [LieElement(unscaled(*form)) for _, form in _joint_eigenlines(alg, scaled, edge,
-                                                                          ech.pivots)]
+    relation = _least_relation(edge, ech.pivots)
+    lines = [LieElement(unscaled(*form))
+             for _, form in _joint_eigenlines(alg, scaled, relation, ech.pivots)]
     assert plus(*lines) == cls.w
     exact = [LieElement(Fraction(c) for c in e.coords) for e in (x, y)]
     ax, ay = (adjoint(alg, e) for e in exact)
@@ -247,9 +253,10 @@ def test_diagonal_operator_forms_split_into_joint_eigenlines(seed):
 @settings(max_examples=60, deadline=None)
 @given(SEEDS)
 def test_echelon_norm_matches_the_rref_matrix(borel, seed):
-    # the tail bound's restricted norms, read off classify_pair's integer
-    # echelon, are bit for bit the row-sum norms of the Fraction matrices of
-    # L_X and L_Y on s_closure, each entry rounded once and summed in row order
+    # the tail bound's restricted norms, read off the integer echelon of S that
+    # the shell sum grows, are bit for bit the row-sum norms of the Fraction
+    # matrices of L_X and L_Y on s_closure, each entry rounded once and summed
+    # in row order
     rng = random.Random(seed)
     kind = rng.choice(["nilp", "diag", "two_scale", "b4"])
     zero = Fraction(0)
@@ -268,7 +275,11 @@ def test_echelon_norm_matches_the_rref_matrix(borel, seed):
     cls = classify_pair(alg, x, y)
     if cls.tag != CaseTag.OPERATOR_COMMUTING:
         return
-    scaled, ech = cls._integer_form
+    scaled = cls._integer_form
+    (xs, _), (ys, _), (ws, _) = scaled
+    ech = Echelon()
+    for _ in _closure(alg, ech, xs, ys, ws, *cls._images):
+        pass
     for (gs, sg), g in zip(scaled, (x, y)):
         reference = max(sum(abs(float(t)) for t in row)
                         for row in _restricted_matrix(alg, g, cls.s_closure))

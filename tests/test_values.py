@@ -95,8 +95,7 @@ def test_repr(build, expected):
 
 def test_repr_hides_private_and_derived_fields():
     cls = classify_pair(HEIS, HEIS.element([1, 0, 0]), HEIS.element([0, 1, 0]))
-    scaled, ech = cls._integer_form
-    assert scaled == (([1, 0, 0], 1), ([0, 1, 0], 1), ([0, 0, 1], 1)) and ech is None
+    assert cls._integer_form == (([1, 0, 0], 1), ([0, 1, 0], 1), ([0, 0, 1], 1))
     assert cls.s_closure is None
     assert "_integer_form" not in repr(cls)
 
@@ -155,10 +154,10 @@ def test_a_value_equals_itself_before_its_key_is_built(monkeypatch):
 def test_private_fields_do_not_compare():
     # the same values from other integers: w = (2 ws) / (2 sw), u = 2 un / 2 ud, ...
     cls = classify_pair(AFF, AFF.element(["1/2", 0]), AFF.element([0, 3]))
-    (xf, yf, (ws, sw)), ech = cls._integer_form
+    xf, yf, (ws, sw) = cls._integer_form
     doubled = tuple(2 * t for t in cls._uv)
     other = CaseClassification(cls.tag, cls.algebra, cls.x, cls.y,
-                               _integer_form=((xf, yf, ([2 * c for c in ws], 2 * sw)), ech),
+                               _integer_form=(xf, yf, ([2 * c for c in ws], 2 * sw)),
                                _uv=doubled)
     assert other == cls and hash(other) == hash(cls) and repr(other) == repr(cls)
     assert other._integer_form != cls._integer_form and other._uv != cls._uv
