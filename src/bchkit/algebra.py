@@ -18,7 +18,7 @@ import bisect
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 _ZERO = Fraction(0)
 
@@ -408,39 +408,6 @@ class StructureConstants:
                 return chain, NilpotencyVerdict(False, stable=nxt)
             current = nxt
         raise AssertionError("lower central series failed to stabilize")  # unreachable
-
-    def span_closure(self, seeds: Sequence[LieElement],
-                     generators: Sequence[LieElement]) -> Subspace:
-        """Smallest subspace containing the seeds and invariant under L_g for every generator g."""
-        if any(e.dim != self.dim for e in (*seeds, *generators)):
-            raise DimensionMismatch("element does not belong to this algebra")
-        ech = Echelon()
-        owed = [clear_denominators(v.coords)[0] for v in seeds]
-        for vec in owed:
-            ech.insert(vec)
-        for _ in self.close(ech, owed, [clear_denominators(g.coords)[0] for g in generators]):
-            pass
-        return ech.subspace()
-
-    def close(self, ech: Echelon, owed: Sequence[Sequence[int]],
-              generators: Sequence[Sequence[int]]) -> Iterator[list]:
-        """Grow ech in place to its smallest subspace invariant under [g, .] for every
-        integer generator g, by a worklist, yielding each image it inserts: ech must
-        map into itself except on span(owed); each owed vector is bracketed with
-        every generator once, and an image outside the span is owed in turn.  The
-        closure is complete once the generator is exhausted; a caller that stops
-        early leaves ech partly grown; with every row of ech owed, the first yield
-        (or None) decides whether span(ech) is invariant.  Owing the image rather
-        than its residual row keeps the integers short: a residual row is as long
-        as a minor of the rows it was reduced against."""
-        owed = list(owed)
-        while owed:
-            vec = owed.pop()
-            for g in generators:
-                img = self.scaled_bracket(g, vec)
-                if ech.insert(img):
-                    owed.append(img)
-                    yield img
 
     # -- JSON ------------------------------------------------------------------
 

@@ -120,12 +120,18 @@ class CaseClassification(_Frozen):
 
     @cached_property
     def s_closure(self) -> Subspace | None:
-        """S for OperatorCommuting and NoClosedForm, else None: the closure built in
-        full, since classify_pair grows none of an OperatorCommuting S on an algebra
-        whose [g,g] is abelian, and stops growing a NoClosedForm S at the witness."""
-        if self.tag in (CaseTag.OPERATOR_COMMUTING, CaseTag.NO_CLOSED_FORM):
-            return self.algebra.span_closure([self.w], (self.x, self.y))
-        return None
+        """S for OperatorCommuting and NoClosedForm, else None, grown in full by
+        _closure (with L_X w and L_Y w from _images where held): classify_pair grows
+        no S where [g,g] is abelian, and stops a NoClosedForm S at its witness."""
+        if self.tag not in (CaseTag.OPERATOR_COMMUTING, CaseTag.NO_CLOSED_FORM):
+            return None
+        alg = self.algebra
+        (xs, _), (ys, _), (ws, _) = self._integer_form
+        images = self._images or (alg.scaled_bracket(xs, ws), alg.scaled_bracket(ys, ws))
+        ech = Echelon()
+        for _ in _closure(alg, ech, xs, ys, ws, *images):
+            pass
+        return ech.subspace()
 
 
 def factorize_rank_one(alg: StructureConstants) -> RankOneFactorization | None:
@@ -207,16 +213,24 @@ def _eigenvalue(vec, img):
 def _closure(alg, ech, xs, ys, ws, lx_ws, ly_ws):
     """Grow the closure S of w under L_X, L_Y in the empty Echelon ech, on scaled
     integer coordinates, and yield each image of w it inserts: L_X w and L_Y w if
-    they are new, then those of alg.close.  w and these images span S, and
-    [w, w] = 0, so [w, S] = 0 iff w centralizes every yielded image; S is
-    complete once the generator is exhausted."""
+    new, then by a worklist, last owed first, the new brackets of each owed vector
+    with x and then y, each owed in turn (the image, not its residual row, whose
+    integers are longer).  w and these images span S and [w, w] = 0, so [w, S] = 0
+    iff w centralizes each image yielded; S is complete once the generator ends."""
     ech.insert(ws)
     owed = []
     for img in (lx_ws, ly_ws):
         if ech.insert(img):
             owed.append(img)
             yield img
-    yield from alg.close(ech, owed, (xs, ys))
+    insert, bracket, generators = ech.insert, alg.scaled_bracket, (xs, ys)
+    while owed:
+        vec = owed.pop()
+        for g in generators:
+            img = bracket(g, vec)
+            if insert(img):
+                owed.append(img)
+                yield img
 
 
 def classify_pair(alg: StructureConstants, x: LieElement, y: LieElement) -> CaseClassification:

@@ -207,7 +207,10 @@ def random_derived_abelian(rng: random.Random, levers: int = 2, core: int = 3,
     kind="diag" draws diagonal A_i (semisimple action, generically an
     operator-form case); kind="nilp" draws commuting nilpotent A_i built as
     polynomials in one shift matrix (terminating operator series).
+    levers and core must each be at least 1; an error is raised before any draw.
     """
+    if levers < 1 or core < 1:
+        raise ValueError(f"dim of levers and core must be >= 1, got {levers} and {core}")
     dim = levers + core
     mats = []
     if kind == "diag":
@@ -217,25 +220,12 @@ def random_derived_abelian(rng: random.Random, levers: int = 2, core: int = 3,
             mats.append([[Fraction(rng.randint(-2, 2), 8) if r == c else Fraction(0)
                           for c in range(core)] for r in range(core)])
     elif kind == "nilp":
-        shift = [[Fraction(1) if c == r + 1 else Fraction(0)
-                  for c in range(core)] for r in range(core)]
-
-        def matpow(m, k):
-            out = [[Fraction(1) if i == j else Fraction(0) for j in range(core)]
-                   for i in range(core)]
-            for _ in range(k):
-                out = [[sum(out[i][l] * m[l][j] for l in range(core))
-                        for j in range(core)] for i in range(core)]
-            return out
-
+        # sum_k c_k N^k for the shift N, whose k-th power has ones on the k-th
+        # superdiagonal: entry (r, c) is c_(c - r) above the diagonal, else 0
         for _ in range(levers):
             coeffs = [random_fraction(rng, 2, 4) for _ in range(1, core)]
-            acc = [[Fraction(0)] * core for _ in range(core)]
-            for k, ck in enumerate(coeffs, start=1):
-                pk = matpow(shift, k)
-                acc = [[acc[i][j] + ck * pk[i][j] for j in range(core)]
-                       for i in range(core)]
-            mats.append(acc)
+            mats.append([[coeffs[c - r - 1] if c > r else Fraction(0) for c in range(core)]
+                         for r in range(core)])
     else:
         raise ValueError(f"unknown kind {kind!r}")
 

@@ -195,9 +195,28 @@ def in_span(sub: Subspace, vector) -> bool:
     return span(sub.basis + (coords,)) == sub
 
 
+def _exact(x: LieElement) -> LieElement:
+    """x with each coordinate a Fraction: a float is the binary rational it holds."""
+    return LieElement(tuple(Fraction(c) for c in x.coords))
+
+
+def closure(alg, x: LieElement, y: LieElement) -> Subspace:
+    """The closure S of w = [x, y] under L_x, L_y: S <- span(S, L_x S, L_y S) from
+    S = span{w}, on adjoint matrices, until S stops growing.  It runs no worklist:
+    each sweep brackets the whole basis of S again."""
+    x, y = _exact(x), _exact(y)
+    ad_x, ad_y = adjoint(alg, x), adjoint(alg, y)
+    sub = span([apply(ad_x, y)])
+    while True:
+        grown = span([*sub.basis, *(apply(ad, b) for ad in (ad_x, ad_y) for b in sub.basis)])
+        if grown == sub:
+            return sub
+        sub = grown
+
+
 def centralized_closure(alg, x: LieElement, y: LieElement):
-    """(ok, S): the closure S of w = [x, y] under L_x, L_y, from alg.span_closure, and
-    whether [w, b] = 0 for every basis vector b of S."""
-    w = alg.bracket(x, y)
-    sub = alg.span_closure([w], (x, y))
-    return all(is_zero(alg.bracket(w, LieElement(b))) for b in sub.basis), sub
+    """(ok, S): closure(alg, x, y), and whether [w, b] = 0 for every basis vector b
+    of S, w = [x, y], both on adjoint matrices."""
+    sub = closure(alg, x, y)
+    ad_w = adjoint(alg, apply(adjoint(alg, _exact(x)), _exact(y)))
+    return all(is_zero(apply(ad_w, b)) for b in sub.basis), sub

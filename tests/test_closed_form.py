@@ -1516,6 +1516,38 @@ class TestPinnedOutputs:
                            ("OperatorF", True), ("OperatorF", False)}
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == EVALUATOR_OUTPUTS_SHA256
 
+    def test_certificate_outputs_pinned(self, borel):
+        rows = _certificate_outputs(_certificate_corpus(borel))
+        assert {row[0] for row in rows} == {tag.value for tag in CaseTag}
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == CERTIFICATE_OUTPUTS_SHA256
+
+
+def _certificate_corpus(borel):
+    """_pinned_corpus, whose NoClosedForm pairs are sl2's, and generic b(4) pairs,
+    each NoClosedForm with a closure of dim 6, in both forms."""
+    rng = random.Random(5)
+    alg, _ = borel(4)
+    generic = [(alg, *(families.random_element(rng, alg.dim) for _ in range(2)))
+               for _ in range(4)]
+    return [*_pinned_corpus(borel), *generic,
+            *((alg, *_floats(alg, x, y)) for alg, x, y in generic)]
+
+
+def _certificate_outputs(corpus):
+    """(tag, witness, basis of s_closure) per pair: the witness depends on the order
+    in which the closure worklist inserts the images of w, which no result shows."""
+    rows = []
+    for alg, x, y in corpus:
+        cls = classify_pair(alg, x, y)
+        s = cls.s_closure
+        rows.append((cls.tag.value, cls.witness, None if s is None else s.basis))
+    return rows
+
+
+# sha256 of repr(_certificate_outputs(_certificate_corpus(borel))), captured before
+# the closure worklist moved from StructureConstants.close into detect._closure
+CERTIFICATE_OUTPUTS_SHA256 = "9bb4b132934d8bd2b6a5283d0f6fe87dd41de5f6a5c60451e1623c4794fb101f"
+
 
 def _reference_result(alg, res: BchResult, x, y, w):
     """(z, exact, residual_bound) of res, rebuilt by coordinate arithmetic: x + y

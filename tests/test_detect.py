@@ -28,8 +28,8 @@ from bchkit.oracle import (
     two_scale_algebra,
     uvc_model_algebra,
 )
-from reference import (adjoint, apply, centralized_closure, in_span, is_zero, plus, rank_one_uv,
-                       span, times)
+from reference import (adjoint, apply, centralized_closure, closure, in_span, is_zero, plus,
+                       rank_one_uv, span, times)
 
 
 class TestFactorizeRankOne:
@@ -222,7 +222,7 @@ class TestPairConditions:
         heis = heisenberg_algebra()
         x, y = heis.basis_element(0), heis.basis_element(1)
         assert classify_pair(heis, x, y).tag == CaseTag.CENTRAL_BRACKET
-        s = heis.span_closure([heis.bracket(x, y)], (x, y))
+        s = closure(heis, x, y)
         assert s.dim == 1 and s.basis[0] == (0, 0, 1)
 
     def test_sl2_centralizer_fails(self):
@@ -386,8 +386,8 @@ def naive_classify(alg, x, y):
 
     Commuting if w = [x, y] = 0; CentralBracket if ad(w) = 0; SimultaneousEigenvector
     if [x, w] = v w and [y, w] = -u w; otherwise the closure S of w under ad(x),
-    ad(y), grown by sweeping the whole basis again until nothing is added, and
-    OperatorCommuting iff w commutes with S.
+    ad(y), grown by sweeping the whole basis again until nothing is added
+    (reference.closure), and OperatorCommuting iff w commutes with S.
     """
     ad_x, ad_y = adjoint(alg, x), adjoint(alg, y)
     w = apply(ad_x, y)
@@ -400,13 +400,7 @@ def naive_classify(alg, x, y):
     v, u = lx_w.coords[k] / w.coords[k], -ly_w.coords[k] / w.coords[k]
     if lx_w == times(v, w) and ly_w == times(-u, w):
         return CaseTag.SIMULTANEOUS_EIGENVECTOR, u, v, None
-    sub = span([w])
-    while True:
-        grown = span(list(sub.basis) + [apply(ad, b) for ad in (ad_x, ad_y)
-                                        for b in sub.basis])
-        if grown == sub:
-            break
-        sub = grown
+    sub = closure(alg, x, y)
     ad_w = adjoint(alg, w)
     ok = all(is_zero(apply(ad_w, b)) for b in sub.basis)
     return (CaseTag.OPERATOR_COMMUTING if ok else CaseTag.NO_CLOSED_FORM), None, None, sub
@@ -514,7 +508,7 @@ class TestWitness:
         for alg, xc, yc in pairs:
             x, y = alg.element(xc), alg.element(yc)
             cls = classify_pair(alg, x, y)
-            assert cls.s_closure == alg.span_closure([cls.w], (x, y))
+            assert cls.s_closure == closure(alg, x, y)
             tags.add(cls.tag)
         assert tags == {CaseTag.OPERATOR_COMMUTING, CaseTag.NO_CLOSED_FORM}
 
@@ -534,7 +528,49 @@ class TestWitness:
                 break
         assert len(inserts) <= 3  # w, L_X w, L_Y w
         s = cls.s_closure
-        assert s == alg.span_closure([cls.w], (x, y)) and s.dim > 3
+        assert s == closure(alg, x, y) and s.dim > 3
+
+
+class TestSClosure:
+    """s_closure, the closure S of w = [x, y] under L_x, L_y as _closure grows it.
+    classify_pair gives the Heisenberg and affine pairs stronger tags, whose
+    certificates hold no S, so their S is read from an OperatorCommuting
+    certificate made on the pair: S is defined for every pair."""
+
+    @staticmethod
+    def _operator_s(alg, x, y):
+        return detect.CaseClassification(CaseTag.OPERATOR_COMMUTING, alg, x, y,
+                                         _integer_form=detect._pair_forms(alg, x, y)).s_closure
+
+    def test_float_and_exact_input_give_one_s(self):
+        # a float coordinate is the binary rational it holds, so it gives the S
+        # that the equal "p/q" input gives
+        tenth = str(Fraction(0.1))
+        pairs = [(two_scale_algebra(), ([0.1, 2, 0, 0], [0, 0, 1, 0.5]),
+                  ([tenth, 2, 0, 0], [0, 0, 1, "1/2"])),
+                 (sl2_algebra(), ([0.1, 0, 0], [0, 1.0, 0]), ([tenth, 0, 0], [0, 1, 0]))]
+        tags = set()
+        for alg, floats, exact in pairs:
+            got, want = (classify_pair(alg, *map(alg.element, xy)) for xy in (floats, exact))
+            assert got.tag == want.tag and got.s_closure == want.s_closure
+            assert got.s_closure == closure(alg, *map(alg.element, exact))
+            tags.add(got.tag)
+        assert tags == {CaseTag.OPERATOR_COMMUTING, CaseTag.NO_CLOSED_FORM}
+
+    def test_heisenberg(self):
+        heis = heisenberg_algebra()
+        s = self._operator_s(heis, heis.basis_element(0), heis.basis_element(1))
+        assert s.dim == 1 and s.basis[0] == (0, 0, 1)
+
+    def test_affine_eigenvector(self):
+        affine = affine_algebra()
+        s = self._operator_s(affine, affine.basis_element(0), affine.basis_element(1))
+        assert s.dim == 1 and s.basis[0] == (0, 1)
+
+    def test_zero_w(self):
+        heis = heisenberg_algebra()
+        x = heis.element([1, 2, 0])
+        assert self._operator_s(heis, x, x).is_zero()
 
 
 class TestLazyCertificate:

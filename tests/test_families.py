@@ -15,8 +15,10 @@ from bchkit import families
     lambda rng: families.random_rank_one(rng, 1, nilpotent=False),
     lambda rng: families.random_rank_one(rng, 2),  # the coin may pick the nilpotent branch
     lambda rng: families.random_rank_one(rng, 2, nilpotent=True),
+    lambda rng: families.random_derived_abelian(rng, levers=-1, core=3),
+    lambda rng: families.random_derived_abelian(rng, levers=2, core=-1),
 ], ids=["element_0", "case1_0", "rank_one_1", "rank_one_1_not_nilpotent", "rank_one_2",
-        "rank_one_2_nilpotent"])
+        "rank_one_2_nilpotent", "derived_abelian_levers_-1", "derived_abelian_core_-1"])
 def test_dimension_too_small_rejected_before_any_draw(draw):
     rng = random.Random(0)
     state = rng.getstate()
