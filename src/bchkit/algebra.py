@@ -244,6 +244,156 @@ class Echelon:
         return Subspace(tuple(unscaled(row, row[p]) for row, p in zip(self.rows, self.pivots)))
 
 
+# ---------------------------------------------------------------------------
+# eigenvalues of integer maps
+# ---------------------------------------------------------------------------
+
+def _orbit(step, g, vec, first):
+    """vec, L vec, L^2 vec, ... for L = step(g, .), with first = L vec; each image is
+    made only when the one before it has been taken."""
+    yield vec
+    while True:
+        yield first
+        first = step(g, first)
+
+
+def _least_relation(orbit, coords):
+    """(edge, p) for the orbit vec, L vec, L^2 vec, ... of a nonzero integer vec under
+    a linear L that keeps a subspace V, vec in V, whose vectors are told apart by
+    their entries at the positions coords: edge = [vec, L vec, ..., L^s vec] ends at
+    the first L^s vec that lies in the span of the vectors before it, and
+    p = [p_0, ..., p_(s-1), 1] is the least relation, sum_j p_j L^j vec = 0.
+
+    The entries at coords are eliminated fraction-free (as Echelon.reduce), each row
+    carrying the coefficients of its combination of the edge.  Where L maps integer
+    vectors to integer vectors, p, the minimal polynomial of L on the cyclic span of
+    vec, divides the characteristic polynomial of an integer matrix: it is monic in
+    Z[t], and dividing the relation by its leading coefficient is exact."""
+    n = len(coords)
+    edge, rows = [], []
+    for img in orbit:
+        aug = [img[j] for j in coords] + [0] * (n + 1)
+        aug[n + len(edge)] = 1
+        edge.append(img)
+        for row, k in rows:
+            m = aug[k]
+            if m:
+                lead = row[k]
+                c = math.gcd(lead, m)
+                lead, m = lead // c, m // c
+                aug = [lead * a - m * r for a, r in zip(aug, row)]
+        k = next((j for j, a in enumerate(aug[:n]) if a), None)
+        if k is None:
+            rel = aug[n:n + len(edge)]
+            return edge, [c // rel[-1] for c in rel]
+        c = math.gcd(*aug)
+        rows.append(([a // c for a in aug], k))
+
+
+def _deflated(p, r):
+    """(q, p(r)) with p = (t - r) q + p(r), by synthetic division; coefficients
+    lowest first."""
+    q, acc = [], 0
+    for c in reversed(p):
+        acc = acc * r + c
+        q.append(acc)
+    rem = q.pop()
+    return q[::-1], rem
+
+
+def _largest_root(p):
+    """The largest root of the monic integer p, of degree n >= 3, where Newton's
+    method finds it to be an integer; None where p has no integer root so found.
+
+    Real roots lie within sqrt(n - 1) standard deviations of their mean
+    (Laguerre-Samuelson), which the two leading coefficients give: a negative
+    variance means complex roots and a zero one a repeated root.  Newton's method
+    from the upper end of that interval falls to the largest root where all roots
+    are real.  It runs on p(2^e tau) / 2^(e n), with every real root below 2^e in
+    size, where a coefficient too large for n real roots means complex ones; the
+    rounded estimate is refined by Newton steps on the integers and confirmed by
+    exact Horner."""
+    n = len(p) - 1
+    a, b = p[n - 1], p[n - 2]
+    spread = (n - 1) * ((n - 1) * a * a - 2 * n * b)  # (n - 1) n^2 variance
+    if spread <= 0:
+        return None
+    root = math.isqrt(spread) + 1
+    e = (abs(a) + root).bit_length()
+    if e > 1000 or any(abs(c).bit_length() > e * (n - i) + n for i, c in enumerate(p)):
+        return None
+    scaled = [c / (1 << e * (n - i)) for i, c in enumerate(p)]  # int / int rounds once
+    tau = (root - a) / n / (1 << e)
+    tol = max(2.0**-50, math.ldexp(0.25, -e))
+    for _ in range(64):
+        val = slope = 0.0
+        for c in reversed(scaled):
+            slope = slope * tau + val
+            val = val * tau + c
+        if not slope:
+            break
+        step = val / slope
+        tau -= step
+        if abs(step) < tol:
+            break
+    r = round(math.ldexp(tau, e))
+    for _ in range(64):  # a cluster of roots halves the distance per step, at least
+        q, val = _deflated(p, r)
+        if not val:
+            return r
+        slope = _deflated(q, r)[1]  # p'(r) = q(r)
+        step = (2 * val + slope) // (2 * slope) if slope else 0  # nearest to val / slope
+        if not step:
+            return None
+        r -= step
+    return None
+
+
+def _integer_roots(p):
+    """The roots of the monic integer p = [p_0, ..., p_(s-1), 1], s >= 1, if they are
+    s distinct integers, else None.  A rational root of a monic integer polynomial
+    is an integer; each root found is divided out exactly, and the last two come
+    from the discriminant's integer square root."""
+    roots = []
+    while len(p) > 3:
+        r = _largest_root(p)
+        if r is None:
+            return None
+        p = _deflated(p, r)[0]
+        roots.append(r)
+    if len(p) == 3:
+        c, b, _ = p
+        disc = b * b - 4 * c
+        d = math.isqrt(disc) if disc > 0 else 0
+        if d * d != disc or not d:
+            return None
+        roots += [(d - b) // 2, (-d - b) // 2]
+    else:
+        roots.append(-p[0])
+    return roots if len(set(roots)) == len(roots) else None
+
+
+def _eigenlines(edge, p):
+    """[(r, W, h), ...], one per root r of p, for the (edge, p) of _least_relation,
+    where p has s distinct integer roots, else None.  With h_r = p / (t - r),
+    W = h_r(L) vec is the sum of h_r's coefficients times the edge and h = h_r(r),
+    so L W = r W and vec = sum W / h, the Lagrange split of vec; W / h is kept
+    with h > 0."""
+    roots = _integer_roots(p)
+    if roots is None:
+        return None
+    lines = []
+    for r in roots:
+        vec = [0] * len(edge[0])
+        for c, v in zip(_deflated(p, r)[0], edge):
+            if c:
+                vec = [a + c * t for a, t in zip(vec, v)]
+        h = math.prod(r - o for o in roots if o != r)
+        c = math.gcd(*vec, h) * (1 if h > 0 else -1)
+        lines.append((r, [a // c for a in vec], h // c))
+    return lines
+
+
 class NilpotencyVerdict(_Frozen):
     """Outcome of the lower-central-series computation: nil_class is the smallest
     n with g_n = 0, stable the stabilized subspace when not nilpotent."""
@@ -255,6 +405,27 @@ class NilpotencyVerdict(_Frozen):
         _setattr(self, "nilpotent", nilpotent)
         _setattr(self, "nil_class", nil_class)
         _setattr(self, "stable", stable)
+
+
+class DerivedWeights(_Frozen):
+    """ad g on an abelian [g,g], where it is nilpotent or diagonal over Q, as
+    StructureConstants.derived_weights() finds it.
+
+    For a nilpotent ad g, nilpotent is True, den is 1 and spaces is ().  Else
+    [g,g] is the direct sum of the joint weight spaces V of the kernel's maps
+    scaled_bracket(T_a, .), the algebra's den times ad T_a, and spaces holds one
+    (r, cols) per V: r = (r_0, ..., r_(dim-1)), with r_a the eigenvalue of
+    scaled_bracket(T_a, .) on V, and cols = ((p, col), ...), over the pivots p of
+    derived_echelon()'s E, the integer vectors with which the projection of a
+    vector w of [g,g] onto V is sum_p w[p] col / den, over this fact's one
+    denominator den; a pivot whose E-row has no part in V is left out."""
+
+    _fields = ("nilpotent", "den", "spaces")
+
+    def __init__(self, nilpotent: bool, den: int, spaces: tuple):
+        _setattr(self, "nilpotent", nilpotent)
+        _setattr(self, "den", den)
+        _setattr(self, "spaces", spaces)
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +460,7 @@ class StructureConstants:
         self.units = tuple(tuple(int(i == a) for i in range(dim)) for a in range(dim))
         self._derived: tuple | None = None  # derived_echelon(), on first call
         self._derived_rref: Subspace | None = None  # derived_subalgebra(), on first call
+        self._weights: tuple = ()  # (derived_weights(),), on first call
 
     def __repr__(self):
         pairs = sum(map(len, self._rows)) // 2  # each nonzero bracket is in two rows
@@ -387,6 +559,56 @@ class StructureConstants:
         if self._derived_rref is None:
             self._derived_rref = self.derived_echelon()[0].subspace()
         return self._derived_rref
+
+    def derived_weights(self) -> DerivedWeights | None:
+        """The weights of ad g on [g,g] (DerivedWeights), or None where [g,g] is not
+        abelian or ad g is neither nilpotent nor diagonal over Q on it.
+
+        On an abelian [g,g], [ad a, ad b] = ad [a, b] vanishes there, so the maps
+        ad T_a commute on [g,g].  ad g is nilpotent there iff each
+        scaled_bracket(T_a, .) has the least relation t^s from each row of E
+        (_least_relation).  Else each row is split by each of these maps in turn
+        into its eigenvectors (_eigenlines), which holds where every relation has
+        distinct integer roots; a row's parts are then its projections onto the
+        joint weight spaces.  Run on the first call and published in one
+        assignment, as derived_echelon() is; E is not grown."""
+        fact = self._weights
+        if not fact:
+            fact = self._weights = (self._split_derived(),)
+        return fact[0]
+
+    def _split_derived(self) -> DerivedWeights | None:
+        ech, abelian = self.derived_echelon()
+        if not abelian:
+            return None
+        kernel = self.scaled_bracket
+
+        def relation(e, vec):
+            return _least_relation(_orbit(kernel, e, vec, kernel(e, vec)), ech.pivots)
+
+        if all(not any(relation(e, row)[1][:-1]) for e in self.units for row in ech.rows):
+            return DerivedWeights(True, 1, ())
+        # parts[i] = {r: (W, h)}: E-row i is the sum of W / h over its weights r so far
+        parts = [{(): (row, 1)} for row in ech.rows]
+        for e in self.units:
+            for i, split in enumerate(parts):
+                parts[i] = {}
+                for r, (vec, h) in split.items():
+                    lines = _eigenlines(*relation(e, vec))
+                    if lines is None:
+                        return None
+                    for root, sub, d in lines:
+                        parts[i][r + (root,)] = (sub, h * d)
+        # w = sum_i w[p_i] row_i / row_i[p_i], so its part in V is sum_i w[p_i] W / (h row_i[p_i])
+        den = math.lcm(*(h * row[p] for row, p, split in zip(ech.rows, ech.pivots, parts)
+                         for _, h in split.values()))
+        spaces = {}
+        for row, p, split in zip(ech.rows, ech.pivots, parts):
+            for r, (vec, h) in split.items():
+                k = den // (h * row[p])
+                spaces.setdefault(r, []).append((p, tuple(k * c for c in vec)))
+        return DerivedWeights(False, den, tuple((r, tuple(cols))
+                                                for r, cols in sorted(spaces.items())))
 
     def lower_central_series(self) -> tuple[list[Subspace], NilpotencyVerdict]:
         """Chain g_1 = [g,g], g_n = [g, g_{n-1}] until zero or stabilization."""

@@ -11,10 +11,11 @@ Outside that box it uses one rearrangement of the quotient that keeps its
 digits on the axes, on the diagonal and up to the double range, with no case
 of their own.  The operator form f(L_X, -L_Y) [X,Y] is used when the scalar
 hypothesis fails but the adjoints effectively commute: where L_X and L_Y split
-[X,Y] into joint eigenlines over Q it is the scalar form once per line;
-otherwise one walk of L_X^i L_Y^j [X,Y] on integers gives its exact graded
-parts for the same Taylor coefficients, summed exactly when the series
-terminates and in floating point otherwise.
+[X,Y] into joint eigenlines over Q it is the scalar form once per line, with the
+lines read off weights the algebra computes once where it can; otherwise one
+walk of L_X^i L_Y^j [X,Y] on integers gives its exact graded parts for the same
+Taylor coefficients, summed exactly when the series terminates and in floating
+point otherwise.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
+import operator
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable, Sequence
@@ -32,6 +34,9 @@ from .algebra import (
     LieElement,
     StructureConstants,
     _Frozen,
+    _eigenlines,
+    _least_relation,
+    _orbit,
     _setattr,
     as_fraction,
     unscaled,
@@ -460,152 +465,6 @@ def _graded_parts(alg: StructureConstants, scaled, rows, diagonals):
         yield acc, norm, sw * (px * py) ** m * q
 
 
-def _orbit(step, g, vec, first):
-    """vec, L vec, L^2 vec, ... for L = step(g, .), with first = L vec; each image is
-    made only when the one before it has been taken."""
-    yield vec
-    while True:
-        yield first
-        first = step(g, first)
-
-
-def _least_relation(orbit, coords):
-    """(edge, p) for the orbit vec, L vec, L^2 vec, ... of a nonzero integer vec under
-    a linear L that keeps a subspace V, vec in V, whose vectors are told apart by
-    their entries at the positions coords: edge = [vec, L vec, ..., L^s vec] ends at
-    the first L^s vec that lies in the span of the vectors before it, and
-    p = [p_0, ..., p_(s-1), 1] is the least relation, sum_j p_j L^j vec = 0.
-
-    The entries at coords are eliminated fraction-free (as Echelon.reduce), each row
-    carrying the coefficients of its combination of the edge.  Where L maps integer
-    vectors to integer vectors, p, the minimal polynomial of L on the cyclic span of
-    vec, divides the characteristic polynomial of an integer matrix: it is monic in
-    Z[t], and dividing the relation by its leading coefficient is exact."""
-    n = len(coords)
-    edge, rows = [], []
-    for img in orbit:
-        aug = [img[j] for j in coords] + [0] * (n + 1)
-        aug[n + len(edge)] = 1
-        edge.append(img)
-        for row, k in rows:
-            m = aug[k]
-            if m:
-                lead = row[k]
-                c = math.gcd(lead, m)
-                lead, m = lead // c, m // c
-                aug = [lead * a - m * r for a, r in zip(aug, row)]
-        k = next((j for j, a in enumerate(aug[:n]) if a), None)
-        if k is None:
-            rel = aug[n:n + len(edge)]
-            return edge, [c // rel[-1] for c in rel]
-        c = math.gcd(*aug)
-        rows.append(([a // c for a in aug], k))
-
-
-def _deflated(p, r):
-    """(q, p(r)) with p = (t - r) q + p(r), by synthetic division; coefficients
-    lowest first."""
-    q, acc = [], 0
-    for c in reversed(p):
-        acc = acc * r + c
-        q.append(acc)
-    rem = q.pop()
-    return q[::-1], rem
-
-
-def _largest_root(p):
-    """The largest root of the monic integer p, of degree n >= 3, where Newton's
-    method finds it to be an integer; None where p has no integer root so found.
-
-    Real roots lie within sqrt(n - 1) standard deviations of their mean
-    (Laguerre-Samuelson), which the two leading coefficients give: a negative
-    variance means complex roots and a zero one a repeated root.  Newton's method
-    from the upper end of that interval falls to the largest root where all roots
-    are real.  It runs on p(2^e tau) / 2^(e n), with every real root below 2^e in
-    size, where a coefficient too large for n real roots means complex ones; the
-    rounded estimate is refined by Newton steps on the integers and confirmed by
-    exact Horner."""
-    n = len(p) - 1
-    a, b = p[n - 1], p[n - 2]
-    spread = (n - 1) * ((n - 1) * a * a - 2 * n * b)  # (n - 1) n^2 variance
-    if spread <= 0:
-        return None
-    root = math.isqrt(spread) + 1
-    e = (abs(a) + root).bit_length()
-    if e > 1000 or any(abs(c).bit_length() > e * (n - i) + n for i, c in enumerate(p)):
-        return None
-    scaled = [c / (1 << e * (n - i)) for i, c in enumerate(p)]  # int / int rounds once
-    tau = (root - a) / n / (1 << e)
-    tol = max(2.0**-50, math.ldexp(0.25, -e))
-    for _ in range(64):
-        val = slope = 0.0
-        for c in reversed(scaled):
-            slope = slope * tau + val
-            val = val * tau + c
-        if not slope:
-            break
-        step = val / slope
-        tau -= step
-        if abs(step) < tol:
-            break
-    r = round(math.ldexp(tau, e))
-    for _ in range(64):  # a cluster of roots halves the distance per step, at least
-        q, val = _deflated(p, r)
-        if not val:
-            return r
-        slope = _deflated(q, r)[1]  # p'(r) = q(r)
-        step = (2 * val + slope) // (2 * slope) if slope else 0  # nearest to val / slope
-        if not step:
-            return None
-        r -= step
-    return None
-
-
-def _integer_roots(p):
-    """The roots of the monic integer p = [p_0, ..., p_(s-1), 1], s >= 1, if they are
-    s distinct integers, else None.  A rational root of a monic integer polynomial
-    is an integer; each root found is divided out exactly, and the last two come
-    from the discriminant's integer square root."""
-    roots = []
-    while len(p) > 3:
-        r = _largest_root(p)
-        if r is None:
-            return None
-        p = _deflated(p, r)[0]
-        roots.append(r)
-    if len(p) == 3:
-        c, b, _ = p
-        disc = b * b - 4 * c
-        d = math.isqrt(disc) if disc > 0 else 0
-        if d * d != disc or not d:
-            return None
-        roots += [(d - b) // 2, (-d - b) // 2]
-    else:
-        roots.append(-p[0])
-    return roots if len(set(roots)) == len(roots) else None
-
-
-def _eigenlines(edge, p):
-    """[(r, W, h), ...], one per root r of p, for the (edge, p) of _least_relation,
-    where p has s distinct integer roots, else None.  With h_r = p / (t - r),
-    W = h_r(L) vec is the sum of h_r's coefficients times the edge and h = h_r(r),
-    so L W = r W and vec = sum W / h, the Lagrange split of vec; W / h is kept
-    with h > 0."""
-    roots = _integer_roots(p)
-    if roots is None:
-        return None
-    lines = []
-    for r in roots:
-        vec = [0] * len(edge[0])
-        for c, v in zip(_deflated(p, r)[0], edge):
-            if c:
-                vec = [a + c * t for a, t in zip(vec, v)]
-        h = math.prod(r - o for o in roots if o != r)
-        c = math.gcd(*vec, h) * (1 if h > 0 else -1)
-        lines.append((r, [a // c for a in vec], h // c))
-    return lines
-
-
 def _joint_eigenlines(alg: StructureConstants, scaled, relation, pivots):
     """The split of w = [x, y] into joint eigenlines of L_X and L_Y on S, or None.
 
@@ -634,6 +493,66 @@ def _joint_eigenlines(alg: StructureConstants, scaled, relation, pivots):
     return split or None
 
 
+def _weight_lines(alg: StructureConstants, weights, scaled):
+    """The split of w = [x, y] into joint eigenlines of L_X and L_Y, read off the
+    DerivedWeights of an algebra on whose abelian [g,g] ad g is diagonal over Q.
+
+    scaled holds the integer forms ((xs, sx), (ys, sy), (ws, sw)) of x, y and w.  On
+    a weight space with kernel eigenvalues r, the kernel's den sx L_X and den sy L_Y
+    are rx = xs . r and ry = ys . r; w's parts in the spaces with equal (rx, ry) add
+    up to one line, and the lines come in descending (rx, ry), the order in which
+    _joint_eigenlines finds them.  Returns [(uv, (W, d)), ...] as _joint_eigenlines
+    does, with no kernel call; W / d is not reduced, as each int / int of the
+    combine rounds the same rational once either way."""
+    (xs, sx), (ys, sy), (ws, sw) = scaled
+    grouped = {}
+    for r, cols in weights.spaces:
+        part = None
+        for p, col in cols:
+            c = ws[p]
+            if c:
+                part = ([c * t for t in col] if part is None
+                        else [a + c * t for a, t in zip(part, col)])
+        if part is not None and any(part):
+            key = (sum(map(operator.mul, xs, r)), sum(map(operator.mul, ys, r)))
+            if key in grouped:
+                part = [a + b for a, b in zip(grouped[key], part)]
+            grouped[key] = part
+    den, px, py = weights.den * sw, alg.den * sx, alg.den * sy
+    return [((-ry, py, rx, px), (vec, den))
+            for (rx, ry), vec in sorted(grouped.items(), reverse=True)]
+
+
+def _dying_edge(step, g, vec, first):
+    """[vec, L vec, ..., L^s vec = 0] for L = step(g, .) nilpotent on the orbit of
+    vec, with first = L vec: the edge of _least_relation, whose relation is t^s,
+    taken with no elimination."""
+    edge = [vec, first]
+    while any(edge[-1]):
+        edge.append(step(g, edge[-1]))
+    return edge
+
+
+def _terminating_sum(alg: StructureConstants, x: LieElement, y: LieElement, scaled,
+                     x_edge, y_edge) -> BchResult:
+    """z = x + y + f(L_X, -L_Y) w, exact, where the edges x_edge = [w, ..., L_X^nx w]
+    and y_edge = [w, ..., L_Y^ny w] end at 0: C_n = 0 beyond n = nx + ny, and z sums
+    the parts of closed_form_terms from the walk of L_X^i L_Y^j w between the edges."""
+    degree = len(x_edge) + len(y_edge) - 4  # nx + ny - 2, as edge m is L^m w
+    (xs, _), (ys, _), (ws, _) = scaled
+    walk = _anti_diagonals(alg.scaled_bracket, xs, ys, ws, x_edge, y_edge)
+    parts = list(_graded_parts(alg, scaled, _f_rows(degree), walk))
+    den = math.lcm(*(d for _, _, d in parts))  # sum them over one denominator
+    acc = [0] * alg.dim
+    for part, _, d in parts:
+        k = den // d
+        for idx, t in enumerate(part):
+            if t:
+                acc[idx] += k * t
+    return _combined("OperatorF", x, y, scaled[:2], (acc, den), residual_bound=0.0,
+                     degree=degree)
+
+
 def _operator_f(alg: StructureConstants, x: LieElement, y: LieElement, scaled,
                 images, target_tolerance: float) -> BchResult:
     """z = x + y + f(L_X, -L_Y) w for a nonzero w = [x, y] that centralizes its closure S.
@@ -641,49 +560,51 @@ def _operator_f(alg: StructureConstants, x: LieElement, y: LieElement, scaled,
     scaled holds the integer forms ((xs, sx), (ys, sy), (ws, sw)) of x, y and w, and
     images holds the kernel's L_X w and L_Y w, as classify_pair computed them.
 
-    S = span{L_X^i L_Y^j w} lies in the ideal [g,g], so its vectors are told apart
-    by their entries at the pivots of [g,g]'s echelon, and [L_X, L_Y] = L_w vanishes
-    on S.  The edge L_X^k w is taken up to its first dependency, which gives its
-    least relation p (_least_relation): L_X is nilpotent on S iff p = t^s, that is,
-    iff the edge dies.  Where it does, L_Y's edge is taken the same way, and if it
-    dies too, the series terminates: z is the exact sum of the parts of
-    closed_form_terms, from the walk of L_X^i L_Y^j w between the two edges.
-    Otherwise, where L_X and L_Y split S into joint eigenlines w = sum w_k with
-    integer eigenvalues of the kernel's maps (_joint_eigenlines, or L_Y's edge alone
-    where L_X is 0 on S), f(L_X, -L_Y) w = sum f(u_k, v_k) w_k: the scalar form once
-    per line, with the ScalarF bound summed over the lines.  Where they do not (L_X
-    nilpotent but not 0 on S, or an edge with a repeated, irrational or complex
-    root), _shell_sum sums the walk's parts in floating point.
+    S = span{L_X^i L_Y^j w} lies in the ideal [g,g], and [L_X, L_Y] = L_w vanishes
+    on S.  Where [g,g] is abelian, the algebra's derived_weights(), computed once,
+    decides the form.  If ad g is nilpotent on [g,g], or L_X w = L_Y w = 0, the
+    series terminates: the edges L_X^k w and L_Y^k w are bracketed until they reach
+    0, and _terminating_sum sums them exactly.  If ad g is diagonal over Q, w splits
+    into joint eigenlines w = sum w_k (_weight_lines), and f(L_X, -L_Y) w =
+    sum f(u_k, v_k) w_k: the scalar form once per line, with the ScalarF bound
+    summed over the lines.
+
+    Otherwise (derived_weights() is None) each pair finds its own structure, with
+    its vectors told apart by their entries at the pivots of [g,g]'s echelon.  The
+    edge L_X^k w is taken up to its first dependency, which gives its least
+    relation p (_least_relation): L_X is nilpotent on S iff p = t^s, that is, iff
+    the edge dies.  Where it does, L_Y's edge is taken the same way, and if it dies
+    too, the series terminates.  Otherwise, where L_X and L_Y split S into joint
+    eigenlines with integer eigenvalues of the kernel's maps (_joint_eigenlines, or
+    L_Y's edge alone where L_X is 0 on S), the lines are summed as above.  Where
+    they do not (L_X nilpotent but not 0 on S, or an edge with a repeated,
+    irrational or complex root), _shell_sum sums the walk's parts in floating point.
     """
     kernel = alg.scaled_bracket
     (xs, sx), (ys, sy), (ws, sw) = scaled
-    pivots = alg.derived_echelon()[0].pivots
-    x_edge, p = _least_relation(_orbit(kernel, xs, ws, images[0]), pivots)
-    y_edge = (ws, images[1])
-    if any(p[:-1]):  # L_X is not nilpotent on S
-        split = _joint_eigenlines(alg, scaled, (x_edge, p), pivots)
+    weights = alg.derived_weights()
+    if weights is not None and (weights.nilpotent or not any(images[0]) and not any(images[1])):
+        x_edge, y_edge = (_dying_edge(kernel, g, ws, img) for g, img in zip((xs, ys), images))
+        return _terminating_sum(alg, x, y, scaled, x_edge, y_edge)
+    if weights is not None:
+        split = _weight_lines(alg, weights, scaled)
     else:
-        y_edge, q = _least_relation(_orbit(kernel, ys, ws, images[1]), pivots)
-        if not any(q[:-1]):  # L_X^nx w = L_Y^ny w = 0: C_n = 0 beyond n = nx + ny
-            degree = len(x_edge) + len(y_edge) - 4  # nx + ny - 2, as edge m is L^m w
+        pivots = alg.derived_echelon()[0].pivots
+        x_edge, p = _least_relation(_orbit(kernel, xs, ws, images[0]), pivots)
+        y_edge = (ws, images[1])
+        if any(p[:-1]):  # L_X is not nilpotent on S
+            split = _joint_eigenlines(alg, scaled, (x_edge, p), pivots)
+        else:
+            y_edge, q = _least_relation(_orbit(kernel, ys, ws, images[1]), pivots)
+            if not any(q[:-1]):  # L_X^nx w = L_Y^ny w = 0
+                return _terminating_sum(alg, x, y, scaled, x_edge, y_edge)
+            # where L_X is 0 on S, w's lines under L_Y are joint lines with v = 0
+            lines = _eigenlines(y_edge, q) if len(x_edge) == 2 else None
+            split = None if lines is None else [
+                ((-rho, alg.den * sy, 0, alg.den * sx), (vec, h * sw)) for rho, vec, h in lines]
+        if split is None:
             walk = _anti_diagonals(kernel, xs, ys, ws, x_edge, y_edge)
-            parts = list(_graded_parts(alg, scaled, _f_rows(degree), walk))
-            den = math.lcm(*(d for _, _, d in parts))  # sum them over one denominator
-            acc = [0] * alg.dim
-            for part, _, d in parts:
-                k = den // d
-                for idx, t in enumerate(part):
-                    if t:
-                        acc[idx] += k * t
-            return _combined("OperatorF", x, y, scaled[:2], (acc, den),
-                             residual_bound=0.0, degree=degree)
-        # where L_X is 0 on S, w's lines under L_Y are joint lines with v = 0
-        lines = _eigenlines(y_edge, q) if len(x_edge) == 2 else None
-        split = None if lines is None else [
-            ((-rho, alg.den * sy, 0, alg.den * sx), (vec, h * sw)) for rho, vec, h in lines]
-    if split is None:
-        walk = _anti_diagonals(kernel, xs, ys, ws, x_edge, y_edge)
-        return _shell_sum(alg, x, y, scaled, images, walk, target_tolerance)
+            return _shell_sum(alg, x, y, scaled, images, walk, target_tolerance)
     terms = [(f_scalar(un / ud, vn / vd), form) for (un, ud, vn, vd), form in split]
     return _combined("OperatorF", x, y, scaled[:2], weighted=terms,
                      _lines=tuple(uv for uv, _ in split))

@@ -53,6 +53,20 @@ def rep_json_dict(rep) -> dict:
             "faithful_on": rep.faithful_on}
 
 
+def direct_sum(a, b):
+    """(a + b, embed): the direct sum of the algebras a and b on a's basis followed
+    by b's, with [a, b] = 0 across the summands, and embed(x), which maps an element
+    x of a to the element (x, 0) of the sum."""
+    shift = a.dim
+    entries = {(i, j, k): v for i, j, k, v in a.entries()}
+    entries.update({(i + shift, j + shift, k + shift): v for i, j, k, v in b.entries()})
+
+    def embed(x: LieElement) -> LieElement:
+        return LieElement(x.coords + (Fraction(0),) * b.dim)
+
+    return validate(entries, a.dim + b.dim), embed
+
+
 # ---------------------------------------------------------------------------
 # an algebra whose operator form does not split into eigenlines
 # ---------------------------------------------------------------------------

@@ -46,9 +46,9 @@ from bchkit.oracle import (
     two_scale_algebra,
     uvc_model_algebra,
 )
-from reference import (adjoint, apply, centralized_closure, euclidean_plane, evaluate_exact,
-                       f_form_negexp, f_form_product, f_form_quotient, minus, omega_contract,
-                       plus, rank_one_uv, times)
+from reference import (adjoint, apply, centralized_closure, direct_sum, euclidean_plane,
+                       evaluate_exact, f_form_negexp, f_form_product, f_form_quotient, minus,
+                       omega_contract, plus, rank_one_uv, times)
 
 
 def _floats(alg, *elements) -> tuple:
@@ -1151,6 +1151,7 @@ class TestPerPairWork:
         for entry in entries:
             alg = entry.algebra
             (x, y, expected), = entry.pairs
+            alg.derived_weights()  # the per-algebra facts, whose brackets are not the pair's
             cleared.clear()
             brackets.clear()
             cls = classify_pair(alg, x, y)
@@ -1188,22 +1189,31 @@ class TestPerPairWork:
         assert seen == set(CaseTag)
 
     def test_split_pairs_make_at_most_two_kernel_calls_per_dimension_of_s(self, monkeypatch):
-        # the edge of L_X from w to its first dependency, one L_Y bracket per
-        # L_X-eigenvector and L_Y's own edge inside an eigenspace of several lines;
-        # where L_X is 0 on S, L_Y's edge from w alone.  No restricted norm is
-        # taken and no anti-diagonal is walked
+        # the per-pair split, on algebras whose derived_weights() is None: a diag
+        # algebra or two_scale summed with sl2 ([g,g] not abelian) or with a nilp
+        # algebra (ad g neither diagonal nor nilpotent on [g,g]), each pair in the
+        # first summand.  The edge of L_X from w to its first dependency, one L_Y
+        # bracket per L_X-eigenvector and L_Y's own edge inside an eigenspace of
+        # several lines; where L_X is 0 on S, L_Y's edge from w alone.  No
+        # restricted norm is taken and no anti-diagonal is walked
         kernel, calls = StructureConstants.scaled_bracket, []
         monkeypatch.setattr(StructureConstants, "scaled_bracket",
                             lambda alg, a, b: calls.append(1) or kernel(alg, a, b))
         monkeypatch.setattr(closed_form, "_anti_diagonals", None)
         monkeypatch.setattr(closed_form, "_restricted_norm", None)
         rng = random.Random(18)
-        pairs = [(entry.algebra, x, y) for entry in [catalog_entry("two_scale")]
-                 for x, y, _ in entry.pairs]
+        others = [sl2_algebra(), families.random_derived_abelian(random.Random(1), 2, 3,
+                                                                  kind="nilp")]
+        summands = [(entry.algebra, entry.pairs) for entry in [catalog_entry("two_scale")]]
         for core in (3, 4, 4):
             alg = families.random_derived_abelian(rng, 2, core, kind="diag")
-            pairs += [(alg, *(families.random_element(rng, alg.dim) for _ in "xy"))
-                      for _ in range(4)]
+            summands.append((alg, [[families.random_element(rng, alg.dim) for _ in "xy"]
+                                   for _ in range(4)]))
+        pairs = []
+        for k, (summand, summand_pairs) in enumerate(summands):
+            alg, embed = direct_sum(summand, others[k % 2])
+            assert alg.derived_weights() is None
+            pairs += [(alg, embed(x), embed(y)) for x, y, *_ in summand_pairs]
         orbit, starts, subsplits, shapes = closed_form._orbit, [], 0, set()
         monkeypatch.setattr(closed_form, "_orbit", lambda *a: starts.append(a[2]) or orbit(*a))
         for alg, x, y in pairs:
@@ -1221,6 +1231,41 @@ class TestPerPairWork:
             shapes.add(all(v == 0 for _, v in res.lines))  # L_X is 0 on S
         assert subsplits  # an eigenspace of L_X held several lines
         assert shapes == {False, True}
+
+    def test_warm_pairs_read_the_derived_weights(self, monkeypatch):
+        # on a warm algebra whose derived_weights() is diagonal, a split pair reads
+        # its lines off the fact with no kernel call and no elimination; where it
+        # is nilpotent, both edges are bracketed to 0 with no elimination either
+        rng = random.Random(21)
+        algebras = {"diag": families.random_derived_abelian(rng, 2, 4, kind="diag"),
+                    "two_scale": two_scale_algebra(),
+                    "nilp": families.random_derived_abelian(rng, 2, 4, kind="nilp")}
+        kernel, calls = StructureConstants.scaled_bracket, []
+        least, relations = algebra._least_relation, []
+        for name, alg in algebras.items():
+            assert alg.derived_weights().nilpotent == (name == "nilp"), name  # warm
+            monkeypatch.setattr(StructureConstants, "scaled_bracket",
+                                lambda alg, a, b: calls.append(1) or kernel(alg, a, b))
+            for module in (algebra, closed_form):
+                monkeypatch.setattr(module, "_least_relation",
+                                    lambda *a: relations.append(1) or least(*a))
+            seen = 0
+            for _ in range(20):
+                x, y = (families.random_element(rng, alg.dim) for _ in "xy")
+                cls = classify_pair(alg, x, y)
+                if cls.tag != CaseTag.OPERATOR_COMMUTING:
+                    continue
+                calls.clear()
+                relations.clear()
+                res = bch_closed_form(alg, x, y, classification=cls)
+                assert not relations, (name, x, y)
+                if name == "nilp":
+                    assert (res.exact, res.lines) == (True, None), (name, x, y)
+                else:
+                    assert (calls, res.degree) == ([], None) and res.lines, (name, x, y)
+                seen += 1
+            monkeypatch.undo()
+            assert seen, name
 
     def test_warm_operator_classification_makes_three_kernel_calls(self, monkeypatch):
         # on an algebra whose [g,g] is abelian, and whose fact is cached, an
@@ -1274,6 +1319,7 @@ class TestPerPairWork:
         counts = []
         for alg, x, y in pairs:
             cls = classify_pair(alg, x, y)
+            alg.derived_weights()  # the per-algebra fact, whose kernel calls are not the pair's
             calls.clear()
             res = bch_closed_form(alg, x, y, classification=cls)
             assert (res.method, res.exact) == ("OperatorF", True)

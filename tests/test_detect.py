@@ -28,8 +28,8 @@ from bchkit.oracle import (
     two_scale_algebra,
     uvc_model_algebra,
 )
-from reference import (adjoint, apply, centralized_closure, closure, in_span, is_zero, plus,
-                       rank_one_uv, span, times)
+from reference import (adjoint, apply, centralized_closure, closure, direct_sum,
+                       euclidean_plane, in_span, is_zero, plus, rank_one_uv, span, times)
 
 
 class TestFactorizeRankOne:
@@ -130,7 +130,8 @@ class TestDerivedAbelian:
 
 
 class TestDerivedFact:
-    """derived_echelon, the one elimination of [g,g], computed once per algebra."""
+    """derived_echelon, the one elimination of [g,g], and derived_weights, the
+    weights of ad g on an abelian [g,g], each computed once per algebra."""
 
     @staticmethod
     def _algebras(borel):
@@ -160,10 +161,51 @@ class TestDerivedFact:
             abelian.add(flag)
         assert abelian == {False, True}
 
+    def test_weights_match_the_adjoint_matrices(self, borel):
+        # each vector of a diagonal fact is an eigenvector of every adjoint(T_a)
+        # with its space's weight r_a / den; the spaces' sum is direct and fills
+        # [g,g], and their projectors sum to the identity on it
+        rng = random.Random(19)
+        diag = families.random_derived_abelian(rng, 2, 3, kind="diag")
+        nilp = families.random_derived_abelian(rng, 2, 4, kind="nilp")
+        named = {"nilp": (nilp, "nilpotent"), "heisenberg": (heisenberg_algebra(), "nilpotent"),
+                 "two_scale": (two_scale_algebra(), "diagonal"), "diag": (diag, "diagonal"),
+                 "sl2": (sl2_algebra(), None), "e2": (euclidean_plane()[0], None),
+                 "diag+sl2": (direct_sum(diag, sl2_algebra())[0], None),
+                 "diag+nilp": (direct_sum(diag, nilp)[0], None)}
+        named.update({f"b{n}": (borel(n)[0], None) for n in (3, 4)})
+        for name, (alg, kind) in named.items():
+            fact = alg.derived_weights()
+            assert (None if fact is None else "nilpotent" if fact.nilpotent
+                    else "diagonal") == kind, name
+        diagonal = 0
+        for alg in self._algebras(borel) + [diag]:
+            fact = alg.derived_weights()
+            if fact is None or fact.nilpotent:
+                continue
+            diagonal += 1
+            derived = alg.derived_subalgebra()
+            ads = [adjoint(alg, alg.basis_element(a)) for a in range(alg.dim)]
+            spaces = []
+            for r, cols in fact.spaces:
+                vectors = [LieElement(Fraction(c, fact.den) for c in col) for _, col in cols]
+                for vec in vectors:
+                    for ad, ra in zip(ads, r):
+                        assert apply(ad, vec) == times(Fraction(ra, alg.den), vec)
+                spaces.append(span(vectors))
+            assert len({r for r, _ in fact.spaces}) == len(fact.spaces)  # one per weight
+            assert span(b for space in spaces for b in space.basis) == derived
+            assert sum(space.dim for space in spaces) == derived.dim
+            for b in derived.basis:
+                parts = [LieElement(Fraction(b[p] * c, fact.den) for c in col)
+                         for _, cols in fact.spaces for p, col in cols]
+                assert plus(*parts) == LieElement(b)
+        assert diagonal > 5
+
     def test_threads_on_a_fresh_algebra_agree(self, borel):
-        # two threads make the first classifications on an algebra whose fact
-        # is not yet built: both get the certificates and results that the warm
-        # algebra gives
+        # two threads make the first classifications on an algebra whose facts
+        # are not yet built: both get the certificates and results that the warm
+        # algebra gives, and the weights that a fresh copy of the algebra gives
         def outcomes(alg, pairs):
             out = []
             for x, y in pairs:
@@ -181,7 +223,8 @@ class TestDerivedFact:
             for trial in range(10):
                 rng = random.Random(trial)
                 for alg in (borel(4)[0], two_scale_algebra(),
-                            families.random_derived_abelian(rng, 2, 3, kind="diag")):
+                            families.random_derived_abelian(rng, 2, 3, kind="diag"),
+                            families.random_derived_abelian(rng, 2, 3, kind="nilp")):
                     pairs = [[families.random_element(rng, alg.dim) for _ in "xy"]
                              for _ in range(6)]
                     barrier = threading.Barrier(2)
@@ -189,7 +232,7 @@ class TestDerivedFact:
 
                     def run(i):
                         barrier.wait(timeout=30)
-                        got[i] = outcomes(alg, pairs)
+                        got[i] = outcomes(alg, pairs) + [alg.derived_weights()]
 
                     threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
                     for thread in threads:
@@ -197,7 +240,9 @@ class TestDerivedFact:
                     for thread in threads:
                         thread.join(timeout=60)
                     assert not any(thread.is_alive() for thread in threads)
-                    assert got[0] == got[1] == outcomes(alg, pairs), f"trial {trial}"
+                    fresh = StructureConstants.from_json_dict(alg.to_json_dict())
+                    assert got[0] == got[1] == outcomes(alg, pairs) + [fresh.derived_weights()], \
+                        f"trial {trial}"
         finally:
             sys.setswitchinterval(interval)
 
@@ -530,6 +575,35 @@ class TestWitness:
         s = cls.s_closure
         assert s == closure(alg, x, y) and s.dim > 3
 
+
+    def test_closure_yields_in_worklist_order(self, borel):
+        # _closure yields L_X w and L_Y w, then, last owed first, the new brackets
+        # of each owed vector with x and then with y, as the replay here grows S
+        # on reference spans; a pair on b(4) owes vectors past the first two
+        alg, _ = borel(4)
+        bracket = alg.scaled_bracket
+        rng = random.Random(11)
+        longest = 0
+        for _ in range(8):
+            x, y = (families.random_element(rng, alg.dim) for _ in "xy")
+            (xs, _), (ys, _), (ws, _) = detect._pair_forms(alg, x, y)
+            if not any(ws):
+                continue
+            images = [bracket(xs, ws), bracket(ys, ws)]
+            got = list(detect._closure(alg, Echelon(), xs, ys, ws, *images))
+            basis, owed, want = [ws], [], []
+            while images:
+                img = images.pop(0)
+                if not in_span(span(basis), img):
+                    basis.append(img)
+                    owed.append(img)
+                    want.append(img)
+                if not images and owed:
+                    vec = owed.pop()
+                    images = [bracket(xs, vec), bracket(ys, vec)]
+            assert got == want, (x, y)
+            longest = max(longest, len(want))
+        assert longest > 4
 
 class TestSClosure:
     """s_closure, the closure S of w = [x, y] under L_x, L_y as _closure grows it.

@@ -212,9 +212,11 @@ def test_orbit_nilpotency_index_matches_restricted_matrix(operator_form, seed):
 def test_diagonal_operator_forms_split_into_joint_eigenlines(seed):
     # L_X and L_Y act diagonally on the core of derived_abelian "diag" and on
     # two_scale, so every pair whose series does not terminate splits, floats
-    # too: a silent fall back to the shell sum fails here.  w is the sum of the
-    # lines, exactly, each line is a joint eigenvector with the printed (u, v),
-    # and z agrees with the matrix or degree-12 series reference
+    # too: a silent fall back to the shell sum fails here.  The evaluator reads
+    # the lines off the algebra's derived_weights(); the per-pair split, run here,
+    # gives the same lines in the same order.  w is the sum of the lines, exactly,
+    # each line is a joint eigenvector with the printed (u, v), and z agrees with
+    # the matrix or degree-12 series reference
     rng = random.Random(seed)
     if rng.random() < 0.25:
         entry = catalog_entry("two_scale")
@@ -237,9 +239,12 @@ def test_diagonal_operator_forms_split_into_joint_eigenlines(seed):
         ech.insert(clear_denominators(b)[0])
     edge = _orbit(alg.scaled_bracket, xs, ws, cls._images[0])
     relation = _least_relation(edge, ech.pivots)
-    lines = [LieElement(unscaled(*form))
-             for _, form in _joint_eigenlines(alg, scaled, relation, ech.pivots)]
+    split = _joint_eigenlines(alg, scaled, relation, ech.pivots)
+    lines = [LieElement(unscaled(*form)) for _, form in split]
     assert plus(*lines) == cls.w
+    # the evaluator's lines come in the order of the per-pair split, which sets z's bits
+    assert res.lines == tuple((Fraction(un, ud), Fraction(vn, vd))
+                              for (un, ud, vn, vd), _ in split)
     exact = [LieElement(Fraction(c) for c in e.coords) for e in (x, y)]
     ax, ay = (adjoint(alg, e) for e in exact)
     assert len(res.lines) == len(lines) == cls.s_closure.dim
