@@ -320,10 +320,10 @@ def _largest_root(p):
         return None
     root = math.isqrt(spread) + 1
     e = (abs(a) + root).bit_length()
-    if e > 1000 or any(abs(c).bit_length() > e * (n - i) + n for i, c in enumerate(p)):
+    if any(abs(c).bit_length() > e * (n - i) + n for i, c in enumerate(p)):
         return None
     scaled = [c / (1 << e * (n - i)) for i, c in enumerate(p)]  # int / int rounds once
-    tau = (root - a) / n / (1 << e)
+    tau = (root - a) / (n << e)
     tol = max(2.0**-50, math.ldexp(0.25, -e))
     for _ in range(64):
         val = slope = 0.0
@@ -336,7 +336,7 @@ def _largest_root(p):
         tau -= step
         if abs(step) < tol:
             break
-    r = round(math.ldexp(tau, e))
+    r = round(Fraction(tau) * (1 << e))  # exact: ldexp overflows past 2^1024
     for _ in range(64):  # a cluster of roots halves the distance per step, at least
         q, val = _deflated(p, r)
         if not val:
@@ -378,10 +378,12 @@ def _eigenlines(edge, p):
     where p has s distinct integer roots, else None.  With h_r = p / (t - r),
     W = h_r(L) vec is the sum of h_r's coefficients times the edge and h = h_r(r),
     so L W = r W and vec = sum W / h, the Lagrange split of vec; W / h is kept
-    with h > 0."""
+    with h > 0.  For a single root, W is vec itself, edge[0], and h = 1."""
     roots = _integer_roots(p)
     if roots is None:
         return None
+    if len(roots) == 1:
+        return [(roots[0], edge[0], 1)]
     lines = []
     for r in roots:
         vec = [0] * len(edge[0])
@@ -392,6 +394,32 @@ def _eigenlines(edge, p):
         c = math.gcd(*vec, h) * (1 if h > 0 else -1)
         lines.append((r, [a // c for a in vec], h // c))
     return lines
+
+
+def _joint_split(step, gens, vec, coords, known=()):
+    """{(r_0, ..., r_(k-1)): (W, h), ...}, the split of the nonzero integer vec into
+    joint eigenlines of the commuting maps L_i = step(gens[i], .), with L_i W = r_i W,
+    h > 0 and vec = sum W / h; None where a relation has a repeated, irrational or
+    complex root.
+
+    vec is split by each map in turn, each part by the relation of _least_relation
+    from it (vectors told apart at coords) and _eigenlines.  known[i], where given,
+    is the relation of L_i from vec itself, which the caller has taken; it is used
+    while the part is still vec, that is, while every map before L_i has a single
+    root on vec."""
+    parts = {(): (vec, 1)}
+    for i, g in enumerate(gens):
+        split = {}
+        for r, (part, h) in parts.items():
+            relation = (known[i] if part is vec and i < len(known) else
+                        _least_relation(_orbit(step, g, part, step(g, part)), coords))
+            lines = _eigenlines(*relation)
+            if lines is None:
+                return None
+            for root, sub, d in lines:
+                split[r + (root,)] = (sub, h * d)
+        parts = split
+    return parts
 
 
 class NilpotencyVerdict(_Frozen):
@@ -567,11 +595,11 @@ class StructureConstants:
         On an abelian [g,g], [ad a, ad b] = ad [a, b] vanishes there, so the maps
         ad T_a commute on [g,g].  ad g is nilpotent there iff each
         scaled_bracket(T_a, .) has the least relation t^s from each row of E
-        (_least_relation).  Else each row is split by each of these maps in turn
-        into its eigenvectors (_eigenlines), which holds where every relation has
-        distinct integer roots; a row's parts are then its projections onto the
-        joint weight spaces.  Run on the first call and published in one
-        assignment, as derived_echelon() is; E is not grown."""
+        (_least_relation).  Else each row is split into joint eigenvectors of these
+        maps (_joint_split), which holds where every relation has distinct integer
+        roots; a row's parts are then its projections onto the joint weight spaces.
+        Run on the first call and published in one assignment, as derived_echelon()
+        is; E is not grown."""
         fact = self._weights
         if not fact:
             fact = self._weights = (self._split_derived(),)
@@ -588,17 +616,10 @@ class StructureConstants:
 
         if all(not any(relation(e, row)[1][:-1]) for e in self.units for row in ech.rows):
             return DerivedWeights(True, 1, ())
-        # parts[i] = {r: (W, h)}: E-row i is the sum of W / h over its weights r so far
-        parts = [{(): (row, 1)} for row in ech.rows]
-        for e in self.units:
-            for i, split in enumerate(parts):
-                parts[i] = {}
-                for r, (vec, h) in split.items():
-                    lines = _eigenlines(*relation(e, vec))
-                    if lines is None:
-                        return None
-                    for root, sub, d in lines:
-                        parts[i][r + (root,)] = (sub, h * d)
+        # parts[i] = {r: (W, h)}: E-row i is the sum of W / h over its weights r
+        parts = [_joint_split(kernel, self.units, row, ech.pivots) for row in ech.rows]
+        if None in parts:
+            return None
         # w = sum_i w[p_i] row_i / row_i[p_i], so its part in V is sum_i w[p_i] W / (h row_i[p_i])
         den = math.lcm(*(h * row[p] for row, p, split in zip(ech.rows, ech.pivots, parts)
                          for _, h in split.values()))

@@ -34,7 +34,7 @@ from .algebra import (
     LieElement,
     StructureConstants,
     _Frozen,
-    _eigenlines,
+    _joint_split,
     _least_relation,
     _orbit,
     _setattr,
@@ -42,7 +42,7 @@ from .algebra import (
     unscaled,
     validate,
 )
-from .detect import CaseClassification, CaseTag, _closure, _eigenvalue, _uv_field, classify_pair
+from .detect import CaseClassification, CaseTag, _closure, _uv_field, classify_pair
 
 SERIES_CROSSOVER = 0.25     # switch to the Taylor series inside this box
 SERIES_DEGREE = 20          # series truncation of the scalar evaluator
@@ -465,34 +465,6 @@ def _graded_parts(alg: StructureConstants, scaled, rows, diagonals):
         yield acc, norm, sw * (px * py) ** m * q
 
 
-def _joint_eigenlines(alg: StructureConstants, scaled, relation, pivots):
-    """The split of w = [x, y] into joint eigenlines of L_X and L_Y on S, or None.
-
-    scaled holds the integer forms ((xs, sx), (ys, sy), (ws, sw)) of x, y and w, and
-    relation is the (edge, p) of _least_relation for the kernel's L = den sx L_X
-    from ws; a vector of S is told apart by its entries at pivots, those of an
-    echelon of a subspace that holds S.  Each L_X-eigenvector W of _eigenlines is
-    bracketed once with y: where L_Y W is a multiple of W (detect._eigenvalue), W
-    is a joint line, else that eigenspace is split again by L_Y's own edge from W.
-    Returns [(uv, (W, d)), ...] with w = sum W / d, L_X W = v W and L_Y W = -u W,
-    uv = (un, ud, vn, vd) as for ScalarF; None where an edge has a repeated,
-    irrational or complex root."""
-    (_, sx), (ys, sy), (_, sw) = scaled
-    px, py = alg.den * sx, alg.den * sy
-    split = []
-    for r, vec, h in _eigenlines(*relation) or ():
-        img = alg.scaled_bracket(ys, vec)
-        ratio = _eigenvalue(vec, img)
-        if ratio is not None:
-            split.append(((-ratio[0], py * ratio[1], r, px), (vec, h * sw)))
-            continue
-        sub = _eigenlines(*_least_relation(_orbit(alg.scaled_bracket, ys, vec, img), pivots))
-        if sub is None:
-            return None
-        split += [((-rho, py, r, px), (sub_vec, sub_h * h * sw)) for rho, sub_vec, sub_h in sub]
-    return split or None
-
-
 def _weight_lines(alg: StructureConstants, weights, scaled):
     """The split of w = [x, y] into joint eigenlines of L_X and L_Y, read off the
     DerivedWeights of an algebra on whose abelian [g,g] ad g is diagonal over Q.
@@ -500,10 +472,11 @@ def _weight_lines(alg: StructureConstants, weights, scaled):
     scaled holds the integer forms ((xs, sx), (ys, sy), (ws, sw)) of x, y and w.  On
     a weight space with kernel eigenvalues r, the kernel's den sx L_X and den sy L_Y
     are rx = xs . r and ry = ys . r; w's parts in the spaces with equal (rx, ry) add
-    up to one line, and the lines come in descending (rx, ry), the order in which
-    _joint_eigenlines finds them.  Returns [(uv, (W, d)), ...] as _joint_eigenlines
-    does, with no kernel call; W / d is not reduced, as each int / int of the
-    combine rounds the same rational once either way."""
+    up to one line, and the lines come in descending (rx, ry), as those of the
+    per-pair split of _operator_f do.  Returns [(uv, (W, d)), ...], w = sum W / d
+    with L_X W = v W and L_Y W = -u W, uv = (un, ud, vn, vd) as for ScalarF, with
+    no kernel call; W / d is not reduced, as each int / int of the combine rounds
+    the same rational once either way."""
     (xs, sx), (ys, sy), (ws, sw) = scaled
     grouped = {}
     for r, cols in weights.spaces:
@@ -562,28 +535,28 @@ def _operator_f(alg: StructureConstants, x: LieElement, y: LieElement, scaled,
 
     S = span{L_X^i L_Y^j w} lies in the ideal [g,g], and [L_X, L_Y] = L_w vanishes
     on S.  Where [g,g] is abelian, the algebra's derived_weights(), computed once,
-    decides the form.  If ad g is nilpotent on [g,g], or L_X w = L_Y w = 0, the
-    series terminates: the edges L_X^k w and L_Y^k w are bracketed until they reach
-    0, and _terminating_sum sums them exactly.  If ad g is diagonal over Q, w splits
-    into joint eigenlines w = sum w_k (_weight_lines), and f(L_X, -L_Y) w =
-    sum f(u_k, v_k) w_k: the scalar form once per line, with the ScalarF bound
-    summed over the lines.
+    decides the form.  If ad g is nilpotent on [g,g], the series terminates: the
+    edges L_X^k w and L_Y^k w are bracketed until they reach 0, and _terminating_sum
+    sums them exactly.  If ad g is diagonal over Q, w splits into joint eigenlines
+    w = sum w_k (_weight_lines), and f(L_X, -L_Y) w = sum f(u_k, v_k) w_k: the
+    scalar form once per line, with the ScalarF bound summed over the lines.
 
     Otherwise (derived_weights() is None) each pair finds its own structure, with
     its vectors told apart by their entries at the pivots of [g,g]'s echelon.  The
     edge L_X^k w is taken up to its first dependency, which gives its least
     relation p (_least_relation): L_X is nilpotent on S iff p = t^s, that is, iff
     the edge dies.  Where it does, L_Y's edge is taken the same way, and if it dies
-    too, the series terminates.  Otherwise, where L_X and L_Y split S into joint
-    eigenlines with integer eigenvalues of the kernel's maps (_joint_eigenlines, or
-    L_Y's edge alone where L_X is 0 on S), the lines are summed as above.  Where
-    they do not (L_X nilpotent but not 0 on S, or an edge with a repeated,
-    irrational or complex root), _shell_sum sums the walk's parts in floating point.
+    too, the series terminates.  Otherwise w is split into joint eigenlines of the
+    kernel's maps for x and y (_joint_split, handed the relations already taken),
+    and the lines, in descending weights as _weight_lines gives them, are summed
+    as above.  Where it does not split (L_X nilpotent but not 0 on S, or a relation
+    with a repeated, irrational or complex root), _shell_sum sums the walk's parts
+    in floating point.
     """
     kernel = alg.scaled_bracket
     (xs, sx), (ys, sy), (ws, sw) = scaled
     weights = alg.derived_weights()
-    if weights is not None and (weights.nilpotent or not any(images[0]) and not any(images[1])):
+    if weights is not None and weights.nilpotent:
         x_edge, y_edge = (_dying_edge(kernel, g, ws, img) for g, img in zip((xs, ys), images))
         return _terminating_sum(alg, x, y, scaled, x_edge, y_edge)
     if weights is not None:
@@ -591,20 +564,19 @@ def _operator_f(alg: StructureConstants, x: LieElement, y: LieElement, scaled,
     else:
         pivots = alg.derived_echelon()[0].pivots
         x_edge, p = _least_relation(_orbit(kernel, xs, ws, images[0]), pivots)
-        y_edge = (ws, images[1])
-        if any(p[:-1]):  # L_X is not nilpotent on S
-            split = _joint_eigenlines(alg, scaled, (x_edge, p), pivots)
-        else:
+        known, y_edge = [(x_edge, p)], (ws, images[1])
+        if not any(p[:-1]):  # L_X is nilpotent on S
             y_edge, q = _least_relation(_orbit(kernel, ys, ws, images[1]), pivots)
             if not any(q[:-1]):  # L_X^nx w = L_Y^ny w = 0
                 return _terminating_sum(alg, x, y, scaled, x_edge, y_edge)
-            # where L_X is 0 on S, w's lines under L_Y are joint lines with v = 0
-            lines = _eigenlines(y_edge, q) if len(x_edge) == 2 else None
-            split = None if lines is None else [
-                ((-rho, alg.den * sy, 0, alg.den * sx), (vec, h * sw)) for rho, vec, h in lines]
-        if split is None:
+            known.append((y_edge, q))
+        parts = _joint_split(kernel, (xs, ys), ws, pivots, known)
+        if parts is None:
             walk = _anti_diagonals(kernel, xs, ys, ws, x_edge, y_edge)
             return _shell_sum(alg, x, y, scaled, images, walk, target_tolerance)
+        px, py = alg.den * sx, alg.den * sy
+        split = [((-ry, py, rx, px), (vec, h * sw))
+                 for (rx, ry), (vec, h) in sorted(parts.items(), reverse=True)]
     terms = [(f_scalar(un / ud, vn / vd), form) for (un, ud, vn, vd), form in split]
     return _combined("OperatorF", x, y, scaled[:2], weighted=terms,
                      _lines=tuple(uv for uv, _ in split))

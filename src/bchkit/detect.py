@@ -148,14 +148,7 @@ def factorize_rank_one(alg: StructureConstants) -> RankOneFactorization | None:
             w = alg.structure_constant(a, b, pivot)
             omega[a][b] = w
             omega[b][a] = -w
-    fact = RankOneFactorization(tuple(tuple(row) for row in omega), LieElement(n))
-    # [g,g] one-dimensional forces every basis bracket onto n; check anyway.
-    for a in range(dim):
-        for b in range(dim):
-            for c in range(dim):
-                if alg.structure_constant(a, b, c) != fact.omega[a][b] * n[c]:
-                    raise AssertionError("rank-one factorization failed to rebuild tensor")
-    return fact
+    return RankOneFactorization(tuple(tuple(row) for row in omega), LieElement(n))
 
 
 def _witness(alg: StructureConstants, w_scaled, vectors):
@@ -182,27 +175,9 @@ def _pair_forms(alg: StructureConstants, x: LieElement, y: LieElement):
     return (xs, sx), (ys, sy), ([c // g for c in ws], sw // g)
 
 
-def _eigenpair(alg: StructureConstants, sx: int, sy: int, ws, lx_ws, ly_ws):
-    """The ratios (un, ud, vn, vd), u = un / ud and v = vn / vd with ud, vd > 0,
-    such that L_X w = v w and L_Y w = -u w for a nonzero w, or None.
-
-    On integer coordinates ws = s w, lx_ws = den sx [x, ws] = den sx v ws and
-    ly_ws = den sy [y, ws] = -den sy u ws: cross-multiply at the pivot k of ws.
-    The two checks share the pivot, so this is _eigenvalue for both images at once.
-    """
-    k = next(j for j, c in enumerate(ws) if c)
-    wk, ak, bk = ws[k], lx_ws[k], ly_ws[k]
-    if (all(a * wk == ak * c for a, c in zip(lx_ws, ws))
-            and all(b * wk == bk * c for b, c in zip(ly_ws, ws))):
-        if wk < 0:  # positive denominators: a zero ratio is 0, never -0.0, as a float
-            wk, ak, bk = -wk, -ak, -bk
-        return -bk, alg.den * sy * wk, ak, alg.den * sx * wk
-    return None
-
-
 def _eigenvalue(vec, img):
     """The ratio (n, d), d > 0, with img = (n / d) vec for a nonzero integer vec, or
-    None: cross-multiply at the pivot of vec, as _eigenpair does."""
+    None: cross-multiply at the pivot of vec."""
     k = next(j for j, c in enumerate(vec) if c)
     vk, ik = vec[k], img[k]
     if not all(a * vk == ik * c for a, c in zip(img, vec)):
@@ -264,9 +239,12 @@ def classify_pair(alg: StructureConstants, x: LieElement, y: LieElement) -> Case
     lx_ws, ly_ws = alg.scaled_bracket(xs, ws), alg.scaled_bracket(ys, ws)
     if not any(lx_ws) and not any(ly_ws) and _witness(alg, ws, alg.units) is None:
         return certified(CaseTag.CENTRAL_BRACKET)
-    uv = _eigenpair(alg, sx, sy, ws, lx_ws, ly_ws)
-    if uv is not None:
-        return certified(CaseTag.SIMULTANEOUS_EIGENVECTOR, _uv=uv)
+    # L_X w = v w and L_Y w = -u w: lx_ws = den sx v ws and ly_ws = -den sy u ws
+    rx = _eigenvalue(ws, lx_ws)
+    ry = None if rx is None else _eigenvalue(ws, ly_ws)
+    if ry is not None:
+        return certified(CaseTag.SIMULTANEOUS_EIGENVECTOR,
+                         _uv=(-ry[0], alg.den * sy * ry[1], rx[0], alg.den * sx * rx[1]))
     witness = (None if alg.derived_echelon()[1] else
                _witness(alg, ws, _closure(alg, Echelon(), xs, ys, ws, lx_ws, ly_ws)))
     if witness is None:

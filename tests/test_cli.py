@@ -856,6 +856,33 @@ class TestImports:
         unused += sorted(f"{owner}.{name}" for owner, name in methods if name not in called)
         assert unused == []
 
+    def test_every_private_helper_is_referenced_in_the_package(self):
+        # each private module-level function or class of bchkit, and each private
+        # method, is named somewhere in the package outside its own def, so no helper
+        # outlives its last caller.  A name counts where the code reads it (a Name or
+        # an attribute); an import alone does not, nor does the def's own body
+        import ast
+        import collections
+
+        trees = [ast.parse(path.read_text(), str(path))
+                 for path in sorted((SRC / "bchkit").glob("*.py"))]
+
+        def names(tree):
+            return collections.Counter(
+                node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
+
+        def private(node):
+            return (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__"))
+
+        read = sum(map(names, trees), collections.Counter())
+        helpers = [node for tree in trees for top in tree.body
+                   for node in [top] + (top.body if isinstance(top, ast.ClassDef) else [])
+                   if private(node)]
+        assert helpers
+        assert [node.name for node in helpers if read[node.name] == names(node)[node.name]] == []
+
     @pytest.mark.parametrize("module", ["bchkit", "bchkit.cli"])
     def test_import(self, module):
         assert _heavy_modules_after(f"import {module}") == []

@@ -1192,10 +1192,10 @@ class TestPerPairWork:
         # the per-pair split, on algebras whose derived_weights() is None: a diag
         # algebra or two_scale summed with sl2 ([g,g] not abelian) or with a nilp
         # algebra (ad g neither diagonal nor nilpotent on [g,g]), each pair in the
-        # first summand.  The edge of L_X from w to its first dependency, one L_Y
-        # bracket per L_X-eigenvector and L_Y's own edge inside an eigenspace of
-        # several lines; where L_X is 0 on S, L_Y's edge from w alone.  No
-        # restricted norm is taken and no anti-diagonal is walked
+        # first summand.  The edge of L_X from w to its first dependency, then L_Y's
+        # edge from each L_X-eigenvector, one bracket where it is a joint line; where
+        # L_X is 0 on S, L_Y's edge from w alone, taken once.  No restricted norm is
+        # taken and no anti-diagonal is walked
         kernel, calls = StructureConstants.scaled_bracket, []
         monkeypatch.setattr(StructureConstants, "scaled_bracket",
                             lambda alg, a, b: calls.append(1) or kernel(alg, a, b))
@@ -1213,10 +1213,11 @@ class TestPerPairWork:
         for k, (summand, summand_pairs) in enumerate(summands):
             alg, embed = direct_sum(summand, others[k % 2])
             assert alg.derived_weights() is None
-            pairs += [(alg, embed(x), embed(y)) for x, y, *_ in summand_pairs]
-        orbit, starts, subsplits, shapes = closed_form._orbit, [], 0, set()
-        monkeypatch.setattr(closed_form, "_orbit", lambda *a: starts.append(a[2]) or orbit(*a))
-        for alg, x, y in pairs:
+            pairs += [(alg, embed(x), embed(y), summand, x, y) for x, y, *_ in summand_pairs]
+        orbit, starts, subsplits = algebra._orbit, [], 0
+        monkeypatch.setattr(algebra, "_orbit", lambda *a: starts.append(a[2]) or orbit(*a))
+        counts = {False: [], True: []}  # the pair's kernel calls, by whether L_X is 0 on S
+        for alg, x, y, summand, x1, y1 in pairs:
             cls = classify_pair(alg, x, y)
             if cls.tag != CaseTag.OPERATOR_COMMUTING:
                 continue
@@ -1228,9 +1229,14 @@ class TestPerPairWork:
             assert len(calls) <= 2 * dim_s, (x, y)
             assert res.degree is None and len(res.lines) == dim_s
             subsplits += any(vec is not ws for vec in starts)
-            shapes.add(all(v == 0 for _, v in res.lines))  # L_X is 0 on S
+            counts[all(v == 0 for _, v in res.lines)].append(len(calls))
+            # the summand alone reads the same lines, in the same order, off its
+            # diagonal derived_weights(), and the same z to the bit
+            alone = bch_closed_form(summand, x1, y1)
+            assert res.lines == alone.lines and res.z.coords[:summand.dim] == alone.z.coords
         assert subsplits  # an eigenspace of L_X held several lines
-        assert shapes == {False, True}
+        # no edge is taken twice: the counts where each edge was taken once
+        assert (sum(counts[False]), counts[True]) == (62, [2])
 
     def test_warm_pairs_read_the_derived_weights(self, monkeypatch):
         # on a warm algebra whose derived_weights() is diagonal, a split pair reads
@@ -1266,6 +1272,26 @@ class TestPerPairWork:
                 seen += 1
             monkeypatch.undo()
             assert seen, name
+
+    def test_split_takes_roots_past_two_to_the_thousand(self):
+        # a coordinate near 1e-300 clears x over a scale near 2^1000, so the kernel's
+        # map for x has roots past 2^1000; the per-pair split still finds them
+        # exactly, where a root finder that gave up fell back to the shell sum
+        # (degree 6, residual_bound 6.0e-12 on this pair)
+        alg, embed = direct_sum(families.random_derived_abelian(random.Random(3), 2, 4,
+                                                                "diag"), sl2_algebra())
+        rng = random.Random(5)
+        x, y = (families.random_element(rng, 6) for _ in "xy")
+        x = LieElement(x.coords[:2] + (Fraction(1e-300),) + x.coords[3:])
+        x, y = _floats(alg, embed(x), embed(y))
+        cls = classify_pair(alg, x, y)
+        assert cls.tag == CaseTag.OPERATOR_COMMUTING and alg.derived_weights() is None
+        res = bch_closed_form(alg, x, y, classification=cls)
+        assert (res.method, res.degree, len(res.lines)) == ("OperatorF", None, 4)
+        assert res.residual_bound < 1e-16
+        exact = (LieElement(map(Fraction, e.coords)) for e in (x, y))
+        ref = bch_integral_series(alg, *exact, 14)
+        assert max(abs(float(a) - float(b)) for a, b in zip(res.z.coords, ref.coords)) < 1e-16
 
     def test_warm_operator_classification_makes_three_kernel_calls(self, monkeypatch):
         # on an algebra whose [g,g] is abelian, and whose fact is cached, an

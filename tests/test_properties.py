@@ -6,10 +6,10 @@ from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
 
-from bchkit.algebra import Echelon, LieElement, clear_denominators, unscaled
-from bchkit.closed_form import (BivariateSeries, NonConvergence, _joint_eigenlines,
-                                _least_relation, _orbit, _restricted_norm, bch_closed_form,
-                                f_scalar, f_series)
+from bchkit.algebra import (Echelon, LieElement, _joint_split, _least_relation, _orbit,
+                            clear_denominators, unscaled)
+from bchkit.closed_form import (BivariateSeries, NonConvergence, _restricted_norm,
+                                bch_closed_form, f_scalar, f_series)
 from bchkit.detect import CaseTag, _closure, classify_pair, factorize_rank_one
 from bchkit import families
 from bchkit.oracle import bch_integral_series, catalog_entry, matrix_bch, two_scale_algebra
@@ -231,20 +231,21 @@ def test_diagonal_operator_forms_split_into_joint_eigenlines(seed):
         return
     res = bch_closed_form(alg, x, y, classification=cls)
     assert (res.method, res.exact, res.degree) == ("OperatorF", False, None)
-    scaled = cls._integer_form
-    (xs, _), _, (ws, _) = scaled
+    (xs, sx), (ys, sy), (ws, sw) = cls._integer_form
     # S grown here, in place of the [g,g] whose pivots the evaluator reads
     ech = Echelon()
     for b in cls.s_closure.basis:
         ech.insert(clear_denominators(b)[0])
     edge = _orbit(alg.scaled_bracket, xs, ws, cls._images[0])
     relation = _least_relation(edge, ech.pivots)
-    split = _joint_eigenlines(alg, scaled, relation, ech.pivots)
-    lines = [LieElement(unscaled(*form)) for _, form in split]
+    parts = _joint_split(alg.scaled_bracket, (xs, ys), ws, ech.pivots, [relation])
+    split = sorted(parts.items(), reverse=True)
+    lines = [LieElement(unscaled(vec, h * sw)) for _, (vec, h) in split]
     assert plus(*lines) == cls.w
-    # the evaluator's lines come in the order of the per-pair split, which sets z's bits
-    assert res.lines == tuple((Fraction(un, ud), Fraction(vn, vd))
-                              for (un, ud, vn, vd), _ in split)
+    # the evaluator's lines come in the order of the per-pair split, which sets z's bits;
+    # the kernel's maps are den sx L_X and den sy L_Y
+    assert res.lines == tuple((Fraction(-ry, alg.den * sy), Fraction(rx, alg.den * sx))
+                              for (rx, ry), _ in split)
     exact = [LieElement(Fraction(c) for c in e.coords) for e in (x, y)]
     ax, ay = (adjoint(alg, e) for e in exact)
     assert len(res.lines) == len(lines) == cls.s_closure.dim
