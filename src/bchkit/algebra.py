@@ -185,9 +185,6 @@ class Subspace(_Frozen):
     def dim(self) -> int:
         return len(self.basis)
 
-    def is_zero(self) -> bool:
-        return not self.basis
-
 
 class Echelon:
     """A subspace as primitive integer rows in pivot order, fully reduced.
@@ -264,30 +261,22 @@ def _least_relation(orbit, coords):
     the first L^s vec that lies in the span of the vectors before it, and
     p = [p_0, ..., p_(s-1), 1] is the least relation, sum_j p_j L^j vec = 0.
 
-    The entries at coords are eliminated fraction-free (as Echelon.reduce), each row
-    carrying the coefficients of its combination of the edge.  Where L maps integer
-    vectors to integer vectors, p, the minimal polynomial of L on the cyclic span of
-    vec, divides the characteristic polynomial of an integer matrix: it is monic in
-    Z[t], and dividing the relation by its leading coefficient is exact."""
+    The entries at coords are eliminated in an Echelon, each vector carrying the
+    coefficients of its combination of the edge.  Where L maps integer vectors to
+    integer vectors, p, the minimal polynomial of L on the cyclic span of vec,
+    divides the characteristic polynomial of an integer matrix: it is monic in Z[t],
+    and dividing the relation by its leading coefficient is exact."""
     n = len(coords)
-    edge, rows = [], []
+    ech, edge = Echelon(), []
     for img in orbit:
         aug = [img[j] for j in coords] + [0] * (n + 1)
         aug[n + len(edge)] = 1
         edge.append(img)
-        for row, k in rows:
-            m = aug[k]
-            if m:
-                lead = row[k]
-                c = math.gcd(lead, m)
-                lead, m = lead // c, m // c
-                aug = [lead * a - m * r for a, r in zip(aug, row)]
-        k = next((j for j, a in enumerate(aug[:n]) if a), None)
-        if k is None:
-            rel = aug[n:n + len(edge)]
+        res = ech.reduce(aug)
+        if not any(res[:n]):
+            rel = res[n:n + len(edge)]
             return edge, [c // rel[-1] for c in rel]
-        c = math.gcd(*aug)
-        rows.append(([a // c for a in aug], k))
+        ech.insert(res)
 
 
 def _deflated(p, r):
@@ -302,50 +291,31 @@ def _deflated(p, r):
 
 
 def _largest_root(p):
-    """The largest root of the monic integer p, of degree n >= 3, where Newton's
-    method finds it to be an integer; None where p has no integer root so found.
+    """The largest root of the monic integer p, of degree n >= 3, where every root is
+    real and the largest an integer; elsewhere None or some integer root of p.
 
-    Real roots lie within sqrt(n - 1) standard deviations of their mean
+    Real roots lie in [L, U], within sqrt(n - 1) standard deviations of their mean
     (Laguerre-Samuelson), which the two leading coefficients give: a negative
-    variance means complex roots and a zero one a repeated root.  Newton's method
-    from the upper end of that interval falls to the largest root where all roots
-    are real.  It runs on p(2^e tau) / 2^(e n), with every real root below 2^e in
-    size, where a coefficient too large for n real roots means complex ones; the
-    rounded estimate is refined by Newton steps on the integers and confirmed by
-    exact Horner."""
+    variance means complex roots and a zero one a repeated root.  Above the largest
+    root of a real-rooted p, p, p' and p'' are positive and p / p' is at least 1/n
+    of the distance to it, so integer Newton steps r -= max(1, p(r) // p'(r)) from U
+    never pass an integer largest root and reach it within n (bit_length(U - L) + 2)
+    steps; p(r) < 0, p'(r) <= 0 or more steps mean that p is not so."""
     n = len(p) - 1
     a, b = p[n - 1], p[n - 2]
     spread = (n - 1) * ((n - 1) * a * a - 2 * n * b)  # (n - 1) n^2 variance
     if spread <= 0:
         return None
     root = math.isqrt(spread) + 1
-    e = (abs(a) + root).bit_length()
-    if any(abs(c).bit_length() > e * (n - i) + n for i, c in enumerate(p)):
-        return None
-    scaled = [c / (1 << e * (n - i)) for i, c in enumerate(p)]  # int / int rounds once
-    tau = (root - a) / (n << e)
-    tol = max(2.0**-50, math.ldexp(0.25, -e))
-    for _ in range(64):
-        val = slope = 0.0
-        for c in reversed(scaled):
-            slope = slope * tau + val
-            val = val * tau + c
-        if not slope:
-            break
-        step = val / slope
-        tau -= step
-        if abs(step) < tol:
-            break
-    r = round(Fraction(tau) * (1 << e))  # exact: ldexp overflows past 2^1024
-    for _ in range(64):  # a cluster of roots halves the distance per step, at least
+    r, low = -((a - root) // n), (-a - root) // n  # U and L, rounded outwards
+    for _ in range(n * ((r - low).bit_length() + 2)):
         q, val = _deflated(p, r)
         if not val:
             return r
         slope = _deflated(q, r)[1]  # p'(r) = q(r)
-        step = (2 * val + slope) // (2 * slope) if slope else 0  # nearest to val / slope
-        if not step:
+        if val < 0 or slope <= 0:
             return None
-        r -= step
+        r -= max(1, val // slope)
     return None
 
 
@@ -436,10 +406,9 @@ class NilpotencyVerdict(_Frozen):
 
 
 class DerivedWeights(_Frozen):
-    """ad g on an abelian [g,g], where it is nilpotent or diagonal over Q, as
+    """ad g on an abelian [g,g], where it is diagonal over Q, as
     StructureConstants.derived_weights() finds it.
 
-    For a nilpotent ad g, nilpotent is True, den is 1 and spaces is ().  Else
     [g,g] is the direct sum of the joint weight spaces V of the kernel's maps
     scaled_bracket(T_a, .), the algebra's den times ad T_a, and spaces holds one
     (r, cols) per V: r = (r_0, ..., r_(dim-1)), with r_a the eigenvalue of
@@ -448,10 +417,9 @@ class DerivedWeights(_Frozen):
     vector w of [g,g] onto V is sum_p w[p] col / den, over this fact's one
     denominator den; a pivot whose E-row has no part in V is left out."""
 
-    _fields = ("nilpotent", "den", "spaces")
+    _fields = ("den", "spaces")
 
-    def __init__(self, nilpotent: bool, den: int, spaces: tuple):
-        _setattr(self, "nilpotent", nilpotent)
+    def __init__(self, den: int, spaces: tuple):
         _setattr(self, "den", den)
         _setattr(self, "spaces", spaces)
 
@@ -489,6 +457,7 @@ class StructureConstants:
         self._derived: tuple | None = None  # derived_echelon(), on first call
         self._derived_rref: Subspace | None = None  # derived_subalgebra(), on first call
         self._weights: tuple = ()  # (derived_weights(),), on first call
+        self._series: tuple | None = None  # _central_series(), on first call
 
     def __repr__(self):
         pairs = sum(map(len, self._rows)) // 2  # each nonzero bracket is in two rows
@@ -590,14 +559,13 @@ class StructureConstants:
 
     def derived_weights(self) -> DerivedWeights | None:
         """The weights of ad g on [g,g] (DerivedWeights), or None where [g,g] is not
-        abelian or ad g is neither nilpotent nor diagonal over Q on it.
+        abelian or ad g is not diagonal over Q on it.
 
         On an abelian [g,g], [ad a, ad b] = ad [a, b] vanishes there, so the maps
-        ad T_a commute on [g,g].  ad g is nilpotent there iff each
-        scaled_bracket(T_a, .) has the least relation t^s from each row of E
-        (_least_relation).  Else each row is split into joint eigenvectors of these
-        maps (_joint_split), which holds where every relation has distinct integer
-        roots; a row's parts are then its projections onto the joint weight spaces.
+        ad T_a commute on [g,g].  Each row of E is split into joint eigenvectors of
+        the maps scaled_bracket(T_a, .) (_joint_split), which holds where every
+        relation has distinct integer roots; a row's parts are then its projections
+        onto the joint weight spaces.
         Run on the first call and published in one assignment, as derived_echelon()
         is; E is not grown."""
         fact = self._weights
@@ -609,15 +577,9 @@ class StructureConstants:
         ech, abelian = self.derived_echelon()
         if not abelian:
             return None
-        kernel = self.scaled_bracket
-
-        def relation(e, vec):
-            return _least_relation(_orbit(kernel, e, vec, kernel(e, vec)), ech.pivots)
-
-        if all(not any(relation(e, row)[1][:-1]) for e in self.units for row in ech.rows):
-            return DerivedWeights(True, 1, ())
         # parts[i] = {r: (W, h)}: E-row i is the sum of W / h over its weights r
-        parts = [_joint_split(kernel, self.units, row, ech.pivots) for row in ech.rows]
+        parts = [_joint_split(self.scaled_bracket, self.units, row, ech.pivots)
+                 for row in ech.rows]
         if None in parts:
             return None
         # w = sum_i w[p_i] row_i / row_i[p_i], so its part in V is sum_i w[p_i] W / (h row_i[p_i])
@@ -628,29 +590,35 @@ class StructureConstants:
             for r, (vec, h) in split.items():
                 k = den // (h * row[p])
                 spaces.setdefault(r, []).append((p, tuple(k * c for c in vec)))
-        return DerivedWeights(False, den, tuple((r, tuple(cols))
-                                                for r, cols in sorted(spaces.items())))
+        return DerivedWeights(den, tuple((r, tuple(cols)) for r, cols in sorted(spaces.items())))
+
+    def _central_series(self) -> tuple:
+        """(chain, nilpotent): the lower central series g_1 = [g,g], g_n = [g, g_(n-1)]
+        as integer Echelons, from derived_echelon()'s E up to the first term that is
+        zero (g is nilpotent) or, as each term lies in the one before it, equal to
+        the one before it in dimension (g is not).  Run on the first call and
+        published in one assignment, as derived_echelon() is; the Echelons are
+        shared, so a caller must not grow them."""
+        fact = self._series
+        if fact is None:
+            chain, before = [self.derived_echelon()[0]], None
+            while chain[-1].rows and len(chain[-1].rows) != before:
+                before, nxt = len(chain[-1].rows), Echelon()
+                for row in chain[-1].rows:
+                    for e in self.units:
+                        nxt.insert(self.scaled_bracket(e, row))
+                chain.append(nxt)
+            fact = self._series = (tuple(chain), not chain[-1].rows)
+        return fact
 
     def lower_central_series(self) -> tuple[list[Subspace], NilpotencyVerdict]:
-        """Chain g_1 = [g,g], g_n = [g, g_{n-1}] until zero or stabilization."""
-        current = self.derived_subalgebra()
-        chain = [current]
-        if current.is_zero():
-            return chain, NilpotencyVerdict(True, nil_class=1)
-        for _ in range(self.dim + 1):
-            ech = Echelon()
-            for row in current.basis:
-                vec, _ = clear_denominators(row)
-                for e in self.units:
-                    ech.insert(self.scaled_bracket(e, vec))
-            nxt = ech.subspace()
-            chain.append(nxt)
-            if nxt.is_zero():
-                return chain, NilpotencyVerdict(True, nil_class=len(chain))
-            if nxt == current:
-                return chain, NilpotencyVerdict(False, stable=nxt)
-            current = nxt
-        raise AssertionError("lower central series failed to stabilize")  # unreachable
+        """Chain g_1 = [g,g], g_n = [g, g_{n-1}] until zero or stabilization, the
+        RREFs of _central_series()."""
+        series, nilpotent = self._central_series()
+        chain = [ech.subspace() for ech in series]
+        if nilpotent:
+            return chain, NilpotencyVerdict(True, nil_class=len(chain))
+        return chain, NilpotencyVerdict(False, stable=chain[-1])
 
     # -- JSON ------------------------------------------------------------------
 

@@ -465,19 +465,18 @@ def _graded_parts(alg: StructureConstants, scaled, rows, diagonals):
         yield acc, norm, sw * (px * py) ** m * q
 
 
-def _weight_lines(alg: StructureConstants, weights, scaled):
-    """The split of w = [x, y] into joint eigenlines of L_X and L_Y, read off the
-    DerivedWeights of an algebra on whose abelian [g,g] ad g is diagonal over Q.
+def _weight_lines(weights, scaled):
+    """The split of the integer ws into joint eigenlines of the kernel's maps for xs
+    and ys, read off the DerivedWeights of an algebra on whose abelian [g,g] ad g is
+    diagonal over Q, with no kernel call.
 
-    scaled holds the integer forms ((xs, sx), (ys, sy), (ws, sw)) of x, y and w.  On
-    a weight space with kernel eigenvalues r, the kernel's den sx L_X and den sy L_Y
-    are rx = xs . r and ry = ys . r; w's parts in the spaces with equal (rx, ry) add
-    up to one line, and the lines come in descending (rx, ry), as those of the
-    per-pair split of _operator_f do.  Returns [(uv, (W, d)), ...], w = sum W / d
-    with L_X W = v W and L_Y W = -u W, uv = (un, ud, vn, vd) as for ScalarF, with
-    no kernel call; W / d is not reduced, as each int / int of the combine rounds
-    the same rational once either way."""
-    (xs, sx), (ys, sy), (ws, sw) = scaled
+    scaled holds the integer forms ((xs, sx), (ys, sy), (ws, sw)) of x, y and
+    w = [x, y].  On a weight space with kernel eigenvalues r, the kernel's maps for
+    xs and ys are rx = xs . r and ry = ys . r, and ws's parts in the spaces with
+    equal (rx, ry) add up to one line.  Returns {(rx, ry): (W, weights.den)}, the
+    shape of _joint_split: ws = sum W / weights.den; W / den is not reduced, as
+    each int / int of the combine rounds the same rational once either way."""
+    (xs, _), (ys, _), (ws, _) = scaled
     grouped = {}
     for r, cols in weights.spaces:
         part = None
@@ -489,11 +488,9 @@ def _weight_lines(alg: StructureConstants, weights, scaled):
         if part is not None and any(part):
             key = (sum(map(operator.mul, xs, r)), sum(map(operator.mul, ys, r)))
             if key in grouped:
-                part = [a + b for a, b in zip(grouped[key], part)]
-            grouped[key] = part
-    den, px, py = weights.den * sw, alg.den * sx, alg.den * sy
-    return [((-ry, py, rx, px), (vec, den))
-            for (rx, ry), vec in sorted(grouped.items(), reverse=True)]
+                part = [a + b for a, b in zip(grouped[key][0], part)]
+            grouped[key] = (part, weights.den)
+    return grouped
 
 
 def _dying_edge(step, g, vec, first):
@@ -534,12 +531,13 @@ def _operator_f(alg: StructureConstants, x: LieElement, y: LieElement, scaled,
     images holds the kernel's L_X w and L_Y w, as classify_pair computed them.
 
     S = span{L_X^i L_Y^j w} lies in the ideal [g,g], and [L_X, L_Y] = L_w vanishes
-    on S.  Where [g,g] is abelian, the algebra's derived_weights(), computed once,
-    decides the form.  If ad g is nilpotent on [g,g], the series terminates: the
-    edges L_X^k w and L_Y^k w are bracketed until they reach 0, and _terminating_sum
-    sums them exactly.  If ad g is diagonal over Q, w splits into joint eigenlines
-    w = sum w_k (_weight_lines), and f(L_X, -L_Y) w = sum f(u_k, v_k) w_k: the
-    scalar form once per line, with the ScalarF bound summed over the lines.
+    on S.  Where g is nilpotent (_central_series(), computed once), so are L_X and
+    L_Y, and the series terminates: the edges L_X^k w and L_Y^k w are bracketed
+    until they reach 0, and _terminating_sum sums them exactly.  Where [g,g] is
+    abelian and ad g is diagonal over Q on it, as the algebra's derived_weights(),
+    computed once, tells, w splits into joint eigenlines w = sum w_k
+    (_weight_lines), and f(L_X, -L_Y) w = sum f(u_k, v_k) w_k: the scalar form once
+    per line, in descending weights, with the ScalarF bound summed over the lines.
 
     Otherwise (derived_weights() is None) each pair finds its own structure, with
     its vectors told apart by their entries at the pivots of [g,g]'s echelon.  The
@@ -548,19 +546,18 @@ def _operator_f(alg: StructureConstants, x: LieElement, y: LieElement, scaled,
     the edge dies.  Where it does, L_Y's edge is taken the same way, and if it dies
     too, the series terminates.  Otherwise w is split into joint eigenlines of the
     kernel's maps for x and y (_joint_split, handed the relations already taken),
-    and the lines, in descending weights as _weight_lines gives them, are summed
-    as above.  Where it does not split (L_X nilpotent but not 0 on S, or a relation
-    with a repeated, irrational or complex root), _shell_sum sums the walk's parts
-    in floating point.
+    and the lines are summed as above.  Where it does not split (L_X nilpotent but
+    not 0 on S, or a relation with a repeated, irrational or complex root),
+    _shell_sum sums the walk's parts in floating point.
     """
     kernel = alg.scaled_bracket
     (xs, sx), (ys, sy), (ws, sw) = scaled
-    weights = alg.derived_weights()
-    if weights is not None and weights.nilpotent:
+    if alg._central_series()[1]:
         x_edge, y_edge = (_dying_edge(kernel, g, ws, img) for g, img in zip((xs, ys), images))
         return _terminating_sum(alg, x, y, scaled, x_edge, y_edge)
+    weights = alg.derived_weights()
     if weights is not None:
-        split = _weight_lines(alg, weights, scaled)
+        split = _weight_lines(weights, scaled)
     else:
         pivots = alg.derived_echelon()[0].pivots
         x_edge, p = _least_relation(_orbit(kernel, xs, ws, images[0]), pivots)
@@ -570,16 +567,16 @@ def _operator_f(alg: StructureConstants, x: LieElement, y: LieElement, scaled,
             if not any(q[:-1]):  # L_X^nx w = L_Y^ny w = 0
                 return _terminating_sum(alg, x, y, scaled, x_edge, y_edge)
             known.append((y_edge, q))
-        parts = _joint_split(kernel, (xs, ys), ws, pivots, known)
-        if parts is None:
+        split = _joint_split(kernel, (xs, ys), ws, pivots, known)
+        if split is None:
             walk = _anti_diagonals(kernel, xs, ys, ws, x_edge, y_edge)
             return _shell_sum(alg, x, y, scaled, images, walk, target_tolerance)
-        px, py = alg.den * sx, alg.den * sy
-        split = [((-ry, py, rx, px), (vec, h * sw))
-                 for (rx, ry), (vec, h) in sorted(parts.items(), reverse=True)]
-    terms = [(f_scalar(un / ud, vn / vd), form) for (un, ud, vn, vd), form in split]
+    px, py = alg.den * sx, alg.den * sy
+    lines = [((-ry, py, rx, px), (vec, h * sw))
+             for (rx, ry), (vec, h) in sorted(split.items(), reverse=True)]
+    terms = [(f_scalar(un / ud, vn / vd), form) for (un, ud, vn, vd), form in lines]
     return _combined("OperatorF", x, y, scaled[:2], weighted=terms,
-                     _lines=tuple(uv for uv, _ in split))
+                     _lines=tuple(uv for uv, _ in lines))
 
 
 def _shell_sum(alg: StructureConstants, x: LieElement, y: LieElement, scaled,

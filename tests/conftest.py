@@ -9,10 +9,11 @@ from bchkit import closed_form, detect
 from bchkit.algebra import validate
 
 
-def _borel(n: int):
+def _borel(n: int, strict: bool = False):
     """b(n), the upper-triangular n x n matrices on the basis E_ij (i <= j), and
-    the index of each E_ij."""
-    basis = [(i, j) for i in range(n) for j in range(i, n)]
+    the index of each E_ij; with strict, n(n), the strictly upper-triangular ones
+    (i < j), nilpotent of class n - 1."""
+    basis = [(i, j) for i in range(n) for j in range(i + strict, n)]
     index = {e: k for k, e in enumerate(basis)}
     entries = {}
     for a, (i, j) in enumerate(basis):
@@ -28,7 +29,8 @@ def _borel(n: int):
 
 @pytest.fixture(scope="session")
 def borel():
-    """borel(n) builds a fresh (b(n), index), so no test sees another's per-algebra state."""
+    """borel(n) builds a fresh (b(n), index), and borel(n, strict=True) a fresh
+    (n(n), index), so no test sees another's per-algebra state."""
     return _borel
 
 

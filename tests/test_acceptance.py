@@ -289,7 +289,7 @@ def test_criterion_9_structural_dichotomy():
                 if branch_nilpotent:
                     assert all(c == 0 for c in s)
                     assert verdict.nilpotent
-                    assert len(chain) == 2 and chain[1].is_zero()
+                    assert len(chain) == 2 and chain[1].dim == 0
                 else:
                     assert any(c != 0 for c in s)
                     assert not verdict.nilpotent

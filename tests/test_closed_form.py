@@ -24,7 +24,7 @@ from bchkit.closed_form import (
     f_scalar,
     f_series,
 )
-from bchkit.algebra import LieElement, StructureConstants
+from bchkit.algebra import LieElement, StructureConstants, validate
 from bchkit.detect import (
     CaseClassification,
     CaseTag,
@@ -1152,6 +1152,7 @@ class TestPerPairWork:
             alg = entry.algebra
             (x, y, expected), = entry.pairs
             alg.derived_weights()  # the per-algebra facts, whose brackets are not the pair's
+            alg._central_series()
             cleared.clear()
             brackets.clear()
             cls = classify_pair(alg, x, y)
@@ -1212,7 +1213,7 @@ class TestPerPairWork:
         pairs = []
         for k, (summand, summand_pairs) in enumerate(summands):
             alg, embed = direct_sum(summand, others[k % 2])
-            assert alg.derived_weights() is None
+            assert alg.derived_weights() is None and not alg._central_series()[1]  # warm
             pairs += [(alg, embed(x), embed(y), summand, x, y) for x, y, *_ in summand_pairs]
         orbit, starts, subsplits = algebra._orbit, [], 0
         monkeypatch.setattr(algebra, "_orbit", lambda *a: starts.append(a[2]) or orbit(*a))
@@ -1238,18 +1239,24 @@ class TestPerPairWork:
         # no edge is taken twice: the counts where each edge was taken once
         assert (sum(counts[False]), counts[True]) == (62, [2])
 
-    def test_warm_pairs_read_the_derived_weights(self, monkeypatch):
+    def test_warm_pairs_read_the_derived_weights(self, borel, monkeypatch):
         # on a warm algebra whose derived_weights() is diagonal, a split pair reads
-        # its lines off the fact with no kernel call and no elimination; where it
-        # is nilpotent, both edges are bracketed to 0 with no elimination either
+        # its lines off the fact with no kernel call and no elimination; where g is
+        # nilpotent, whether [g,g] is abelian (nilp) or not (n(5)), both edges are
+        # bracketed to 0 with no elimination either, and z is the BCH series up to
+        # the degree past the nilpotency class
         rng = random.Random(21)
         algebras = {"diag": families.random_derived_abelian(rng, 2, 4, kind="diag"),
                     "two_scale": two_scale_algebra(),
-                    "nilp": families.random_derived_abelian(rng, 2, 4, kind="nilp")}
+                    "nilp": families.random_derived_abelian(rng, 2, 4, kind="nilp"),
+                    "n5": borel(5, strict=True)[0]}
         kernel, calls = StructureConstants.scaled_bracket, []
         least, relations = algebra._least_relation, []
         for name, alg in algebras.items():
-            assert alg.derived_weights().nilpotent == (name == "nilp"), name  # warm
+            nilpotent = alg._central_series()[1]  # warm
+            assert nilpotent == (name in ("nilp", "n5")), name
+            assert (alg.derived_weights() is None) == nilpotent, name  # warm
+            nil_class = alg.lower_central_series()[1].nil_class
             monkeypatch.setattr(StructureConstants, "scaled_bracket",
                                 lambda alg, a, b: calls.append(1) or kernel(alg, a, b))
             for module in (algebra, closed_form):
@@ -1265,33 +1272,62 @@ class TestPerPairWork:
                 relations.clear()
                 res = bch_closed_form(alg, x, y, classification=cls)
                 assert not relations, (name, x, y)
-                if name == "nilp":
+                if nilpotent:
                     assert (res.exact, res.lines) == (True, None), (name, x, y)
+                    assert res.z == plus(*bch_series_terms(alg, x, y, nil_class + 1)), (name, x, y)
                 else:
                     assert (calls, res.degree) == ([], None) and res.lines, (name, x, y)
                 seen += 1
             monkeypatch.undo()
             assert seen, name
 
-    def test_split_takes_roots_past_two_to_the_thousand(self):
+    @staticmethod
+    def _spread_pair():
         # a coordinate near 1e-300 clears x over a scale near 2^1000, so the kernel's
-        # map for x has roots past 2^1000; the per-pair split still finds them
-        # exactly, where a root finder that gave up fell back to the shell sum
-        # (degree 6, residual_bound 6.0e-12 on this pair)
-        alg, embed = direct_sum(families.random_derived_abelian(random.Random(3), 2, 4,
-                                                                "diag"), sl2_algebra())
+        # map for x has roots past 2^1000 and far apart (a root finder that gave up
+        # there fell back to the shell sum: degree 6, residual_bound 6.0e-12)
+        summand = families.random_derived_abelian(random.Random(3), 2, 4, "diag")
         rng = random.Random(5)
         x, y = (families.random_element(rng, 6) for _ in "xy")
         x = LieElement(x.coords[:2] + (Fraction(1e-300),) + x.coords[3:])
-        x, y = _floats(alg, embed(x), embed(y))
+        return summand, x, y
+
+    @staticmethod
+    def _clustered_pair():
+        # T0, T1, U0, ..., U5 with [T0, U_k] = U_k and [T1, U_k] = k U_k: x clears over
+        # 250 to (1000, 1, 0, ...), whose kernel map has the six roots 1000, ..., 1005
+        # on S (a float Newton phase could not tell them apart, and rounding a step
+        # below 1/2 to 0 gave up: NonConvergence at the restricted norm 4.02)
+        summand = validate({**{(0, 2 + k, 2 + k): 1 for k in range(6)},
+                            **{(1, 2 + k, 2 + k): k for k in range(1, 6)}}, 8)
+        x = summand.element([4, "4/1000"] + [0] * 6)
+        y = summand.element([0, 0] + [Fraction(1, k) for k in range(2, 8)])
+        return summand, x, y
+
+    @pytest.mark.parametrize("case, lines", [("spread", 4), ("clustered", 6)],
+                             ids=["spread", "clustered"])
+    def test_split_takes_roots_past_two_to_the_thousand(self, case, lines):
+        # the per-pair split, on the summand plus sl2, finds integer roots exactly
+        # however large, far apart or close together they are: the lines and z,
+        # to the bit, are those the summand alone reads off its derived_weights().
+        # The spread pair is float input, the clustered one exact
+        summand, x1, y1 = getattr(self, f"_{case}_pair")()
+        alg, embed = direct_sum(summand, sl2_algebra())
+        x, y = embed(x1), embed(y1)
+        if case == "spread":
+            (x, y), (x1, y1) = _floats(alg, x, y), _floats(summand, x1, y1)
         cls = classify_pair(alg, x, y)
         assert cls.tag == CaseTag.OPERATOR_COMMUTING and alg.derived_weights() is None
         res = bch_closed_form(alg, x, y, classification=cls)
-        assert (res.method, res.degree, len(res.lines)) == ("OperatorF", None, 4)
-        assert res.residual_bound < 1e-16
-        exact = (LieElement(map(Fraction, e.coords)) for e in (x, y))
-        ref = bch_integral_series(alg, *exact, 14)
-        assert max(abs(float(a) - float(b)) for a, b in zip(res.z.coords, ref.coords)) < 1e-16
+        assert (res.method, res.degree, len(res.lines)) == ("OperatorF", None, lines)
+        alone = bch_closed_form(summand, x1, y1)
+        assert res.lines == alone.lines and res.z.coords[:summand.dim] == alone.z.coords
+        if case == "spread":
+            assert res.residual_bound < 1e-16
+            exact = (LieElement(map(Fraction, e.coords)) for e in (x, y))
+            ref = bch_integral_series(alg, *exact, 14)
+            assert max(abs(float(a) - float(b))
+                       for a, b in zip(res.z.coords, ref.coords)) < 1e-16
 
     def test_warm_operator_classification_makes_three_kernel_calls(self, monkeypatch):
         # on an algebra whose [g,g] is abelian, and whose fact is cached, an
@@ -1345,7 +1381,8 @@ class TestPerPairWork:
         counts = []
         for alg, x, y in pairs:
             cls = classify_pair(alg, x, y)
-            alg.derived_weights()  # the per-algebra fact, whose kernel calls are not the pair's
+            alg.derived_weights()  # the per-algebra facts, whose kernel calls are not the pair's
+            alg._central_series()
             calls.clear()
             res = bch_closed_form(alg, x, y, classification=cls)
             assert (res.method, res.exact) == ("OperatorF", True)

@@ -164,11 +164,15 @@ class TestDerivedFact:
     def test_weights_match_the_adjoint_matrices(self, borel):
         # each vector of a diagonal fact is an eigenvector of every adjoint(T_a)
         # with its space's weight r_a / den; the spaces' sum is direct and fills
-        # [g,g], and their projectors sum to the identity on it
+        # [g,g], and their projectors sum to the identity on it.  Nilpotency is
+        # not a weight: a nilpotent ad g on [g,g] has no fact (nilp, a Jordan
+        # block) or the one weight 0 (heisenberg, a central [g,g]), and the
+        # lower central series tells that g is nilpotent
         rng = random.Random(19)
         diag = families.random_derived_abelian(rng, 2, 3, kind="diag")
         nilp = families.random_derived_abelian(rng, 2, 4, kind="nilp")
-        named = {"nilp": (nilp, "nilpotent"), "heisenberg": (heisenberg_algebra(), "nilpotent"),
+        heis = heisenberg_algebra()
+        named = {"nilp": (nilp, None), "heisenberg": (heis, "diagonal"),
                  "two_scale": (two_scale_algebra(), "diagonal"), "diag": (diag, "diagonal"),
                  "sl2": (sl2_algebra(), None), "e2": (euclidean_plane()[0], None),
                  "diag+sl2": (direct_sum(diag, sl2_algebra())[0], None),
@@ -176,12 +180,13 @@ class TestDerivedFact:
         named.update({f"b{n}": (borel(n)[0], None) for n in (3, 4)})
         for name, (alg, kind) in named.items():
             fact = alg.derived_weights()
-            assert (None if fact is None else "nilpotent" if fact.nilpotent
-                    else "diagonal") == kind, name
+            assert (None if fact is None else "diagonal") == kind, name
+            assert alg._central_series()[1] == (name in ("nilp", "heisenberg")), name
+        assert [r for r, _ in heis.derived_weights().spaces] == [(0,) * heis.dim]
         diagonal = 0
         for alg in self._algebras(borel) + [diag]:
             fact = alg.derived_weights()
-            if fact is None or fact.nilpotent:
+            if fact is None:
                 continue
             diagonal += 1
             derived = alg.derived_subalgebra()
@@ -644,7 +649,7 @@ class TestSClosure:
     def test_zero_w(self):
         heis = heisenberg_algebra()
         x = heis.element([1, 2, 0])
-        assert self._operator_s(heis, x, x).is_zero()
+        assert self._operator_s(heis, x, x).dim == 0
 
 
 class TestLazyCertificate:
@@ -736,7 +741,12 @@ class TestLazyFacts:
     def test_overlapping_first_classifications_are_accepted(self, borel):
         # StructureConstants is shared between threads: every certificate made
         # at once on a fresh algebra must hold that algebra, or bch_closed_form
-        # rejects it as made on another algebra
+        # rejects it as made on another algebra, and every thread reads the lower
+        # central series that a fresh copy of the algebra gives
+        def series(alg):
+            chain, nilpotent = alg._central_series()
+            return [ech.rows for ech in chain], nilpotent
+
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -746,7 +756,7 @@ class TestLazyFacts:
                 pairs = [[families.random_element(rng, alg.dim) for _ in range(2)]
                          for _ in range(4)]
                 barrier = threading.Barrier(len(pairs))
-                accepted = [None] * len(pairs)
+                accepted, read = [None] * len(pairs), [None] * len(pairs)
 
                 def run(i, x, y):
                     barrier.wait(timeout=30)
@@ -755,7 +765,7 @@ class TestLazyFacts:
                         bch_closed_form(alg, x, y, classification=cls)
                     except NoClosedFormAvailable:
                         pass
-                    accepted[i] = cls
+                    accepted[i], read[i] = cls, series(alg)
 
                 threads = [threading.Thread(target=run, args=(i, x, y))
                            for i, (x, y) in enumerate(pairs)]
@@ -766,5 +776,6 @@ class TestLazyFacts:
                 assert not any(thread.is_alive() for thread in threads)
                 assert all(cls is not None and cls.algebra is alg for cls in accepted), \
                     f"trial {trial}"
+                assert read == [series(borel(5)[0])] * len(pairs), f"trial {trial}"
         finally:
             sys.setswitchinterval(interval)

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
 
-from bchkit.algebra import (Echelon, LieElement, _joint_split, _least_relation, _orbit,
-                            clear_denominators, unscaled)
+from bchkit.algebra import (Echelon, LieElement, _integer_roots, _joint_split,
+                            _least_relation, _orbit, clear_denominators, unscaled)
 from bchkit.closed_form import (BivariateSeries, NonConvergence, _restricted_norm,
                                 bch_closed_form, f_scalar, f_series)
 from bchkit.detect import CaseTag, _closure, classify_pair, factorize_rank_one
@@ -92,7 +92,7 @@ def test_lower_central_series_monotone(seed):
     for bigger, smaller in zip(chain, chain[1:]):
         assert all(in_span(bigger, v) for v in smaller.basis)
     if verdict.nilpotent:
-        assert chain[-1].is_zero()
+        assert chain[-1].dim == 0
         assert verdict.nil_class == len(chain)
     else:
         assert chain[-1] == chain[-2] == verdict.stable
@@ -256,6 +256,44 @@ def test_diagonal_operator_forms_split_into_joint_eigenlines(seed):
     assert max(abs(float(a) - float(b)) for a, b in zip(res.z.coords, ref.coords)) < 1e-12 * scale
 
 
+def _times_roots(p, roots):
+    """The coefficients, lowest first, of p(t) prod (t - r) over the roots."""
+    for r in roots:
+        p = [a - r * b for a, b in zip([0] + p, p + [0])]
+    return p
+
+
+def _offsets(centre):
+    """Distinct integer roots centre + k, for a few distinct small k."""
+    return st.lists(st.integers(-6, 6), min_size=1, max_size=7, unique=True).map(
+        lambda ks: [centre + k for k in ks])
+
+
+_ROOTS = st.one_of(
+    st.lists(st.integers(-60, 60), min_size=1, max_size=8, unique=True),  # small
+    st.integers(-10**12, 10**12).flatmap(_offsets),  # clustered around any centre
+    st.lists(st.integers(-40, 40), min_size=1, max_size=6, unique=True).map(  # past 2^1000
+        lambda ks: [k << 1000 for k in ks]),
+    st.lists(st.tuples(st.sampled_from((-1, 1)), st.integers(0, 300), st.integers(-9, 9)),
+             min_size=1, max_size=6).map(  # spread from 1 to 1e300
+        lambda ts: sorted({s * 10**e + c for s, e, c in ts})),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ROOTS, st.integers(-40, 40), st.integers(-400, 400), st.integers(0, 7))
+@example([1000, 1001, 1002, 1003, 1004, 1005], 0, 1, 0)
+def test_integer_roots_are_exactly_those_of_integer_linear_factors(roots, b, q, i):
+    # a product of distinct integer linear factors gives its roots, largest first;
+    # an irreducible quadratic factor (complex or irrational roots) or a repeated
+    # root gives None
+    assert _integer_roots(_times_roots([1], roots)) == sorted(roots, reverse=True)
+    disc = b * b - 4 * q
+    if disc < 0 or math.isqrt(disc) ** 2 != disc:  # t^2 + b t + q is irreducible over Q
+        assert _integer_roots(_times_roots([q, b, 1], roots)) is None
+    assert _integer_roots(_times_roots([1], roots + [roots[i % len(roots)]])) is None
+
+
 @settings(max_examples=60, deadline=None)
 @given(SEEDS)
 def test_echelon_norm_matches_the_rref_matrix(borel, seed):
@@ -312,7 +350,7 @@ def test_rank_one_roundtrip_and_dichotomy(seed):
     if all(c == 0 for c in s):
         # omega.n = 0: nilpotent with trivial second term
         assert verdict.nilpotent
-        assert len(chain) == 2 and chain[1].is_zero()
+        assert len(chain) == 2 and chain[1].dim == 0
     else:
         # omega.n != 0: the chain stabilizes immediately
         assert not verdict.nilpotent
